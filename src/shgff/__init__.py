@@ -23,8 +23,8 @@ from .kernelalg import (
     jump_terms, pair_numeric, pair_numeric_with_tail, term_count,
 )
 from .specfun import (
-    ModelParams, SpecialFunctionError, barnes_ratio_asymptotic, log_barnes_g,
-    log_gamma, min_form_factor, minkowski_dot, momentum, s_matrix, varpi,
+    ModelParams, SpecialFunctionError, log_barnes_g, log_gamma,
+    min_form_factor, minkowski_dot, momentum, s_matrix, varpi,
 )
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "FixtureUnitProvider", "FormFactorProvider", "FormalKernelSum",
     "FormalTerm", "GaussianSmearing", "KTransformProvider", "ModelParams",
     "OperatorSpec", "PoleChain", "Slot", "SpacetimePoint",
-    "SpecialFunctionError", "barnes_ratio_asymptotic", "blocks",
+    "SpecialFunctionError", "blocks",
     "cauchy_decomposition", "chain_decomposition", "check_region",
     "compute_I_n", "compute_W_r", "compute_W_r_mixed", "concat",
     "default_ladder", "enumerate_compositions", "eta_max", "expand_direct",

@@ -10,13 +10,11 @@ import json
 import sys
 
 import click
-import numpy as np
 
 from .combin import enumerate_compositions
 from .correlator import (
     ContourLadder, CorrelatorRequest, GaussianSmearing, SpacetimePoint,
-    check_region, compute_I_n, compute_W_r, smeared_correlator,
-    _composition_phase,
+    compute_W_r, smeared_correlator, _sum_compositions,
 )
 from .formfactor import load_operator, verify_axioms
 from .specfun import ModelParams, min_form_factor, s_matrix
@@ -77,10 +75,10 @@ def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L
         return CorrelatorRequest(
             params=params, operators=operators, points=points,
             r=tuple(int(x) for x in r["r"]), ladder=ladder,
-            nodes=int(nodes or r.get("nodes", 96)),
-            L=float(L or r.get("L", 8.0)),
+            nodes=int(r.get("nodes", 96) if nodes is None else nodes),
+            L=float(r.get("L", 8.0) if L is None else L),
             max_nodes=int(r.get("max_nodes", 3072)),
-            tol=float(tol or r.get("tol", 1e-9)))
+            tol=float(r.get("tol", 1e-9) if tol is None else tol))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad request section: {exc}") from exc
 
@@ -209,11 +207,6 @@ def correlator_cmd(config_path, output_path, mixed_t, smeared, threads, tol, nod
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
 
-    if not smeared and not check_region(request.points):
-        click.echo("region error: points must be space-like separated with "
-                   "strictly decreasing spatial coordinates", err=True)
-        sys.exit(EXIT_REGION)
-
     try:
         if smeared:
             try:
@@ -224,7 +217,8 @@ def correlator_cmd(config_path, output_path, mixed_t, smeared, threads, tol, nod
                 sys.exit(EXIT_CONFIG)
             result = smeared_correlator(request, smr)
         elif threads > 1:
-            result = _compute_threaded(request, mixed_t, threads)
+            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+                result = _sum_compositions(request, mixed_t, pool.map)
         else:
             result = compute_W_r(request, mixed_t=mixed_t)
     except ValueError as exc:
@@ -257,25 +251,6 @@ def correlator_cmd(config_path, output_path, mixed_t, smeared, threads, tol, nod
                    f"exceeds tolerance", err=True)
         sys.exit(EXIT_NONCONVERGED)
     sys.exit(EXIT_OK)
-
-
-def _compute_threaded(request, mixed_t, threads):
-    """Per-composition parallelism with a deterministic reduction order."""
-    from .correlator import CorrelatorResult
-    comps = enumerate_compositions(request.k, tuple(request.r))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(compute_I_n, request, comp, mixed_t) for comp in comps]
-        vals = [f.result() for f in futs]
-    total = 0.0 + 0.0j
-    err_total = 0.0
-    breakdown = []
-    for comp, (val, err) in zip(comps, vals):
-        ph = _composition_phase(comp, request.operators, mixed_t)
-        weight = ph / (comp.factorial_weight() * (2.0 * np.pi) ** comp.total)
-        total += weight * val
-        err_total += abs(weight) * err
-        breakdown.append((comp, val, err, ph))
-    return CorrelatorResult(total, err_total, breakdown)
 
 
 if __name__ == "__main__":

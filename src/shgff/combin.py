@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 DISTINCT_TOL = 1e-9
 
@@ -52,9 +52,6 @@ class Slot:
         return Slot(self.family, self.index)
 
 
-VectorWord = tuple  # tuple of Slot (or any hashable labels)
-
-
 def reverse_word(word: Sequence) -> tuple:
     return tuple(reversed(word))
 
@@ -72,8 +69,6 @@ def signature(parent: Sequence, arrangement: Sequence) -> int:
     Both must be sequences of the same distinct elements. Computed from the
     parity of the number of order-inverted pairs.
     """
-    if sorted(map(id, ())) is None:  # pragma: no cover - keeps mypy quiet
-        raise AssertionError
     pos = {x: i for i, x in enumerate(parent)}
     if len(pos) != len(parent) or len(arrangement) != len(parent):
         raise ValueError("signature: arrangement must be a permutation of distinct elements")
@@ -130,19 +125,6 @@ def s_product(word_from: Sequence, word_to: Sequence, values: dict, s_func: Call
     return out
 
 
-@dataclasses.dataclass(frozen=True)
-class OrderedPartition:
-    """An ordered split of a word into parts (each part an ordered tuple)."""
-
-    parent: tuple
-    parts: tuple
-
-    def __post_init__(self):
-        flat = concat(*self.parts)
-        if sorted(map(repr, flat)) != sorted(map(repr, self.parent)):
-            raise ValueError("parts are not a partition of the parent word")
-
-
 def iter_partitions(word: Sequence, sizes: Sequence[int], ordered_parts: Sequence[bool]
                     ) -> Iterator[tuple]:
     """All ways of splitting `word` into parts of the given sizes.
@@ -173,9 +155,6 @@ def iter_partitions(word: Sequence, sizes: Sequence[int], ordered_parts: Sequenc
 # ---------------------------------------------------------------------------
 # composition vectors for the truncated correlator
 # ---------------------------------------------------------------------------
-
-BLOCKS_ORDER = "lexicographic (b, a), b ascending then a ascending"
-
 
 def blocks(k: int) -> list[tuple[int, int]]:
     """All rapidity blocks (b, a) with 1 <= a < b <= k in canonical order."""

@@ -4,13 +4,16 @@ The r-truncated correlator is a sum over composition vectors n = (n_ba) of
 multidimensional rapidity integrals: each block (b, a) carries n_ba variables
 integrated along R + i eta^(ba), with the ladder of imaginary shifts
 eta^(kk-1) > ... > eta^(k1) > eta^(k-1,k-2) > ... > eta^(21) > 0 keeping all
-kinematic poles at a safe distance so no regulators are needed.
+kinematic poles at a safe distance so no regulators are needed. The plain,
+t-distinguished and smeared correlators differ only in the external-leg factor
+of each operator, so one quadrature driver and one composition sum serve all.
 """
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from typing import Callable, Sequence
+import functools
+import math
+from typing import Sequence
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -103,6 +106,14 @@ class CorrelatorRequest:
     max_nodes: int = 3072
     tol: float = 1e-9
 
+    def __post_init__(self):
+        if self.nodes < 1:
+            raise ValueError(f"nodes must be at least 1, got {self.nodes}")
+        if not self.tol > 0.0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not self.L > 0.0:
+            raise ValueError(f"L must be positive, got {self.L}")
+
     @property
     def k(self) -> int:
         return len(self.operators)
@@ -183,28 +194,78 @@ def _form_factor_value(request: CorrelatorRequest, gamma: dict, mixed_t: int | N
     return out
 
 
+class _PointLegs:
+    """Operators at spacetime points. The leg factor of operator s is the
+    plane wave exp(i q_s.x_s); their product is exp(i pbar(gamma).x_ba) per
+    variable of block (b, a). Contours follow the ladder, each block centred
+    at the separation rapidity theta_ba = artanh(dx0/dx1) of x_b - x_a, where
+    its plane waves peak; a real shift of a full-line integral is exact."""
+
+    def __init__(self, points: Sequence[SpacetimePoint],
+                 ladder: ContourLadder | None = None):
+        if not check_region(points):
+            raise ValueError("points must be space-like separated with decreasing "
+                             "spatial coordinates along the operator list")
+        self.xs = [pt.as_array() for pt in points]
+        self.ladder = ladder
+
+    def contours(self, request: CorrelatorRequest, comp: CompositionVector) -> dict:
+        ladder = self.ladder or request.ladder or default_ladder(comp, request.params)
+        ladder.validate(comp)
+        out = {}
+        for (b, a), cnt in comp.as_dict().items():
+            if cnt:
+                d0, d1 = self.xs[b - 1] - self.xs[a - 1]
+                out[(b, a)] = math.atanh(d0 / d1) + 1j * ladder.shift((b, a))
+        return out
+
+    def factor(self, params: ModelParams, gamma: dict):
+        val = 1.0 + 0.0j
+        for (b, a), vs in gamma.items():
+            xba = self.xs[b - 1] - self.xs[a - 1]
+            for v in vs:
+                val = val * np.exp(1j * minkowski_dot(momentum(v, params), xba))
+        return val
+
+
+class _SmearedLegs:
+    """Operators paired with Gaussian test functions. The leg factor of
+    operator s is the Fourier transform of its Gaussian at the momentum
+    transfer q_s = sum_{a<s} pbar(gamma^(sa)) - sum_{b>s} pbar(gamma^(bs)).
+    Contours stay on the real line, where every q_s is real."""
+
+    def __init__(self, smearings: Sequence[GaussianSmearing]):
+        self.smearings = smearings
+
+    def contours(self, request: CorrelatorRequest, comp: CompositionVector) -> dict:
+        return dict.fromkeys(blocks(comp.k), 0j)
+
+    def factor(self, params: ModelParams, gamma: dict):
+        q = [np.zeros(2, dtype=complex) for _ in range(len(self.smearings) + 1)]
+        for (b, a), vs in gamma.items():
+            for v in vs:
+                pv = momentum(v, params)
+                q[b] = q[b] + pv
+                q[a] = q[a] - pv
+        val = 1.0 + 0.0j
+        for g, qs in zip(self.smearings, q[1:]):
+            val = val * g.fourier(qs[..., 0], qs[..., 1])
+        return val
+
+
 def integrand(request: CorrelatorRequest, comp: CompositionVector, gamma: dict,
-              mixed_t: int | None = None):
-    """S-factors x plane waves x form-factor product at the given contour
-    points (each gamma[blk] a list of complex arrays, broadcastable)."""
+              mixed_t: int | None = None, legs=None):
+    """S-factors x external-leg factors x form-factor product at the given
+    contour points (each gamma[blk] a list of complex arrays, broadcastable).
+    The legs default to plane waves at request.points."""
     params = request.params
-    k = request.k
     val = 1.0 + 0.0j
-    for (blk1, blk2) in _scattering_pairs(k, mixed_t):
+    for (blk1, blk2) in _scattering_pairs(request.k, mixed_t):
         for u in gamma.get(blk1, ()):  # noqa: B007
             for v in gamma.get(blk2, ()):
                 val = val * s_matrix(u - v, params)
-    # plane waves exp(i pbar(gamma^(ba)) . x_ba)
-    xs = [pt.as_array() for pt in request.points]
-    for (b, a), vs in gamma.items():
-        if not len(vs):
-            continue
-        xba = xs[b - 1] - xs[a - 1]
-        for v in vs:
-            pv = momentum(v, params)
-            val = val * np.exp(1j * minkowski_dot(pv, xba))
-    val = val * _form_factor_value(request, gamma, mixed_t)
-    return val
+    legs = legs or _PointLegs(request.points)
+    return val * legs.factor(params, gamma) * _form_factor_value(request, gamma, mixed_t)
 
 
 def _composition_phase(comp: CompositionVector, operators, mixed_t: int | None) -> complex:
@@ -221,43 +282,46 @@ def _composition_phase(comp: CompositionVector, operators, mixed_t: int | None) 
 def compute_I_n(request: CorrelatorRequest, comp: CompositionVector,
                 mixed_t: int | None = None, nodes: int | None = None,
                 ladder: ContourLadder | None = None) -> tuple[complex, float]:
-    """The multidimensional contour integral of one composition, with an error
-    estimate from node-count doubling. Deterministic reduction order
-    (variables in canonical block order, nodes in Gauss-Legendre order)."""
-    ladder = ladder or request.ladder or default_ladder(comp, request.params)
-    ladder.validate(comp)
+    """The multidimensional contour integral of one composition with the
+    operators at request.points, with an error estimate from node-count
+    doubling. Deterministic reduction order (variables in canonical block
+    order, nodes in Gauss-Legendre order)."""
+    return _refine(request, comp, _PointLegs(request.points, ladder), mixed_t, nodes)
+
+
+def _refine(request, comp, legs, mixed_t=None, nodes=None) -> tuple[complex, float]:
+    """Tensor Gauss-Legendre on the legs' contours, doubling the nodes per
+    axis until two successive rules agree to request.tol or the next rule
+    would exceed request.max_nodes."""
+    if mixed_t is not None and not (1 <= mixed_t <= request.k):
+        raise ValueError(f"mixed_t must be in 1..{request.k}")
+    quad = functools.partial(_quad_tensor, request, comp,
+                             legs.contours(request, comp), legs, mixed_t)
     nodes = nodes or request.nodes
-    v1 = _quad_tensor(request, comp, ladder, nodes, mixed_t)
-    v2 = _quad_tensor(request, comp, ladder, 2 * nodes, mixed_t)
+    v1, v2 = quad(nodes), quad(2 * nodes)
     err = abs(v2 - v1)
     while err > request.tol and 4 * nodes <= request.max_nodes:
         nodes *= 2
-        v1, v2 = v2, _quad_tensor(request, comp, ladder, 2 * nodes, mixed_t)
+        v1, v2 = v2, quad(2 * nodes)
         err = abs(v2 - v1)
     return v2, err
 
 
-def _quad_tensor(request, comp, ladder, nodes, mixed_t) -> complex:
+def _quad_tensor(request, comp, contours, legs, mixed_t, nodes) -> complex:
     assign = RapidityBlockAssignment.build(comp)
-    d = assign.dim
-    if d == 0:
-        gamma = {blk: [] for blk in blocks(comp.k)}
-        return complex(integrand(request, comp, gamma, mixed_t))
+    gamma = {blk: [] for blk in blocks(comp.k)}
+    if assign.dim == 0:
+        return complex(integrand(request, comp, gamma, mixed_t, legs))
     L = request.L
     xg, wg = roots_legendre(nodes)
-    axes, weights = [], []
-    for i in range(d):
-        blk = assign.block_of[i]
-        axes.append(L * xg + 1j * ladder.shift(blk))
-        weights.append(L * wg)
-    grids = np.meshgrid(*axes, indexing="ij")
-    gamma = {blk: [] for blk in blocks(comp.k)}
-    for i in range(d):
-        gamma[assign.block_of[i]].append(grids[i])
-    vals = integrand(request, comp, gamma, mixed_t)
-    wtot = weights[0]
-    for w in weights[1:]:
-        wtot = np.multiply.outer(wtot, w)
+    grids = np.meshgrid(*(L * xg + contours[blk] for blk in assign.block_of),
+                        indexing="ij")
+    for blk, grid in zip(assign.block_of, grids):
+        gamma[blk].append(grid)
+    vals = integrand(request, comp, gamma, mixed_t, legs)
+    wtot = L * wg
+    for _ in range(assign.dim - 1):
+        wtot = np.multiply.outer(wtot, L * wg)
     return complex(np.sum(vals * wtot))
 
 
@@ -274,27 +338,31 @@ class CorrelatorResult:
         return "\n".join(lines)
 
 
-def compute_W_r(request: CorrelatorRequest, mixed_t: int | None = None
-                ) -> CorrelatorResult:
-    """Truncated correlator: sum over compositions of
-    phase * I_n / (n! (2 pi)^{|n|})."""
-    if not check_region(request.points):
-        raise ValueError("points must be space-like separated with decreasing "
-                         "spatial coordinates along the operator list")
-    if mixed_t is not None and not (1 <= mixed_t <= request.k):
-        raise ValueError(f"mixed_t must be in 1..{request.k}")
+def _sum_compositions(request: CorrelatorRequest, mixed_t: int | None = None,
+                      map_=map, I_n=None) -> CorrelatorResult:
+    """Sum of phase * I_n / (n! (2 pi)^{|n|}) over the compositions of
+    request.r. I_n maps a composition to (value, error) and defaults to
+    compute_I_n; map_ (an executor's map, say) may evaluate the compositions
+    concurrently, while the sum always runs in composition order."""
+    I_n = I_n or functools.partial(compute_I_n, request, mixed_t=mixed_t)
     comps = enumerate_compositions(request.k, tuple(request.r))
     total = 0.0 + 0.0j
     err_total = 0.0
     breakdown = []
-    for comp in comps:
-        val, err = compute_I_n(request, comp, mixed_t)
+    for comp, (val, err) in zip(comps, map_(I_n, comps)):
         ph = _composition_phase(comp, request.operators, mixed_t)
         weight = ph / (comp.factorial_weight() * (2.0 * np.pi) ** comp.total)
         total += weight * val
         err_total += abs(weight) * err
         breakdown.append((comp, val, err, ph))
     return CorrelatorResult(total, err_total, breakdown)
+
+
+def compute_W_r(request: CorrelatorRequest, mixed_t: int | None = None
+                ) -> CorrelatorResult:
+    """Truncated correlator: sum over compositions of
+    phase * I_n / (n! (2 pi)^{|n|})."""
+    return _sum_compositions(request, mixed_t)
 
 
 def compute_W_r_mixed(request: CorrelatorRequest, t: int) -> CorrelatorResult:
@@ -327,88 +395,21 @@ class GaussianSmearing:
 
 def smeared_correlator(request: CorrelatorRequest,
                        smearings: Sequence[GaussianSmearing]) -> CorrelatorResult:
-    """Truncated correlator paired with separable Gaussians, on real contours.
+    """Truncated two-point correlator paired with separable Gaussians.
 
-    The plane-wave block is replaced by the product of Gaussian Fourier
-    transforms at momenta q_s = sum_{a<s} pbar(gamma^(sa)) - sum_{b>s}
-    pbar(gamma^(bs)). For k = 2 there are no cross-level kinematic poles and
-    the real-line limit is exact; for k >= 3 contours are shifted by the
-    ladder (admissible since the Gaussians are entire and decay in any
-    horizontal strip).
+    The plane waves are replaced by the Gaussian Fourier transforms at the
+    momenta q_s = sum_{a<s} pbar(gamma^(sa)) - sum_{b>s} pbar(gamma^(bs)),
+    integrated on real contours: for k = 2 there are no cross-level kinematic
+    poles, so the real-line limit is exact. k >= 3 is refused with
+    ValueError. It needs shifted contours, and on a shifted ladder the factor
+    exp(-w^2 q^2 / 2) of the middle operator grows like
+    exp(c e^{2 |Re gamma|}) (for w = 0.3 on the default ladder at b = 1/4 its
+    exponent is +1.06 at Re gamma = 4 and +3160 at Re gamma = 8).
+    request.points and request.ladder are not used.
     """
     if len(smearings) != request.k:
         raise ValueError("one smearing per operator required")
-    comps = enumerate_compositions(request.k, tuple(request.r))
-    total = 0.0 + 0.0j
-    err_total = 0.0
-    breakdown = []
-    for comp in comps:
-        val, err = _smeared_I_n(request, comp, smearings)
-        ph = _composition_phase(comp, request.operators, None)
-        weight = ph / (comp.factorial_weight() * (2.0 * np.pi) ** comp.total)
-        total += weight * val
-        err_total += abs(weight) * err
-        breakdown.append((comp, val, err, ph))
-    return CorrelatorResult(total, err_total, breakdown)
-
-
-def _smeared_I_n(request, comp, smearings) -> tuple[complex, float]:
-    params = request.params
-    k = request.k
-    ladder = default_ladder(comp, params) if k > 2 else \
-        ContourLadder(k, {blk: 0.0 for blk in blocks(k)})
-
-    def body(gamma: dict):
-        val = 1.0 + 0.0j
-        for (blk1, blk2) in _scattering_pairs(k, None):
-            for u in gamma.get(blk1, ()):
-                for v in gamma.get(blk2, ()):
-                    val = val * s_matrix(u - v, params)
-        # smearing Fourier factors at the per-operator momentum transfer
-        for s in range(1, k + 1):
-            q0 = 0.0 + 0.0j
-            q1 = 0.0 + 0.0j
-            for a in range(1, s):
-                for v in gamma[(s, a)]:
-                    pv = momentum(v, params)
-                    q0 = q0 + pv[..., 0]
-                    q1 = q1 + pv[..., 1]
-            for b in range(s + 1, k + 1):
-                for v in gamma[(b, s)]:
-                    pv = momentum(v, params)
-                    q0 = q0 - pv[..., 0]
-                    q1 = q1 - pv[..., 1]
-            val = val * smearings[s - 1].fourier(q0, q1)
-        return val * _form_factor_value(request, gamma, None)
-
-    nodes = request.nodes
-    v1 = _smeared_quad(request, comp, ladder, nodes, body)
-    v2 = _smeared_quad(request, comp, ladder, 2 * nodes, body)
-    err = abs(v2 - v1)
-    while err > request.tol and 4 * nodes <= request.max_nodes:
-        nodes *= 2
-        v1, v2 = v2, _smeared_quad(request, comp, ladder, 2 * nodes, body)
-        err = abs(v2 - v1)
-    return v2, err
-
-
-def _smeared_quad(request, comp, ladder, nodes, body) -> complex:
-    assign = RapidityBlockAssignment.build(comp)
-    d = assign.dim
-    gamma = {blk: [] for blk in blocks(comp.k)}
-    if d == 0:
-        return complex(body(gamma))
-    xg, wg = roots_legendre(nodes)
-    L = request.L
-    axes, weights = [], []
-    for i in range(d):
-        axes.append(L * xg + 1j * ladder.shift(assign.block_of[i]))
-        weights.append(L * wg)
-    grids = np.meshgrid(*axes, indexing="ij")
-    for i in range(d):
-        gamma[assign.block_of[i]].append(grids[i])
-    vals = body(gamma)
-    wtot = weights[0]
-    for w in weights[1:]:
-        wtot = np.multiply.outer(wtot, w)
-    return complex(np.sum(vals * wtot))
+    if request.k > 2:
+        raise ValueError("smeared correlators are two-point only (k <= 2)")
+    legs = _SmearedLegs(smearings)
+    return _sum_compositions(request, I_n=lambda comp: _refine(request, comp, legs))

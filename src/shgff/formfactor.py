@@ -44,8 +44,9 @@ class ExponentialPn(PnSolution):
     def __init__(self, params: ModelParams, t: float = -1.0, c1: float = 1.0):
         if abs(t - 1.0) < 1e-12:
             raise ValueError("ExponentialPn needs t != 1")
-        if params.sin2pib == 0.0:
-            raise ValueError("ExponentialPn is singular at the free point b = 0")
+        if abs(params.sin2pib) < 1e-12:
+            raise ValueError("ExponentialPn is singular where sin(2 pi b) = 0 "
+                             "(b = 0 or b = 1/2)")
         self.params = params
         self.t = t
         self.c1 = c1
@@ -263,7 +264,10 @@ def verify_axioms(op: OperatorSpec, params: ModelParams, n: int,
         # axiom III
         beta0 = float(rng.uniform(-1.0, 1.0))
         f = lambda alpha: prov.evaluate([alpha + 1j * np.pi, beta0] + betas)
-        got = numerical_residue(f, beta0)
+        # F_{n+2} also has a pole at alpha = beta_j: keep every beta_j outside
+        # both circles
+        r1 = min([1e-2] + [abs(beta0 - b) / 4.0 for b in betas])
+        got = numerical_residue(f, beta0, r1, r1 / 2.0)
         sprod = np.prod([s_matrix(beta0 - b, params) for b in betas]) if n else 1.0
         expected = 1j * (1.0 - np.exp(2j * np.pi * op.omega) * sprod) * base
         # when the expected residue vanishes identically (e.g. free point with

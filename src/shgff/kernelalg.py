@@ -218,74 +218,55 @@ def _eval_points(g: Callable, pts: np.ndarray, vector: bool) -> np.ndarray:
     return np.array([g(x) for x in pts], dtype=complex)
 
 
-def _integrate_1d(g: Callable, poles: Sequence[tuple], L: float, nodes: int,
-                  vector: bool = False) -> complex:
-    """integral over [-L, L] of g, where g has simple poles at z_r = p_r +
-    i s_r eps given as (p_r real, z_r complex) pairs.
-
-    Uses exact partial fractions of H(x) = g(x) prod_r (x - z_r) plus
-    smooth-part subtraction, so the quadrature only ever sees functions whose
-    variation scale is O(1), not O(eps).
-    """
-    xs, ws = _gauss_nodes(L, nodes)
-    if not poles:
-        gv = _eval_points(g, xs.astype(complex), vector)
-        return complex(np.sum(ws * gv))
-    zs = np.array([z for (_, z) in poles], dtype=complex)
-    probes = np.array([p for (p, _) in poles], dtype=complex)
-    pts = np.concatenate([xs.astype(complex), probes])
-    gv = _eval_points(g, pts, vector)
-    hv = gv * np.prod(pts[:, None] - zs[None, :], axis=1)
-    hvals, hprobes = hv[: len(xs)], hv[len(xs):]
-    total = 0.0 + 0.0j
-    for r, (pr, zr) in enumerate(poles):
-        cpf = 1.0 + 0.0j
-        for rp, (_, zrp) in enumerate(poles):
-            if rp != r:
-                cpf *= zr - zrp
-        cpf = 1.0 / cpf
-        h_probe = hprobes[r]
-        total += cpf * complex(np.sum(ws * (hvals - h_probe) / (xs - zr)))
-        total += cpf * h_probe * np.log((L - zr) / (-L - zr))
-    return total
-
-
 _PROBE_DELTA = 1e-3
 
 
-def _integrate_1d_limit(g: Callable, poles: Sequence[tuple], L: float, nodes: int,
-                        delta: float = _PROBE_DELTA, vector: bool = False) -> complex:
-    """eps -> 0 limit of the regulated integral, done analytically.
+def _integrate_1d(g: Callable, poles: Sequence[tuple], L: float, nodes: int,
+                  eps: float = 0.0, delta: float = _PROBE_DELTA,
+                  vector: bool = False) -> complex:
+    """integral over [-L, L] of g, where g has simple poles at
+    z_r = p_r + i side_r eps, given as (p_r real, side_r = +-1) pairs.
 
-    poles are (p real, side) pairs, side = -1 when the regulated pole sits
-    below the real axis (from +i pi shifts: the limit adds -i pi residue) and
-    side = +1 when above (from -i pi shifts: +i pi residue). The PV part is
-    handled by smooth subtraction of H(x) = g(x) prod_r (x - p_r); H(p_r) is
-    recovered by a 4-point symmetric probe (error O(delta^4)).
+    Uses exact partial fractions of H(x) = g(x) prod_r (x - z_r) plus
+    smooth-part subtraction, so the quadrature only ever sees functions whose
+    variation scale is O(1), not O(eps). At eps = 0 the limit is taken
+    analytically: principal value plus i pi side_r times the residue, with
+    H(p_r) recovered by a 4-point symmetric probe of radius delta (error
+    O(delta^4)). side = -1 is a pole below the real axis (from +i pi
+    shifts), side = +1 one above it (from -i pi shifts).
     """
     xs, ws = _gauss_nodes(L, nodes)
     if not poles:
         gv = _eval_points(g, xs.astype(complex), vector)
         return complex(np.sum(ws * gv))
     ps = np.array([p for (p, _) in poles], dtype=float)
-    offs = np.array([delta, -delta, 1j * delta, -1j * delta], dtype=complex)
+    sides = np.array([side for (_, side) in poles], dtype=float)
+    if eps == 0.0:
+        zs = ps
+        offs = np.array([delta, -delta, 1j * delta, -1j * delta], dtype=complex)
+    else:
+        zs = ps + 1j * eps * sides
+        offs = np.zeros(1)
     probes = (ps[:, None] + offs[None, :]).ravel()
     pts = np.concatenate([xs.astype(complex), probes])
     gv = _eval_points(g, pts, vector)
-    hv = gv * np.prod(pts[:, None] - ps[None, :], axis=1)
+    hv = gv * np.prod(pts[:, None] - zs[None, :], axis=1)
     hvals = hv[: len(xs)]
-    hprobe = hv[len(xs):].reshape(len(poles), 4).mean(axis=1)
+    hprobe = hv[len(xs):].reshape(len(poles), len(offs)).mean(axis=1)
     total = 0.0 + 0.0j
-    for r, (pr, side) in enumerate(poles):
+    for r, (zr, side) in enumerate(zip(zs, sides)):
         cpf = 1.0 + 0.0j
-        for rp, (prp, _) in enumerate(poles):
+        for rp, zrp in enumerate(zs):
             if rp != r:
-                cpf *= pr - prp
+                cpf *= zr - zrp
         cpf = 1.0 / cpf
         h_at = hprobe[r]
-        total += cpf * complex(np.sum(ws * (hvals - h_at) / (xs - pr)))
-        pv_log = np.log(abs(L - pr)) - np.log(abs(L + pr))
-        total += cpf * h_at * (pv_log + 1j * np.pi * side)
+        total += cpf * complex(np.sum(ws * (hvals - h_at) / (xs - zr)))
+        if eps == 0.0:
+            log_term = np.log(abs(L - zr)) - np.log(abs(L + zr)) + 1j * np.pi * side
+        else:
+            log_term = np.log((L - zr) / (-L - zr))
+        total += cpf * h_at * log_term
     return total
 
 
@@ -327,16 +308,9 @@ def _pair_at_eps(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
         # F(v - d + i(pi-eps)) at v = d + i eps for every -i pi-shifted value d
         # (the shifted values are Dirac-fixed alpha's). At eps = 0 the limit
         # is taken analytically (PV + i pi delta).
-        if op.provider.pole_free:
-            poles = []
-        elif eps == 0.0:
-            poles = ([(fixed[s.base()].real, -1) for s in term.ff_word if s.shift > 0]
-                     + [(fixed[s.base()].real, +1) for s in term.ff_word if s.shift < 0])
-        else:
-            up = [fixed[s.base()].real for s in term.ff_word if s.shift > 0]
-            down = [fixed[s.base()].real for s in term.ff_word if s.shift < 0]
-            poles = ([(p, p - 1j * eps) for p in up]
-                     + [(p, p + 1j * eps) for p in down])
+        poles = [] if op.provider.pole_free else (
+            [(fixed[s.base()].real, -1) for s in term.ff_word if s.shift > 0]
+            + [(fixed[s.base()].real, +1) for s in term.ff_word if s.shift < 0])
 
         def rec(k: int, assign: dict) -> complex:
             if k == len(free):
@@ -353,11 +327,9 @@ def _pair_at_eps(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
 
             # stagger node counts and probe offsets per axis so grids and
             # probe points never coincide across nesting levels
-            if eps == 0.0:
-                return _integrate_1d_limit(g, poles, L, nodes + 8 * k,
-                                           delta=_PROBE_DELTA * (1.0 + 0.618 * k),
-                                           vector=innermost)
-            return _integrate_1d(g, poles, L, nodes + 8 * k, vector=innermost)
+            return _integrate_1d(g, poles, L, nodes + 8 * k, eps,
+                                 delta=_PROBE_DELTA * (1.0 + 0.618 * k),
+                                 vector=innermost)
 
         value = rec(0, {})
         total += term.sign * phase ** term.phase_power * value \

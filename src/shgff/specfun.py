@@ -129,19 +129,6 @@ def log_barnes_g(z):
     return out
 
 
-def barnes_ratio_asymptotic(z, a):
-    """Leading asymptotics of G(1+z+a)/G(1+z) for large |z|, |arg z| < pi.
-
-    Returns exp{a z ln z - a z + a^2/2 ln z + a ln sqrt(2 pi)}.
-    """
-    arr, scalar = _as_array(z)
-    if np.any(np.abs(np.angle(arr)) > np.pi - 0.01):
-        raise SpecialFunctionError("barnes_ratio_asymptotic: argument sector |arg z| < pi required")
-    lz = np.log(arr)
-    out = np.exp(a * arr * lz - a * arr + 0.5 * a * a * lz + a * LOG_SQRT_TWO_PI)
-    return complex(out) if scalar else out
-
-
 def s_matrix(beta, params: ModelParams):
     """Two-body S-matrix S(beta) = (sinh beta - i sin 2 pi b)/(sinh beta + i sin 2 pi b)."""
     arr, scalar = _as_array(beta)

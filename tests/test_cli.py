@@ -122,6 +122,31 @@ def test_correlator_bad_config(runner, tmp_path):
     assert res.exit_code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flags", [["--tol", "0"], ["--nodes", "0"], ["--L", "0"],
+                                   ["--L", "-1"]])
+def test_correlator_rejects_nonpositive_settings(runner, tmp_path, flags):
+    path = _write(tmp_path, UNIT_CFG)
+    res = runner.invoke(main, ["correlator", "--config", path] + flags)
+    assert res.exit_code == EXIT_CONFIG, res.output
+
+
+def test_correlator_rejects_nonpositive_config_values(runner, tmp_path):
+    for key, val in (("tol", 0.0), ("nodes", 0), ("L", -2.0)):
+        cfg = json.loads(json.dumps(UNIT_CFG))
+        cfg["request"][key] = val
+        res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg)])
+        assert res.exit_code == EXIT_CONFIG, (key, res.output)
+
+
+def test_correlator_rejects_k_transform_at_half_coupling(runner, tmp_path):
+    # sin(2 pi b) = 1.2e-16 at b = 1/2; the residue coupling would be ~1e16
+    cfg = json.loads(json.dumps(UNIT_CFG))
+    cfg["model"]["b"] = 0.5
+    cfg["operators"] = [KT_CFG["operators"][0]] * 2
+    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+
+
 def test_correlator_threads_match_serial(runner, tmp_path):
     cfg = json.loads(json.dumps(UNIT_CFG))
     cfg["request"]["r"] = [2]
@@ -133,6 +158,13 @@ def test_correlator_threads_match_serial(runner, tmp_path):
                               "--threads", "4"])
     assert r1.exit_code == EXIT_OK and r2.exit_code == EXIT_OK
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+def test_correlator_threads_reject_bad_mixed(runner, tmp_path):
+    path = _write(tmp_path, UNIT_CFG)
+    res = runner.invoke(main, ["correlator", "--config", path, "--mixed", "5",
+                               "--threads", "2"])
+    assert res.exit_code == EXIT_REGION, res.output
 
 
 def test_correlator_smeared(runner, tmp_path):

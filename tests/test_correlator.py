@@ -81,6 +81,14 @@ def test_two_point_single_particle_bessel(rho):
     assert abs(res.value.imag) < 1e-10
 
 
+def test_two_point_near_light_cone():
+    # proper separation 0.0447 at separation rapidity artanh(0.999) = 3.8: the
+    # contour is centred there, not at 0, so the window [-L, L] holds the peak
+    req = _req([(0.999, 1.0), (0.0, 0.0)], (1,))
+    want = k0(np.sqrt(1.0 - 0.999 ** 2)) / np.pi
+    assert abs(compute_W_r(req).value - want) < 1e-7
+
+
 def test_two_point_two_particle_factorizes():
     rho = 1.0
     req = _req([(0.0, rho), (0.0, 0.0)], (2,), nodes=96, tol=1e-10)
@@ -195,6 +203,15 @@ def test_smeared_requires_one_kernel_per_operator():
     req = _req([(0.0, 1.0), (0.0, 0.0)], (1,))
     with pytest.raises(ValueError):
         smeared_correlator(req, [GaussianSmearing((0, 0), (1, 1))])
+
+
+def test_smeared_refuses_three_point():
+    # no contour is admissible: on a shifted ladder the Gaussian factor of the
+    # middle operator grows doubly exponentially
+    req = _req([(0.0, 1.5), (0.0, 0.0), (0.0, -1.5)], (1, 1))
+    sm = [GaussianSmearing((p.x0, p.x1), (0.3, 0.3)) for p in req.points]
+    with pytest.raises(ValueError):
+        smeared_correlator(req, sm)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,14 @@ def test_axioms_k_transform_operator():
         assert rep.boost < 1e-10
 
 
+def test_axiom_residue_with_rapidity_near_beta0():
+    # seed 248 draws beta_1 within 1.5e-3 of beta0, inside the default 1e-2
+    # residue circle; the circles shrink so the pole at alpha = beta_1 stays out
+    op = _kt_op(ModelParams(b=0.25), t=0.3)
+    rep = verify_axioms(op, ModelParams(b=0.25), 1, samples=1, seed=248)
+    assert rep.residue < 1e-6
+
+
 def test_axioms_free_point_fixture():
     # constant amplitudes solve all axioms at the free point b = 0
     p0 = ModelParams(b=0.0)
