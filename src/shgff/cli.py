@@ -14,7 +14,7 @@ import click
 from .combin import enumerate_compositions
 from .correlator import (
     ContourLadder, CorrelatorRequest, GaussianSmearing, SpacetimePoint,
-    compute_W_r, smeared_correlator, _sum_compositions,
+    check_region, compute_W_r, smeared_correlator, _sum_compositions,
 )
 from .formfactor import load_operator, verify_axioms
 from .specfun import ModelParams, min_form_factor, s_matrix
@@ -206,6 +206,10 @@ def correlator_cmd(config_path, output_path, mixed_t, smeared, threads, tol, nod
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
+    if not smeared and not check_region(request.points):
+        click.echo("region error: points must be space-like separated with "
+                   "decreasing spatial coordinates along the operator list", err=True)
+        sys.exit(EXIT_REGION)
 
     try:
         if smeared:
@@ -222,8 +226,8 @@ def correlator_cmd(config_path, output_path, mixed_t, smeared, threads, tol, nod
         else:
             result = compute_W_r(request, mixed_t=mixed_t)
     except ValueError as exc:
-        click.echo(f"region/config error: {exc}", err=True)
-        sys.exit(EXIT_REGION)
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
     except Exception as exc:  # noqa: BLE001
         click.echo(f"internal error: {exc}", err=True)
         sys.exit(EXIT_INTERNAL)

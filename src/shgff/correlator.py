@@ -119,29 +119,6 @@ class CorrelatorRequest:
         return len(self.operators)
 
 
-@dataclasses.dataclass(frozen=True)
-class RapidityBlockAssignment:
-    """Flattened layout of the integration variables of one composition:
-    variable i belongs to block block_of[i] with in-block index idx_of[i]."""
-
-    comp: CompositionVector
-    block_of: tuple
-    idx_of: tuple
-
-    @classmethod
-    def build(cls, comp: CompositionVector) -> "RapidityBlockAssignment":
-        border, idxs = [], []
-        for blk, cnt in comp.as_dict().items():
-            for j in range(cnt):
-                border.append(blk)
-                idxs.append(j)
-        return cls(comp, tuple(border), tuple(idxs))
-
-    @property
-    def dim(self) -> int:
-        return len(self.block_of)
-
-
 def _scattering_pairs(k: int, mixed_t: int | None = None) -> list[tuple]:
     """Block pairs whose variables pick up two-body S-factors.
 
@@ -308,19 +285,19 @@ def _refine(request, comp, legs, mixed_t=None, nodes=None) -> tuple[complex, flo
 
 
 def _quad_tensor(request, comp, contours, legs, mixed_t, nodes) -> complex:
-    assign = RapidityBlockAssignment.build(comp)
+    # block of each integration variable, in canonical block order
+    block_of = [blk for blk, cnt in comp.as_dict().items() for _ in range(cnt)]
     gamma = {blk: [] for blk in blocks(comp.k)}
-    if assign.dim == 0:
+    if not block_of:
         return complex(integrand(request, comp, gamma, mixed_t, legs))
     L = request.L
     xg, wg = roots_legendre(nodes)
-    grids = np.meshgrid(*(L * xg + contours[blk] for blk in assign.block_of),
-                        indexing="ij")
-    for blk, grid in zip(assign.block_of, grids):
+    grids = np.meshgrid(*(L * xg + contours[blk] for blk in block_of), indexing="ij")
+    for blk, grid in zip(block_of, grids):
         gamma[blk].append(grid)
     vals = integrand(request, comp, gamma, mixed_t, legs)
     wtot = L * wg
-    for _ in range(assign.dim - 1):
+    for _ in range(len(block_of) - 1):
         wtot = np.multiply.outer(wtot, L * wg)
     return complex(np.sum(vals * wtot))
 

@@ -13,13 +13,13 @@ A kernel term is fully determined by
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .combin import Slot, concat, reverse_word, s_product
+from .combin import Slot, concat, iter_partitions, reverse_word, s_product
 from .formfactor import OperatorSpec
 from .specfun import ModelParams, s_matrix
 
@@ -56,72 +56,47 @@ class FormalKernelSum:
         return "\n".join(lines)
 
 
-def _alpha_word(n: int) -> tuple:
-    return tuple(Slot("a", i) for i in range(n))
+def _word(family: str, n: int) -> tuple:
+    return tuple(Slot(family, i) for i in range(n))
 
 
-def _beta_word(m: int) -> tuple:
-    return tuple(Slot("b", j) for j in range(m))
+def _shifted(word: Sequence, shift: int, tag: str) -> tuple:
+    return tuple(s.shifted(shift, tag) for s in word)
 
 
-def _select(word: tuple, idx: Sequence[int]) -> tuple:
-    return tuple(word[i] for i in idx)
+def _splits(A1: tuple, A2: tuple, m: int):
+    """All splits A1 = C1 u C2, A2 = D1 u D2 (index-ordered) and
+    B = B1 u B2 u B3 (B1, B3 unordered, B2 index-ordered) with |C1| = |B1|
+    and |D1| = |B3|, yielded as (C1, C2, D1, D2, B1, B2, B3)."""
+    for p1 in range(min(len(A1), m) + 1):
+        for C1, C2 in iter_partitions(A1, (p1, len(A1) - p1), (False, False)):
+            for p3 in range(min(len(A2), m - p1) + 1):
+                for D1, D2 in iter_partitions(A2, (p3, len(A2) - p3), (False, False)):
+                    for B1, B3, B2 in iter_partitions(
+                            _word("b", m), (p1, p3, m - p1 - p3), (True, True, False)):
+                        yield C1, C2, D1, D2, B1, B2, B3
 
 
 def expand_direct(n: int, m: int) -> FormalKernelSum:
-    """Direct partition sum for M_{n;m}.
-
-    Sum over A = A1 u A2 (index-ordered) and B = B1 u1 B2 (B1 unordered,
-    B2 index-ordered) with |A1| = |B1|; each term carries the full locality
-    phase e^{-2 i pi omega n}, Dirac pairings (A1)_r ~ (B1)_r, exchange words
-    to A1 u A2 and B1 u B2, and the boundary-value symbol
-    F_{-,0}(<-A2 + i pi e, B2).
-    """
-    A, B = _alpha_word(n), _beta_word(m)
-    terms = []
-    for p in range(min(n, m) + 1):
-        for a1_idx in itertools.combinations(range(n), p):
-            a2_idx = tuple(i for i in range(n) if i not in a1_idx)
-            for b1_set in itertools.combinations(range(m), p):
-                b2_idx = tuple(j for j in range(m) if j not in b1_set)
-                for b1_idx in itertools.permutations(b1_set):
-                    A1, A2 = _select(A, a1_idx), _select(A, a2_idx)
-                    B1, B2 = _select(B, b1_idx), _select(B, b2_idx)
-                    ff = concat(
-                        tuple(s.shifted(+1, "-") for s in reverse_word(A2)),
-                        tuple(s.shifted(0, "0") for s in B2))
-                    terms.append(FormalTerm(
-                        phase_power=n,
-                        dirac_pairs=tuple(zip(A1, B1)),
-                        alpha_to=concat(A1, A2),
-                        beta_to=concat(B1, B2),
-                        ff_word=ff))
-    return FormalKernelSum("direct", n, m, tuple(terms))
+    """Direct partition sum for M_{n;m}: the mixed sum at the split A1 = A,
+    so phase e^{-2 i pi omega n}, pairings A1 ~ B1 over A = A1 u A2,
+    B = B1 u1 B2, and the symbol F_{-,0}(<-A2 + i pi e, B2)."""
+    return dataclasses.replace(expand_mixed(n, m, range(n)), flavor="direct")
 
 
 def expand_dual(n: int, m: int) -> FormalKernelSum:
-    """Dual partition sum for M_{n;m}: no locality phase, exchange words to
-    <-A2 u <-A1 and B2 u <-B1, symbol F_{0,+}(B2, A2 - i pi e)."""
-    A, B = _alpha_word(n), _beta_word(m)
-    terms = []
-    for p in range(min(n, m) + 1):
-        for a1_idx in itertools.combinations(range(n), p):
-            a2_idx = tuple(i for i in range(n) if i not in a1_idx)
-            for b1_set in itertools.combinations(range(m), p):
-                b2_idx = tuple(j for j in range(m) if j not in b1_set)
-                for b1_idx in itertools.permutations(b1_set):
-                    A1, A2 = _select(A, a1_idx), _select(A, a2_idx)
-                    B1, B2 = _select(B, b1_idx), _select(B, b2_idx)
-                    ff = concat(
-                        tuple(s.shifted(0, "0") for s in B2),
-                        tuple(s.shifted(-1, "+") for s in A2))
-                    terms.append(FormalTerm(
-                        phase_power=0,
-                        dirac_pairs=tuple(zip(A1, B1)),
-                        alpha_to=concat(reverse_word(A2), reverse_word(A1)),
-                        beta_to=concat(B2, reverse_word(B1)),
-                        ff_word=ff))
-    return FormalKernelSum("dual", n, m, tuple(terms))
+    """Dual partition sum for M_{n;m}: no locality phase, pairings
+    (A1)_r ~ (B1)_r, exchange words to <-A2 u <-A1 and B2 u <-B1, symbol
+    F_{0,+}(B2, A2 - i pi e). The splits are those of the mixed sum at
+    A1 = {}, whose D1 and B3 play the roles of A1 and B1 here."""
+    terms = tuple(
+        FormalTerm(phase_power=0,
+                   dirac_pairs=tuple(zip(A1, B1)),
+                   alpha_to=concat(reverse_word(A2), reverse_word(A1)),
+                   beta_to=concat(B2, reverse_word(B1)),
+                   ff_word=concat(_shifted(B2, 0, "0"), _shifted(A2, -1, "+")))
+        for _, _, A1, A2, _, B2, B1 in _splits((), _word("a", n), m))
+    return FormalKernelSum("dual", n, m, terms)
 
 
 def expand_mixed(n: int, m: int, a1_idx: Sequence[int]) -> FormalKernelSum:
@@ -134,41 +109,19 @@ def expand_mixed(n: int, m: int, a1_idx: Sequence[int]) -> FormalKernelSum:
     F_{-,0,+}(<-C2 + i pi e, B2, <-D2 - i pi e); exchange words to
     C1 u C2 u D2 u D1 and B1 u B2 u B3.
     """
-    A, B = _alpha_word(n), _beta_word(m)
-    a1_idx = tuple(sorted(a1_idx))
-    a2_idx = tuple(i for i in range(n) if i not in a1_idx)
-    A1, A2 = _select(A, a1_idx), _select(A, a2_idx)
-    terms = []
-    for p1 in range(min(len(A1), m) + 1):
-        for c1_pos in itertools.combinations(range(len(A1)), p1):
-            C1 = _select(A1, c1_pos)
-            C2 = tuple(s for s in A1 if s not in C1)
-            for p3 in range(min(len(A2), m - p1) + 1):
-                for d1_pos in itertools.combinations(range(len(A2)), p3):
-                    D1 = _select(A2, d1_pos)
-                    D2 = tuple(s for s in A2 if s not in D1)
-                    for b1_set in itertools.combinations(range(m), p1):
-                        rest = tuple(j for j in range(m) if j not in b1_set)
-                        for b3_set in itertools.combinations(rest, p3):
-                            b2_idx = tuple(j for j in rest if j not in b3_set)
-                            for b1_idx in itertools.permutations(b1_set):
-                                for b3_idx in itertools.permutations(b3_set):
-                                    B1 = _select(B, b1_idx)
-                                    B2 = _select(B, b2_idx)
-                                    B3 = _select(B, b3_idx)
-                                    ff = concat(
-                                        tuple(s.shifted(+1, "-")
-                                              for s in reverse_word(C2)),
-                                        tuple(s.shifted(0, "0") for s in B2),
-                                        tuple(s.shifted(-1, "+")
-                                              for s in reverse_word(D2)))
-                                    terms.append(FormalTerm(
-                                        phase_power=len(A1),
-                                        dirac_pairs=tuple(zip(C1 + D1, B1 + B3)),
-                                        alpha_to=concat(C1, C2, D2, D1),
-                                        beta_to=concat(B1, B2, B3),
-                                        ff_word=ff))
-    return FormalKernelSum("mixed", n, m, tuple(terms))
+    A, a1_idx = _word("a", n), sorted(a1_idx)
+    A1 = tuple(A[i] for i in a1_idx)
+    A2 = tuple(A[i] for i in range(n) if i not in a1_idx)
+    terms = tuple(
+        FormalTerm(phase_power=len(A1),
+                   dirac_pairs=tuple(zip(C1 + D1, B1 + B3)),
+                   alpha_to=concat(C1, C2, D2, D1),
+                   beta_to=concat(B1, B2, B3),
+                   ff_word=concat(_shifted(reverse_word(C2), +1, "-"),
+                                  _shifted(B2, 0, "0"),
+                                  _shifted(reverse_word(D2), -1, "+")))
+        for C1, C2, D1, D2, B1, B2, B3 in _splits(A1, A2, m))
+    return FormalKernelSum("mixed", n, m, terms)
 
 
 def jump_terms(m: int) -> FormalKernelSum:
@@ -180,12 +133,12 @@ def jump_terms(m: int) -> FormalKernelSum:
 
     encoded as Dirac terms; phase_power -1 marks the e^{+2 i pi omega} branch.
     """
-    A = _alpha_word(1)
-    B = _beta_word(m)
+    A = _word("a", 1)
+    B = _word("b", m)
     terms = []
     for a in range(m):
         rest = tuple(B[j] for j in range(m) if j != a)
-        ff = tuple(s.shifted(0, "0") for s in rest)
+        ff = _shifted(rest, 0, "0")
         terms.append(FormalTerm(
             phase_power=0,
             dirac_pairs=((A[0], B[a]),),
@@ -205,11 +158,6 @@ def jump_terms(m: int) -> FormalKernelSum:
 # ---------------------------------------------------------------------------
 # numerical pairing
 # ---------------------------------------------------------------------------
-
-def _gauss_nodes(L: float, nodes: int):
-    x, w = roots_legendre(nodes)
-    return L * x, L * w
-
 
 def _eval_points(g: Callable, pts: np.ndarray, vector: bool) -> np.ndarray:
     """Evaluate g on all points, either in one vectorized call or point-wise."""
@@ -235,7 +183,8 @@ def _integrate_1d(g: Callable, poles: Sequence[tuple], L: float, nodes: int,
     O(delta^4)). side = -1 is a pole below the real axis (from +i pi
     shifts), side = +1 one above it (from -i pi shifts).
     """
-    xs, ws = _gauss_nodes(L, nodes)
+    xs, ws = roots_legendre(nodes)
+    xs, ws = L * xs, L * ws
     if not poles:
         gv = _eval_points(g, xs.astype(complex), vector)
         return complex(np.sum(ws * gv))
@@ -275,7 +224,7 @@ def _pair_at_eps(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
     n, m = kernel.n, kernel.m
     if len(alphas) != n:
         raise ValueError("alpha count does not match the kernel")
-    A, B = _alpha_word(n), _beta_word(m)
+    A, B = _word("a", n), _word("b", m)
     aval = {A[i]: complex(alphas[i]) for i in range(n)}
     phase = np.exp(-2j * np.pi * op.omega)
     sfun = lambda d: s_matrix(d, params)
@@ -376,6 +325,8 @@ def pair_numeric_with_tail(kernel, alphas, test, op, params,
 
 
 def term_count(flavor: str, n: int, m: int) -> int:
-    """Number of terms in the direct/dual expansion: sum_p C(n,p) m!/(m-p)!."""
-    import math
+    """Terms in the direct, dual or any mixed expansion: sum_p C(n,p) m!/(m-p)!
+    (each mixed split gives this count by Vandermonde's identity)."""
+    if flavor not in ("direct", "dual", "mixed"):
+        raise ValueError(f"no term count for flavor {flavor!r}")
     return sum(math.comb(n, p) * math.perm(m, p) for p in range(min(n, m) + 1))

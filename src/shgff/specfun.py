@@ -141,6 +141,17 @@ def s_matrix(beta, params: ModelParams):
     return complex(out) if scalar else out
 
 
+def _log_varpi(z, b, acc=0.0):
+    """acc + log w_b(z), accumulated term by term and in place, so that two
+    quotients chained through acc round as one eight-term sum and hold no
+    more grid-sized arrays than it."""
+    acc += log_barnes_g(1.0 - b - z)
+    acc += log_barnes_g(2.0 - b + z)
+    acc -= log_barnes_g(1.0 + b + z)
+    acc -= log_barnes_g(b - z)
+    return acc
+
+
 def varpi(z, exponent):
     """Barnes-G quotient w_b(z) = G(1-b-z) G(2-b+z) / [G(1+b+z) G(b-z)].
 
@@ -148,14 +159,7 @@ def varpi(z, exponent):
     exponent b. The minimal form factor is the product of two of these at the
     dual pair of exponents times an elementary prefactor.
     """
-    b = exponent
-    lg = (
-        log_barnes_g(1.0 - b - z)
-        + log_barnes_g(2.0 - b + z)
-        - log_barnes_g(1.0 + b + z)
-        - log_barnes_g(b - z)
-    )
-    arr, scalar = _as_array(lg)
+    arr, scalar = _as_array(_log_varpi(z, exponent))
     out = np.exp(arr)
     return complex(out) if scalar else out
 
@@ -169,17 +173,7 @@ def min_form_factor(beta, params: ModelParams):
     """
     arr, scalar = _as_array(beta)
     z = 1j * arr / (2.0 * np.pi)
-    b, bh = params.b, params.b_hat
-    lg = (
-        log_barnes_g(1.0 - b - z)
-        + log_barnes_g(2.0 - b + z)
-        - log_barnes_g(1.0 + b + z)
-        - log_barnes_g(b - z)
-        + log_barnes_g(1.0 - bh - z)
-        + log_barnes_g(2.0 - bh + z)
-        - log_barnes_g(1.0 + bh + z)
-        - log_barnes_g(bh - z)
-    )
+    lg = _log_varpi(z, params.b_hat, _log_varpi(z, params.b))
     pref = -np.sin(np.pi * z) / np.pi
     out = pref * np.exp(lg)
     return complex(out) if scalar else out

@@ -164,7 +164,15 @@ def test_correlator_threads_reject_bad_mixed(runner, tmp_path):
     path = _write(tmp_path, UNIT_CFG)
     res = runner.invoke(main, ["correlator", "--config", path, "--mixed", "5",
                                "--threads", "2"])
-    assert res.exit_code == EXIT_REGION, res.output
+    assert res.exit_code == EXIT_CONFIG, res.output
+
+
+def test_correlator_unit_at_half_coupling_is_config_error(runner, tmp_path):
+    # eta_max is 0 at b = 1/2, so no admissible ladder exists
+    cfg = json.loads(json.dumps(UNIT_CFG))
+    cfg["model"]["b"] = 0.5
+    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg)])
+    assert res.exit_code == EXIT_CONFIG, res.output
 
 
 def test_correlator_smeared(runner, tmp_path):
@@ -180,6 +188,18 @@ def test_correlator_smeared(runner, tmp_path):
     w = 0.05
     want = (2 * np.pi * w * w) ** 2 * k0(1.0) / np.pi
     assert abs(total - want) < 0.02 * want
+
+
+def test_correlator_smeared_three_point_is_config_error(runner, tmp_path):
+    cfg = json.loads(json.dumps(UNIT_CFG))
+    cfg["operators"].append(dict(cfg["operators"][0], name="O3"))
+    cfg["request"]["points"] = [[0.0, 1.0], [0.0, 0.0], [0.0, -1.0]]
+    cfg["request"]["r"] = [1, 1]
+    cfg["request"]["smearings"] = [
+        {"center": [0.0, x1], "width": [0.05, 0.05]} for x1 in (1.0, 0.0, -1.0)]
+    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg),
+                               "--smeared"])
+    assert res.exit_code == EXIT_CONFIG, res.output
 
 
 def test_correlator_writes_doc(runner, tmp_path):

@@ -1,4 +1,5 @@
 """Kernel partition sums: structure, pairing equivalences, jump identity."""
+import itertools
 import math
 
 import numpy as np
@@ -33,11 +34,21 @@ def gauss_test(bs):
 # structure
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
+def _splits(n):
+    return [c for p in range(n + 1) for c in itertools.combinations(range(n), p)]
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2),
+                                 (0, 0), (0, 3), (3, 0), (1, 3), (3, 3)])
 def test_term_counts(n, m):
     want = term_count("direct", n, m)
     assert len(expand_direct(n, m).terms) == want
-    assert len(expand_dual(n, m).terms) == want
+    assert len(expand_dual(n, m).terms) == term_count("dual", n, m) == want
+    for a1 in _splits(n):
+        assert len(expand_mixed(n, m, a1).terms) == term_count("mixed", n, m)
+    for flavor in ("jump", "bogus"):
+        with pytest.raises(ValueError):
+            term_count(flavor, n, m)
 
 
 def test_term_count_formula():
@@ -53,13 +64,20 @@ def test_mixed_degenerate_splits_reduce():
 
 
 def test_dirac_pairs_are_balanced():
-    for kern in (expand_direct(2, 2), expand_dual(2, 2), expand_mixed(2, 2, (0,))):
+    kernels = [jump_terms(m) for m in range(4)]
+    for n, m in itertools.product(range(4), repeat=2):
+        kernels += [expand_direct(n, m), expand_dual(n, m)]
+        kernels += [expand_mixed(n, m, a1) for a1 in _splits(n)]
+    for kern in kernels:
+        slots = sorted([f"a{i}" for i in range(kern.n)] + [f"b{j}" for j in range(kern.m)])
         for term in kern.terms:
             # every Dirac pair identifies one alpha-family slot with one beta
             for aslot, bslot in term.dirac_pairs:
                 assert aslot.family == "a" and bslot.family == "b"
-            names = [a for a, _ in term.dirac_pairs]
-            assert len(names) == len(set(names))
+            # each slot is used exactly once, by a Dirac pair or by the symbol
+            used = [s for pair in term.dirac_pairs for s in pair]
+            used += [s.base() for s in term.ff_word]
+            assert sorted(f"{s.family}{s.index}" for s in used) == slots
 
 
 def test_describe_runs():
