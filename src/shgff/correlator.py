@@ -83,10 +83,13 @@ class ContourLadder:
 
 def default_ladder(comp: CompositionVector, params: ModelParams) -> ContourLadder:
     """Equally spaced admissible ladder: occupied blocks get
-    eta_max * rank / (P + 1) in canonical order."""
+    eta_max * rank / (P + 1) in canonical order. Raises ValueError when a
+    block is occupied and eta_max is 0, which happens at b = 1/2 only."""
     occupied = sorted(blk for blk, cnt in comp.as_dict().items() if cnt > 0)
     P = len(occupied)
     em = eta_max(params)
+    if occupied and em <= 0.0:
+        raise ValueError("no admissible contour ladder: eta_max = 0 at b = 1/2")
     eta = {blk: em * (i + 1) / (P + 1) for i, blk in enumerate(occupied)}
     # unoccupied blocks carry no variables; park them consistently below
     for blk in blocks(comp.k):
@@ -307,9 +310,11 @@ class CorrelatorResult:
     value: complex
     error: float
     breakdown: list   # (CompositionVector, I_n, err, phase) per composition
+    converged: bool   # every composition met request.tol before max_nodes
 
     def describe(self) -> str:
-        lines = [f"W = {self.value} (err <= {self.error:.3e})"]
+        lines = [f"W = {self.value} (err <= {self.error:.3e}, "
+                 f"converged: {self.converged})"]
         for comp, val, err, ph in self.breakdown:
             lines.append(f"  n={comp.counts} I_n={val} err={err:.3e} phase={ph}")
         return "\n".join(lines)
@@ -332,7 +337,9 @@ def _sum_compositions(request: CorrelatorRequest, mixed_t: int | None = None,
         total += weight * val
         err_total += abs(weight) * err
         breakdown.append((comp, val, err, ph))
-    return CorrelatorResult(total, err_total, breakdown)
+    # _refine stops on err <= tol or, short of it, on max_nodes
+    converged = all(err <= request.tol for _, _, err, _ in breakdown)
+    return CorrelatorResult(total, err_total, breakdown, converged)
 
 
 def compute_W_r(request: CorrelatorRequest, mixed_t: int | None = None

@@ -206,15 +206,19 @@ def load_operator(doc, params: ModelParams) -> OperatorSpec:
 # ---------------------------------------------------------------------------
 
 def _residue_circle(f, center: complex, radius: float, nodes: int = 64) -> complex:
-    """Residue of f at `center` via the trapezoid rule on a circle."""
+    """Residue of f at `center` via the trapezoid rule on a circle, with f
+    called once on the array of nodes (a constant f may return a scalar)."""
     th = 2.0 * np.pi * np.arange(nodes) / nodes
     zs = center + radius * np.exp(1j * th)
-    vals = np.array([f(z) for z in zs])
+    vals = np.broadcast_to(f(zs), zs.shape)
     return complex(np.mean(vals * (zs - center)))
 
 
 def numerical_residue(f, center: complex, r1: float = 1e-2, r2: float = 5e-3) -> complex:
-    """Richardson-extrapolated contour residue (error ~ r^2 per circle)."""
+    """Richardson-extrapolated contour residue (error ~ r^2 per circle).
+
+    f must accept a 1-D array of complex points and return their values (or
+    one scalar, if f is constant)."""
     a = _residue_circle(f, center, r1)
     b = _residue_circle(f, center, r2)
     # error model c * r^2 with r2 = r1/2: res = (4 b - a)/3

@@ -15,15 +15,27 @@ ZETA_PRIME_MINUS_ONE = -0.16542114370045092921
 
 LOG_SQRT_TWO_PI = 0.5 * np.log(2.0 * np.pi)
 
-# Bernoulli numbers B_4, B_6, ... used in the Barnes asymptotic tail
-_BERNOULLI_2KP2 = [
+# Bernoulli numbers B_2, B_4, ..., B_22 for the asymptotic tails of log Gamma
+# and log G (DLMF 5.11.1, 5.17.5)
+_BERNOULLI_2K = [
+    1.0 / 6.0,          # B_2
     -1.0 / 30.0,        # B_4
     1.0 / 42.0,         # B_6
     -1.0 / 30.0,        # B_8
     5.0 / 66.0,         # B_10
     -691.0 / 2730.0,    # B_12
     7.0 / 6.0,          # B_14
+    -3617.0 / 510.0,    # B_16
+    43867.0 / 798.0,    # B_18
+    -174611.0 / 330.0,  # B_20
+    854513.0 / 138.0,   # B_22
 ]
+# Tails at w of log Gamma(1+w), sum_k B_2k / (2k (2k-1)) w^(1-2k), and of
+# log G(1+w), sum_k B_2k+2 / (4k (k+1)) w^(-2k), for k = 1..10
+_GAMMA_TAIL = [b / (2 * k * (2 * k - 1))
+               for k, b in enumerate(_BERNOULLI_2K[:-1], start=1)]
+_BARNES_TAIL = [b / (4 * k * (k + 1))
+                for k, b in enumerate(_BERNOULLI_2K[1:], start=1)]
 
 POLE_TOL = 1e-14
 
@@ -75,34 +87,61 @@ def log_gamma(z):
     return complex(out) if scalar else out
 
 
-def _log_barnes_asymptotic(w):
-    """ln G(1+w) for |w| large, |arg w| < pi. Asymptotic series with Bernoulli tail."""
-    lw = np.log(w)
-    out = (
-        w * w * (0.5 * lw - 0.75)
-        + w * LOG_SQRT_TWO_PI
-        - lw / 12.0
-        + ZETA_PRIME_MINUS_ONE
-    )
+def _horner(coeffs, u):
+    """coeffs[0] + coeffs[1] u + coeffs[2] u^2 + ..."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * u + c
+    return acc
+
+
+# Shifts push Re w to at least this radius, where the first omitted terms of
+# both tails are below 3e-18 (at 10 they would be 2e-20, but the larger shift
+# costs two more log passes and doubles the rounding error near Re z = 1)
+_BARNES_SHIFT_RADIUS = 8.0
+# Elements evaluated together, so that their temporaries stay in cache
+_BARNES_CHUNK = 8192
+
+
+def _log_barnes_flat(z):
+    """log G(z) on a 1-D array that has no zero of G."""
+    x, y = z.real, z.imag
+    n = np.maximum(0.0, np.ceil(_BARNES_SHIFT_RADIUS + 1.0 - x))
+    w = z + (n - 1.0)
     w2 = w * w
-    pw = w2.copy() if hasattr(w2, "copy") else w2
-    for k, b2k in enumerate(_BERNOULLI_2KP2, start=1):
-        term = b2k / (4 * k * (k + 1)) / pw
-        out = out + term
-        pw = pw * w2
-    return out
-
-
-_BARNES_SHIFT_RADIUS = 30.0
+    lw = np.log(w)
+    u = 1.0 / w2
+    # log G(1+w) - n log Gamma(1+w)
+    out = (w2 * (0.5 * lw - 0.75) + w * LOG_SQRT_TWO_PI - lw / 12.0
+           + ZETA_PRIME_MINUS_ONE + u * _horner(_BARNES_TAIL, u)
+           - n * ((w + 0.5) * lw - w + LOG_SQRT_TWO_PI + _horner(_GAMMA_TAIL, u) / w))
+    # + sum_{i<n} (i+1) log(z+i), with log(z+i) = log|z+i| + i arg(z+i)
+    re = np.zeros_like(x)
+    im = np.zeros_like(x)
+    y2 = y * y
+    nmin = n.min()
+    for i in range(int(n.max())):
+        # weight i+1 where i < n, 0 elsewhere
+        c = i + 1.0 if i < nmin else np.where(n > i, i + 1.0, 0.0)
+        xi = x + i
+        re += c * np.log(xi * xi + y2)
+        im += c * np.arctan2(y, xi)
+    return out + (0.5 * re + 1j * im)
 
 
 def log_barnes_g(z):
     """log G(z) for the Barnes G-function, principal determination.
 
-    Uses the functional equation G(z+1) = Gamma(z) G(z) to push the argument
-    into the region Re z >= 30 where the asymptotic expansion (with Bernoulli
-    corrections) is accurate to ~1e-15, then subtracts the accumulated
-    log-Gamma factors. Errors out at the zeros z = 0, -1, -2, ...
+    With n = max(0, ceil(9 - Re z)) and w = z + n - 1 (so Re w >= 8),
+    G(z+1) = Gamma(z) G(z) and Gamma(z+1) = z Gamma(z) give
+        log G(z) = log G(1+w) - n log Gamma(1+w) + sum_{i<n} (i+1) log(z+i),
+    exact on the principal branches. On the negative real axis the sign of
+    a zero imaginary part picks the side, so log G(conj z) = conj log G(z)
+    exactly. log G(1+w) and log Gamma(1+w) come from their asymptotic series
+    with ten Bernoulli terms each (B_2..B_22); at |w| >= 8 the first omitted
+    term of each is below 3e-18. Each element is shifted by its own n, so its
+    value does not depend on the rest of the array. Errors out at the zeros
+    z = 0, -1, -2, ...
     """
     arr, scalar = _as_array(z)
     near_int = np.abs(arr - np.round(arr.real)) < POLE_TOL
@@ -110,23 +149,13 @@ def log_barnes_g(z):
     if np.any(bad):
         raise SpecialFunctionError("log_barnes_g evaluated at a zero of G (z <= 0 integer)")
 
-    flat = np.atleast_1d(arr).ravel()
-    # number of functional-equation shifts per element
-    nshift = np.maximum(0, np.ceil(_BARNES_SHIFT_RADIUS + 1.0 - flat.real)).astype(int)
-    acc = np.zeros_like(flat)
-    maxshift = int(nshift.max()) if flat.size else 0
-    cur = flat.copy()
-    for j in range(maxshift):
-        active = nshift > j
-        # log G(z) = log G(z+1) - log Gamma(z)
-        acc[active] -= loggamma(cur[active])
-        cur[active] += 1.0
-    # now Re(cur) >= 31 wherever shifted; G(cur) = G(1 + (cur-1))
-    out = acc + _log_barnes_asymptotic(cur - 1.0)
-    out = out.reshape(np.atleast_1d(arr).shape)
+    flat = arr.ravel()
+    out = np.empty_like(flat)
+    for s in range(0, flat.size, _BARNES_CHUNK):
+        out[s:s + _BARNES_CHUNK] = _log_barnes_flat(flat[s:s + _BARNES_CHUNK])
     if scalar:
-        return complex(out.ravel()[0])
-    return out
+        return complex(out[0])
+    return out.reshape(arr.shape)
 
 
 def s_matrix(beta, params: ModelParams):
@@ -170,10 +199,16 @@ def min_form_factor(beta, params: ModelParams):
     F(beta) = -sin(pi z)/pi * w_b(z) * w_bhat(z) with z = i beta/(2 pi); the
     prefactor is 1/(Gamma(1+z) Gamma(-z)) by the reflection formula. F(0) = 0,
     F(beta) -> 1 as |Re beta| -> infinity, and F(beta)/F(-beta) = S(beta).
+    At b_hat = b (the self-dual point b = 1/4 of the default b_hat) the two
+    quotients coincide, and one is computed and squared.
     """
     arr, scalar = _as_array(beta)
     z = 1j * arr / (2.0 * np.pi)
-    lg = _log_varpi(z, params.b_hat, _log_varpi(z, params.b))
+    if params.b_hat == params.b:
+        lg = _log_varpi(z, params.b)
+        lg *= 2.0
+    else:
+        lg = _log_varpi(z, params.b_hat, _log_varpi(z, params.b))
     pref = -np.sin(np.pi * z) / np.pi
     out = pref * np.exp(lg)
     return complex(out) if scalar else out

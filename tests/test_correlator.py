@@ -62,6 +62,16 @@ def test_default_ladder_is_admissible():
     assert max(lad.eta.values()) <= eta_max(P) + 1e-15
 
 
+def test_default_ladder_at_half_coupling_names_the_cause():
+    comp = CompositionVector(2, (1,))
+    with pytest.raises(ValueError, match="eta_max = 0 at b = 1/2"):
+        default_ladder(comp, ModelParams(b=0.5))
+    with pytest.raises(ValueError, match="no admissible contour ladder"):
+        compute_W_r(CorrelatorRequest(
+            params=ModelParams(b=0.5), operators=_unit_ops(2),
+            points=[SpacetimePoint(0, 1), SpacetimePoint(0, 0)], r=(1,)))
+
+
 def test_region_violation_raises():
     req = _req([(0.0, 0.0), (0.0, 1.0)], (1,))
     with pytest.raises(ValueError):
@@ -231,3 +241,13 @@ def test_breakdown_weights_reassemble_total():
                 for comp, val, err, ph in res.breakdown)
     assert abs(total - res.value) < 1e-14
     assert isinstance(res.describe(), str)
+
+
+def test_converged_flag():
+    pts = [(0.0, 1.0), (0.0, 0.0)]
+    assert compute_W_r(_req(pts, (1,))).converged is True
+    # node doubling stops at max_nodes with err > tol
+    res = compute_W_r(_req(pts, (1,), nodes=4, max_nodes=8))
+    assert res.error > 1e-9
+    assert res.converged is False
+    assert "converged: False" in res.describe()

@@ -108,6 +108,56 @@ def test_barnes_against_mpmath_oracle():
         assert abs(np.exp(got - want) - 1.0) < 1e-11
 
 
+def _barnes_rel_err(z):
+    mpmath.mp.dps = 30
+    want = np.array([complex(mpmath.log(mpmath.barnesg(complex(v)))) for v in z])
+    return np.max(np.abs(np.exp(log_barnes_g(z) - want) - 1.0))
+
+
+def test_barnes_mpmath_on_form_factor_band():
+    # the arguments min_form_factor passes on the correlator contours
+    rng = np.random.default_rng(1)
+    z = rng.uniform(0.2, 2.0, 60) + 1j * rng.uniform(-3.0, 3.0, 60)
+    assert _barnes_rel_err(z) < 1e-12
+
+
+def test_barnes_mpmath_far_left():
+    # up to 69 shifts per point
+    rng = np.random.default_rng(2)
+    z = rng.uniform(-60.0, -5.0, 40) + 1j * rng.uniform(0.3, 5.0, 40)
+    assert _barnes_rel_err(z) < 2e-11
+
+
+def test_barnes_vectorized_equals_scalar_bitwise():
+    # each element takes its own number of shifts, so a mixed array gives
+    # exactly the per-element values, real negative non-integers included
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-60.0, 40.0, 300) + 1j * rng.uniform(-5.0, 5.0, 300)
+    z[::7] = z[::7].real + 0.5
+    vec = log_barnes_g(z.reshape(20, 15))
+    sc = np.array([log_barnes_g(complex(v)) for v in z])
+    assert np.array_equal(vec.ravel(), sc)
+    # the side of the negative real axis follows the sign of a zero imaginary part
+    assert np.array_equal(log_barnes_g(np.conj(z)), np.conj(sc))
+
+
+def test_min_form_factor_self_dual_single_quotient():
+    # at b_hat = b the squared quotient stands in for the eight-call sum
+    rng = np.random.default_rng(4)
+    beta = rng.uniform(-8.0, 8.0, 200) + 1j * rng.uniform(-0.5, 3.5, 200)
+    b = 0.25
+    got = min_form_factor(beta, ModelParams(b=b))
+    eight = min_form_factor(beta, ModelParams(b=b, b_hat=np.nextafter(b, 1.0)))
+    z = 1j * beta / (2.0 * np.pi)
+    lg = 0.0
+    for _ in range(2):
+        lg = (lg + log_barnes_g(1 - b - z) + log_barnes_g(2 - b + z)
+              - log_barnes_g(1 + b + z) - log_barnes_g(b - z))
+    rebuilt = -np.sin(np.pi * z) / np.pi * np.exp(lg)
+    assert np.max(np.abs(got - eight) / np.abs(eight)) < 1e-13
+    assert np.max(np.abs(got - rebuilt) / np.abs(rebuilt)) < 1e-13
+
+
 def test_barnes_vectorized_matches_scalar():
     z = RNG.uniform(0.5, 10, 20) + 1j * RNG.uniform(-5, 5, 20)
     vec = log_barnes_g(z)
