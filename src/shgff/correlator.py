@@ -77,9 +77,6 @@ class ContourLadder:
                     f"ladder violation at block {blk}: eta={e} must exceed {prev}")
             prev = e
 
-    def shift(self, blk) -> float:
-        return self.eta[blk]
-
 
 def default_ladder(comp: CompositionVector, params: ModelParams) -> ContourLadder:
     """Equally spaced admissible ladder: occupied blocks get
@@ -167,10 +164,7 @@ def _form_factor_value(request: CorrelatorRequest, gamma: dict, mixed_t: int | N
             args = list(right) + [v - 1j * np.pi for v in left]
         else:
             args = [v + 1j * np.pi for v in left] + list(right)
-        if args:
-            out = out * request.operators[p - 1].provider.evaluate(args)
-        else:
-            out = out * request.operators[p - 1].provider.vacuum()
+        out = out * request.operators[p - 1].provider.evaluate(args)
     return out
 
 
@@ -196,7 +190,7 @@ class _PointLegs:
         for (b, a), cnt in comp.as_dict().items():
             if cnt:
                 d0, d1 = self.xs[b - 1] - self.xs[a - 1]
-                out[(b, a)] = math.atanh(d0 / d1) + 1j * ladder.shift((b, a))
+                out[(b, a)] = math.atanh(d0 / d1) + 1j * ladder.eta[(b, a)]
         return out
 
     def factor(self, params: ModelParams, gamma: dict):
@@ -298,11 +292,10 @@ def _quad_tensor(request, comp, contours, legs, mixed_t, nodes) -> complex:
     grids = np.meshgrid(*(L * xg + contours[blk] for blk in block_of), indexing="ij")
     for blk, grid in zip(block_of, grids):
         gamma[blk].append(grid)
-    vals = integrand(request, comp, gamma, mixed_t, legs)
-    wtot = L * wg
-    for _ in range(len(block_of) - 1):
-        wtot = np.multiply.outer(wtot, L * wg)
-    return complex(np.sum(vals * wtot))
+    vals = np.broadcast_to(integrand(request, comp, gamma, mixed_t, legs), grids[0].shape)
+    for _ in block_of:
+        vals = vals @ (L * wg)
+    return complex(vals)
 
 
 @dataclasses.dataclass

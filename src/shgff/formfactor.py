@@ -1,5 +1,7 @@
 """Form factor providers: K-transform construction, fixtures, axiom checks,
-and the pole/regular factorization used by the pairing and correlator code.
+and a pole/regular factorization of F (a public helper; the kernel pairing
+subtracts its poles in its own 1-D rules and the correlator avoids them on
+shifted contours).
 """
 from __future__ import annotations
 
@@ -22,12 +24,8 @@ POLE_TOL = 1e-14
 class PnSolution:
     """Symmetric seed function p_n(beta | ell) feeding the K-transform.
 
-    Subclasses implement evaluate(betas, ells) -> complex and expose spin
-    (Lorentz weight) and omega (mutual-locality index) metadata.
+    Subclasses implement evaluate(betas, ells) -> complex.
     """
-
-    spin: float = 0.0
-    omega: float = 0.0
 
     def evaluate(self, betas: Sequence[complex], ells: Sequence[int]) -> complex:
         raise NotImplementedError
@@ -112,9 +110,6 @@ class FormFactorProvider:
     def evaluate(self, betas: Sequence[complex]) -> complex:
         raise NotImplementedError
 
-    def vacuum(self) -> complex:
-        return self.evaluate(())
-
 
 class FixtureUnitProvider(FormFactorProvider):
     """F_n = 1 for every n. Diagnostic fixture (not a bootstrap solution for
@@ -141,8 +136,7 @@ class FixtureExponentialLikeProvider(FormFactorProvider):
         n = len(betas)
         if n >= len(self.coefficients):
             raise ValueError(f"no coefficient provided for n = {n}")
-        return self.coefficients[n] * np.exp(self.slope * sum(betas)) if betas \
-            else self.coefficients[0]
+        return self.coefficients[n] * np.exp(self.slope * sum(betas))
 
 
 class KTransformProvider(FormFactorProvider):

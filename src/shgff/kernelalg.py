@@ -159,64 +159,47 @@ def jump_terms(m: int) -> FormalKernelSum:
 # numerical pairing
 # ---------------------------------------------------------------------------
 
-def _eval_points(g: Callable, pts: np.ndarray, vector: bool) -> np.ndarray:
-    """Evaluate g on all points, either in one vectorized call or point-wise."""
-    if vector:
-        return np.asarray(g(pts), dtype=complex)
-    return np.array([g(x) for x in pts], dtype=complex)
-
-
 _PROBE_DELTA = 1e-3
+# Mesh points per integrand call; the first free variable is cut into slabs
+# of at most this many points, so memory stays bounded as m grows
+_PAIR_CHUNK = 1 << 16
 
 
-def _integrate_1d(g: Callable, poles: Sequence[tuple], L: float, nodes: int,
-                  eps: float = 0.0, delta: float = _PROBE_DELTA,
-                  vector: bool = False) -> complex:
-    """integral over [-L, L] of g, where g has simple poles at
-    z_r = p_r + i side_r eps, given as (p_r real, side_r = +-1) pairs.
+def _rule_1d(poles: Sequence[tuple], L: float, nodes: int, eps: float = 0.0,
+             delta: float = _PROBE_DELTA) -> tuple[np.ndarray, np.ndarray]:
+    """Linear rule (x, w), sum_i w_i g(x_i), for the integral over [-L, L] of
+    a g with simple poles at z_r = p_r + i side_r eps, given as (p_r, side_r)
+    pairs: side = -1 below the real axis (from +i pi shifts), +1 above it.
 
-    Uses exact partial fractions of H(x) = g(x) prod_r (x - z_r) plus
-    smooth-part subtraction, so the quadrature only ever sees functions whose
-    variation scale is O(1), not O(eps). At eps = 0 the limit is taken
-    analytically: principal value plus i pi side_r times the residue, with
-    H(p_r) recovered by a 4-point symmetric probe of radius delta (error
-    O(delta^4)). side = -1 is a pole below the real axis (from +i pi
-    shifts), side = +1 one above it (from -i pi shifts).
+    Gauss-Legendre (x_i, ws_i) with the poles subtracted from H = g prod(x - z):
+    with cpf_r = 1/prod_{q != r}(z_r - z_q) and h_r = H(p_r),
+        sum_i ws_i sum_r cpf_r (H_i - h_r)/(x_i - z_r) + sum_r cpf_r h_r log_r
+      = sum_i ws_i g_i + sum_r cpf_r h_r (log_r - sum_i ws_i/(x_i - z_r)),
+    since 1/prod_r (x - z_r) = sum_r cpf_r/(x - z_r). h_r is the mean of H
+    over probe points around p_r, which join the nodes with the weights of
+    the second sum. At eps = 0 the limit is analytic (principal value plus
+    i pi side_r times the residue), with a 4-point symmetric probe of radius
+    delta (error O(delta^4)). With no poles the rule is plain Gauss-Legendre.
     """
     xs, ws = roots_legendre(nodes)
-    xs, ws = L * xs, L * ws
-    if not poles:
-        gv = _eval_points(g, xs.astype(complex), vector)
-        return complex(np.sum(ws * gv))
-    ps = np.array([p for (p, _) in poles], dtype=float)
-    sides = np.array([side for (_, side) in poles], dtype=float)
+    xs, ws = L * xs + 0j, L * ws
+    ps = np.array([p for p, _ in poles], dtype=float)
+    sides = np.array([side for _, side in poles], dtype=float)
     if eps == 0.0:
-        zs = ps
-        offs = np.array([delta, -delta, 1j * delta, -1j * delta], dtype=complex)
+        zs = ps + 0j
+        offs = delta * np.array([1, -1, 1j, -1j])
+        logs = np.log(np.abs(L - zs)) - np.log(np.abs(L + zs)) + 1j * np.pi * sides
     else:
         zs = ps + 1j * eps * sides
         offs = np.zeros(1)
-    probes = (ps[:, None] + offs[None, :]).ravel()
-    pts = np.concatenate([xs.astype(complex), probes])
-    gv = _eval_points(g, pts, vector)
-    hv = gv * np.prod(pts[:, None] - zs[None, :], axis=1)
-    hvals = hv[: len(xs)]
-    hprobe = hv[len(xs):].reshape(len(poles), len(offs)).mean(axis=1)
-    total = 0.0 + 0.0j
-    for r, (zr, side) in enumerate(zip(zs, sides)):
-        cpf = 1.0 + 0.0j
-        for rp, zrp in enumerate(zs):
-            if rp != r:
-                cpf *= zr - zrp
-        cpf = 1.0 / cpf
-        h_at = hprobe[r]
-        total += cpf * complex(np.sum(ws * (hvals - h_at) / (xs - zr)))
-        if eps == 0.0:
-            log_term = np.log(abs(L - zr)) - np.log(abs(L + zr)) + 1j * np.pi * side
-        else:
-            log_term = np.log((L - zr) / (-L - zr))
-        total += cpf * h_at * log_term
-    return total
+        logs = np.log((L - zs) / (-L - zs))
+    gaps = zs[:, None] - zs[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    cpf = 1.0 / np.prod(gaps, axis=1)
+    probes = ps[:, None] + offs[None, :]
+    hfac = np.prod(probes[:, :, None] - zs, axis=2) / len(offs)
+    wprobe = (cpf * (logs - ws @ (1.0 / (xs[:, None] - zs))))[:, None] * hfac
+    return np.concatenate([xs, probes.ravel()]), np.concatenate([ws, wprobe.ravel()])
 
 
 def _pair_at_eps(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
@@ -228,6 +211,9 @@ def _pair_at_eps(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
     aval = {A[i]: complex(alphas[i]) for i in range(n)}
     phase = np.exp(-2j * np.pi * op.omega)
     sfun = lambda d: s_matrix(d, params)
+    # an odd count puts a node at 0 on every axis, where the mesh would have
+    # coinciding rapidities
+    nodes += nodes % 2
 
     total = 0.0 + 0.0j
     for term in kernel.terms:
@@ -236,51 +222,34 @@ def _pair_at_eps(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
             fixed[bslot] = aval[aslot]
         free = [s for s in B if s not in fixed]
 
-        def integrand(assign: dict) -> complex:
-            vals = {**fixed, **assign}
+        def integrand(vals: dict):
             sa = s_product(A, term.alpha_to, vals, sfun, side="alpha") if n > 1 else 1.0
             sb = s_product(B, term.beta_to, vals, sfun, side="beta") if m > 1 else 1.0
-            args = []
-            for s in term.ff_word:
-                v = vals[s.base()]
-                if s.shift > 0:
-                    v = v + 1j * (np.pi - eps)
-                elif s.shift < 0:
-                    v = v - 1j * (np.pi - eps)
-                args.append(v)
-            fv = op.provider.evaluate(args)
-            tv = test([vals[b] for b in B])
-            return sa * sb * fv * tv
+            fv = op.provider.evaluate(
+                [vals[s.base()] + s.shift * 1j * (np.pi - eps) for s in term.ff_word])
+            return sa * sb * fv * test([vals[b] for b in B])
 
         # kinematic poles in each free variable v: F(u + i(pi-eps) - v) is
         # singular at v = u - i eps for every +i pi-shifted slot value u, and
         # F(v - d + i(pi-eps)) at v = d + i eps for every -i pi-shifted value d
-        # (the shifted values are Dirac-fixed alpha's). At eps = 0 the limit
-        # is taken analytically (PV + i pi delta).
+        # (the shifted values are Dirac-fixed alpha's)
         poles = [] if op.provider.pole_free else (
             [(fixed[s.base()].real, -1) for s in term.ff_word if s.shift > 0]
             + [(fixed[s.base()].real, +1) for s in term.ff_word if s.shift < 0])
-
-        def rec(k: int, assign: dict) -> complex:
-            if k == len(free):
-                return integrand(assign)
-            v = free[k]
-            innermost = k == len(free) - 1
-
-            def g(x):
-                # x is an array at the innermost level, a scalar above it
-                assign[v] = x if innermost else complex(x)
-                out = rec(k + 1, assign)
-                del assign[v]
-                return out
-
-            # stagger node counts and probe offsets per axis so grids and
-            # probe points never coincide across nesting levels
-            return _integrate_1d(g, poles, L, nodes + 8 * k, eps,
-                                 delta=_PROBE_DELTA * (1.0 + 0.618 * k),
-                                 vector=innermost)
-
-        value = rec(0, {})
+        # stagger node counts and probe radii per axis so that nodes and
+        # probe points never coincide across axes
+        rules = [_rule_1d(poles, L, nodes + 8 * k, eps, _PROBE_DELTA * (1.0 + 0.618 * k))
+                 for k in range(len(free))]
+        step = max(1, _PAIR_CHUNK // math.prod(len(x) for x, _ in rules[1:]))
+        value = 0.0 + 0.0j
+        for lo in range(0, len(rules[0][0]) if rules else 1, step):
+            slab = [(x[lo:lo + step], w[lo:lo + step]) for x, w in rules[:1]] + rules[1:]
+            mesh = np.meshgrid(*(x for x, _ in slab), indexing="ij", sparse=True)
+            vals = np.broadcast_to(integrand({**fixed, **dict(zip(free, mesh))}),
+                                   tuple(len(x) for x, _ in slab))
+            for _, w in reversed(slab):
+                vals = vals @ w
+            value += complex(vals)
         total += term.sign * phase ** term.phase_power * value \
             / (2.0 * np.pi) ** len(free)
     return total
@@ -294,11 +263,16 @@ def pair_numeric(kernel: FormalKernelSum, alphas: Sequence[float], test: Callabl
 
         P(alpha) = int d^m beta / (2 pi)^m  M_{n;m}(alpha; beta) test(beta).
 
-    Dirac pairings are resolved exactly; remaining beta integrals use
-    Gauss-Legendre with analytic pole subtraction. The default eps_seq (0,)
-    takes the regulator limit analytically (PV + i pi delta splitting); a
-    positive sequence such as EPS_SEQUENCE computes at the given common
-    regulators and Richardson-extrapolates to 0 at first order, iterated.
+    Dirac pairings are resolved exactly. The remaining beta integrals of
+    each term are one tensor product of pole-subtracted 1-D rules, one per
+    free variable, with the integrand evaluated once per slab of the mesh:
+    test receives the m beta values as mutually broadcastable arrays and
+    returns its values on their broadcast shape (or a scalar). The node
+    count is rounded up to even, so that no axis has a node at 0, and grows
+    by 8 from one axis to the next. The default eps_seq (0,) takes the
+    regulator limit analytically (PV + i pi delta splitting); a positive
+    sequence such as EPS_SEQUENCE computes at the given common regulators
+    and Richardson-extrapolates to 0 at first order, iterated.
     """
     val, _ = pair_numeric_with_tail(kernel, alphas, test, op, params, eps_seq, L, nodes)
     return val

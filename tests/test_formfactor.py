@@ -93,7 +93,7 @@ def test_load_operator_kinds():
 
 def test_exponential_like_provider():
     prov = FixtureExponentialLikeProvider([1.0, 0.5, 2.0], slope=0.1)
-    assert prov.vacuum() == 1.0
+    assert prov.evaluate(()) == 1.0
     assert prov.evaluate([0.3, -0.2]) == pytest.approx(2.0 * np.exp(0.1 * 0.1))
     with pytest.raises(ValueError):
         prov.evaluate([0.1, 0.2, 0.3])

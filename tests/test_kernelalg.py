@@ -4,15 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
+from scipy.special import dawsn, roots_legendre
 
 from shgff.formfactor import (
     ExponentialPn, FixtureExponentialLikeProvider, KTransformProvider,
     OperatorSpec, load_operator,
 )
 from shgff.kernelalg import (
-    EPS_SEQUENCE, FormalKernelSum, expand_direct, expand_dual, expand_mixed,
-    jump_terms, pair_numeric, pair_numeric_with_tail, term_count,
+    EPS_SEQUENCE, FormalKernelSum, _rule_1d, expand_direct, expand_dual,
+    expand_mixed, jump_terms, pair_numeric, pair_numeric_with_tail, term_count,
 )
 from shgff.specfun import ModelParams, s_matrix
 
@@ -113,6 +113,47 @@ def test_pairing_equivalence_interacting_1_1():
     m1 = pair_numeric(expand_mixed(1, 1, (0,)), al, gauss_test, KT_OP, P, nodes=48)
     for v in (u, m0, m1):
         assert abs(v - d) < 1e-8 * max(1.0, abs(d))
+
+
+def test_pairing_equivalence_interacting_1_3():
+    # three free variables on one tensor rule, each pole-subtracted
+    al = [0.4]
+    d = pair_numeric(expand_direct(1, 3), al, gauss_test, KT_OP, P, nodes=48)
+    u = pair_numeric(expand_dual(1, 3), al, gauss_test, KT_OP, P, nodes=48)
+    m0 = pair_numeric(expand_mixed(1, 3, ()), al, gauss_test, KT_OP, P, nodes=48)
+    for v in (u, m0):
+        assert abs(v - d) < 1e-6 * max(1.0, abs(d))
+
+
+def test_odd_node_count_pairs_interacting_kernel():
+    # an odd count would put a Gauss-Legendre node at 0 on both axes, where
+    # the K-transform sees coinciding rapidities; it is rounded up to even
+    kern = expand_direct(1, 2)
+    odd = pair_numeric(kern, [0.4], gauss_test, KT_OP, P, nodes=49)
+    assert np.isfinite(odd)
+    assert odd == pair_numeric(kern, [0.4], gauss_test, KT_OP, P, nodes=50)
+    even = pair_numeric(kern, [0.4], gauss_test, KT_OP, P, nodes=48)
+    assert abs(odd - even) < 1e-6 * max(1.0, abs(even))
+
+
+def _plemelj_gauss(p, side):
+    # int e^{-x^2}/(x - p - i side 0) dx: the principal value is
+    # -2 sqrt(pi) D(p), D Dawson's integral, plus i pi side e^{-p^2}
+    return -2.0 * np.sqrt(np.pi) * dawsn(p) + 1j * np.pi * side * np.exp(-p * p)
+
+
+@pytest.mark.parametrize("p,side", [(0.4, -1), (-0.7, 1)])
+def test_rule_1d_one_pole_matches_dawson(p, side):
+    x, w = _rule_1d([(p, side)], 8.0, 48)
+    got = w @ (np.exp(-x * x) / (x - p))
+    assert abs(got - _plemelj_gauss(p, side)) < 1e-10
+
+
+def test_rule_1d_two_poles_match_partial_fractions():
+    x, w = _rule_1d([(0.4, -1), (-0.7, 1)], 8.0, 48)
+    got = w @ (np.exp(-x * x) / ((x - 0.4) * (x + 0.7)))
+    want = (_plemelj_gauss(0.4, -1) - _plemelj_gauss(-0.7, 1)) / 1.1
+    assert abs(got - want) < 1e-10
 
 
 def test_limit_matches_finite_regulator_extrapolation():
