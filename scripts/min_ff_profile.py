@@ -3,44 +3,49 @@
 together with the Watson residual |F(beta)/F(-beta) - S(beta)| certifying the
 Barnes-G construction. Optionally write a CSV.
 
-With --time, print instead the cost per point of log_barnes_g and
-min_form_factor on a 768 x 768 grid of rapidity differences shaped like the
-largest grid of the 3-point K-transform correlator (composition (1,0,1) on the
-default ladder, L = 8)."""
+With --time, print instead the cost of min_form_factor on the largest grid
+of the 3-point K-transform correlator (composition (1,0,1) on the default
+ladder, L = 8, 768 intervals per axis): evaluated on every point of the dense
+mesh, and through the 1-D table of rapidity differences that the correlator
+uses on its open mesh; and the cost per point of log_barnes_g."""
 import argparse
 import time
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from shgff import ModelParams, eta_max, log_barnes_g, min_form_factor, s_matrix
+from shgff.formfactor import _pairwise
 
 
-def _us_per_point(f, size, repeats=3):
-    """Best of `repeats` timings of f(), in microseconds per point."""
+def _seconds(f, repeats=3):
+    """Best of `repeats` timings of f()."""
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
         f()
         best = min(best, time.perf_counter() - t0)
-    return 1e6 * best / size
+    return best
 
 
 def time_grid(params: ModelParams, nodes: int = 768) -> None:
     em = eta_max(params)
-    x = 8.0 * roots_legendre(nodes)[0]
+    x = np.linspace(-8.0, 8.0, nodes + 1)
     # the form factor of the middle operator sees gamma_21 + i pi - gamma_32,
     # with the two contours at eta_max / 3 and 2 eta_max / 3
-    g21, g32 = np.meshgrid(x + 1j * em / 3.0, x + 2j * em / 3.0, indexing="ij")
-    beta = g21 + 1j * np.pi - g32
-    z = 1j * beta / (2.0 * np.pi)
-    arg = 1.0 - params.b - z
-    print(f"# grid {nodes}x{nodes} = {beta.size} points, b={params.b}, "
-          f"b_hat={params.b_hat}")
-    print(f"log_barnes_g: {_us_per_point(lambda: log_barnes_g(arg), beta.size):.3f} "
+    g21, g32 = np.meshgrid(x + 1j * em / 3.0 + 1j * np.pi, x + 2j * em / 3.0,
+                           indexing="ij", sparse=True)
+    beta = g21 - g32
+    arg = 1.0 - params.b - 1j * beta / (2.0 * np.pi)
+    print(f"# grid {beta.shape[0]}x{beta.shape[1]} = {beta.size} points, "
+          f"b={params.b}, b_hat={params.b_hat}")
+    print(f"log_barnes_g: {1e6 * _seconds(lambda: log_barnes_g(arg)) / arg.size:.3f} "
           "us/point")
-    print(f"min_form_factor: "
-          f"{_us_per_point(lambda: min_form_factor(beta, params), beta.size):.3f} us/point")
+    dense = _seconds(lambda: min_form_factor(beta, params))
+    table = _seconds(lambda: _pairwise(lambda d: min_form_factor(d, params), g21, g32))
+    print(f"min_form_factor, dense mesh: {1e3 * dense:.2f} ms "
+          f"({1e6 * dense / beta.size:.3f} us/point)")
+    print(f"min_form_factor, difference table ({2 * nodes + 1} points): "
+          f"{1e3 * table:.2f} ms")
 
 
 def main():
@@ -50,7 +55,7 @@ def main():
     ap.add_argument("--n", type=int, default=25)
     ap.add_argument("--csv", type=str, default=None)
     ap.add_argument("--time", action="store_true",
-                    help="print us per point on a 768^2 correlator-shaped grid")
+                    help="time min_form_factor on the 3-point correlator's largest grid")
     args = ap.parse_args()
 
     params = ModelParams(b=args.b)

@@ -194,8 +194,10 @@ def eval_ff_cmd(config_path, op_name, betas_str):
 @click.option("--smeared", is_flag=True, default=False)
 @click.option("--threads", type=int, default=1)
 @click.option("--tol", type=float, default=None)
-@click.option("--nodes", type=int, default=None)
-@click.option("--l", "--L", "L", type=float, default=None)
+@click.option("--nodes", type=int, default=None,
+              help="grid intervals per axis over [-L, L] at the first level")
+@click.option("--l", "--L", "L", type=float, default=None,
+              help="half-width of each contour's integration window")
 def correlator_cmd(config_path, output_path, mixed_t, smeared, threads, tol, nodes, L):
     """Compute a truncated correlator and write a CSV breakdown."""
     try:

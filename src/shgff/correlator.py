@@ -16,10 +16,9 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .combin import CompositionVector, blocks, enumerate_compositions, omega_ba, omega_ba_t
-from .formfactor import OperatorSpec
+from .formfactor import OperatorSpec, _pairwise
 from .specfun import ModelParams, minkowski_dot, momentum, s_matrix
 
 
@@ -96,6 +95,11 @@ def default_ladder(comp: CompositionVector, params: ModelParams) -> ContourLadde
 
 @dataclasses.dataclass
 class CorrelatorRequest:
+    """One truncated correlator. Each integration variable runs over
+    [-L, L] on its contour with a uniform trapezoid grid of `nodes`
+    intervals at the first level; the step is halved until two levels agree
+    to `tol` or a level would exceed `max_nodes` intervals."""
+
     params: ModelParams
     operators: Sequence[OperatorSpec]     # O_1 ... O_k
     points: Sequence[SpacetimePoint]
@@ -237,7 +241,7 @@ def integrand(request: CorrelatorRequest, comp: CompositionVector, gamma: dict,
     for (blk1, blk2) in _scattering_pairs(request.k, mixed_t):
         for u in gamma.get(blk1, ()):  # noqa: B007
             for v in gamma.get(blk2, ()):
-                val = val * s_matrix(u - v, params)
+                val = val * _pairwise(lambda d: s_matrix(d, params), u, v)
     legs = legs or _PointLegs(request.points)
     return val * legs.factor(params, gamma) * _form_factor_value(request, gamma, mixed_t)
 
@@ -257,45 +261,80 @@ def compute_I_n(request: CorrelatorRequest, comp: CompositionVector,
                 mixed_t: int | None = None, nodes: int | None = None,
                 ladder: ContourLadder | None = None) -> tuple[complex, float]:
     """The multidimensional contour integral of one composition with the
-    operators at request.points, with an error estimate from node-count
-    doubling. Deterministic reduction order (variables in canonical block
-    order, nodes in Gauss-Legendre order)."""
+    operators at request.points, and an error estimate: the change from
+    halving the grid step plus the truncated tails beyond +-L. nodes
+    overrides request.nodes, the intervals per axis of the first grid.
+    Deterministic reduction order (variables in canonical block order, grid
+    points in increasing order)."""
     return _refine(request, comp, _PointLegs(request.points, ladder), mixed_t, nodes)
 
 
 def _refine(request, comp, legs, mixed_t=None, nodes=None) -> tuple[complex, float]:
-    """Tensor Gauss-Legendre on the legs' contours, doubling the nodes per
-    axis until two successive rules agree to request.tol or the next rule
-    would exceed request.max_nodes."""
+    """Trapezoid rule on the legs' contours with `nodes` intervals per axis
+    over [-L, L], halving the step until two successive grids agree to
+    request.tol or the next grid would exceed request.max_nodes intervals.
+    The error is that agreement plus the finest grid's tail estimate; the
+    tail does not drive the refinement, since a smaller step cannot shrink it."""
     if mixed_t is not None and not (1 <= mixed_t <= request.k):
         raise ValueError(f"mixed_t must be in 1..{request.k}")
     quad = functools.partial(_quad_tensor, request, comp,
                              legs.contours(request, comp), legs, mixed_t)
     nodes = nodes or request.nodes
-    v1, v2 = quad(nodes), quad(2 * nodes)
-    err = abs(v2 - v1)
-    while err > request.tol and 4 * nodes <= request.max_nodes:
+    (v1, _), (v2, tail) = quad(nodes), quad(2 * nodes)
+    while abs(v2 - v1) > request.tol and 4 * nodes <= request.max_nodes:
         nodes *= 2
-        v1, v2 = v2, quad(2 * nodes)
-        err = abs(v2 - v1)
-    return v2, err
+        v1, (v2, tail) = v2, quad(2 * nodes)
+    return v2, abs(v2 - v1) + tail
 
 
-def _quad_tensor(request, comp, contours, legs, mixed_t, nodes) -> complex:
+def _quad_tensor(request, comp, contours, legs, mixed_t, nodes) -> tuple[complex, float]:
+    """Tensor trapezoid rule, `nodes` intervals of step h per axis over
+    [-L, L] shifted to each variable's contour, evaluated on an open mesh.
+    The j-th of the c variables of one block is further shifted by j h / c,
+    so that no two of them coincide while every axis keeps step h. Returns
+    the value and the tail estimate."""
     # block of each integration variable, in canonical block order
-    block_of = [blk for blk, cnt in comp.as_dict().items() for _ in range(cnt)]
+    counts = comp.as_dict()
+    block_of = [blk for blk, cnt in counts.items() for _ in range(cnt)]
     gamma = {blk: [] for blk in blocks(comp.k)}
     if not block_of:
-        return complex(integrand(request, comp, gamma, mixed_t, legs))
-    L = request.L
-    xg, wg = roots_legendre(nodes)
-    grids = np.meshgrid(*(L * xg + contours[blk] for blk in block_of), indexing="ij")
-    for blk, grid in zip(block_of, grids):
+        return complex(integrand(request, comp, gamma, mixed_t, legs)), 0.0
+    h = 2.0 * request.L / nodes
+    x = np.linspace(-request.L, request.L, nodes + 1)
+    w = np.full(nodes + 1, h)
+    w[0] = w[-1] = h / 2.0
+    axes = [x + (contours[blk] + block_of[:i].count(blk) * h / counts[blk])
+            for i, blk in enumerate(block_of)]
+    for blk, grid in zip(block_of, np.meshgrid(*axes, indexing="ij", sparse=True)):
         gamma[blk].append(grid)
-    vals = np.broadcast_to(integrand(request, comp, gamma, mixed_t, legs), grids[0].shape)
-    for _ in block_of:
-        vals = vals @ (L * wg)
-    return complex(vals)
+    vals = np.broadcast_to(integrand(request, comp, gamma, mixed_t, legs),
+                           (nodes + 1,) * len(block_of))
+    return complex(_contract(vals, w)), _tail(vals, w, h)
+
+
+def _contract(vals, w):
+    for _ in range(vals.ndim):
+        vals = vals @ w
+    return vals
+
+
+def _tail(vals, w, h) -> float:
+    """Estimate of the integral of |integrand| beyond +-L: on each end slice
+    of each axis, |f| decays like exp(-kappa t), with kappa read from that
+    slice and its inner neighbour, so the tail is |f(L)| / kappa (an upper
+    bound where, as here, the decay steepens outward). Infinite if |f| does
+    not decrease toward an end."""
+    tail = 0.0
+    for ax in range(vals.ndim):
+        for end, inner in ((0, 1), (-1, -2)):
+            a_end = _contract(np.abs(np.take(vals, end, axis=ax)), w)
+            if a_end == 0.0:
+                continue
+            a_in = _contract(np.abs(np.take(vals, inner, axis=ax)), w)
+            if not a_in > a_end:
+                return math.inf
+            tail += a_end * h / math.log(a_in / a_end)
+    return tail
 
 
 @dataclasses.dataclass
@@ -303,7 +342,7 @@ class CorrelatorResult:
     value: complex
     error: float
     breakdown: list   # (CompositionVector, I_n, err, phase) per composition
-    converged: bool   # every composition met request.tol before max_nodes
+    converged: bool   # every composition's error, tails included, is <= request.tol
 
     def describe(self) -> str:
         lines = [f"W = {self.value} (err <= {self.error:.3e}, "
@@ -330,7 +369,6 @@ def _sum_compositions(request: CorrelatorRequest, mixed_t: int | None = None,
         total += weight * val
         err_total += abs(weight) * err
         breakdown.append((comp, val, err, ph))
-    # _refine stops on err <= tol or, short of it, on max_nodes
     converged = all(err <= request.tol for _, _, err, _ in breakdown)
     return CorrelatorResult(total, err_total, breakdown, converged)
 

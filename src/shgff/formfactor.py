@@ -61,6 +61,39 @@ class ExponentialPn(PnSolution):
         return self.coeff(len(betas)) * self.t ** int(sum(ells))
 
 
+def _open_axis(x):
+    """The dimension along which x varies if x is an open-mesh axis (one
+    dimension longer than 1, the others 1), else None."""
+    long = [i for i, n in enumerate(np.shape(x)) if n > 1]
+    return long[0] if len(long) == 1 else None
+
+
+def _pairwise(f, x, y):
+    """f(x - y), where f returns an array or a tuple of arrays. When x and y
+    are open-mesh axes along different dimensions with one uniform step,
+    x - y takes one of len(x) + len(y) - 1 values: f is evaluated once on
+    that 1-D set and gathered into the plane of the two axes. Any other
+    input (a Gauss-Legendre rule, a scalar) is evaluated directly."""
+    ax, ay = _open_axis(x), _open_axis(y)
+    if ax is None or ay is None or ax == ay or np.ndim(x) != np.ndim(y):
+        return f(x - y)
+    xs, ys = np.ravel(x), np.ravel(y)
+    steps = np.concatenate([np.diff(xs), np.diff(ys)])
+    # each grid point carries a rounding or two, so one step varies by a few ulps
+    scale = max(np.max(np.abs(xs)), np.max(np.abs(ys)))
+    if np.max(np.abs(steps - steps[0])) > 8.0 * np.finfo(float).eps * scale:
+        return f(x - y)
+    # x[i] - y[j] depends on s = i - j only; one pair (i, j) represents each s
+    s = np.arange(1 - len(ys), len(xs))
+    i = np.maximum(s, 0)
+    table = f(xs[i] - ys[i - s])
+    idx = ((np.arange(len(xs)) + len(ys) - 1).reshape(np.shape(x))
+           - np.arange(len(ys)).reshape(np.shape(y)))
+    if isinstance(table, tuple):
+        return tuple(t[idx] for t in table)
+    return table[idx]
+
+
 def k_transform(p: PnSolution, betas: Sequence[complex], params: ModelParams) -> complex:
     """K_n[p](beta) = sum over ell in {0,1}^n of (-1)^{|ell|} *
     prod_{k<s} (1 - i (ell_k - ell_s) sin(2 pi b)/sinh(beta_k - beta_s)) * p(beta|ell).
@@ -68,19 +101,26 @@ def k_transform(p: PnSolution, betas: Sequence[complex], params: ModelParams) ->
     n = len(betas)
     s2 = params.sin2pib
     betas = [np.asarray(b, dtype=complex) for b in betas]
+
+    def factors(d):
+        sh = np.sinh(d)
+        if np.any(np.abs(sh) < POLE_TOL):
+            raise SpecialFunctionError(
+                "k_transform: coinciding rapidities with ell_k != ell_s")
+        q = 1j * s2 / sh
+        return 1.0 - q, 1.0 + q
+
+    # the factors for ell_k - ell_s = +1 and -1, once per pair for every ell
+    pair = {(k, s): dict(zip((1, -1), _pairwise(factors, betas[k], betas[s])))
+            for k in range(n) for s in range(k + 1, n)}
     total = 0.0 + 0.0j
     for ells in itertools.product((0, 1), repeat=n):
         w = (-1.0) ** sum(ells)
         fac = 1.0 + 0.0j
-        for k in range(n):
-            for s in range(k + 1, n):
-                lks = ells[k] - ells[s]
-                if lks != 0:
-                    sh = np.sinh(betas[k] - betas[s])
-                    if np.any(np.abs(sh) < POLE_TOL):
-                        raise SpecialFunctionError(
-                            "k_transform: coinciding rapidities with ell_k != ell_s")
-                    fac = fac * (1.0 - 1j * lks * s2 / sh)
+        for (k, s), facs in pair.items():
+            lks = ells[k] - ells[s]
+            if lks != 0:
+                fac = fac * facs[lks]
         total = total + w * fac * p.evaluate(betas, ells)
     return total
 
@@ -153,7 +193,8 @@ class KTransformProvider(FormFactorProvider):
         prod = 1.0 + 0.0j
         for a in range(len(betas)):
             for b in range(a + 1, len(betas)):
-                prod = prod * min_form_factor(betas[a] - betas[b], self.params)
+                prod = prod * _pairwise(lambda d: min_form_factor(d, self.params),
+                                        betas[a], betas[b])
         return prod * k_transform(self.pn, betas, self.params)
 
 

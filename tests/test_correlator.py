@@ -4,18 +4,25 @@ import pytest
 from scipy.integrate import dblquad
 from scipy.special import k0
 
+import shgff.formfactor
 from shgff.combin import CompositionVector
 from shgff.correlator import (
     ContourLadder, CorrelatorRequest, GaussianSmearing, SpacetimePoint,
     check_region, compute_I_n, compute_W_r, compute_W_r_mixed, default_ladder,
-    eta_max, smeared_correlator,
+    eta_max, integrand, smeared_correlator,
 )
-from shgff.formfactor import load_operator
+from shgff.formfactor import (
+    ExponentialPn, KTransformProvider, OperatorSpec, load_operator,
+)
 from shgff.specfun import ModelParams
 
 P = ModelParams(b=0.25)
 UNIT = {"name": "u", "omega": 0.0, "spin": 0.0, "growth": 0.0,
         "provider": {"kind": "unit"}}
+KT = OperatorSpec("kt", 0.0, 0.0, 0.0, KTransformProvider(ExponentialPn(P, t=0.3), P))
+# the K-transform three-point function at (0,1), (0,0), (0,-1), r=(1,1): two
+# trapezoid runs on different ladders and steps agree on it to 1e-14
+KT3PT_W = 0.00284114056964622
 
 
 def _unit_ops(k):
@@ -99,6 +106,18 @@ def test_two_point_near_light_cone():
     assert abs(compute_W_r(req).value - want) < 1e-7
 
 
+def test_two_point_truncation_error_is_estimated():
+    # near the light cone the plane wave decays like exp(-rho sin(eta) cosh t):
+    # at L = 8 the tails beyond +-L are 7.9e-9, above tol
+    want = k0(np.sqrt(1.0 - 0.999 ** 2)) / np.pi
+    res = compute_W_r(_req([(0.999, 1.0), (0.0, 0.0)], (1,)))
+    assert abs(res.value - want) <= res.error
+    assert res.converged is False
+    res = compute_W_r(_req([(0.999, 1.0), (0.0, 0.0)], (1,), L=10.0))
+    assert res.converged is True
+    assert abs(res.value - want) < 1e-12
+
+
 def test_two_point_two_particle_factorizes():
     rho = 1.0
     req = _req([(0.0, rho), (0.0, 0.0)], (2,), nodes=96, tol=1e-10)
@@ -131,6 +150,61 @@ def test_ladder_invariance_three_point():
         vals.append(val)
     for v in vals[1:]:
         assert abs(v - vals[0]) < 1e-9 * max(1.0, abs(vals[0]))
+
+
+def test_two_variables_of_one_block_never_coincide():
+    # both variables of block (2,1) share a contour; their grids are offset by
+    # half a step, so F_2 is never evaluated at equal rapidities
+    for theta in (0.0, 0.2):
+        ch, sh = np.cosh(theta), np.sinh(theta)
+        req = _req([(sh, ch), (0.0, 0.0)], (2,), ops=[KT, KT], tol=1e-10)
+        res = compute_W_r(req)
+        assert res.converged is True
+        assert abs(res.value - 0.02573654637525) < 1e-12
+        vals = [compute_I_n(req, CompositionVector(2, (2,)),
+                            ladder=ContourLadder(2, {(2, 1): f * eta_max(P)}))
+                for f in (0.3, 0.9)]
+        assert all(err < 1e-10 for _, err in vals)
+        assert abs(vals[0][0] - vals[1][0]) < 1e-12 * abs(vals[0][0])
+
+
+def test_kt3pt_matches_refined_oracle():
+    req = _req([(0.0, 1.0), (0.0, 0.0), (0.0, -1.0)], (1, 1), ops=[KT] * 3,
+               tol=1e-10)
+    for res in (compute_W_r(req), compute_W_r_mixed(req, 2)):
+        assert res.converged is True
+        assert abs(res.value - KT3PT_W) < 1e-12 * KT3PT_W
+
+
+def test_min_form_factor_sees_one_line_per_grid(monkeypatch):
+    # composition (1,0,1): the middle operator's F_2 pairs the two variables;
+    # its min_form_factor runs on the 2N + 1 differences, not the N^2 mesh
+    seen = []
+    original = shgff.formfactor.min_form_factor
+    monkeypatch.setattr(shgff.formfactor, "min_form_factor",
+                        lambda z, p: seen.append(np.size(z)) or original(z, p))
+    comp = CompositionVector(3, (1, 0, 1))
+    for nodes in (48, 96):
+        req = _req([(0.0, 1.0), (0.0, 0.0), (0.0, -1.0)], (1, 1), ops=[KT] * 3,
+                   nodes=nodes, max_nodes=2 * nodes)
+        seen.clear()
+        compute_I_n(req, comp)
+        assert sum(seen) == (2 * nodes + 1) + (4 * nodes + 1)
+
+
+def test_scattering_factors_on_the_open_mesh_match_the_dense_mesh():
+    # k = 4, composition (3,1) + (4,2): the interleaved factor S(g42 - g31)
+    req = _req([(0.0, 1.5), (0.0, 0.5), (0.0, -0.5), (0.0, -1.5)], (1, 2, 1))
+    comp = CompositionVector(4, (0, 1, 0, 0, 1, 0))
+    x = np.linspace(-3.0, 3.0, 61)
+    mesh = np.meshgrid(x + 0.1j, x + 0.25j, indexing="ij", sparse=True)
+    dense = np.broadcast_arrays(*mesh)
+    vals = []
+    for g31, g42 in (mesh, dense):
+        gamma = {blk: [] for blk in comp.as_dict()}
+        gamma[(3, 1)], gamma[(4, 2)] = [g31], [g42]
+        vals.append(integrand(req, comp, gamma))
+    assert np.max(np.abs(vals[0] - vals[1]) / np.abs(vals[1])) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +320,7 @@ def test_breakdown_weights_reassemble_total():
 def test_converged_flag():
     pts = [(0.0, 1.0), (0.0, 0.0)]
     assert compute_W_r(_req(pts, (1,))).converged is True
-    # node doubling stops at max_nodes with err > tol
+    # step halving stops at max_nodes with err > tol
     res = compute_W_r(_req(pts, (1,), nodes=4, max_nodes=8))
     assert res.error > 1e-9
     assert res.converged is False

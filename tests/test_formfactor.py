@@ -1,11 +1,12 @@
 """K-transform form factors, fixtures, axiom checks, residues, factorization."""
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from shgff.formfactor import (
     ExponentialPn, FixtureExponentialLikeProvider, FixtureUnitProvider,
-    KTransformProvider, OperatorSpec, factorize_regular, k_transform,
-    load_operator, numerical_residue, verify_axioms,
+    KTransformProvider, OperatorSpec, _pairwise, factorize_regular,
+    k_transform, load_operator, numerical_residue, verify_axioms,
 )
 from shgff.specfun import ModelParams, SpecialFunctionError, min_form_factor, s_matrix
 
@@ -70,6 +71,53 @@ def test_k_transform_vectorized():
     vec = k_transform(pn, [0.4, b2], P)
     sc = np.array([k_transform(pn, [0.4, x], P) for x in b2])
     assert np.max(np.abs(vec - sc)) < 1e-14
+
+
+def _uniform_axes(shifts, nodes=96, L=8.0):
+    """Open-mesh axes of one uniform step, as the correlator builds them."""
+    h = 2.0 * L / nodes
+    x = np.linspace(-L, L, nodes + 1)
+    return np.meshgrid(*(x + c * h + 1j * e for c, e in shifts),
+                       indexing="ij", sparse=True)
+
+
+PAIR_FUNCTIONS = [lambda d: min_form_factor(d, P), np.sinh,
+                  lambda d: s_matrix(d, P)]
+
+
+@pytest.mark.parametrize("f", PAIR_FUNCTIONS)
+def test_pairwise_table_matches_direct(f):
+    a, b, c = _uniform_axes([(0.0, 0.1 + np.pi), (0.5, 0.2), (0.25, 0.3)])
+    for x, y in ((a, b), (c, a), (b + 0.7j, c)):
+        seen = []
+        got = _pairwise(lambda d: seen.append(d.shape) or f(d), x, y)
+        want = f(x - y)
+        assert seen == [(2 * 97 - 1,)]
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
+@pytest.mark.parametrize("f", PAIR_FUNCTIONS)
+def test_pairwise_falls_back_bitwise_off_the_uniform_mesh(f):
+    xg = 8.0 * roots_legendre(48)[0]
+    a, b = np.meshgrid(xg + 0.1j, xg - 0.4, indexing="ij", sparse=True)
+    u, v = _uniform_axes([(0.0, 0.1), (0.0, 0.2)], nodes=48)
+    # 49 points of half u's step
+    finer = _uniform_axes([(0.0, 0.2), (0.0, 0.2)], nodes=96)[1][:, :49]
+    for x, y in ((a, b), (a, v), (u, 0.3 + 0.1j), (u, u + 0.5j), (u, finer)):
+        assert np.array_equal(_pairwise(f, x, y), f(x - y))
+
+
+def test_k_transform_table_path_matches_and_guards_poles():
+    pn = ExponentialPn(P, t=0.3)
+    a, b, c = _uniform_axes([(0.0, 0.2), (0.5, 0.2), (0.0, 0.2)], nodes=48)
+    betas = [a + 0.5j, b, c]
+    # the dense mesh has no open-mesh axis, so it is evaluated directly
+    got, want = k_transform(pn, betas, P), k_transform(pn, np.broadcast_arrays(*betas), P)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+    # a and c coincide on the diagonal of their plane
+    with pytest.raises(SpecialFunctionError):
+        k_transform(pn, [a, c], P)
 
 
 # ---------------------------------------------------------------------------
