@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -98,7 +99,9 @@ class CorrelatorRequest:
     """One truncated correlator. Each integration variable runs over
     [-L, L] on its contour with a uniform trapezoid grid of `nodes`
     intervals at the first level; the step is halved until two levels agree
-    to `tol` or a level would exceed `max_nodes` intervals."""
+    to `tol` or a level would exceed `max_nodes` intervals. Every composition
+    evaluates at least two levels, so `max_nodes` must be at least
+    2 * `nodes` (ValueError otherwise)."""
 
     params: ModelParams
     operators: Sequence[OperatorSpec]     # O_1 ... O_k
@@ -117,6 +120,9 @@ class CorrelatorRequest:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if not self.L > 0.0:
             raise ValueError(f"L must be positive, got {self.L}")
+        if self.max_nodes < 2 * self.nodes:
+            raise ValueError(f"max_nodes must be at least 2 * nodes = {2 * self.nodes}, "
+                             f"got {self.max_nodes}")
 
     @property
     def k(self) -> int:
@@ -150,13 +156,12 @@ def _scattering_pairs(k: int, mixed_t: int | None = None) -> list[tuple]:
     return pairs
 
 
-def _form_factor_value(request: CorrelatorRequest, gamma: dict, mixed_t: int | None
-                       ) -> complex:
-    """Product over operators of F^(O_p) evaluated on its incoming/outgoing
-    rapidity word; gamma maps block -> array of contour points (vectorized
-    over the last axis)."""
+def _form_factors(request: CorrelatorRequest, gamma: dict, mixed_t: int | None
+                  ) -> list:
+    """F^(O_p) of each operator on its incoming/outgoing rapidity word;
+    gamma maps block -> list of contour points (arrays that broadcast)."""
     k = request.k
-    out = 1.0 + 0.0j
+    out = []
     for p in range(1, k + 1):
         left = []   # rapidities shifted by +i pi (operators to the left)
         for a in range(p - 1, 0, -1):
@@ -168,7 +173,7 @@ def _form_factor_value(request: CorrelatorRequest, gamma: dict, mixed_t: int | N
             args = list(right) + [v - 1j * np.pi for v in left]
         else:
             args = [v + 1j * np.pi for v in left] + list(right)
-        out = out * request.operators[p - 1].provider.evaluate(args)
+        out.append(request.operators[p - 1].provider.evaluate(args))
     return out
 
 
@@ -197,13 +202,10 @@ class _PointLegs:
                 out[(b, a)] = math.atanh(d0 / d1) + 1j * ladder.eta[(b, a)]
         return out
 
-    def factor(self, params: ModelParams, gamma: dict):
-        val = 1.0 + 0.0j
-        for (b, a), vs in gamma.items():
-            xba = self.xs[b - 1] - self.xs[a - 1]
-            for v in vs:
-                val = val * np.exp(1j * minkowski_dot(momentum(v, params), xba))
-        return val
+    def factors(self, params: ModelParams, gamma: dict) -> list:
+        return [np.exp(1j * minkowski_dot(momentum(v, params),
+                                          self.xs[b - 1] - self.xs[a - 1]))
+                for (b, a), vs in gamma.items() for v in vs]
 
 
 class _SmearedLegs:
@@ -218,17 +220,29 @@ class _SmearedLegs:
     def contours(self, request: CorrelatorRequest, comp: CompositionVector) -> dict:
         return dict.fromkeys(blocks(comp.k), 0j)
 
-    def factor(self, params: ModelParams, gamma: dict):
+    def factors(self, params: ModelParams, gamma: dict) -> list:
         q = [np.zeros(2, dtype=complex) for _ in range(len(self.smearings) + 1)]
         for (b, a), vs in gamma.items():
             for v in vs:
                 pv = momentum(v, params)
                 q[b] = q[b] + pv
                 q[a] = q[a] - pv
-        val = 1.0 + 0.0j
-        for g, qs in zip(self.smearings, q[1:]):
-            val = val * g.fourier(qs[..., 0], qs[..., 1])
-        return val
+        return [g.fourier(qs[..., 0], qs[..., 1]) for g, qs in zip(self.smearings, q[1:])]
+
+
+def _factors(request: CorrelatorRequest, gamma: dict, mixed_t: int | None = None,
+             legs=None) -> list:
+    """The factors whose product is the integrand: the S-factor of each pair of
+    variables in scattering blocks, the legs' factors (a plane wave per
+    variable, or a Gaussian transform per operator) and the form factor of
+    each operator. Each is a scalar or an array that broadcasts against the
+    contour points."""
+    params = request.params
+    legs = legs or _PointLegs(request.points)
+    return ([_pairwise(lambda d: s_matrix(d, params), u, v)
+             for blk1, blk2 in _scattering_pairs(request.k, mixed_t)
+             for u in gamma.get(blk1, ()) for v in gamma.get(blk2, ())]
+            + legs.factors(params, gamma) + _form_factors(request, gamma, mixed_t))
 
 
 def integrand(request: CorrelatorRequest, comp: CompositionVector, gamma: dict,
@@ -236,14 +250,7 @@ def integrand(request: CorrelatorRequest, comp: CompositionVector, gamma: dict,
     """S-factors x external-leg factors x form-factor product at the given
     contour points (each gamma[blk] a list of complex arrays, broadcastable).
     The legs default to plane waves at request.points."""
-    params = request.params
-    val = 1.0 + 0.0j
-    for (blk1, blk2) in _scattering_pairs(request.k, mixed_t):
-        for u in gamma.get(blk1, ()):  # noqa: B007
-            for v in gamma.get(blk2, ()):
-                val = val * _pairwise(lambda d: s_matrix(d, params), u, v)
-    legs = legs or _PointLegs(request.points)
-    return val * legs.factor(params, gamma) * _form_factor_value(request, gamma, mixed_t)
+    return functools.reduce(operator.mul, _factors(request, gamma, mixed_t, legs), 1.0 + 0.0j)
 
 
 def _composition_phase(comp: CompositionVector, operators, mixed_t: int | None) -> complex:
@@ -263,9 +270,10 @@ def compute_I_n(request: CorrelatorRequest, comp: CompositionVector,
     """The multidimensional contour integral of one composition with the
     operators at request.points, and an error estimate: the change from
     halving the grid step plus the truncated tails beyond +-L. nodes
-    overrides request.nodes, the intervals per axis of the first grid.
-    Deterministic reduction order (variables in canonical block order, grid
-    points in increasing order)."""
+    overrides request.nodes, the intervals per axis of the first grid; like
+    it, it must be at most request.max_nodes / 2. Deterministic: the
+    integrand's factors are contracted in an order fixed by which axes each
+    varies along, so a composition gives the same bits on every call."""
     return _refine(request, comp, _PointLegs(request.points, ladder), mixed_t, nodes)
 
 
@@ -277,9 +285,12 @@ def _refine(request, comp, legs, mixed_t=None, nodes=None) -> tuple[complex, flo
     tail does not drive the refinement, since a smaller step cannot shrink it."""
     if mixed_t is not None and not (1 <= mixed_t <= request.k):
         raise ValueError(f"mixed_t must be in 1..{request.k}")
+    nodes = nodes or request.nodes
+    if 2 * nodes > request.max_nodes:
+        raise ValueError(f"max_nodes = {request.max_nodes} is below the second grid "
+                         f"level, 2 * nodes = {2 * nodes}")
     quad = functools.partial(_quad_tensor, request, comp,
                              legs.contours(request, comp), legs, mixed_t)
-    nodes = nodes or request.nodes
     (v1, _), (v2, tail) = quad(nodes), quad(2 * nodes)
     while abs(v2 - v1) > request.tol and 4 * nodes <= request.max_nodes:
         nodes *= 2
@@ -289,48 +300,83 @@ def _refine(request, comp, legs, mixed_t=None, nodes=None) -> tuple[complex, flo
 
 def _quad_tensor(request, comp, contours, legs, mixed_t, nodes) -> tuple[complex, float]:
     """Tensor trapezoid rule, `nodes` intervals of step h per axis over
-    [-L, L] shifted to each variable's contour, evaluated on an open mesh.
+    [-L, L] shifted to each variable's contour, on an open mesh.
     The j-th of the c variables of one block is further shifted by j h / c,
-    so that no two of them coincide while every axis keeps step h. Returns
-    the value and the tail estimate."""
+    so that no two of them coincide while every axis keeps step h. The
+    integrand's factors are contracted one at a time and never multiplied
+    out on the full mesh, so the largest array is the largest factor or
+    contraction intermediate. Returns the value and the tail estimate."""
     # block of each integration variable, in canonical block order
     counts = comp.as_dict()
     block_of = [blk for blk, cnt in counts.items() for _ in range(cnt)]
-    gamma = {blk: [] for blk in blocks(comp.k)}
-    if not block_of:
-        return complex(integrand(request, comp, gamma, mixed_t, legs)), 0.0
     h = 2.0 * request.L / nodes
     x = np.linspace(-request.L, request.L, nodes + 1)
     w = np.full(nodes + 1, h)
     w[0] = w[-1] = h / 2.0
     axes = [x + (contours[blk] + block_of[:i].count(blk) * h / counts[blk])
             for i, blk in enumerate(block_of)]
+    gamma = {blk: [] for blk in blocks(comp.k)}
     for blk, grid in zip(block_of, np.meshgrid(*axes, indexing="ij", sparse=True)):
         gamma[blk].append(grid)
-    vals = np.broadcast_to(integrand(request, comp, gamma, mixed_t, legs),
-                           (nodes + 1,) * len(block_of))
-    return complex(_contract(vals, w)), _tail(vals, w, h)
+    d = len(block_of)
+    factors = [_along(f, d) for f in _factors(request, gamma, mixed_t, legs)]
+    return complex(_contract(factors, dict.fromkeys(range(d), w))), _tail(factors, d, w, h)
 
 
-def _contract(vals, w):
-    for _ in range(vals.ndim):
-        vals = vals @ w
-    return vals
+def _along(f, d):
+    """(f without its length-1 dimensions, the mesh axes f varies along) for
+    a factor that broadcasts against a d-axis open mesh."""
+    shape = (1,) * (d - np.ndim(f)) + np.shape(f)
+    axes = tuple(i for i, n in enumerate(shape) if n > 1)
+    return np.reshape(f, [shape[i] for i in axes]), axes
 
 
-def _tail(vals, w, h) -> float:
+def _contract(factors, weights):
+    """Sum over the mesh of the product of the factors, each a pair from
+    _along, with weights[ax] along each axis ax. Scalars multiply out; a
+    factor along one axis folds into that axis's weights; the weights of an
+    axis that no factor of several axes touches are summed alone; the
+    factors of several axes are contracted against the folded weights of
+    their axes by np.einsum in a greedy order."""
+    weights = dict(weights)
+    scale = 1.0
+    shared = []
+    for f, axes in factors:
+        if not axes:
+            scale = scale * f
+        elif len(axes) == 1:
+            weights[axes[0]] = weights[axes[0]] * f
+        else:
+            shared += [f, list(axes)]
+    linked = {ax for axes in shared[1::2] for ax in axes}
+    for ax, wa in weights.items():
+        if ax in linked:
+            shared += [wa, [ax]]
+        else:
+            scale = scale * np.sum(wa)
+    return scale * np.einsum(*shared, [], optimize="greedy") if shared else scale
+
+
+def _tail(factors, d, w, h) -> float:
     """Estimate of the integral of |integrand| beyond +-L: on each end slice
     of each axis, |f| decays like exp(-kappa t), with kappa read from that
     slice and its inner neighbour, so the tail is |f(L)| / kappa (an upper
     bound where, as here, the decay steepens outward). Infinite if |f| does
-    not decrease toward an end."""
+    not decrease toward an end. |f| is the product of the |factor|s, so a
+    slice takes only the factors along its axis at that index."""
     tail = 0.0
-    for ax in range(vals.ndim):
+    for ax in range(d):
+        others = dict.fromkeys((a for a in range(d) if a != ax), w)
+        rest = [(np.abs(f), axes) for f, axes in factors if ax not in axes]
+        along = [(f, axes.index(ax), tuple(a for a in axes if a != ax))
+                 for f, axes in factors if ax in axes]
+        mass = {i: float(_contract(rest + [(np.abs(np.take(f, i, axis=j)), axes)
+                                           for f, j, axes in along], others))
+                for i in (0, 1, -2, -1)}
         for end, inner in ((0, 1), (-1, -2)):
-            a_end = _contract(np.abs(np.take(vals, end, axis=ax)), w)
+            a_end, a_in = mass[end], mass[inner]
             if a_end == 0.0:
                 continue
-            a_in = _contract(np.abs(np.take(vals, inner, axis=ax)), w)
             if not a_in > a_end:
                 return math.inf
             tail += a_end * h / math.log(a_in / a_end)

@@ -138,6 +138,18 @@ def test_correlator_rejects_nonpositive_config_values(runner, tmp_path):
         assert res.exit_code == EXIT_CONFIG, (key, res.output)
 
 
+def test_correlator_rejects_max_nodes_below_second_level(runner, tmp_path):
+    # every composition evaluates nodes and 2 * nodes intervals per axis
+    cfg = json.loads(json.dumps(UNIT_CFG))
+    cfg["request"]["max_nodes"] = 64
+    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert "max_nodes" in res.output
+    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, UNIT_CFG),
+                               "--nodes", "2000"])
+    assert res.exit_code == EXIT_CONFIG, res.output
+
+
 def test_correlator_rejects_k_transform_at_half_coupling(runner, tmp_path):
     # sin(2 pi b) = 1.2e-16 at b = 1/2; the residue coupling would be ~1e16
     cfg = json.loads(json.dumps(UNIT_CFG))

@@ -4,12 +4,13 @@ import pytest
 from scipy.integrate import dblquad
 from scipy.special import k0
 
+import shgff.correlator
 import shgff.formfactor
-from shgff.combin import CompositionVector
+from shgff.combin import CompositionVector, blocks, enumerate_compositions
 from shgff.correlator import (
     ContourLadder, CorrelatorRequest, GaussianSmearing, SpacetimePoint,
-    check_region, compute_I_n, compute_W_r, compute_W_r_mixed, default_ladder,
-    eta_max, integrand, smeared_correlator,
+    _PointLegs, _quad_tensor, _SmearedLegs, check_region, compute_I_n, compute_W_r,
+    compute_W_r_mixed, default_ladder, eta_max, integrand, smeared_correlator,
 )
 from shgff.formfactor import (
     ExponentialPn, KTransformProvider, OperatorSpec, load_operator,
@@ -205,6 +206,97 @@ def test_scattering_factors_on_the_open_mesh_match_the_dense_mesh():
         gamma[(3, 1)], gamma[(4, 2)] = [g31], [g42]
         vals.append(integrand(req, comp, gamma))
     assert np.max(np.abs(vals[0] - vals[1]) / np.abs(vals[1])) < 1e-13
+
+
+def _dense_quad(req, comp, legs, mixed_t, nodes, gamma):
+    """The trapezoid value and tail estimate from the integrand broadcast to
+    the full (nodes + 1)^d mesh and contracted axis by axis."""
+    h = 2.0 * req.L / nodes
+    w = np.full(nodes + 1, h)
+    w[0] = w[-1] = h / 2.0
+    vals = np.broadcast_to(integrand(req, comp, gamma, mixed_t, legs),
+                           (nodes + 1,) * comp.total)
+
+    def contract(v):
+        for _ in range(v.ndim):
+            v = v @ w
+        return v
+
+    tail = 0.0
+    for ax in range(vals.ndim):
+        for end, inner in ((0, 1), (-1, -2)):
+            a_end = contract(np.abs(np.take(vals, end, axis=ax)))
+            if a_end == 0.0:
+                continue
+            a_in = contract(np.abs(np.take(vals, inner, axis=ax)))
+            if not a_in > a_end:
+                return contract(vals), np.inf
+            tail += a_end * h / np.log(a_in / a_end)
+    return contract(vals), tail
+
+
+X3 = [(0.0, 1.0), (0.0, 0.0), (0.0, -1.0)]
+X4 = [(0.0, 1.5), (0.0, 0.5), (0.0, -0.5), (0.0, -1.5)]
+
+
+@pytest.mark.parametrize("case", ["kt_101", "kt_r2", "k4", "k4_t2", "smeared_r2"])
+def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
+    # every kind of factor: a 2-axis F_2 with 1-axis plane waves, two
+    # variables of one block, 2-axis S-factors (plain and t = 2), and a
+    # 2-axis Gaussian transform; at L = 3 the tails are 4e-10 to 5, not
+    # below the floating-point range
+    mixed_t = None
+    if case == "kt_101":
+        req, counts = _req(X3, (1, 1), ops=[KT] * 3, L=3.0), (1, 0, 1)
+    elif case == "kt_r2":
+        req, counts = _req(X3[:2], (2,), ops=[KT] * 2, L=3.0), (2,)
+    elif case.startswith("k4"):
+        req, counts = _req(X4, (1, 2, 1), L=3.0), (0, 1, 0, 0, 1, 0)
+        mixed_t = 2 if case == "k4_t2" else None
+    else:
+        req, counts = _req(X3[:2], (2,), L=3.0), (2,)
+    comp = CompositionVector(req.k, counts)
+    legs = (_SmearedLegs([GaussianSmearing((p.x0, p.x1), (0.3, 0.3)) for p in req.points])
+            if case == "smeared_r2" else _PointLegs(req.points))
+    seen = []
+    factors = shgff.correlator._factors
+    monkeypatch.setattr(shgff.correlator, "_factors",
+                        lambda r, gamma, *a: seen.append(gamma) or factors(r, gamma, *a))
+    for nodes in (48, 96):
+        seen.clear()
+        got = _quad_tensor(req, comp, legs.contours(req, comp), legs, mixed_t, nodes)
+        want = _dense_quad(req, comp, legs, mixed_t, nodes, seen[0])
+        assert abs(got[0] - want[0]) <= 1e-13 * abs(want[0])
+        assert abs(got[1] - want[1]) <= 1e-13 * want[1]
+
+
+def test_error_estimate_covers_the_true_error():
+    # criterion 10's ladders; the reference is one fixed 3072-interval grid
+    req = _req(X3, (1, 1), nodes=96, tol=1e-10)
+    em = eta_max(P)
+    rng = np.random.default_rng(10)
+    for comp in enumerate_compositions(3, (1, 1)):
+        for _ in range(5):
+            fr = np.sort(rng.uniform(0.05, 0.95, len(blocks(3))))
+            lad = ContourLadder(3, {blk: em * f for blk, f in zip(blocks(3), fr)})
+            val, err = compute_I_n(req, comp, ladder=lad)
+            legs = _PointLegs(req.points, lad)
+            ref, _ = _quad_tensor(req, comp, legs.contours(req, comp), legs, None, 3072)
+            assert abs(val - ref) <= err + 1e-14 * max(1.0, abs(ref))
+
+
+def test_max_nodes_below_the_second_level_is_rejected():
+    with pytest.raises(ValueError, match="max_nodes"):
+        _req([(0.0, 1.0), (0.0, 0.0)], (1,), nodes=96, max_nodes=64)
+    _req([(0.0, 1.0), (0.0, 0.0)], (1,), nodes=96, max_nodes=192)
+
+
+def test_nodes_override_beyond_max_nodes_is_rejected():
+    req = _req([(0.0, 1.0), (0.0, 0.0)], (1,), nodes=32, max_nodes=128)
+    comp = CompositionVector(2, (1,))
+    compute_I_n(req, comp, nodes=64)
+    with pytest.raises(ValueError, match="max_nodes"):
+        compute_I_n(req, comp, nodes=96)
 
 
 # ---------------------------------------------------------------------------
