@@ -11,7 +11,7 @@ import sys
 
 import click
 
-from .combin import enumerate_compositions
+from .combin import blocks, enumerate_compositions
 from .correlator import (
     ContourLadder, CorrelatorRequest, GaussianSmearing, SpacetimePoint,
     check_region, compute_W_r, smeared_correlator, _sum_compositions,
@@ -72,13 +72,14 @@ def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L
             ladder = ContourLadder(len(operators),
                                    {tuple(map(int, k.split(","))): float(v)
                                     for k, v in r["ladder"].items()})
+        # a flag overrides the config; what neither gives keeps the request's default
+        given = {key: kind(r[key] if flag is None else flag)
+                 for key, kind, flag in (("nodes", int, nodes), ("L", float, L),
+                                         ("max_nodes", int, None), ("tol", float, tol))
+                 if flag is not None or key in r}
         return CorrelatorRequest(
             params=params, operators=operators, points=points,
-            r=tuple(int(x) for x in r["r"]), ladder=ladder,
-            nodes=int(r.get("nodes", 96) if nodes is None else nodes),
-            L=float(r.get("L", 8.0) if L is None else L),
-            max_nodes=int(r.get("max_nodes", 3072)),
-            tol=float(r.get("tol", 1e-9) if tol is None else tol))
+            r=tuple(int(x) for x in r["r"]), ladder=ladder, **given)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad request section: {exc}") from exc
 
@@ -148,7 +149,6 @@ def enumerate_cmd(k, r_str):
     except ValueError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    from .combin import blocks
     click.echo("blocks: " + " ".join(f"({b},{a})" for b, a in blocks(k)))
     for c in comps:
         click.echo(" ".join(str(x) for x in c.counts))

@@ -63,65 +63,43 @@ def concat(*words: Sequence) -> tuple:
     return tuple(out)
 
 
-def signature(parent: Sequence, arrangement: Sequence) -> int:
-    """Signature of the permutation taking `parent` to `arrangement`.
-
-    Both must be sequences of the same distinct elements. Computed from the
-    parity of the number of order-inverted pairs.
-    """
-    pos = {x: i for i, x in enumerate(parent)}
-    if len(pos) != len(parent) or len(arrangement) != len(parent):
-        raise ValueError("signature: arrangement must be a permutation of distinct elements")
-    perm = [pos[x] for x in arrangement]
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def inverted_pairs(word_from: Sequence, word_to: Sequence) -> list[tuple]:
-    """Pairs (u, v) with u before v in word_from but v before u in word_to."""
+    """Pairs (u, v) with u before v in word_from but v before u in word_to,
+    in the order of word_from.
+
+    Both words must hold the same distinct slots (ValueError otherwise).
+    """
     pos = {x: i for i, x in enumerate(word_to)}
-    out = []
-    n = len(word_from)
-    for i in range(n):
-        for j in range(i + 1, n):
-            u, v = word_from[i], word_from[j]
-            if pos[u] > pos[v]:
-                out.append((u, v))
-    return out
+    if len(pos) != len(word_to) or len(word_from) != len(pos) or pos.keys() != set(word_from):
+        raise ValueError("inverted_pairs: words must hold the same distinct slots")
+    return [(u, v) for u, v in itertools.combinations(word_from, 2) if pos[u] > pos[v]]
+
+
+def signature(parent: Sequence, arrangement: Sequence) -> int:
+    """Signature of the permutation taking `parent` to `arrangement`: the
+    parity of the number of order-inverted pairs.
+
+    Both must hold the same distinct elements (ValueError otherwise).
+    """
+    return -1 if len(inverted_pairs(parent, arrangement)) % 2 else 1
 
 
 def s_product(word_from: Sequence, word_to: Sequence, values: dict, s_func: Callable,
               side: str = "beta"):
     """Scalar exchange factor relating a kernel evaluated at `word_from` to one
-    evaluated at `word_to` (same slots, different order).
+    evaluated at `word_to` (same distinct slots, different order; ValueError
+    otherwise).
 
     values maps slot -> complex rapidity; s_func is the two-body amplitude.
-    side='beta' gives S(u - v) per inverted pair (u before v in word_from),
-    side='alpha' gives S(v - u). Evaluated by bubble-sorting word_from into
-    word_to, one factor per adjacent transposition.
+    The product runs over the inverted pairs (u before v in word_from):
+    side='beta' gives S(u - v) per pair, side='alpha' gives S(v - u).
     """
     if side not in ("alpha", "beta"):
         raise ValueError(f"unknown side {side!r}")
-    target_pos = {x: i for i, x in enumerate(word_to)}
-    if len(target_pos) != len(word_from):
-        raise ValueError("s_product: words must contain the same distinct slots")
-    keys = [target_pos[x] for x in word_from]
-    cur = list(word_from)
     out = 1.0 + 0.0j
-    n = len(cur)
-    # bubble sort on target positions; each adjacent swap emits one S factor
-    for end in range(n, 1, -1):
-        for i in range(end - 1):
-            if keys[i] > keys[i + 1]:
-                x, y = cur[i], cur[i + 1]
-                dx = values[x] - values[y]
-                out = out * (s_func(dx) if side == "beta" else s_func(-dx))
-                cur[i], cur[i + 1] = y, x
-                keys[i], keys[i + 1] = keys[i + 1], keys[i]
+    for u, v in inverted_pairs(word_from, word_to):
+        dx = values[u] - values[v]
+        out = out * (s_func(dx) if side == "beta" else s_func(-dx))
     return out
 
 
@@ -206,29 +184,21 @@ def enumerate_compositions(k: int, r: Sequence[int]) -> list[CompositionVector]:
         raise ValueError("r must have length k-1")
     blks = blocks(k)
     out: list[CompositionVector] = []
-    rmax = max(r) if r else 0
 
-    def rec(i: int, counts: list[int]):
+    # need[p - 1] is what cut p still lacks; block (b, a) crosses cuts a..b-1
+    # and takes at most the least of their needs
+    def rec(i: int, counts: tuple, need: tuple):
         if i == len(blks):
-            cv = CompositionVector(k, tuple(counts))
-            if cv.crossing_ranks() == tuple(r):
-                out.append(cv)
+            if not any(need):
+                out.append(CompositionVector(k, counts))
             return
-        for c in range(rmax + 1):
-            counts.append(c)
-            # prune: each cut p that block i crosses cannot exceed r_p
-            ok = True
-            partial = CompositionVector(k, tuple(counts) + (0,) * (len(blks) - i - 1))
-            for p_idx, rp in enumerate(partial.crossing_ranks()):
-                if rp > r[p_idx]:
-                    ok = False
-                    break
-            if ok:
-                rec(i + 1, counts)
-            counts.pop()
+        b, a = blks[i]
+        crossed = need[a - 1:b - 1]
+        for c in range(min(crossed) + 1):
+            rec(i + 1, counts + (c,),
+                need[:a - 1] + tuple(x - c for x in crossed) + need[b - 1:])
 
-    rec(0, [])
-    out.sort(key=lambda cv: cv.counts)
+    rec(0, (), tuple(r))
     return out
 
 
@@ -249,21 +219,11 @@ def omega_ba_t(b: int, a: int, t: int, omegas: Sequence[float]) -> float:
 # generalized Cauchy decomposition
 # ---------------------------------------------------------------------------
 
-def _vandermonde_upper(v: Sequence[complex]) -> complex:
-    """prod_{r<l} (v_r - v_l)."""
+def _vandermonde(v: Sequence[complex]) -> complex:
+    """prod_{r<l} (v_r - v_l); prod_{r>l} (v_r - v_l) is _vandermonde(v[::-1])."""
     out = 1.0 + 0.0j
-    for r in range(len(v)):
-        for l in range(r + 1, len(v)):
-            out *= v[r] - v[l]
-    return out
-
-
-def _vandermonde_lower(v: Sequence[complex]) -> complex:
-    """prod_{r>l} (v_r - v_l)."""
-    out = 1.0 + 0.0j
-    for r in range(len(v)):
-        for l in range(r):
-            out *= v[r] - v[l]
+    for x, y in itertools.combinations(v, 2):
+        out *= x - y
     return out
 
 
@@ -290,7 +250,7 @@ def cauchy_decomposition(a_vals: Sequence[complex], b_vals: Sequence[complex]
     M, N = len(A), len(B)
     q = min(M, N)
 
-    lhs_num = _vandermonde_lower(A) * _vandermonde_upper(B)
+    lhs_num = _vandermonde(A[::-1]) * _vandermonde(B)
     lhs_den = 1.0 + 0.0j
     for ar in A:
         for bl in B:
@@ -308,8 +268,8 @@ def cauchy_decomposition(a_vals: Sequence[complex], b_vals: Sequence[complex]
         for (b1, b2) in iter_partitions(B_idx, (q, N - q), (True, False)):
             sgnA = signature(A_idx, a1 + a2)
             sgnB = signature(B_idx, b1 + b2)
-            num = (_vandermonde_upper([vals[i] for i in b2])
-                   * _vandermonde_lower([vals[i] for i in a2]))
+            num = (_vandermonde([vals[i] for i in b2])
+                   * _vandermonde([vals[i] for i in a2[::-1]]))
             den = 1.0 + 0.0j
             for r in range(q):
                 den *= vals[a1[r]] - vals[b1[r]]

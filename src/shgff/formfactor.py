@@ -12,9 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .specfun import ModelParams, SpecialFunctionError, min_form_factor, s_matrix
-
-POLE_TOL = 1e-14
+from .combin import _vandermonde
+from .specfun import POLE_TOL, ModelParams, SpecialFunctionError, min_form_factor, s_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +336,7 @@ def factorize_regular(op: OperatorSpec, alphas: Sequence[complex],
     """
     alphas = [complex(a) for a in alphas]
     thetas = [complex(t) for t in thetas]
-    num = 1.0 + 0.0j
-    for r in range(len(alphas)):
-        for l in range(r):
-            num *= alphas[r] - alphas[l]
-    for r in range(len(thetas)):
-        for l in range(r + 1, len(thetas)):
-            num *= thetas[r] - thetas[l]
+    num = _vandermonde(alphas[::-1]) * _vandermonde(thetas)
     den = 1.0 + 0.0j
     for a in alphas:
         for t in thetas:

@@ -76,13 +76,17 @@ def _as_array(z):
     return arr, (arr.ndim == 0)
 
 
+def _reject_nonpositive_integers(arr, message: str):
+    """Raise SpecialFunctionError(message) if an element is within POLE_TOL of 0, -1, -2, ..."""
+    near_int = np.abs(arr - np.round(arr.real)) < POLE_TOL
+    if np.any(near_int & (np.round(arr.real) <= 0)):
+        raise SpecialFunctionError(message)
+
+
 def log_gamma(z):
     """Principal branch of log Gamma; errors out at the poles (z = 0, -1, ...)."""
     arr, scalar = _as_array(z)
-    near_int = np.abs(arr - np.round(arr.real)) < POLE_TOL
-    bad = near_int & (np.round(arr.real) <= 0)
-    if np.any(bad):
-        raise SpecialFunctionError("log_gamma evaluated at a non-positive integer")
+    _reject_nonpositive_integers(arr, "log_gamma evaluated at a non-positive integer")
     out = loggamma(arr)
     return complex(out) if scalar else out
 
@@ -144,10 +148,7 @@ def log_barnes_g(z):
     z = 0, -1, -2, ...
     """
     arr, scalar = _as_array(z)
-    near_int = np.abs(arr - np.round(arr.real)) < POLE_TOL
-    bad = near_int & (np.round(arr.real) <= 0)
-    if np.any(bad):
-        raise SpecialFunctionError("log_barnes_g evaluated at a zero of G (z <= 0 integer)")
+    _reject_nonpositive_integers(arr, "log_barnes_g evaluated at a zero of G (z <= 0 integer)")
 
     flat = arr.ravel()
     out = np.empty_like(flat)

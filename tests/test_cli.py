@@ -1,5 +1,6 @@
 """End-to-end CLI checks: subcommands, exit codes, CSV determinism."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from click.testing import CliRunner
 from scipy.special import k0
 
 from shgff.cli import (
-    EXIT_CONFIG, EXIT_NONCONVERGED, EXIT_OK, EXIT_REGION, main,
+    EXIT_CONFIG, EXIT_NONCONVERGED, EXIT_OK, EXIT_REGION, _model_from,
+    _operators_from, _request_from, main,
 )
+from shgff.correlator import CorrelatorRequest
 
 UNIT_CFG = {
     "model": {"b": 0.25, "mass": 1.0},
@@ -98,7 +101,7 @@ def test_correlator_csv_and_determinism(runner, tmp_path):
     r2 = runner.invoke(main, ["correlator", "--config", path, "--output", out2])
     assert r1.exit_code == EXIT_OK, r1.output
     assert r2.exit_code == EXIT_OK
-    b1, b2 = open(out1, "rb").read(), open(out2, "rb").read()
+    b1, b2 = Path(out1).read_bytes(), Path(out2).read_bytes()
     assert b1 == b2  # byte-identical reruns
     lines = b1.decode().strip().splitlines()
     assert lines[0] == "composition,re_I,im_I,err,phase_re,phase_im"
@@ -138,6 +141,22 @@ def test_correlator_rejects_nonpositive_config_values(runner, tmp_path):
         assert res.exit_code == EXIT_CONFIG, (key, res.output)
 
 
+def test_request_keeps_correlator_request_defaults():
+    # sizes that neither the config nor a flag gives are CorrelatorRequest's
+    cfg = json.loads(json.dumps(UNIT_CFG))
+    del cfg["request"]["nodes"], cfg["request"]["tol"]
+    params = _model_from(cfg)
+    ops = _operators_from(cfg, params)
+    got = _request_from(cfg, params, ops, None, None, None)
+    assert got == CorrelatorRequest(params=params, operators=ops, points=got.points,
+                                    r=got.r)
+    # a flag wins over the config
+    cfg["request"].update(nodes=96, L=6.0, tol=1e-9)
+    got = _request_from(cfg, params, ops, 1e-6, 48, None)
+    assert (got.nodes, got.L, got.tol, got.max_nodes) == \
+        (48, 6.0, 1e-6, CorrelatorRequest.max_nodes)
+
+
 def test_correlator_rejects_max_nodes_below_second_level(runner, tmp_path):
     # every composition evaluates nodes and 2 * nodes intervals per axis
     cfg = json.loads(json.dumps(UNIT_CFG))
@@ -169,7 +188,7 @@ def test_correlator_threads_match_serial(runner, tmp_path):
     r2 = runner.invoke(main, ["correlator", "--config", path, "--output", out2,
                               "--threads", "4"])
     assert r1.exit_code == EXIT_OK and r2.exit_code == EXIT_OK
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_correlator_threads_reject_bad_mixed(runner, tmp_path):

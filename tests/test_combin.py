@@ -49,6 +49,25 @@ def test_signature_matches_inversion_parity(perm):
     assert sgn == (-1) ** inv
 
 
+def test_signature_rejects_bad_input():
+    with pytest.raises(ValueError):
+        signature((1, 2, 3), (1, 2, 4))
+    with pytest.raises(ValueError):
+        signature((1, 2, 3), (1, 2))
+    with pytest.raises(ValueError):
+        signature((1, 1, 2), (1, 2, 1))
+
+
+def test_inverted_pairs_rejects_bad_input():
+    assert inverted_pairs((1, 2, 3), (3, 1, 2)) == [(1, 3), (2, 3)]
+    with pytest.raises(ValueError):
+        inverted_pairs((1, 2, 3), (1, 2, 4))
+    with pytest.raises(ValueError):
+        inverted_pairs((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        inverted_pairs((1, 1), (1, 2))
+
+
 @given(st.permutations(list(range(5))), st.permutations(list(range(5))))
 @settings(max_examples=60, deadline=None)
 def test_signature_multiplicative(p1, p2):
@@ -109,10 +128,15 @@ def test_s_product_sides_are_mirror():
 
 def test_s_product_rejects_bad_input():
     word, vals = _random_word(3)
+    a, b, c = word
     with pytest.raises(ValueError):
         s_product(word, word[:2], vals, _s)
     with pytest.raises(ValueError):
         s_product(word, word, vals, _s, side="gamma")
+    with pytest.raises(ValueError):  # repeated slot
+        s_product((a, a), (a, b), vals, _s)
+    with pytest.raises(ValueError):  # different slots
+        s_product((a, b), (a, c), vals, _s)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +193,21 @@ def test_enumerate_compositions_matches_brute_force(k):
     for r in itertools.product(range(4), repeat=k - 1):
         got = [cv.counts for cv in enumerate_compositions(k, r)]
         assert got == _brute_force_compositions(k, r)
+
+
+def test_enumerate_compositions_k5_matches_incidence_brute_force():
+    # every count vector in {0,1,2}^10 with its crossing ranks from the
+    # block-by-cut incidence matrix; lexicographic, like the enumeration
+    blks = blocks(5)
+    inc = np.array([[a <= p < b for p in range(1, 5)] for b, a in blks], dtype=int)
+    counts = np.array(list(itertools.product(range(3), repeat=len(blks))))
+    ranks = counts @ inc
+    found = 0
+    for r in itertools.product(range(3), repeat=4):
+        want = [tuple(row) for row in counts[(ranks == r).all(axis=1)].tolist()]
+        assert [cv.counts for cv in enumerate_compositions(5, r)] == want
+        found += len(want)
+    assert found == 405
 
 
 def test_enumerate_compositions_rejects_bad_r():
