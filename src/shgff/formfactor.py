@@ -23,7 +23,9 @@ from .specfun import POLE_TOL, ModelParams, SpecialFunctionError, min_form_facto
 class PnSolution:
     """Symmetric seed function p_n(beta | ell) feeding the K-transform.
 
-    Subclasses implement evaluate(betas, ells) -> complex.
+    Subclasses implement evaluate(betas, ells) -> complex. p_n must be
+    invariant under a common shift of all rapidities, beta_a -> beta_a + c:
+    KTransformProvider evaluates F_n on rapidity differences only.
     """
 
     def evaluate(self, betas: Sequence[complex], ells: Sequence[int]) -> complex:
@@ -67,30 +69,47 @@ def _open_axis(x):
     return long[0] if len(long) == 1 else None
 
 
-def _pairwise(f, x, y):
-    """f(x - y), where f returns an array or a tuple of arrays. When x and y
-    are open-mesh axes along different dimensions with one uniform step,
-    x - y takes one of len(x) + len(y) - 1 values: f is evaluated once on
-    that 1-D set and gathered into the plane of the two axes. Any other
-    input (a Gauss-Legendre rule, a scalar) is evaluated directly."""
-    ax, ay = _open_axis(x), _open_axis(y)
-    if ax is None or ay is None or ax == ay or np.ndim(x) != np.ndim(y):
-        return f(x - y)
-    xs, ys = np.ravel(x), np.ravel(y)
-    steps = np.concatenate([np.diff(xs), np.diff(ys)])
+def _lattice(f, *axes):
+    """f(*axes) for a function f of n rapidities that is invariant under a
+    common shift of all of them, returning an array or a tuple of arrays.
+    When the axes are open-mesh axes along distinct dimensions with one
+    uniform step, x_k[i_k] - x_last[i_last] depends on i_k - i_last only:
+    f is evaluated once on the open mesh of those n - 1 difference vectors,
+    of len(x_k) + len(x_last) - 1 values each, with the last rapidity at 0,
+    and gathered back onto the axes (at n = 1 the lattice is the one point
+    0, so the value is f(0)). Any other input (a Gauss-Legendre rule, a
+    scalar, two axes along one dimension) is evaluated directly."""
+    dims = [_open_axis(x) for x in axes]
+    if (not axes or None in dims or len(set(dims)) < len(dims)
+            or len({np.ndim(x) for x in axes}) > 1):
+        return f(*axes)
+    *xs, y = vecs = [np.ravel(x) for x in axes]
+    steps = np.concatenate([np.diff(v) for v in vecs])
     # each grid point carries a rounding or two, so one step varies by a few ulps
-    scale = max(np.max(np.abs(xs)), np.max(np.abs(ys)))
+    scale = max(np.max(np.abs(v)) for v in vecs)
     if np.max(np.abs(steps - steps[0])) > 8.0 * np.finfo(float).eps * scale:
-        return f(x - y)
+        return f(*axes)
     # x[i] - y[j] depends on s = i - j only; one pair (i, j) represents each s
-    s = np.arange(1 - len(ys), len(xs))
-    i = np.maximum(s, 0)
-    table = f(xs[i] - ys[i - s])
-    idx = ((np.arange(len(xs)) + len(ys) - 1).reshape(np.shape(x))
-           - np.arange(len(ys)).reshape(np.shape(y)))
+    diffs = []
+    for k, x in enumerate(xs):
+        s = np.arange(1 - len(y), len(x))
+        i = np.maximum(s, 0)
+        diffs.append((x[i] - y[i - s]).reshape((-1,) + (1,) * (len(xs) - 1 - k)))
+    # the table index of x_k[i_k] - y[i_last] is i_k - i_last + len(y) - 1
+    last = np.arange(len(y)).reshape(np.shape(axes[-1])) - (len(y) - 1)
+    idx = tuple(np.arange(len(x)).reshape(np.shape(a)) - last for x, a in zip(xs, axes))
+    shape = tuple(len(d) for d in diffs)
+    table = f(*diffs, 0.0)
     if isinstance(table, tuple):
-        return tuple(t[idx] for t in table)
-    return table[idx]
+        return tuple(np.broadcast_to(t, shape)[idx] for t in table)
+    return np.broadcast_to(table, shape)[idx]
+
+
+def _pairwise(f, x, y):
+    """f(x - y), where f returns an array or a tuple of arrays; on two
+    open-mesh axes of one uniform step f runs on the 1-D table of their
+    differences (see _lattice)."""
+    return _lattice(lambda u, v: f(u - v), x, y)
 
 
 def k_transform(p: PnSolution, betas: Sequence[complex], params: ModelParams) -> complex:
@@ -163,7 +182,7 @@ class FixtureUnitProvider(FormFactorProvider):
 class FixtureExponentialLikeProvider(FormFactorProvider):
     """F_n(beta) = c_n * exp(s * sum beta_a); constants loaded from a config
     payload. With s = 0 this is the free-point fixture (all axioms hold at
-    b = 0 with omega = 0)."""
+    b = 0 with omega = 0), and F_n is the scalar c_n."""
 
     pole_free = True
 
@@ -175,11 +194,19 @@ class FixtureExponentialLikeProvider(FormFactorProvider):
         n = len(betas)
         if n >= len(self.coefficients):
             raise ValueError(f"no coefficient provided for n = {n}")
+        if self.slope == 0:
+            return self.coefficients[n]
         return self.coefficients[n] * np.exp(self.slope * sum(betas))
 
 
 class KTransformProvider(FormFactorProvider):
-    """F_n(beta) = prod_{a<b} F(beta_a - beta_b) * K_n[p_n](beta)."""
+    """F_n(beta) = prod_{a<b} F(beta_a - beta_b) * K_n[p_n](beta).
+
+    p_n must be invariant under a common shift of all rapidities (see
+    PnSolution), so F_n depends on their differences only: on open-mesh axes
+    of one uniform step it is evaluated on the lattice of differences to the
+    last rapidity (see _lattice), and any other input directly.
+    """
 
     pole_free = False
 
@@ -188,6 +215,9 @@ class KTransformProvider(FormFactorProvider):
         self.params = params
 
     def evaluate(self, betas):
+        return _lattice(self._evaluate, *betas)
+
+    def _evaluate(self, *betas):
         betas = [np.asarray(b, dtype=complex) for b in betas]
         prod = 1.0 + 0.0j
         for a in range(len(betas)):

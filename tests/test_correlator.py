@@ -193,6 +193,26 @@ def test_min_form_factor_sees_one_line_per_grid(monkeypatch):
         assert sum(seen) == (2 * nodes + 1) + (4 * nodes + 1)
 
 
+def test_k_transform_sees_only_difference_tables(monkeypatch):
+    # composition (1,0,1): the middle operator's F_2 runs its label sum on the
+    # 1-D table of the 2N + 1 differences of its two variables, never on an
+    # N^2 plane; the outer operators' F_1 runs on the single difference 0
+    shapes = []
+    original = shgff.formfactor.k_transform
+    monkeypatch.setattr(shgff.formfactor, "k_transform",
+                        lambda p, b, pr: shapes.append(np.broadcast(*b).shape)
+                        or original(p, b, pr))
+    comp = CompositionVector(3, (1, 0, 1))
+    for nodes in (48, 96):
+        req = _req([(0.0, 1.0), (0.0, 0.0), (0.0, -1.0)], (1, 1), ops=[KT] * 3,
+                   nodes=nodes, max_nodes=2 * nodes)
+        shapes.clear()
+        compute_I_n(req, comp)
+        grids = [(2 * nodes + 1,), (4 * nodes + 1,)]
+        assert sorted(s for s in shapes if s) == grids
+        assert len(shapes) == 3 * len(grids)
+
+
 def test_scattering_factors_on_the_open_mesh_match_the_dense_mesh():
     # k = 4, composition (3,1) + (4,2): the interleaved factor S(g42 - g31)
     req = _req([(0.0, 1.5), (0.0, 0.5), (0.0, -0.5), (0.0, -1.5)], (1, 2, 1))

@@ -5,9 +5,10 @@ from scipy.special import roots_legendre
 
 from shgff.formfactor import (
     ExponentialPn, FixtureExponentialLikeProvider, FixtureUnitProvider,
-    KTransformProvider, OperatorSpec, _pairwise, factorize_regular,
+    KTransformProvider, OperatorSpec, _lattice, _pairwise, factorize_regular,
     k_transform, load_operator, numerical_residue, verify_axioms,
 )
+import shgff.formfactor
 from shgff.specfun import ModelParams, SpecialFunctionError, min_form_factor, s_matrix
 
 P = ModelParams(b=0.3)
@@ -120,6 +121,76 @@ def test_k_transform_table_path_matches_and_guards_poles():
         k_transform(pn, [a, c], P)
 
 
+def _block_axes(left, right, nodes):
+    """A middle operator's rapidities as the correlator builds them: `left`
+    variables of block (2,1) and `right` of block (3,2) on two ladder rungs,
+    the j-th of the c variables of a block offset by j h / c. Returned in the
+    plain order (the left ones reversed and shifted by +i pi, then the right
+    ones) and in the t-form's (the right ones, then the left ones reversed and
+    shifted by -i pi; with one variable a block its dimensions descend)."""
+    shifts = ([(j / left, 0.13) for j in range(left)]
+              + [(j / right, 0.26) for j in range(right)])
+    grid = list(_uniform_axes(shifts, nodes))
+    lhs, rhs = grid[:left][::-1], grid[left:]
+    return ([v + 1j * np.pi for v in lhs] + rhs,
+            rhs + [v - 1j * np.pi for v in lhs])
+
+
+@pytest.mark.parametrize("left, right, nodes, tol", [
+    (1, 1, 96, 1e-13), (2, 1, 24, 1e-12), (1, 2, 24, 1e-12), (2, 2, 12, 1e-12)])
+def test_k_transform_provider_on_the_lattice_matches_the_dense_mesh(
+        monkeypatch, left, right, nodes, tol):
+    prov = _kt_op(P).provider
+    sizes = []
+    original = shgff.formfactor.k_transform
+    monkeypatch.setattr(shgff.formfactor, "k_transform",
+                        lambda p, b, pr: sizes.append(np.broadcast(*b).size)
+                        or original(p, b, pr))
+    for betas in _block_axes(left, right, nodes):
+        sizes.clear()
+        got = prov.evaluate(betas)
+        # n variables cost one table over the n - 1 differences to the last
+        assert sizes == [(2 * nodes + 1) ** (left + right - 1)]
+        want = prov.evaluate(np.broadcast_arrays(*betas))
+        assert got.shape == want.shape == (nodes + 1,) * (left + right)
+        assert np.max(np.abs(got - want) / np.abs(want)) < tol
+
+
+def test_lattice_falls_back_bitwise_off_the_uniform_mesh():
+    pn = ExponentialPn(P, t=0.3)
+    f = lambda *betas: k_transform(pn, betas, P)
+    xg = 8.0 * roots_legendre(24)[0]
+    gl = np.meshgrid(xg + 0.1j, xg - 0.4, xg + 0.2j, indexing="ij", sparse=True)
+    u, v, w = _uniform_axes([(0.0, 0.1), (0.5, 0.2), (0.0, 0.3)], nodes=24)
+    # 25 points of half u's step
+    finer = _uniform_axes([(0.0, 0.1), (0.0, 0.2), (0.0, 0.3)], nodes=48)[2][..., :25]
+    # Gauss-Legendre axes, two steps, two axes along one dimension, a scalar,
+    # axes of different ndim
+    for betas in (gl, (u, v + 0.2j, finer), (u, u + 0.5j, w), (u, 0.3 + 0.1j, w),
+                  (u, v, w[0])):
+        assert np.array_equal(_lattice(f, *betas), f(*betas))
+
+
+def test_k_transform_provider_guards_coinciding_rapidities_on_the_lattice():
+    prov = _kt_op(P).provider
+    a, b, c = _uniform_axes([(0.0, 0.2), (0.5, 0.2), (0.0, 0.2)], nodes=48)
+    # a and c coincide on the diagonal of their plane
+    for betas in ([a, c], [a, b, c], [b + 1j * np.pi, c, a]):
+        with pytest.raises(SpecialFunctionError):
+            prov.evaluate(betas)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_k_transform_provider_is_shift_invariant(n):
+    prov = _kt_op(P).provider
+    rng = np.random.default_rng(n)
+    c = 0.7 - 0.4j
+    for _ in range(5):
+        betas = list(rng.uniform(-1.5, 1.5, size=n))
+        want = prov.evaluate(betas)
+        assert abs(prov.evaluate([b + c for b in betas]) - want) < 1e-13 * abs(want)
+
+
 # ---------------------------------------------------------------------------
 # operator documents
 # ---------------------------------------------------------------------------
@@ -145,6 +216,17 @@ def test_exponential_like_provider():
     assert prov.evaluate([0.3, -0.2]) == pytest.approx(2.0 * np.exp(0.1 * 0.1))
     with pytest.raises(ValueError):
         prov.evaluate([0.1, 0.2, 0.3])
+
+
+def test_exponential_like_provider_on_open_mesh_axes():
+    axes = _uniform_axes([(0.0, 0.1), (0.5, 0.2), (0.0, 0.3)])
+    coefficients = [1.0, 0.5, 2.0, -1.5 + 0.5j]
+    # at slope 0, F_n is the constant c_n, not an (N+1)^n array of it
+    assert np.shape(FixtureExponentialLikeProvider(coefficients).evaluate(axes)) == ()
+    assert FixtureExponentialLikeProvider(coefficients).evaluate(axes) == -1.5 + 0.5j
+    prov = FixtureExponentialLikeProvider(coefficients, slope=0.1 - 0.2j)
+    want = (-1.5 + 0.5j) * np.exp((0.1 - 0.2j) * sum(axes))
+    assert np.array_equal(prov.evaluate(axes), want)
 
 
 # ---------------------------------------------------------------------------
