@@ -1,20 +1,21 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 configuration error, 3 kinematic-region violation,
-4 quadrature non-convergence, 5 internal error.
+4 quadrature non-convergence, 5 internal error. Every command fails the same
+way: a RegionError exits 3, any other ValueError or an OSError exits 2 and any
+other exception exits 5 (see Main.invoke); a usage error is click's, exit 2.
 """
 from __future__ import annotations
 
 import concurrent.futures
 import json
-import sys
 
 import click
 
 from .combin import blocks, enumerate_compositions
 from .correlator import (
-    ContourLadder, CorrelatorRequest, GaussianSmearing, SpacetimePoint,
-    check_region, compute_W_r, smeared_correlator, _sum_compositions,
+    ContourLadder, CorrelatorRequest, GaussianSmearing, RegionError, SpacetimePoint,
+    compute_W_r, smeared_correlator, _sum_compositions,
 )
 from .formfactor import load_operator, verify_axioms
 from .specfun import ModelParams, min_form_factor, s_matrix
@@ -26,24 +27,40 @@ EXIT_NONCONVERGED = 4
 EXIT_INTERNAL = 5
 
 
+class Failure(click.ClickException):
+    """A failed command. click's standalone mode shows it, as its message
+    alone on stderr, and exits with its exit_code."""
+
+    def __init__(self, message: str, exit_code: int):
+        super().__init__(message)
+        self.exit_code = exit_code
+
+    def show(self, file=None):
+        click.echo(self.message, file=file, err=True)
+
+
+class Main(click.Group):
+    def invoke(self, ctx):
+        """Run the command; the one place where an exception becomes an exit code."""
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, BrokenPipeError):
+            raise
+        except RegionError as exc:
+            raise Failure(f"region error: {exc}", EXIT_REGION) from exc
+        except (ValueError, OSError) as exc:
+            raise Failure(f"config error: {exc}", EXIT_CONFIG) from exc
+        except Exception as exc:  # noqa: BLE001
+            raise Failure(f"internal error: {exc}", EXIT_INTERNAL) from exc
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17e}"
 
 
 def _load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-class ConfigError(Exception):
-    pass
-
-
-class NonConvergence(Exception):
-    pass
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _model_from(cfg: dict) -> ModelParams:
@@ -52,14 +69,14 @@ def _model_from(cfg: dict) -> ModelParams:
         return ModelParams(b=float(m["b"]), mass=float(m.get("mass", 1.0)),
                            b_hat=m.get("b_hat"))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model section: {exc}") from exc
+        raise ValueError(f"bad model section: {exc}") from exc
 
 
 def _operators_from(cfg: dict, params: ModelParams) -> list:
     try:
         return [load_operator(doc, params) for doc in cfg["operators"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad operators section: {exc}") from exc
+        raise ValueError(f"bad operators section: {exc}") from exc
 
 
 def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L
@@ -81,10 +98,18 @@ def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L
             params=params, operators=operators, points=points,
             r=tuple(int(x) for x in r["r"]), ladder=ladder, **given)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad request section: {exc}") from exc
+        raise ValueError(f"bad request section: {exc}") from exc
 
 
-@click.group()
+def _smearings_from(cfg: dict) -> list:
+    try:
+        return [GaussianSmearing(tuple(s["center"]), tuple(s["width"]))
+                for s in cfg["request"]["smearings"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad smearings: {exc}") from exc
+
+
+@click.group(cls=Main)
 def main():
     """Form-factor bootstrap and truncated correlation functions."""
 
@@ -96,35 +121,25 @@ def main():
               help="rapidity (repeatable)")
 def specfun_cmd(b, mass, betas):
     """Evaluate the two-body S-matrix and minimal form factor."""
-    try:
-        params = ModelParams(b=b, mass=mass)
-    except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    params = ModelParams(b=b, mass=mass)
     click.echo("beta,re(S),im(S),re(F),im(F)")
     for be in betas:
         s = s_matrix(be, params)
         f = min_form_factor(be, params)
         click.echo(",".join([_fmt(be), _fmt(s.real), _fmt(s.imag),
                              _fmt(f.real), _fmt(f.imag)]))
-    sys.exit(EXIT_OK)
 
 
 @main.command("verify")
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--n-max", type=int, default=3)
+@click.option("--n-max", type=click.IntRange(min=0), default=3)
 @click.option("--tol", type=float, default=1e-6)
 def verify_cmd(config_path, n_max, tol):
     """Check the bootstrap axioms for every configured operator."""
-    try:
-        cfg = _load_config(config_path)
-        params = _model_from(cfg)
-        operators = _operators_from(cfg, params)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    cfg = _load_config(config_path)
+    params = _model_from(cfg)
     worst = 0.0
-    for op in operators:
+    for op in _operators_from(cfg, params):
         for n in range(n_max + 1):
             rep = verify_axioms(op, params, n)
             worst = max(worst, rep.max_residual())
@@ -132,10 +147,8 @@ def verify_cmd(config_path, n_max, tol):
                        f"periodicity={rep.periodicity:.3e} "
                        f"residue={rep.residue:.3e} boost={rep.boost:.3e}")
     if worst > tol:
-        click.echo(f"FAIL worst residual {worst:.3e} > {tol:.1e}", err=True)
-        sys.exit(EXIT_NONCONVERGED)
+        raise Failure(f"FAIL worst residual {worst:.3e} > {tol:.1e}", EXIT_NONCONVERGED)
     click.echo(f"OK worst residual {worst:.3e}")
-    sys.exit(EXIT_OK)
 
 
 @main.command("enumerate")
@@ -143,17 +156,11 @@ def verify_cmd(config_path, n_max, tol):
 @click.option("--r", "r_str", required=True, help="comma-separated ranks r_1..r_{k-1}")
 def enumerate_cmd(k, r_str):
     """List composition vectors with the given crossing ranks."""
-    try:
-        r = tuple(int(x) for x in r_str.split(","))
-        comps = enumerate_compositions(k, r)
-    except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    comps = enumerate_compositions(k, tuple(int(x) for x in r_str.split(",")))
     click.echo("blocks: " + " ".join(f"({b},{a})" for b, a in blocks(k)))
     for c in comps:
         click.echo(" ".join(str(x) for x in c.counts))
     click.echo(f"total: {len(comps)}")
-    sys.exit(EXIT_OK)
 
 
 @main.command("eval-ff")
@@ -163,27 +170,16 @@ def enumerate_cmd(k, r_str):
               help="comma-separated rapidities")
 def eval_ff_cmd(config_path, op_name, betas_str):
     """Evaluate an operator's n-particle form factor."""
-    try:
-        cfg = _load_config(config_path)
-        params = _model_from(cfg)
-        operators = _operators_from(cfg, params)
-        betas = [complex(x) for x in betas_str.split(",")] if betas_str else []
-    except (ConfigError, ValueError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    cfg = _load_config(config_path)
+    params = _model_from(cfg)
+    operators = _operators_from(cfg, params)
+    betas = [complex(x) for x in betas_str.split(",")] if betas_str else []
     ops = [op for op in operators if op_name is None or op.name == op_name]
     if not ops:
-        click.echo(f"config error: no operator named {op_name}", err=True)
-        sys.exit(EXIT_CONFIG)
+        raise ValueError(f"no operator named {op_name}")
     for op in ops:
-        try:
-            val = op.provider.evaluate(betas)
-        except Exception as exc:  # noqa: BLE001
-            click.echo(f"internal error: {exc}", err=True)
-            sys.exit(EXIT_INTERNAL)
-        click.echo(f"{op.name} F_{len(betas)} = {_fmt(complex(val).real)} "
-                   f"{_fmt(complex(val).imag)}")
-    sys.exit(EXIT_OK)
+        val = complex(op.provider.evaluate(betas))
+        click.echo(f"{op.name} F_{len(betas)} = {_fmt(val.real)} {_fmt(val.imag)}")
 
 
 @main.command("correlator")
@@ -192,7 +188,7 @@ def eval_ff_cmd(config_path, op_name, betas_str):
 @click.option("--mixed", "mixed_t", type=int, default=None,
               help="distinguished operator index for the t-representation")
 @click.option("--smeared", is_flag=True, default=False)
-@click.option("--threads", type=int, default=1)
+@click.option("--threads", type=click.IntRange(min=1), default=1)
 @click.option("--tol", type=float, default=None)
 @click.option("--nodes", type=int, default=None,
               help="grid intervals per axis over [-L, L] at the first level")
@@ -200,39 +196,16 @@ def eval_ff_cmd(config_path, op_name, betas_str):
               help="half-width of each contour's integration window")
 def correlator_cmd(config_path, output_path, mixed_t, smeared, threads, tol, nodes, L):
     """Compute a truncated correlator and write a CSV breakdown."""
-    try:
-        cfg = _load_config(config_path)
-        params = _model_from(cfg)
-        operators = _operators_from(cfg, params)
-        request = _request_from(cfg, params, operators, tol, nodes, L)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    if not smeared and not check_region(request.points):
-        click.echo("region error: points must be space-like separated with "
-                   "decreasing spatial coordinates along the operator list", err=True)
-        sys.exit(EXIT_REGION)
-
-    try:
-        if smeared:
-            try:
-                smr = [GaussianSmearing(tuple(s["center"]), tuple(s["width"]))
-                       for s in cfg["request"]["smearings"]]
-            except (KeyError, TypeError) as exc:
-                click.echo(f"config error: bad smearings: {exc}", err=True)
-                sys.exit(EXIT_CONFIG)
-            result = smeared_correlator(request, smr)
-        elif threads > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                result = _sum_compositions(request, mixed_t, pool.map)
-        else:
-            result = compute_W_r(request, mixed_t=mixed_t)
-    except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except Exception as exc:  # noqa: BLE001
-        click.echo(f"internal error: {exc}", err=True)
-        sys.exit(EXIT_INTERNAL)
+    cfg = _load_config(config_path)
+    params = _model_from(cfg)
+    request = _request_from(cfg, params, _operators_from(cfg, params), tol, nodes, L)
+    if smeared:
+        result = smeared_correlator(request, _smearings_from(cfg))
+    elif threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            result = _sum_compositions(request, mixed_t, pool.map)
+    else:
+        result = compute_W_r(request, mixed_t=mixed_t)
 
     lines = ["composition,re_I,im_I,err,phase_re,phase_im"]
     for comp, val, err, ph in result.breakdown:
@@ -253,10 +226,8 @@ def correlator_cmd(config_path, output_path, mixed_t, smeared, threads, tol, nod
         with open(doc_path, "w") as fh:
             fh.write(result.describe() + "\n")
     if result.error > request.tol * max(1.0, abs(result.value)):
-        click.echo(f"non-convergence: error estimate {result.error:.3e} "
-                   f"exceeds tolerance", err=True)
-        sys.exit(EXIT_NONCONVERGED)
-    sys.exit(EXIT_OK)
+        raise Failure(f"non-convergence: error estimate {result.error:.3e} "
+                      f"exceeds tolerance", EXIT_NONCONVERGED)
 
 
 if __name__ == "__main__":

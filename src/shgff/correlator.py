@@ -32,6 +32,11 @@ class SpacetimePoint:
         return np.array([self.x0, self.x1], dtype=float)
 
 
+class RegionError(ValueError):
+    """Raised for operator points outside the region where the correlator is
+    defined (see check_region)."""
+
+
 def check_region(points: Sequence[SpacetimePoint]) -> bool:
     """True iff all pair separations are space-like and the spatial
     coordinates strictly decrease along the operator list (x_a;1 > x_b;1 for
@@ -187,8 +192,8 @@ class _PointLegs:
     def __init__(self, points: Sequence[SpacetimePoint],
                  ladder: ContourLadder | None = None):
         if not check_region(points):
-            raise ValueError("points must be space-like separated with decreasing "
-                             "spatial coordinates along the operator list")
+            raise RegionError("points must be space-like separated with decreasing "
+                              "spatial coordinates along the operator list")
         self.xs = [pt.as_array() for pt in points]
         self.ladder = ladder
 

@@ -160,14 +160,19 @@ def log_barnes_g(z):
 
 
 def s_matrix(beta, params: ModelParams):
-    """Two-body S-matrix S(beta) = (sinh beta - i sin 2 pi b)/(sinh beta + i sin 2 pi b)."""
+    """Two-body S-matrix S(beta) = (sinh beta - i sin 2 pi b)/(sinh beta + i sin 2 pi b).
+    Beyond |Re beta| = 700, where S differs from its limit 1 by less than
+    1e-300 and sinh soon overflows, S is that limit."""
     arr, scalar = _as_array(beta)
     s = params.sin2pib
-    num = np.sinh(arr) - 1j * s
-    den = np.sinh(arr) + 1j * s
+    far = np.abs(arr.real) > 700.0
+    # a far point is evaluated at 1, where sinh cannot overflow or meet the pole
+    sh = np.sinh(np.where(far, 1.0, arr))
+    num = sh - 1j * s
+    den = sh + 1j * s
     if np.any(np.abs(den) < POLE_TOL):
         raise SpecialFunctionError("s_matrix evaluated at a pole (sinh beta = -i sin 2 pi b)")
-    out = num / den
+    out = np.where(far, 1.0 + 0.0j, num / den)
     return complex(out) if scalar else out
 
 

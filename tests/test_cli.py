@@ -7,8 +7,9 @@ import pytest
 from click.testing import CliRunner
 from scipy.special import k0
 
+import shgff.cli
 from shgff.cli import (
-    EXIT_CONFIG, EXIT_NONCONVERGED, EXIT_OK, EXIT_REGION, _model_from,
+    EXIT_CONFIG, EXIT_INTERNAL, EXIT_NONCONVERGED, EXIT_OK, EXIT_REGION, _model_from,
     _operators_from, _request_from, main,
 )
 from shgff.correlator import CorrelatorRequest
@@ -241,3 +242,97 @@ def test_correlator_writes_doc(runner, tmp_path):
     res = runner.invoke(main, ["correlator", "--config", path])
     assert res.exit_code == EXIT_OK
     assert doc.read_text().startswith("W =")
+
+
+def _variant(cfg, section, **entries):
+    out = json.loads(json.dumps(cfg))
+    out.setdefault(section, {}).update(entries)
+    return out
+
+
+# exponential-like operators whose coefficients stop at n = 1
+EL_CFG = _variant(UNIT_CFG, "request", r=[2], nodes=16)
+EL_CFG["operators"] = [
+    {"name": name, "provider": {"kind": "exponential-like", "coefficients": [1.0, 1.0]}}
+    for name in ("E1", "E2")]
+REGION_CFG = _variant(UNIT_CFG, "request", points=[[0.0, 0.0], [0.0, 1.0]])
+UNCONVERGED_CFG = _variant(UNIT_CFG, "request", nodes=4, max_nodes=8, tol=1e-12)
+DOC_CFG = _variant(UNIT_CFG, "output", doc="missing/report.txt")
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+# (argv with CFG for the config's path, config, name in shgff.cli replaced by
+# _boom, exit code, start of a line the failure prints); paths are relative to
+# an empty directory
+EXIT_TABLE = [
+    pytest.param(["specfun", "--b", "0.25", "--beta", "800"], None, None, EXIT_OK, None,
+                 id="specfun-ok"),
+    pytest.param(["specfun", "--b", "0.7", "--beta", "1"], None, None, EXIT_CONFIG,
+                 "config error: coupling b", id="specfun-bad-coupling"),
+    pytest.param(["specfun", "--b", "0.25", "--beta", "1"], None, "s_matrix", EXIT_INTERNAL,
+                 "internal error: boom", id="specfun-internal"),
+    pytest.param(["verify", "--config", "CFG", "--n-max", "2"], KT_CFG, None, EXIT_OK, None,
+                 id="verify-ok"),
+    pytest.param(["verify", "--config", "CFG", "--n-max", "2"], UNIT_CFG, None,
+                 EXIT_NONCONVERGED, "FAIL worst residual", id="verify-fail"),
+    pytest.param(["verify", "--config", "CFG", "--n-max", "2"], EL_CFG, None, EXIT_CONFIG,
+                 "config error: no coefficient provided for n = 2",
+                 id="verify-missing-coefficient"),
+    pytest.param(["verify", "--config", "CFG", "--n-max", "-1"], KT_CFG, None, EXIT_CONFIG,
+                 "Error: Invalid value for '--n-max'", id="verify-negative-n-max"),
+    pytest.param(["verify", "--config", "missing.json"], None, None, EXIT_CONFIG,
+                 "config error: [Errno 2]", id="verify-missing-config"),
+    pytest.param(["enumerate", "--k", "3", "--r", "1,1"], None, None, EXIT_OK, None,
+                 id="enumerate-ok"),
+    pytest.param(["enumerate", "--k", "3", "--r", "1,x"], None, None, EXIT_CONFIG,
+                 "config error: invalid literal", id="enumerate-bad-rank"),
+    pytest.param(["enumerate", "--k", "3", "--r", "1,1"], None, "enumerate_compositions",
+                 EXIT_INTERNAL, "internal error: boom", id="enumerate-internal"),
+    pytest.param(["eval-ff", "--config", "CFG", "--betas", "0.1,0.2"], KT_CFG, None,
+                 EXIT_OK, None, id="eval-ff-ok"),
+    pytest.param(["eval-ff", "--config", "CFG", "--betas", "0.1,0.2"], EL_CFG, None,
+                 EXIT_CONFIG, "config error: no coefficient provided for n = 2",
+                 id="eval-ff-missing-coefficient"),
+    pytest.param(["eval-ff", "--config", "CFG", "--betas", "0.1,0.1"], KT_CFG, None,
+                 EXIT_CONFIG, "config error: ", id="eval-ff-coinciding-rapidities"),
+    pytest.param(["eval-ff", "--config", "CFG", "--operator", "nope", "--betas", "0.1"],
+                 UNIT_CFG, None, EXIT_CONFIG, "config error: no operator named nope",
+                 id="eval-ff-unknown-operator"),
+    pytest.param(["correlator", "--config", "CFG", "--output", "out.csv"], UNIT_CFG, None,
+                 EXIT_OK, None, id="correlator-ok"),
+    pytest.param(["correlator", "--config", "CFG", "--output", "missing/out.csv"], UNIT_CFG,
+                 None, EXIT_CONFIG, "config error: [Errno 2]", id="correlator-bad-output"),
+    pytest.param(["correlator", "--config", "CFG"], DOC_CFG, None, EXIT_CONFIG,
+                 "config error: [Errno 2]", id="correlator-bad-doc"),
+    pytest.param(["correlator", "--config", "CFG"], EL_CFG, None, EXIT_CONFIG,
+                 "config error: no coefficient provided for n = 2",
+                 id="correlator-missing-coefficient"),
+    pytest.param(["correlator", "--config", "CFG"], REGION_CFG, None, EXIT_REGION,
+                 "region error: points must be space-like", id="correlator-region"),
+    pytest.param(["correlator", "--config", "CFG", "--threads", "2"], REGION_CFG, None,
+                 EXIT_REGION, "region error: points must be space-like",
+                 id="correlator-region-threads"),
+    pytest.param(["correlator", "--config", "CFG", "--threads", "0"], UNIT_CFG, None,
+                 EXIT_CONFIG, "Error: Invalid value for '--threads'", id="correlator-no-threads"),
+    pytest.param(["correlator", "--config", "CFG"], UNCONVERGED_CFG, None, EXIT_NONCONVERGED,
+                 "non-convergence: error estimate", id="correlator-unconverged"),
+    pytest.param(["correlator", "--config", "CFG"], UNIT_CFG, "compute_W_r", EXIT_INTERNAL,
+                 "internal error: boom", id="correlator-internal"),
+]
+
+
+@pytest.mark.parametrize("argv, cfg, broken, code, message", EXIT_TABLE)
+def test_exit_codes(runner, tmp_path, monkeypatch, argv, cfg, broken, code, message):
+    monkeypatch.chdir(tmp_path)
+    if broken:
+        monkeypatch.setattr(shgff.cli, broken, _boom)
+    if cfg is not None:
+        argv = [_write(tmp_path, cfg) if a == "CFG" else a for a in argv]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == code, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    if message is not None:
+        assert any(line.startswith(message) for line in res.output.splitlines()), res.output

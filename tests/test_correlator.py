@@ -8,7 +8,7 @@ import shgff.correlator
 import shgff.formfactor
 from shgff.combin import CompositionVector, blocks, enumerate_compositions
 from shgff.correlator import (
-    ContourLadder, CorrelatorRequest, GaussianSmearing, SpacetimePoint,
+    ContourLadder, CorrelatorRequest, GaussianSmearing, RegionError, SpacetimePoint,
     _PointLegs, _quad_tensor, _SmearedLegs, check_region, compute_I_n, compute_W_r,
     compute_W_r_mixed, default_ladder, eta_max, integrand, smeared_correlator,
 )
@@ -84,6 +84,14 @@ def test_region_violation_raises():
     req = _req([(0.0, 0.0), (0.0, 1.0)], (1,))
     with pytest.raises(ValueError):
         compute_W_r(req)
+
+
+def test_region_violation_is_a_region_error():
+    # library callers that catch ValueError keep catching it
+    req = _req([(0.0, 0.0), (0.0, 1.0)], (1,))
+    with pytest.raises(RegionError, match="space-like separated") as info:
+        compute_I_n(req, CompositionVector(2, (1,)))
+    assert isinstance(info.value, ValueError)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """S-matrix, Barnes G, and minimal form factor: identities and mpmath oracle."""
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -66,6 +68,27 @@ def test_s_matrix_unitarity_property(beta, b):
 def test_s_matrix_free_point():
     assert abs(s_matrix(1.3, ModelParams(b=0.0)) - 1.0) < 1e-15
     assert abs(s_matrix(1.3, ModelParams(b=0.5)) - 1.0) < 1e-15
+
+
+def test_s_matrix_far_rapidity_is_its_limit():
+    # sinh overflows past |Re beta| ~ 710, where S is 1 to double precision
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in (800.0, -800.0, 800.0 + 0.3j, -1e6 + 2.0j):
+            assert abs(s_matrix(beta, P) - 1.0) < 1e-15
+        assert np.all(s_matrix(np.array([800.0, -800.0 + 0.3j]), ModelParams(b=0.0)) == 1.0)
+
+
+def test_s_matrix_unchanged_up_to_700():
+    # the far-rapidity limit leaves every value at |Re beta| <= 700 as it was
+    s = P.sin2pib
+    beta = np.concatenate([np.linspace(-700.0, 700.0, 2001),
+                           RNG.uniform(-700, 700, 200) + 1j * RNG.uniform(-4, 4, 200)])
+    assert np.array_equal(s_matrix(beta, P),
+                          (np.sinh(beta) - 1j * s) / (np.sinh(beta) + 1j * s))
+    for b in (700.0, -700.0 + 0.5j, 1.3):
+        sh = np.sinh(np.asarray(b, dtype=complex))
+        assert s_matrix(b, P) == complex((sh - 1j * s) / (sh + 1j * s))
 
 
 # ---------------------------------------------------------------------------
