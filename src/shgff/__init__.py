@@ -8,9 +8,8 @@ from .combin import (
     iter_partitions, omega_ba, omega_ba_t, reverse_word, s_product, signature,
 )
 from .correlator import (
-    ContourLadder, CorrelatorRequest, CorrelatorResult, GaussianSmearing,
-    SpacetimePoint, check_region, compute_I_n, compute_W_r, compute_W_r_mixed,
-    default_ladder, eta_max, smeared_correlator,
+    CorrelatorRequest, CorrelatorResult, GaussianSmearing, SpacetimePoint, check_region,
+    compute_I_n, compute_W_r, compute_W_r_mixed, smeared_correlator,
 )
 from .formfactor import (
     AxiomReport, ExponentialPn, FixtureExponentialLikeProvider,
@@ -22,6 +21,7 @@ from .kernelalg import (
     FormalKernelSum, FormalTerm, expand_direct, expand_dual, expand_mixed,
     jump_terms, pair_numeric, pair_numeric_with_tail, term_count,
 )
+from .ladder import ContourLadder, default_ladder, eta_max
 from .specfun import (
     ModelParams, SpecialFunctionError, log_barnes_g, log_gamma,
     min_form_factor, minkowski_dot, momentum, s_matrix, varpi,

@@ -101,6 +101,15 @@ def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L
         raise ValueError(f"bad request section: {exc}") from exc
 
 
+def _doc_from(cfg: dict) -> str | None:
+    """The path of the report that the output section asks for, if any."""
+    out = cfg.get("output", {})
+    doc = out.get("doc") if isinstance(out, dict) else None
+    if not isinstance(out, dict) or not isinstance(doc, (str, type(None))):
+        raise ValueError(f"bad output section: expected {{\"doc\": path}}, got {out!r}")
+    return doc
+
+
 def _smearings_from(cfg: dict) -> list:
     try:
         return [GaussianSmearing(tuple(s["center"]), tuple(s["width"]))
@@ -199,6 +208,7 @@ def correlator_cmd(config_path, output_path, mixed_t, smeared, threads, tol, nod
     cfg = _load_config(config_path)
     params = _model_from(cfg)
     request = _request_from(cfg, params, _operators_from(cfg, params), tol, nodes, L)
+    doc_path = _doc_from(cfg)
     if smeared:
         result = smeared_correlator(request, _smearings_from(cfg))
     elif threads > 1:
@@ -221,7 +231,6 @@ def correlator_cmd(config_path, output_path, mixed_t, smeared, threads, tol, nod
             fh.write(text)
     click.echo(text, nl=False)
 
-    doc_path = cfg.get("output", {}).get("doc")
     if doc_path:
         with open(doc_path, "w") as fh:
             fh.write(result.describe() + "\n")

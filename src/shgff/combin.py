@@ -1,5 +1,6 @@
-"""Ordered words of rapidity slots, scalar S-products, composition vectors,
-the generalized Cauchy decomposition, and pole-chain extraction.
+"""Ordered words of rapidity slots, scalar S-products, composition vectors
+and the block words of the correlator integrand, the generalized Cauchy
+decomposition, and pole-chain extraction.
 
 Conventions
 -----------
@@ -213,6 +214,47 @@ def omega_ba(b: int, a: int, omegas: Sequence[float]) -> float:
 def omega_ba_t(b: int, a: int, t: int, omegas: Sequence[float]) -> float:
     """Same as omega_ba but skipping the distinguished operator t."""
     return float(sum(omegas[ell - 1] for ell in range(a + 1, b + 1) if ell != t))
+
+
+def _scattering_pairs(k: int, mixed_t: int | None = None) -> list[tuple]:
+    """Block pairs whose variables pick up two-body S-factors.
+
+    Standard case: S(gamma^(vu) - gamma^(ps)) for every interleaved pair of
+    blocks s < u < p < v. For the t-distinguished representation the extra
+    factors couple gamma^(vu) (v > t, u < t) with gamma^(ts) (s < t) as
+    S(gamma^(ts) - gamma^(vu)) and with gamma^(st) (s > t) as
+    S(gamma^(vu) - gamma^(st)).
+    Returns (first_block, second_block) meaning prod S(gamma_first - gamma_second).
+    """
+    pairs = []
+    for v in range(4, k + 1):
+        for p in range(3, v):
+            for u in range(2, p):
+                for s in range(1, u):
+                    pairs.append(((v, u), (p, s)))
+    if mixed_t is not None:
+        t = mixed_t
+        for v in range(t + 1, k + 1):
+            for u in range(1, t):
+                for s in range(1, t):
+                    pairs.append(((t, s), (v, u)))
+                for s in range(t + 1, k + 1):
+                    pairs.append(((v, u), (s, t)))
+    return pairs
+
+
+def _operator_word(k: int, p: int, mixed_t: int | None) -> list[tuple]:
+    """The blocks of operator p's form-factor arguments in argument order,
+    each with the imaginary shift of its variables: the blocks (p, a) toward
+    operators to the left carry +pi (their variables in reverse order), the
+    blocks (b, p) toward operators to the right 0. In the t-distinguished
+    representation operator t takes the right blocks first and the left ones
+    at -pi."""
+    left = [((p, a), math.pi) for a in range(p - 1, 0, -1)]
+    right = [((b, p), 0.0) for b in range(k, p, -1)]
+    if p == mixed_t:
+        return right + [(blk, -shift) for blk, shift in left]
+    return left + right
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .combin import CompositionVector, blocks, enumerate_compositions, omega_ba, omega_ba_t
+from .combin import (
+    CompositionVector, _operator_word, _scattering_pairs, blocks, enumerate_compositions,
+    omega_ba, omega_ba_t,
+)
 from .formfactor import OperatorSpec, _pairwise
-from .specfun import ModelParams, minkowski_dot, momentum, s_matrix
+# default_ladder and eta_max stay importable from here
+from .ladder import ContourLadder, _spread_ladder, default_ladder, eta_max  # noqa: F401
+# perfbench/tracing.py wraps correlator.minkowski_dot by name
+from .specfun import ModelParams, minkowski_dot, momentum, s_matrix  # noqa: F401
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,53 +58,6 @@ def check_region(points: Sequence[SpacetimePoint]) -> bool:
     return True
 
 
-def eta_max(params: ModelParams) -> float:
-    """Safe overall scale for contour shifts: a quarter of the distance from
-    the real axis to the nearest S-matrix/form-factor singularity."""
-    cands = [np.pi / 2.0]
-    if params.b > 0.0:
-        cands.append(2.0 * np.pi * params.b)
-        cands.append(np.pi * (1.0 - 2.0 * params.b))
-    return min(cands) / 4.0
-
-
-@dataclasses.dataclass(frozen=True)
-class ContourLadder:
-    """Imaginary shifts eta^(ba) per block, strictly increasing in the
-    canonical block order (2,1) < (3,1) < (3,2) < (4,1) < ... on the blocks
-    that carry variables."""
-
-    k: int
-    eta: dict
-
-    def validate(self, comp: CompositionVector) -> None:
-        occupied = [blk for blk, cnt in comp.as_dict().items() if cnt > 0]
-        occupied.sort()
-        prev = 0.0
-        for blk in occupied:
-            e = self.eta[blk]
-            if not (e > prev):
-                raise ValueError(
-                    f"ladder violation at block {blk}: eta={e} must exceed {prev}")
-            prev = e
-
-
-def default_ladder(comp: CompositionVector, params: ModelParams) -> ContourLadder:
-    """Equally spaced admissible ladder: occupied blocks get
-    eta_max * rank / (P + 1) in canonical order. Raises ValueError when a
-    block is occupied and eta_max is 0, which happens at b = 1/2 only."""
-    occupied = sorted(blk for blk, cnt in comp.as_dict().items() if cnt > 0)
-    P = len(occupied)
-    em = eta_max(params)
-    if occupied and em <= 0.0:
-        raise ValueError("no admissible contour ladder: eta_max = 0 at b = 1/2")
-    eta = {blk: em * (i + 1) / (P + 1) for i, blk in enumerate(occupied)}
-    # unoccupied blocks carry no variables; park them consistently below
-    for blk in blocks(comp.k):
-        eta.setdefault(blk, 0.0)
-    return ContourLadder(comp.k, eta)
-
-
 @dataclasses.dataclass
 class CorrelatorRequest:
     """One truncated correlator. Each integration variable runs over
@@ -106,7 +65,11 @@ class CorrelatorRequest:
     intervals at the first level; the step is halved until two levels agree
     to `tol` or a level would exceed `max_nodes` intervals. Every composition
     evaluates at least two levels, so `max_nodes` must be at least
-    2 * `nodes` (ValueError otherwise)."""
+    2 * `nodes` (ValueError otherwise). Without a `ladder`, each composition
+    is integrated on its own equally spaced ladder, placed as far from the
+    singularities of its integrand as its factors allow (see
+    ladder._spread_ladder); for the three-point function at b = 1/4 that
+    distance is pi / 3, against 0.13 on default_ladder."""
 
     params: ModelParams
     operators: Sequence[OperatorSpec]     # O_1 ... O_k
@@ -134,60 +97,33 @@ class CorrelatorRequest:
         return len(self.operators)
 
 
-def _scattering_pairs(k: int, mixed_t: int | None = None) -> list[tuple]:
-    """Block pairs whose variables pick up two-body S-factors.
-
-    Standard case: S(gamma^(vu) - gamma^(ps)) for every interleaved pair of
-    blocks s < u < p < v. For the t-distinguished representation the extra
-    factors couple gamma^(vu) (v > t, u < t) with gamma^(ts) (s < t) as
-    S(gamma^(ts) - gamma^(vu)) and with gamma^(st) (s > t) as
-    S(gamma^(vu) - gamma^(st)).
-    Returns (first_block, second_block) meaning prod S(gamma_first - gamma_second).
-    """
-    pairs = []
-    for v in range(4, k + 1):
-        for p in range(3, v):
-            for u in range(2, p):
-                for s in range(1, u):
-                    pairs.append(((v, u), (p, s)))
-    if mixed_t is not None:
-        t = mixed_t
-        for v in range(t + 1, k + 1):
-            for u in range(1, t):
-                for s in range(1, t):
-                    pairs.append(((t, s), (v, u)))
-                for s in range(t + 1, k + 1):
-                    pairs.append(((v, u), (s, t)))
-    return pairs
-
-
 def _form_factors(request: CorrelatorRequest, gamma: dict, mixed_t: int | None
                   ) -> list:
     """F^(O_p) of each operator on its incoming/outgoing rapidity word;
     gamma maps block -> list of contour points (arrays that broadcast)."""
-    k = request.k
     out = []
-    for p in range(1, k + 1):
-        left = []   # rapidities shifted by +i pi (operators to the left)
-        for a in range(p - 1, 0, -1):
-            left.extend(reversed(gamma[(p, a)]))
-        right = []  # plain rapidities toward operators to the right
-        for b in range(k, p, -1):
-            right.extend(gamma[(b, p)])
-        if mixed_t is not None and p == mixed_t:
-            args = list(right) + [v - 1j * np.pi for v in left]
-        else:
-            args = [v + 1j * np.pi for v in left] + list(right)
-        out.append(request.operators[p - 1].provider.evaluate(args))
+    for p, op in enumerate(request.operators, start=1):
+        args = []
+        for blk, shift in _operator_word(request.k, p, mixed_t):
+            vs = gamma[blk]
+            args.extend([v + 1j * shift for v in reversed(vs)] if shift else vs)
+        out.append(op.provider.evaluate(args))
     return out
 
 
 class _PointLegs:
     """Operators at spacetime points. The leg factor of operator s is the
     plane wave exp(i q_s.x_s); their product is exp(i pbar(gamma).x_ba) per
-    variable of block (b, a). Contours follow the ladder, each block centred
-    at the separation rapidity theta_ba = artanh(dx0/dx1) of x_b - x_a, where
-    its plane waves peak; a real shift of a full-line integral is exact."""
+    variable of block (b, a), evaluated in light-cone form,
+    p.x = m (e^gamma (x0 - x1) + e^-gamma (x0 + x1)) / 2, whose two terms do
+    not cancel near the light cone as m cosh(gamma) x0 and m sinh(gamma) x1
+    do. Contours follow the given ladder, or else the composition's own
+    ladder (ladder._spread_ladder), which keeps each contour at the largest
+    distance d from the integrand's singularities that equal spacing allows,
+    with every eta in the plane waves' strip of decay 0 < eta < pi. Each
+    block is centred at the separation rapidity theta_ba = artanh(dx0/dx1)
+    of x_b - x_a, where its plane waves peak; a real shift of a full-line
+    integral is exact."""
 
     def __init__(self, points: Sequence[SpacetimePoint],
                  ladder: ContourLadder | None = None):
@@ -197,8 +133,9 @@ class _PointLegs:
         self.xs = [pt.as_array() for pt in points]
         self.ladder = ladder
 
-    def contours(self, request: CorrelatorRequest, comp: CompositionVector) -> dict:
-        ladder = self.ladder or request.ladder or default_ladder(comp, request.params)
+    def contours(self, request: CorrelatorRequest, comp: CompositionVector,
+                 mixed_t: int | None = None) -> dict:
+        ladder = self.ladder or request.ladder or _spread_ladder(request, comp, mixed_t)
         ladder.validate(comp)
         out = {}
         for (b, a), cnt in comp.as_dict().items():
@@ -208,9 +145,13 @@ class _PointLegs:
         return out
 
     def factors(self, params: ModelParams, gamma: dict) -> list:
-        return [np.exp(1j * minkowski_dot(momentum(v, params),
-                                          self.xs[b - 1] - self.xs[a - 1]))
-                for (b, a), vs in gamma.items() for v in vs]
+        out = []
+        for (b, a), vs in gamma.items():
+            d0, d1 = self.xs[b - 1] - self.xs[a - 1]
+            for v in vs:
+                ev = np.exp(v)
+                out.append(np.exp(0.5j * params.mass * (ev * (d0 - d1) + (d0 + d1) / ev)))
+        return out
 
 
 class _SmearedLegs:
@@ -222,7 +163,8 @@ class _SmearedLegs:
     def __init__(self, smearings: Sequence[GaussianSmearing]):
         self.smearings = smearings
 
-    def contours(self, request: CorrelatorRequest, comp: CompositionVector) -> dict:
+    def contours(self, request: CorrelatorRequest, comp: CompositionVector,
+                 mixed_t: int | None = None) -> dict:
         return dict.fromkeys(blocks(comp.k), 0j)
 
     def factors(self, params: ModelParams, gamma: dict) -> list:
@@ -286,8 +228,9 @@ def _refine(request, comp, legs, mixed_t=None, nodes=None) -> tuple[complex, flo
     """Trapezoid rule on the legs' contours with `nodes` intervals per axis
     over [-L, L], halving the step until two successive grids agree to
     request.tol or the next grid would exceed request.max_nodes intervals.
-    The error is that agreement plus the finest grid's tail estimate; the
-    tail does not drive the refinement, since a smaller step cannot shrink it."""
+    The error is that agreement plus the finest grid's tail estimate and
+    rounding floor; neither drives the refinement, since a smaller step
+    shrinks neither."""
     if mixed_t is not None and not (1 <= mixed_t <= request.k):
         raise ValueError(f"mixed_t must be in 1..{request.k}")
     nodes = nodes or request.nodes
@@ -295,12 +238,12 @@ def _refine(request, comp, legs, mixed_t=None, nodes=None) -> tuple[complex, flo
         raise ValueError(f"max_nodes = {request.max_nodes} is below the second grid "
                          f"level, 2 * nodes = {2 * nodes}")
     quad = functools.partial(_quad_tensor, request, comp,
-                             legs.contours(request, comp), legs, mixed_t)
-    (v1, _), (v2, tail) = quad(nodes), quad(2 * nodes)
+                             legs.contours(request, comp, mixed_t), legs, mixed_t)
+    (v1, _, _), (v2, tail, floor) = quad(nodes), quad(2 * nodes)
     while abs(v2 - v1) > request.tol and 4 * nodes <= request.max_nodes:
         nodes *= 2
-        v1, (v2, tail) = v2, quad(2 * nodes)
-    return v2, abs(v2 - v1) + tail
+        v1, (v2, tail, floor) = v2, quad(2 * nodes)
+    return v2, abs(v2 - v1) + tail + floor
 
 
 def _quad_tensor(request, comp, contours, legs, mixed_t, nodes) -> tuple[complex, float]:
@@ -310,7 +253,10 @@ def _quad_tensor(request, comp, contours, legs, mixed_t, nodes) -> tuple[complex
     so that no two of them coincide while every axis keeps step h. The
     integrand's factors are contracted one at a time and never multiplied
     out on the full mesh, so the largest array is the largest factor or
-    contraction intermediate. Returns the value and the tail estimate."""
+    contraction intermediate. Returns the value, the tail estimate and the
+    rounding floor: eps * (number of factors + number of axes) times the
+    integral of |integrand| on the grid, which the moduli of the factors
+    give when contracted like the factors."""
     # block of each integration variable, in canonical block order
     counts = comp.as_dict()
     block_of = [blk for blk, cnt in counts.items() for _ in range(cnt)]
@@ -325,7 +271,12 @@ def _quad_tensor(request, comp, contours, legs, mixed_t, nodes) -> tuple[complex
         gamma[blk].append(grid)
     d = len(block_of)
     factors = [_along(f, d) for f in _factors(request, gamma, mixed_t, legs)]
-    return complex(_contract(factors, dict.fromkeys(range(d), w))), _tail(factors, d, w, h)
+    moduli = [(np.abs(f), axes) for f, axes in factors]
+    weights = dict.fromkeys(range(d), w)
+    # a rounding or so in each factor and in the sum over each axis, each
+    # relative to the integral of |integrand|
+    floor = (len(factors) + d) * np.finfo(float).eps * float(_contract(moduli, weights))
+    return complex(_contract(factors, weights)), _tail(moduli, d, w, h), floor
 
 
 def _along(f, d):
@@ -362,20 +313,21 @@ def _contract(factors, weights):
     return scale * np.einsum(*shared, [], optimize="greedy") if shared else scale
 
 
-def _tail(factors, d, w, h) -> float:
-    """Estimate of the integral of |integrand| beyond +-L: on each end slice
-    of each axis, |f| decays like exp(-kappa t), with kappa read from that
-    slice and its inner neighbour, so the tail is |f(L)| / kappa (an upper
-    bound where, as here, the decay steepens outward). Infinite if |f| does
-    not decrease toward an end. |f| is the product of the |factor|s, so a
-    slice takes only the factors along its axis at that index."""
+def _tail(moduli, d, w, h) -> float:
+    """Estimate of the integral of |integrand| beyond +-L, from the moduli
+    of its factors (pairs from _along): on each end slice of each axis, |f|
+    decays like exp(-kappa t), with kappa read from that slice and its inner
+    neighbour, so the tail is |f(L)| / kappa (an upper bound where, as here,
+    the decay steepens outward). Infinite if |f| does not decrease toward an
+    end. |f| is the product of the moduli, so a slice takes only the moduli
+    along its axis at that index."""
     tail = 0.0
     for ax in range(d):
         others = dict.fromkeys((a for a in range(d) if a != ax), w)
-        rest = [(np.abs(f), axes) for f, axes in factors if ax not in axes]
+        rest = [(f, axes) for f, axes in moduli if ax not in axes]
         along = [(f, axes.index(ax), tuple(a for a in axes if a != ax))
-                 for f, axes in factors if ax in axes]
-        mass = {i: float(_contract(rest + [(np.abs(np.take(f, i, axis=j)), axes)
+                 for f, axes in moduli if ax in axes]
+        mass = {i: float(_contract(rest + [(np.take(f, i, axis=j), axes)
                                            for f, j, axes in along], others))
                 for i in (0, 1, -2, -1)}
         for end, inner in ((0, 1), (-1, -2)):

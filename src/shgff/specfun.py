@@ -162,17 +162,18 @@ def log_barnes_g(z):
 def s_matrix(beta, params: ModelParams):
     """Two-body S-matrix S(beta) = (sinh beta - i sin 2 pi b)/(sinh beta + i sin 2 pi b).
     Beyond |Re beta| = 700, where S differs from its limit 1 by less than
-    1e-300 and sinh soon overflows, S is that limit."""
+    1e-300 and sinh soon overflows, S is that limit. At b = 0 it is
+    sinh beta / sinh beta, identically 1; its 0/0 at beta = 0 is removable."""
     arr, scalar = _as_array(beta)
     s = params.sin2pib
-    far = np.abs(arr.real) > 700.0
-    # a far point is evaluated at 1, where sinh cannot overflow or meet the pole
-    sh = np.sinh(np.where(far, 1.0, arr))
+    one = (np.abs(arr.real) > 700.0) | (s == 0.0)
+    # such a point is evaluated at 1, where sinh cannot overflow or meet the pole
+    sh = np.sinh(np.where(one, 1.0, arr))
     num = sh - 1j * s
     den = sh + 1j * s
     if np.any(np.abs(den) < POLE_TOL):
         raise SpecialFunctionError("s_matrix evaluated at a pole (sinh beta = -i sin 2 pi b)")
-    out = np.where(far, 1.0 + 0.0j, num / den)
+    out = np.where(one, 1.0 + 0.0j, num / den)
     return complex(out) if scalar else out
 
 
@@ -203,13 +204,18 @@ def min_form_factor(beta, params: ModelParams):
     """Minimal two-particle form factor F(beta).
 
     F(beta) = -sin(pi z)/pi * w_b(z) * w_bhat(z) with z = i beta/(2 pi); the
-    prefactor is 1/(Gamma(1+z) Gamma(-z)) by the reflection formula. F(0) = 0,
-    F(beta) -> 1 as |Re beta| -> infinity, and F(beta)/F(-beta) = S(beta).
+    prefactor is 1/(Gamma(1+z) Gamma(-z)) by the reflection formula. F(0) = 0
+    for b > 0, F(beta) -> 1 as |Re beta| -> infinity, and F(beta)/F(-beta) =
+    S(beta).
     At b_hat = b (the self-dual point b = 1/4 of the default b_hat) the two
-    quotients coincide, and one is computed and squared.
+    quotients coincide, and one is computed and squared. At b = 0 the
+    prefactor times w_0(z) = Gamma(-z) Gamma(1+z) is identically 1, also at
+    z = 0, 1, 2, ..., where it is a removable 0 * infinity, so F is w_bhat(z).
     """
     arr, scalar = _as_array(beta)
     z = 1j * arr / (2.0 * np.pi)
+    if params.b == 0.0:
+        return varpi(z, params.b_hat)
     if params.b_hat == params.b:
         lg = _log_varpi(z, params.b)
         lg *= 2.0

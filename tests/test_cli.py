@@ -234,6 +234,13 @@ def test_correlator_smeared_three_point_is_config_error(runner, tmp_path):
     assert res.exit_code == EXIT_CONFIG, res.output
 
 
+def test_specfun_free_point_at_zero_rapidity(runner):
+    # S = sinh/sinh and F = w_{1/2} at b = 0: both identically 1
+    res = runner.invoke(main, ["specfun", "--b", "0", "--beta", "0"])
+    assert res.exit_code == EXIT_OK, res.output
+    assert [float(x) for x in res.output.splitlines()[1].split(",")] == [0.0, 1.0, 0.0, 1.0, 0.0]
+
+
 def test_correlator_writes_doc(runner, tmp_path):
     cfg = json.loads(json.dumps(UNIT_CFG))
     doc = tmp_path / "report.txt"
@@ -258,6 +265,8 @@ EL_CFG["operators"] = [
 REGION_CFG = _variant(UNIT_CFG, "request", points=[[0.0, 0.0], [0.0, 1.0]])
 UNCONVERGED_CFG = _variant(UNIT_CFG, "request", nodes=4, max_nodes=8, tol=1e-12)
 DOC_CFG = _variant(UNIT_CFG, "output", doc="missing/report.txt")
+FD_DOC_CFG = _variant(UNIT_CFG, "output", doc=1)
+LIST_OUTPUT_CFG = dict(UNIT_CFG, output=[])
 
 
 def _boom(*args, **kwargs):
@@ -270,6 +279,8 @@ def _boom(*args, **kwargs):
 EXIT_TABLE = [
     pytest.param(["specfun", "--b", "0.25", "--beta", "800"], None, None, EXIT_OK, None,
                  id="specfun-ok"),
+    pytest.param(["specfun", "--b", "0", "--beta", "0"], None, None, EXIT_OK, None,
+                 id="specfun-free-point-at-zero"),
     pytest.param(["specfun", "--b", "0.7", "--beta", "1"], None, None, EXIT_CONFIG,
                  "config error: coupling b", id="specfun-bad-coupling"),
     pytest.param(["specfun", "--b", "0.25", "--beta", "1"], None, "s_matrix", EXIT_INTERNAL,
@@ -307,6 +318,10 @@ EXIT_TABLE = [
                  None, EXIT_CONFIG, "config error: [Errno 2]", id="correlator-bad-output"),
     pytest.param(["correlator", "--config", "CFG"], DOC_CFG, None, EXIT_CONFIG,
                  "config error: [Errno 2]", id="correlator-bad-doc"),
+    pytest.param(["correlator", "--config", "CFG"], FD_DOC_CFG, "compute_W_r", EXIT_CONFIG,
+                 "config error: bad output section", id="correlator-doc-not-a-path"),
+    pytest.param(["correlator", "--config", "CFG"], LIST_OUTPUT_CFG, "compute_W_r",
+                 EXIT_CONFIG, "config error: bad output section", id="correlator-output-list"),
     pytest.param(["correlator", "--config", "CFG"], EL_CFG, None, EXIT_CONFIG,
                  "config error: no coefficient provided for n = 2",
                  id="correlator-missing-coefficient"),

@@ -1,4 +1,5 @@
 """Truncated correlators: Bessel oracle, contour invariance, symmetries."""
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -9,12 +10,13 @@ import shgff.formfactor
 from shgff.combin import CompositionVector, blocks, enumerate_compositions
 from shgff.correlator import (
     ContourLadder, CorrelatorRequest, GaussianSmearing, RegionError, SpacetimePoint,
-    _PointLegs, _quad_tensor, _SmearedLegs, check_region, compute_I_n, compute_W_r,
-    compute_W_r_mixed, default_ladder, eta_max, integrand, smeared_correlator,
+    _PointLegs, _quad_tensor, _SmearedLegs, _sum_compositions, check_region, compute_I_n,
+    compute_W_r, compute_W_r_mixed, default_ladder, eta_max, integrand, smeared_correlator,
 )
 from shgff.formfactor import (
     ExponentialPn, KTransformProvider, OperatorSpec, load_operator,
 )
+from shgff.ladder import _clearances, _spread_ladder
 from shgff.specfun import ModelParams
 
 P = ModelParams(b=0.25)
@@ -117,14 +119,30 @@ def test_two_point_near_light_cone():
 
 def test_two_point_truncation_error_is_estimated():
     # near the light cone the plane wave decays like exp(-rho sin(eta) cosh t):
-    # at L = 8 the tails beyond +-L are 7.9e-9, above tol
+    # on default_ladder's contour, eta = eta_max / 2, at L = 8 the tails
+    # beyond +-L are 7.9e-9, above tol
     want = k0(np.sqrt(1.0 - 0.999 ** 2)) / np.pi
-    res = compute_W_r(_req([(0.999, 1.0), (0.0, 0.0)], (1,)))
+    low = ContourLadder(2, {(2, 1): eta_max(P) / 2})
+    res = compute_W_r(_req([(0.999, 1.0), (0.0, 0.0)], (1,), ladder=low))
     assert abs(res.value - want) <= res.error
     assert res.converged is False
-    res = compute_W_r(_req([(0.999, 1.0), (0.0, 0.0)], (1,), L=10.0))
+    res = compute_W_r(_req([(0.999, 1.0), (0.0, 0.0)], (1,), ladder=low, L=10.0))
     assert res.converged is True
     assert abs(res.value - want) < 1e-12
+
+
+def test_two_point_near_light_cone_error_covers_the_rounding():
+    # on the contour eta = pi / 2 two levels agree to the last bit, so the
+    # claimed error is the rounding floor eps * int |f|, which must still
+    # cover the distance to K0(rho) / pi
+    with mpmath.workdps(30):
+        rho = mpmath.sqrt(1 - mpmath.mpf(0.999) ** 2)
+        want = complex(mpmath.besselk(0, rho) / mpmath.pi)
+    res = compute_W_r(_req([(0.999, 1.0), (0.0, 0.0)], (1,)))
+    assert res.converged is True
+    assert abs(res.value - want) <= res.error < 1e-14
+    # the integrand is positive there, so int |f| is 2 pi W
+    assert res.error >= 0.99 * np.finfo(float).eps * abs(res.value)
 
 
 def test_two_point_two_particle_factorizes():
@@ -159,6 +177,100 @@ def test_ladder_invariance_three_point():
         vals.append(val)
     for v in vals[1:]:
         assert abs(v - vals[0]) < 1e-9 * max(1.0, abs(vals[0]))
+
+
+# ---------------------------------------------------------------------------
+# ladders placed per composition
+# ---------------------------------------------------------------------------
+
+def _clearance(req, comp, mixed_t, ladder):
+    """The distance from the contours of an equally spaced ladder to the
+    nearest singularity of the composition's integrand."""
+    slope, offset = _clearances(req, comp, mixed_t).T
+    return np.min(slope * min(e for e in ladder.eta.values() if e > 0) + offset)
+
+
+def _kt_ops(params, k):
+    op = OperatorSpec("kt", 0.0, 0.0, 0.0,
+                      KTransformProvider(ExponentialPn(params, t=0.3), params))
+    return [op] * k
+
+
+def test_kt3pt_ladders_keep_pi_over_3_from_every_singularity():
+    # (1,0,1): the legs need 0 < eta < pi, and the middle operator's F_2 is
+    # singular where pi + eta21 - eta32 meets pi Z; (0,1,0): the legs only
+    req = _req(X3, (1, 1), ops=[KT] * 3)
+    comp = CompositionVector(3, (1, 0, 1))
+    lad = _spread_ladder(req, comp)
+    assert lad.eta == pytest.approx({(2, 1): np.pi / 3, (3, 1): 0.0, (3, 2): 2 * np.pi / 3},
+                                    rel=1e-14)
+    assert _clearance(req, comp, None, lad) == pytest.approx(np.pi / 3, rel=1e-14)
+    assert _clearance(req, comp, None, default_ladder(comp, P)) == pytest.approx(
+        eta_max(P) / 3, rel=1e-14)
+    comp = CompositionVector(3, (0, 1, 0))
+    assert _spread_ladder(req, comp).eta[(3, 1)] == pytest.approx(np.pi / 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("b", [0.05, 0.25, 0.45])
+def test_spread_ladder_is_never_closer_than_the_default(b):
+    params = ModelParams(b=b)
+    cases = [(X3, (1, 1), _kt_ops(params, 3)), (X3, (2, 2), None),
+             (X4, (1, 1, 1), None), (X4, (1, 2, 1), None), (X4, (1, 1, 1), _kt_ops(params, 4))]
+    for points, r, ops in cases:
+        ops = ops or [load_operator(UNIT, params) for _ in points]
+        req = CorrelatorRequest(params=params, operators=ops, r=r,
+                                points=[SpacetimePoint(*xy) for xy in points])
+        for mixed_t in (None,) + tuple(range(1, req.k + 1)):
+            for comp in enumerate_compositions(req.k, r):
+                lad = _spread_ladder(req, comp, mixed_t)
+                lad.validate(comp)
+                base = _clearance(req, comp, mixed_t, default_ladder(comp, params))
+                assert 0.0 < base <= _clearance(req, comp, mixed_t, lad), (r, mixed_t, comp)
+
+
+@pytest.mark.parametrize("case", ["kt3pt", "unit3_r11", "unit3_r22", "unit4_r111",
+                                  "unit4_r121"])
+def test_spread_ladder_matches_the_default_ladder(case):
+    # each composition on its own ladder against default_ladder on grids of
+    # up to 1536 intervals, within the sum of the two claimed errors
+    points, r, ops = {"kt3pt": (X3, (1, 1), [KT] * 3), "unit3_r11": (X3, (1, 1), None),
+                      "unit3_r22": (X3, (2, 2), None), "unit4_r111": (X4, (1, 1, 1), None),
+                      "unit4_r121": (X4, (1, 2, 1), None)}[case]
+    req = _req(points, r, ops=ops, nodes=96, max_nodes=1536, tol=1e-10)
+    for comp in enumerate_compositions(req.k, r):
+        val, err = compute_I_n(req, comp)
+        ref, ref_err = compute_I_n(req, comp, ladder=default_ladder(comp, P))
+        assert abs(val - ref) <= err + ref_err, comp
+        assert err < 1e-9, comp
+
+
+@pytest.mark.parametrize("b", [0.05, 0.45])
+def test_t_forms_near_the_free_and_half_couplings(b):
+    # the compensating S-factors of the t-form have poles at -2 pi b and
+    # pi + 2 pi b: a ladder spread over the legs' strip alone crosses them
+    # and returns W = 0.00647 with an error of 1e-11 at t = 3, where
+    # default_ladder's value is 0.00307
+    params = ModelParams(b=b)
+    req = CorrelatorRequest(params=params, operators=[load_operator(UNIT, params)] * 4,
+                            points=[SpacetimePoint(*xy) for xy in X4], r=(1, 2, 1),
+                            nodes=48, max_nodes=768, tol=1e-9)
+    for t in (1, 2, 3, 4):
+        got = compute_W_r_mixed(req, t)
+        ref = _sum_compositions(req, t, I_n=lambda comp: compute_I_n(
+            req, comp, t, ladder=default_ladder(comp, params)))
+        assert got.converged is True
+        assert ref.error < 1e-4
+        assert abs(got.value - ref.value) <= got.error + ref.error, t
+
+
+def test_four_point_unit_correlator_converges():
+    req = _req(X4, (1, 1, 1), nodes=48, max_nodes=768, tol=1e-9)
+    res = compute_W_r(req)
+    assert res.converged is True
+    (val, err), = [(val, err) for comp, val, err, _ in res.breakdown
+                   if comp.total == 1 and comp.as_dict()[(4, 1)] == 1]
+    # one variable between the outer operators, 3 apart: int exp(-3 cosh t) dt
+    assert abs(val - 2.0 * k0(3.0)) <= max(err, 1e-15 * k0(3.0))
 
 
 def test_two_variables_of_one_block_never_coincide():
@@ -237,8 +349,9 @@ def test_scattering_factors_on_the_open_mesh_match_the_dense_mesh():
 
 
 def _dense_quad(req, comp, legs, mixed_t, nodes, gamma):
-    """The trapezoid value and tail estimate from the integrand broadcast to
-    the full (nodes + 1)^d mesh and contracted axis by axis."""
+    """The trapezoid value, tail estimate and integral of |integrand| from
+    the integrand broadcast to the full (nodes + 1)^d mesh and contracted
+    axis by axis."""
     h = 2.0 * req.L / nodes
     w = np.full(nodes + 1, h)
     w[0] = w[-1] = h / 2.0
@@ -258,9 +371,9 @@ def _dense_quad(req, comp, legs, mixed_t, nodes, gamma):
                 continue
             a_in = contract(np.abs(np.take(vals, inner, axis=ax)))
             if not a_in > a_end:
-                return contract(vals), np.inf
+                return contract(vals), np.inf, contract(np.abs(vals))
             tail += a_end * h / np.log(a_in / a_end)
-    return contract(vals), tail
+    return contract(vals), tail, contract(np.abs(vals))
 
 
 X3 = [(0.0, 1.0), (0.0, 0.0), (0.0, -1.0)]
@@ -296,6 +409,8 @@ def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
         want = _dense_quad(req, comp, legs, mixed_t, nodes, seen[0])
         assert abs(got[0] - want[0]) <= 1e-13 * abs(want[0])
         assert abs(got[1] - want[1]) <= 1e-13 * want[1]
+        floor = (len(factors(req, seen[0], mixed_t, legs)) + comp.total) * np.finfo(float).eps
+        assert abs(got[2] - floor * want[2]) <= 1e-13 * floor * want[2]
 
 
 def test_error_estimate_covers_the_true_error():
@@ -309,7 +424,7 @@ def test_error_estimate_covers_the_true_error():
             lad = ContourLadder(3, {blk: em * f for blk, f in zip(blocks(3), fr)})
             val, err = compute_I_n(req, comp, ladder=lad)
             legs = _PointLegs(req.points, lad)
-            ref, _ = _quad_tensor(req, comp, legs.contours(req, comp), legs, None, 3072)
+            ref = _quad_tensor(req, comp, legs.contours(req, comp), legs, None, 3072)[0]
             assert abs(val - ref) <= err + 1e-14 * max(1.0, abs(ref))
 
 

@@ -70,6 +70,25 @@ def test_s_matrix_free_point():
     assert abs(s_matrix(1.3, ModelParams(b=0.5)) - 1.0) < 1e-15
 
 
+def test_free_point_at_zero_rapidity():
+    # at b = 0, S = sinh(beta)/sinh(beta) and F = -sin(pi z)/pi w_0(z) w_bhat(z)
+    # with -sin(pi z)/pi w_0(z) = 1: the 0/0 and 0 * infinity at beta = 0 are
+    # removable
+    p0 = ModelParams(b=0.0)
+    assert s_matrix(0.0, p0) == 1.0
+    assert np.all(s_matrix(np.array([0.0, 1e-300, -2.0 + 0.5j]), p0) == 1.0)
+    assert min_form_factor(0.0, p0) == 1.0
+    assert np.all(min_form_factor(np.array([0.0, 1.3, -0.4 + 2.0j]), p0) == 1.0)
+    # with another dual exponent F is w_bhat, as the general formula gives off
+    # beta = 0
+    p1 = ModelParams(b=0.0, b_hat=0.3)
+    beta = np.array([0.7, -1.1 + 0.5j, 3.0])
+    z = 1j * beta / (2.0 * np.pi)
+    general = -np.sin(np.pi * z) / np.pi * varpi(z, 0.0) * varpi(z, 0.3)
+    assert np.max(np.abs(min_form_factor(beta, p1) - general) / np.abs(general)) < 1e-13
+    assert min_form_factor(0.0, p1) == pytest.approx(varpi(0.0, 0.3), rel=1e-15)
+
+
 def test_s_matrix_far_rapidity_is_its_limit():
     # sinh overflows past |Re beta| ~ 710, where S is 1 to double precision
     with warnings.catch_warnings():
