@@ -13,11 +13,11 @@ A kernel term is fully determined by
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .combin import Slot, concat, iter_partitions, reverse_word, s_product
 from .formfactor import OperatorSpec
@@ -165,6 +165,14 @@ _PROBE_DELTA = 1e-3
 _PAIR_CHUNK = 1 << 16
 
 
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [-1, 1]; shared by every pass, so read-only."""
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
+
+
 def _rule_1d(poles: Sequence[tuple], L: float, nodes: int, eps: float = 0.0,
              delta: float = _PROBE_DELTA) -> tuple[np.ndarray, np.ndarray]:
     """Linear rule (x, w), sum_i w_i g(x_i), for the integral over [-L, L] of
@@ -181,7 +189,7 @@ def _rule_1d(poles: Sequence[tuple], L: float, nodes: int, eps: float = 0.0,
     i pi side_r times the residue), with a 4-point symmetric probe of radius
     delta (error O(delta^4)). With no poles the rule is plain Gauss-Legendre.
     """
-    xs, ws = roots_legendre(nodes)
+    xs, ws = _gauss_legendre(nodes)
     xs, ws = L * xs + 0j, L * ws
     ps = np.array([p for p, _ in poles], dtype=float)
     sides = np.array([side for _, side in poles], dtype=float)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.special import loggamma
 
 # zeta'(-1), 20 digits
 ZETA_PRIME_MINUS_ONE = -0.16542114370045092921
@@ -68,27 +67,13 @@ class ModelParams:
 
     @property
     def sin2pib(self) -> float:
-        return float(np.sin(2.0 * np.pi * self.b))
+        """sin 2 pi b; exactly 0 at b = 1/2, where np.sin(pi) is 1.2e-16."""
+        return float(np.sin(2.0 * np.pi * self.b)) if self.b < 0.5 else 0.0
 
 
 def _as_array(z):
     arr = np.asarray(z, dtype=complex)
     return arr, (arr.ndim == 0)
-
-
-def _reject_nonpositive_integers(arr, message: str):
-    """Raise SpecialFunctionError(message) if an element is within POLE_TOL of 0, -1, -2, ..."""
-    near_int = np.abs(arr - np.round(arr.real)) < POLE_TOL
-    if np.any(near_int & (np.round(arr.real) <= 0)):
-        raise SpecialFunctionError(message)
-
-
-def log_gamma(z):
-    """Principal branch of log Gamma; errors out at the poles (z = 0, -1, ...)."""
-    arr, scalar = _as_array(z)
-    _reject_nonpositive_integers(arr, "log_gamma evaluated at a non-positive integer")
-    out = loggamma(arr)
-    return complex(out) if scalar else out
 
 
 def _horner(coeffs, u):
@@ -102,78 +87,116 @@ def _horner(coeffs, u):
 # Shifts push Re w to at least this radius, where the first omitted terms of
 # both tails are below 3e-18 (at 10 they would be 2e-20, but the larger shift
 # costs two more log passes and doubles the rounding error near Re z = 1)
-_BARNES_SHIFT_RADIUS = 8.0
+_SHIFT_RADIUS = 8.0
 # Elements evaluated together, so that their temporaries stay in cache
-_BARNES_CHUNK = 8192
+_CHUNK = 8192
+
+
+def _shift(z):
+    """n = max(0, ceil(9 - Re z)) and w = z + n - 1 (so Re w >= 8), with
+    log w, u = 1/w^2 and the Stirling series of log Gamma(1+w)."""
+    n = np.maximum(0.0, np.ceil(_SHIFT_RADIUS + 1.0 - z.real))
+    w = z + (n - 1.0)
+    lw, u = np.log(w), 1.0 / (w * w)
+    return n, w, lw, u, (w + 0.5) * lw - w + LOG_SQRT_TWO_PI + _horner(_GAMMA_TAIL, u) / w
+
+
+def _log_rising(z, n, weight):
+    """sum_{i<n} weight(i) log(z+i), with log(z+i) = log|z+i| + i arg(z+i);
+    the sign of a zero Im z picks the side of the negative real axis."""
+    x, y = z.real, z.imag
+    re, im = np.zeros_like(x), np.zeros_like(x)
+    y2 = y * y
+    nmin = n.min()
+    for i in range(int(n.max())):
+        # weight(i) where i < n, 0 elsewhere
+        c = weight(i) if i < nmin else np.where(n > i, weight(i), 0.0)
+        xi = x + i
+        re += c * np.log(xi * xi + y2)
+        im += c * np.arctan2(y, xi)
+    return 0.5 * re + 1j * im
+
+
+def _log_gamma_flat(z):
+    """log Gamma(z) on a 1-D array that has no pole of Gamma."""
+    left = z.real < 0.0
+    v = np.where(left, 1.0 - z, z)
+    n, _, _, _, lgam = _shift(v)
+    out = lgam - _log_rising(v, n, lambda i: 1.0)
+    if left.any():
+        # log pi - log sin(pi z) - log Gamma(1-z), where the branch log sin(pi z) =
+        # -i s pi (z - 1/2) - log 2 + log(1 - e^(2 i s pi z)), s = sign(Im z), does not
+        # overflow, is continuous on each closed half-plane and is 0 at z = 1/2
+        zl = z[left]
+        s = 1j * np.pi * np.copysign(1.0, zl.imag)
+        out[left] = (2.0 * LOG_SQRT_TWO_PI + s * (zl - 0.5) - out[left]
+                     - np.log(-np.expm1(2.0 * s * (zl - np.round(zl.real)))))
+    return out
 
 
 def _log_barnes_flat(z):
     """log G(z) on a 1-D array that has no zero of G."""
-    x, y = z.real, z.imag
-    n = np.maximum(0.0, np.ceil(_BARNES_SHIFT_RADIUS + 1.0 - x))
-    w = z + (n - 1.0)
+    n, w, lw, u, lgam = _shift(z)
     w2 = w * w
-    lw = np.log(w)
-    u = 1.0 / w2
-    # log G(1+w) - n log Gamma(1+w)
+    # log G(1+w) - n log Gamma(1+w) + sum_{i<n} (i+1) log(z+i)
     out = (w2 * (0.5 * lw - 0.75) + w * LOG_SQRT_TWO_PI - lw / 12.0
-           + ZETA_PRIME_MINUS_ONE + u * _horner(_BARNES_TAIL, u)
-           - n * ((w + 0.5) * lw - w + LOG_SQRT_TWO_PI + _horner(_GAMMA_TAIL, u) / w))
-    # + sum_{i<n} (i+1) log(z+i), with log(z+i) = log|z+i| + i arg(z+i)
-    re = np.zeros_like(x)
-    im = np.zeros_like(x)
-    y2 = y * y
-    nmin = n.min()
-    for i in range(int(n.max())):
-        # weight i+1 where i < n, 0 elsewhere
-        c = i + 1.0 if i < nmin else np.where(n > i, i + 1.0, 0.0)
-        xi = x + i
-        re += c * np.log(xi * xi + y2)
-        im += c * np.arctan2(y, xi)
-    return out + (0.5 * re + 1j * im)
+           + ZETA_PRIME_MINUS_ONE + u * _horner(_BARNES_TAIL, u) - n * lgam)
+    return out + _log_rising(z, n, lambda i: i + 1.0)
+
+
+def _elementwise(flat_fn, z, message: str):
+    """flat_fn on the elements of z, chunk by chunk; raises
+    SpecialFunctionError(message) if one is within POLE_TOL of 0, -1, -2, ..."""
+    arr, scalar = _as_array(z)
+    k = np.round(arr.real)
+    if np.any((np.abs(arr - k) < POLE_TOL) & (k <= 0)):
+        raise SpecialFunctionError(message)
+    flat = arr.ravel()
+    out = np.empty_like(flat)
+    for s in range(0, flat.size, _CHUNK):
+        out[s:s + _CHUNK] = flat_fn(flat[s:s + _CHUNK])
+    return complex(out[0]) if scalar else out.reshape(arr.shape)
+
+
+def log_gamma(z):
+    """Principal branch of log Gamma; errors out at the poles (z = 0, -1, ...).
+
+    log Gamma(1+w) - sum_{i<n} log(z+i) with log_barnes_g's shift and series;
+    at Re z < 0, reflected from 1 - z (Hare, J. Algorithms 25 (1997) 221). On
+    the negative real axis the sign of a zero Im z picks the side.
+    """
+    return _elementwise(_log_gamma_flat, z, "log_gamma evaluated at a non-positive integer")
 
 
 def log_barnes_g(z):
     """log G(z) for the Barnes G-function, principal determination.
 
-    With n = max(0, ceil(9 - Re z)) and w = z + n - 1 (so Re w >= 8),
-    G(z+1) = Gamma(z) G(z) and Gamma(z+1) = z Gamma(z) give
+    With n and w = z + n - 1 (Re w >= 8) from _shift, G(z+1) = Gamma(z) G(z)
+    and Gamma(z+1) = z Gamma(z) give
         log G(z) = log G(1+w) - n log Gamma(1+w) + sum_{i<n} (i+1) log(z+i),
-    exact on the principal branches. On the negative real axis the sign of
-    a zero imaginary part picks the side, so log G(conj z) = conj log G(z)
-    exactly. log G(1+w) and log Gamma(1+w) come from their asymptotic series
-    with ten Bernoulli terms each (B_2..B_22); at |w| >= 8 the first omitted
-    term of each is below 3e-18. Each element is shifted by its own n, so its
-    value does not depend on the rest of the array. Errors out at the zeros
-    z = 0, -1, -2, ...
+    exact on the principal branches, and log G(conj z) = conj log G(z)
+    exactly. Both series at w have ten Bernoulli terms (B_2..B_22). Each
+    element is shifted by its own n, so its value does not depend on the rest
+    of the array. Errors out at the zeros z = 0, -1, -2, ...
     """
-    arr, scalar = _as_array(z)
-    _reject_nonpositive_integers(arr, "log_barnes_g evaluated at a zero of G (z <= 0 integer)")
-
-    flat = arr.ravel()
-    out = np.empty_like(flat)
-    for s in range(0, flat.size, _BARNES_CHUNK):
-        out[s:s + _BARNES_CHUNK] = _log_barnes_flat(flat[s:s + _BARNES_CHUNK])
-    if scalar:
-        return complex(out[0])
-    return out.reshape(arr.shape)
+    return _elementwise(_log_barnes_flat, z,
+                        "log_barnes_g evaluated at a zero of G (z <= 0 integer)")
 
 
 def s_matrix(beta, params: ModelParams):
     """Two-body S-matrix S(beta) = (sinh beta - i sin 2 pi b)/(sinh beta + i sin 2 pi b).
     Beyond |Re beta| = 700, where S differs from its limit 1 by less than
-    1e-300 and sinh soon overflows, S is that limit. At b = 0 it is
-    sinh beta / sinh beta, identically 1; its 0/0 at beta = 0 is removable."""
+    1e-300 and sinh soon overflows, S is that limit. At b = 0 and b = 1/2 it
+    is sinh beta / sinh beta, identically 1; its 0/0 at beta = 0 is removable."""
     arr, scalar = _as_array(beta)
     s = params.sin2pib
     one = (np.abs(arr.real) > 700.0) | (s == 0.0)
     # such a point is evaluated at 1, where sinh cannot overflow or meet the pole
     sh = np.sinh(np.where(one, 1.0, arr))
-    num = sh - 1j * s
     den = sh + 1j * s
     if np.any(np.abs(den) < POLE_TOL):
         raise SpecialFunctionError("s_matrix evaluated at a pole (sinh beta = -i sin 2 pi b)")
-    out = np.where(one, 1.0 + 0.0j, num / den)
+    out = np.where(one, 1.0 + 0.0j, (sh - 1j * s) / den)
     return complex(out) if scalar else out
 
 
@@ -210,19 +233,19 @@ def min_form_factor(beta, params: ModelParams):
     At b_hat = b (the self-dual point b = 1/4 of the default b_hat) the two
     quotients coincide, and one is computed and squared. At b = 0 the
     prefactor times w_0(z) = Gamma(-z) Gamma(1+z) is identically 1, also at
-    z = 0, 1, 2, ..., where it is a removable 0 * infinity, so F is w_bhat(z).
+    z = 0, 1, 2, ..., where it is a removable 0 * infinity, so F is w_bhat(z);
+    likewise F is w_b(z) at b_hat = 0 (b = 1/2 of the default b_hat).
     """
     arr, scalar = _as_array(beta)
     z = 1j * arr / (2.0 * np.pi)
-    if params.b == 0.0:
-        return varpi(z, params.b_hat)
+    if params.b == 0.0 or params.b_hat == 0.0:
+        return varpi(z, params.b + params.b_hat)    # the other exponent
     if params.b_hat == params.b:
         lg = _log_varpi(z, params.b)
         lg *= 2.0
     else:
         lg = _log_varpi(z, params.b_hat, _log_varpi(z, params.b))
-    pref = -np.sin(np.pi * z) / np.pi
-    out = pref * np.exp(lg)
+    out = -np.sin(np.pi * z) / np.pi * np.exp(lg)
     return complex(out) if scalar else out
 
 
@@ -234,6 +257,5 @@ def momentum(beta, params: ModelParams):
 
 def minkowski_dot(p, q):
     """Minkowski inner product p0 q0 - p1 q1 along the last axis."""
-    p = np.asarray(p)
-    q = np.asarray(q)
+    p, q = np.asarray(p), np.asarray(q)
     return p[..., 0] * q[..., 0] - p[..., 1] * q[..., 1]

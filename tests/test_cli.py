@@ -281,6 +281,9 @@ EXIT_TABLE = [
                  id="specfun-ok"),
     pytest.param(["specfun", "--b", "0", "--beta", "0"], None, None, EXIT_OK, None,
                  id="specfun-free-point-at-zero"),
+    pytest.param(["specfun", "--b", "0.5", "--beta", "0"], None, None, EXIT_OK,
+                 ",".join(f"{v:.17e}" for v in (0.0, 1.0, 0.0, 1.0, 0.0)),
+                 id="specfun-half-point-at-zero"),
     pytest.param(["specfun", "--b", "0.7", "--beta", "1"], None, None, EXIT_CONFIG,
                  "config error: coupling b", id="specfun-bad-coupling"),
     pytest.param(["specfun", "--b", "0.25", "--beta", "1"], None, "s_matrix", EXIT_INTERNAL,

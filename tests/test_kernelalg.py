@@ -11,7 +11,7 @@ from shgff.formfactor import (
     OperatorSpec, load_operator,
 )
 from shgff.kernelalg import (
-    EPS_SEQUENCE, FormalKernelSum, _rule_1d, expand_direct, expand_dual,
+    EPS_SEQUENCE, FormalKernelSum, _gauss_legendre, _rule_1d, expand_direct, expand_dual,
     expand_mixed, jump_terms, pair_numeric, pair_numeric_with_tail, term_count,
 )
 from shgff.specfun import ModelParams, s_matrix
@@ -154,6 +154,28 @@ def test_rule_1d_two_poles_match_partial_fractions():
     got = w @ (np.exp(-x * x) / ((x - 0.4) * (x + 0.7)))
     want = (_plemelj_gauss(0.4, -1) - _plemelj_gauss(-0.7, 1)) / 1.1
     assert abs(got - want) < 1e-10
+
+
+@pytest.mark.parametrize("nodes", [1, 8, 48, 96, 104, 200])
+def test_rule_1d_without_poles_is_gauss_legendre(nodes):
+    # numpy's rule agrees with scipy's and is exact up to degree 2n - 1
+    x, w = _rule_1d([], 8.0, nodes)
+    xs, ws = roots_legendre(nodes)
+    assert np.max(np.abs(x - 8.0 * xs)) < 1e-12
+    assert np.max(np.abs(w - 8.0 * ws)) < 1e-12
+    t, wt = _rule_1d([], 1.0, nodes)
+    for k in range(2 * nodes):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(wt @ t ** k - exact) < 1e-13
+
+
+def test_gauss_legendre_rule_is_cached_read_only():
+    t, w = _gauss_legendre(48)
+    assert _gauss_legendre(48)[0] is t
+    with pytest.raises(ValueError):
+        t[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
 
 
 def test_limit_matches_finite_regulator_extrapolation():
