@@ -3,6 +3,7 @@
 report the spread of each composition integral (a direct check that the
 shifted-contour representation is contour-independent)."""
 import argparse
+import dataclasses
 
 import numpy as np
 
@@ -35,7 +36,7 @@ def main():
             fr = np.sort(rng.uniform(0.05, 0.95, len(blocks(3))))
             lad = ContourLadder(3, {blk: em * f
                                     for blk, f in zip(blocks(3), fr)})
-            val, err = compute_I_n(req, comp, ladder=lad)
+            val, err = compute_I_n(dataclasses.replace(req, ladder=lad), comp)
             vals.append(val)
             print(f"  n={comp.counts} eta={[f'{em*f:.4f}' for f in fr]} "
                   f"I_n={val:.15e} err={err:.1e}")

@@ -8,6 +8,7 @@ other exception exits 5 (see Main.invoke); a usage error is click's, exit 2.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import json
 
 import click
@@ -207,15 +208,17 @@ def correlator_cmd(config_path, output_path, mixed_t, smeared, threads, tol, nod
     """Compute a truncated correlator and write a CSV breakdown."""
     cfg = _load_config(config_path)
     params = _model_from(cfg)
-    request = _request_from(cfg, params, _operators_from(cfg, params), tol, nodes, L)
+    request = dataclasses.replace(
+        _request_from(cfg, params, _operators_from(cfg, params), tol, nodes, L),
+        mixed_t=mixed_t)
     doc_path = _doc_from(cfg)
     if smeared:
         result = smeared_correlator(request, _smearings_from(cfg))
     elif threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            result = _sum_compositions(request, mixed_t, pool.map)
+            result = _sum_compositions(request, pool.map)
     else:
-        result = compute_W_r(request, mixed_t=mixed_t)
+        result = compute_W_r(request)
 
     lines = ["composition,re_I,im_I,err,phase_re,phase_im"]
     for comp, val, err, ph in result.breakdown:

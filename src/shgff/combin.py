@@ -211,8 +211,9 @@ def omega_ba(b: int, a: int, omegas: Sequence[float]) -> float:
     return float(sum(omegas[ell - 1] for ell in range(a + 1, b + 1)))
 
 
-def omega_ba_t(b: int, a: int, t: int, omegas: Sequence[float]) -> float:
-    """Same as omega_ba but skipping the distinguished operator t."""
+def omega_ba_t(b: int, a: int, t: int | None, omegas: Sequence[float]) -> float:
+    """Same as omega_ba but skipping the distinguished operator t; with
+    t = None it sums the same terms in the same order as omega_ba."""
     return float(sum(omegas[ell - 1] for ell in range(a + 1, b + 1) if ell != t))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .combin import (
     CompositionVector, _operator_word, _scattering_pairs, blocks, enumerate_compositions,
-    omega_ba, omega_ba_t,
+    omega_ba_t,
 )
 from .formfactor import OperatorSpec, _pairwise
 # default_ladder and eta_max stay importable from here
@@ -60,16 +60,19 @@ def check_region(points: Sequence[SpacetimePoint]) -> bool:
 
 @dataclasses.dataclass
 class CorrelatorRequest:
-    """One truncated correlator. Each integration variable runs over
-    [-L, L] on its contour with a uniform trapezoid grid of `nodes`
-    intervals at the first level; the step is halved until two levels agree
-    to `tol` or a level would exceed `max_nodes` intervals. Every composition
-    evaluates at least two levels, so `max_nodes` must be at least
-    2 * `nodes` (ValueError otherwise). Without a `ladder`, each composition
-    is integrated on its own equally spaced ladder, placed as far from the
-    singularities of its integrand as its factors allow (see
-    ladder._spread_ladder); for the three-point function at b = 1/4 that
-    distance is pi / 3, against 0.13 on default_ladder."""
+    """One truncated correlator, and the only description of how it is
+    evaluated: no correlator function takes a ladder, grid or representation
+    of its own. Each integration variable runs over [-L, L] on its contour with
+    a uniform trapezoid grid of `nodes` intervals at the first level; the
+    step is halved until two levels agree to `tol` or a level would exceed
+    `max_nodes` intervals. Every composition evaluates at least two levels,
+    so `max_nodes` must be at least 2 * `nodes` (ValueError otherwise).
+    Without a `ladder`, each composition is integrated on its own equally
+    spaced ladder, placed as far from the singularities of its integrand as
+    its factors allow (see ladder._spread_ladder); for the three-point
+    function at b = 1/4 that distance is pi / 3, against 0.13 on
+    default_ladder. `mixed_t`, one of 1..k, asks for the t-distinguished
+    representation with operator t distinguished (see compute_W_r_mixed)."""
 
     params: ModelParams
     operators: Sequence[OperatorSpec]     # O_1 ... O_k
@@ -80,6 +83,7 @@ class CorrelatorRequest:
     L: float = 8.0
     max_nodes: int = 3072
     tol: float = 1e-9
+    mixed_t: int | None = None
 
     def __post_init__(self):
         if self.nodes < 1:
@@ -91,20 +95,21 @@ class CorrelatorRequest:
         if self.max_nodes < 2 * self.nodes:
             raise ValueError(f"max_nodes must be at least 2 * nodes = {2 * self.nodes}, "
                              f"got {self.max_nodes}")
+        if self.mixed_t is not None and not 1 <= self.mixed_t <= self.k:
+            raise ValueError(f"mixed_t must be in 1..{self.k}")
 
     @property
     def k(self) -> int:
         return len(self.operators)
 
 
-def _form_factors(request: CorrelatorRequest, gamma: dict, mixed_t: int | None
-                  ) -> list:
+def _form_factors(request: CorrelatorRequest, gamma: dict) -> list:
     """F^(O_p) of each operator on its incoming/outgoing rapidity word;
     gamma maps block -> list of contour points (arrays that broadcast)."""
     out = []
     for p, op in enumerate(request.operators, start=1):
         args = []
-        for blk, shift in _operator_word(request.k, p, mixed_t):
+        for blk, shift in _operator_word(request.k, p, request.mixed_t):
             vs = gamma[blk]
             args.extend([v + 1j * shift for v in reversed(vs)] if shift else vs)
         out.append(op.provider.evaluate(args))
@@ -117,7 +122,7 @@ class _PointLegs:
     variable of block (b, a), evaluated in light-cone form,
     p.x = m (e^gamma (x0 - x1) + e^-gamma (x0 + x1)) / 2, whose two terms do
     not cancel near the light cone as m cosh(gamma) x0 and m sinh(gamma) x1
-    do. Contours follow the given ladder, or else the composition's own
+    do. Contours follow request.ladder, or else the composition's own
     ladder (ladder._spread_ladder), which keeps each contour at the largest
     distance d from the integrand's singularities that equal spacing allows,
     with every eta in the plane waves' strip of decay 0 < eta < pi. Each
@@ -125,17 +130,14 @@ class _PointLegs:
     of x_b - x_a, where its plane waves peak; a real shift of a full-line
     integral is exact."""
 
-    def __init__(self, points: Sequence[SpacetimePoint],
-                 ladder: ContourLadder | None = None):
+    def __init__(self, points: Sequence[SpacetimePoint]):
         if not check_region(points):
             raise RegionError("points must be space-like separated with decreasing "
                               "spatial coordinates along the operator list")
         self.xs = [pt.as_array() for pt in points]
-        self.ladder = ladder
 
-    def contours(self, request: CorrelatorRequest, comp: CompositionVector,
-                 mixed_t: int | None = None) -> dict:
-        ladder = self.ladder or request.ladder or _spread_ladder(request, comp, mixed_t)
+    def contours(self, request: CorrelatorRequest, comp: CompositionVector) -> dict:
+        ladder = request.ladder or _spread_ladder(request, comp)
         ladder.validate(comp)
         out = {}
         for (b, a), cnt in comp.as_dict().items():
@@ -163,8 +165,7 @@ class _SmearedLegs:
     def __init__(self, smearings: Sequence[GaussianSmearing]):
         self.smearings = smearings
 
-    def contours(self, request: CorrelatorRequest, comp: CompositionVector,
-                 mixed_t: int | None = None) -> dict:
+    def contours(self, request: CorrelatorRequest, comp: CompositionVector) -> dict:
         return dict.fromkeys(blocks(comp.k), 0j)
 
     def factors(self, params: ModelParams, gamma: dict) -> list:
@@ -177,68 +178,57 @@ class _SmearedLegs:
         return [g.fourier(qs[..., 0], qs[..., 1]) for g, qs in zip(self.smearings, q[1:])]
 
 
-def _factors(request: CorrelatorRequest, gamma: dict, mixed_t: int | None = None,
-             legs=None) -> list:
+def _factors(request: CorrelatorRequest, gamma: dict, legs) -> list:
     """The factors whose product is the integrand: the S-factor of each pair of
     variables in scattering blocks, the legs' factors (a plane wave per
     variable, or a Gaussian transform per operator) and the form factor of
     each operator. Each is a scalar or an array that broadcasts against the
     contour points."""
     params = request.params
-    legs = legs or _PointLegs(request.points)
     return ([_pairwise(lambda d: s_matrix(d, params), u, v)
-             for blk1, blk2 in _scattering_pairs(request.k, mixed_t)
+             for blk1, blk2 in _scattering_pairs(request.k, request.mixed_t)
              for u in gamma.get(blk1, ()) for v in gamma.get(blk2, ())]
-            + legs.factors(params, gamma) + _form_factors(request, gamma, mixed_t))
+            + legs.factors(params, gamma) + _form_factors(request, gamma))
 
 
-def integrand(request: CorrelatorRequest, comp: CompositionVector, gamma: dict,
-              mixed_t: int | None = None, legs=None):
+def integrand(request: CorrelatorRequest, comp: CompositionVector, gamma: dict, legs=None):
     """S-factors x external-leg factors x form-factor product at the given
     contour points (each gamma[blk] a list of complex arrays, broadcastable).
     The legs default to plane waves at request.points."""
-    return functools.reduce(operator.mul, _factors(request, gamma, mixed_t, legs), 1.0 + 0.0j)
+    legs = legs or _PointLegs(request.points)
+    return functools.reduce(operator.mul, _factors(request, gamma, legs), 1.0 + 0.0j)
 
 
-def _composition_phase(comp: CompositionVector, operators, mixed_t: int | None) -> complex:
-    omegas = [op.omega for op in operators]
+def _composition_phase(comp: CompositionVector, request: CorrelatorRequest) -> complex:
+    omegas = [op.omega for op in request.operators]
     ph = 0.0
     for (b, a), cnt in comp.as_dict().items():
-        if cnt == 0:
-            continue
-        w = omega_ba(b, a, omegas) if mixed_t is None else omega_ba_t(b, a, mixed_t, omegas)
-        ph += cnt * w
+        if cnt:
+            ph += cnt * omega_ba_t(b, a, request.mixed_t, omegas)
     return np.exp(-2j * np.pi * ph)
 
 
-def compute_I_n(request: CorrelatorRequest, comp: CompositionVector,
-                mixed_t: int | None = None, nodes: int | None = None,
-                ladder: ContourLadder | None = None) -> tuple[complex, float]:
+def compute_I_n(request: CorrelatorRequest, comp: CompositionVector) -> tuple[complex, float]:
     """The multidimensional contour integral of one composition with the
     operators at request.points, and an error estimate: the change from
-    halving the grid step plus the truncated tails beyond +-L. nodes
-    overrides request.nodes, the intervals per axis of the first grid; like
-    it, it must be at most request.max_nodes / 2. Deterministic: the
-    integrand's factors are contracted in an order fixed by which axes each
-    varies along, so a composition gives the same bits on every call."""
-    return _refine(request, comp, _PointLegs(request.points, ladder), mixed_t, nodes)
+    halving the grid step plus the truncated tails beyond +-L. The ladder,
+    the first grid and the representation are the request's; evaluate
+    another with dataclasses.replace(request, ladder=..., nodes=...).
+    Deterministic: the integrand's factors are contracted in an order fixed
+    by which axes each varies along, so a composition gives the same bits on
+    every call."""
+    return _refine(request, comp, _PointLegs(request.points))
 
 
-def _refine(request, comp, legs, mixed_t=None, nodes=None) -> tuple[complex, float]:
-    """Trapezoid rule on the legs' contours with `nodes` intervals per axis
-    over [-L, L], halving the step until two successive grids agree to
+def _refine(request, comp, legs) -> tuple[complex, float]:
+    """Trapezoid rule on the legs' contours with request.nodes intervals per
+    axis over [-L, L], halving the step until two successive grids agree to
     request.tol or the next grid would exceed request.max_nodes intervals.
     The error is that agreement plus the finest grid's tail estimate and
     rounding floor; neither drives the refinement, since a smaller step
     shrinks neither."""
-    if mixed_t is not None and not (1 <= mixed_t <= request.k):
-        raise ValueError(f"mixed_t must be in 1..{request.k}")
-    nodes = nodes or request.nodes
-    if 2 * nodes > request.max_nodes:
-        raise ValueError(f"max_nodes = {request.max_nodes} is below the second grid "
-                         f"level, 2 * nodes = {2 * nodes}")
-    quad = functools.partial(_quad_tensor, request, comp,
-                             legs.contours(request, comp, mixed_t), legs, mixed_t)
+    nodes = request.nodes
+    quad = functools.partial(_quad_tensor, request, comp, legs.contours(request, comp), legs)
     (v1, _, _), (v2, tail, floor) = quad(nodes), quad(2 * nodes)
     while abs(v2 - v1) > request.tol and 4 * nodes <= request.max_nodes:
         nodes *= 2
@@ -246,7 +236,7 @@ def _refine(request, comp, legs, mixed_t=None, nodes=None) -> tuple[complex, flo
     return v2, abs(v2 - v1) + tail + floor
 
 
-def _quad_tensor(request, comp, contours, legs, mixed_t, nodes) -> tuple[complex, float]:
+def _quad_tensor(request, comp, contours, legs, nodes) -> tuple[complex, float]:
     """Tensor trapezoid rule, `nodes` intervals of step h per axis over
     [-L, L] shifted to each variable's contour, on an open mesh.
     The j-th of the c variables of one block is further shifted by j h / c,
@@ -270,7 +260,7 @@ def _quad_tensor(request, comp, contours, legs, mixed_t, nodes) -> tuple[complex
     for blk, grid in zip(block_of, np.meshgrid(*axes, indexing="ij", sparse=True)):
         gamma[blk].append(grid)
     d = len(block_of)
-    factors = [_along(f, d) for f in _factors(request, gamma, mixed_t, legs)]
+    factors = [_along(f, d) for f in _factors(request, gamma, legs)]
     moduli = [(np.abs(f), axes) for f, axes in factors]
     weights = dict.fromkeys(range(d), w)
     # a rounding or so in each factor and in the sum over each axis, each
@@ -355,19 +345,18 @@ class CorrelatorResult:
         return "\n".join(lines)
 
 
-def _sum_compositions(request: CorrelatorRequest, mixed_t: int | None = None,
-                      map_=map, I_n=None) -> CorrelatorResult:
+def _sum_compositions(request: CorrelatorRequest, map_=map, I_n=None) -> CorrelatorResult:
     """Sum of phase * I_n / (n! (2 pi)^{|n|}) over the compositions of
     request.r. I_n maps a composition to (value, error) and defaults to
     compute_I_n; map_ (an executor's map, say) may evaluate the compositions
     concurrently, while the sum always runs in composition order."""
-    I_n = I_n or functools.partial(compute_I_n, request, mixed_t=mixed_t)
+    I_n = I_n or functools.partial(compute_I_n, request)
     comps = enumerate_compositions(request.k, tuple(request.r))
     total = 0.0 + 0.0j
     err_total = 0.0
     breakdown = []
     for comp, (val, err) in zip(comps, map_(I_n, comps)):
-        ph = _composition_phase(comp, request.operators, mixed_t)
+        ph = _composition_phase(comp, request)
         weight = ph / (comp.factorial_weight() * (2.0 * np.pi) ** comp.total)
         total += weight * val
         err_total += abs(weight) * err
@@ -376,18 +365,17 @@ def _sum_compositions(request: CorrelatorRequest, mixed_t: int | None = None,
     return CorrelatorResult(total, err_total, breakdown, converged)
 
 
-def compute_W_r(request: CorrelatorRequest, mixed_t: int | None = None
-                ) -> CorrelatorResult:
+def compute_W_r(request: CorrelatorRequest) -> CorrelatorResult:
     """Truncated correlator: sum over compositions of
     phase * I_n / (n! (2 pi)^{|n|})."""
-    return _sum_compositions(request, mixed_t)
+    return _sum_compositions(request)
 
 
 def compute_W_r_mixed(request: CorrelatorRequest, t: int) -> CorrelatorResult:
     """The t-distinguished representation of the same truncated correlator:
     operator t takes its conjugate-ordered form-factor word, the scattering
     word acquires the compensating factors, and the locality phases skip t."""
-    return compute_W_r(request, mixed_t=t)
+    return compute_W_r(dataclasses.replace(request, mixed_t=t))
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +411,14 @@ def smeared_correlator(request: CorrelatorRequest,
     exp(-w^2 q^2 / 2) of the middle operator grows like
     exp(c e^{2 |Re gamma|}) (for w = 0.3 on the default ladder at b = 1/4 its
     exponent is +1.06 at Re gamma = 4 and +3160 at Re gamma = 8).
-    request.points and request.ladder are not used.
+    request.points and request.ladder are not used, and a request with
+    mixed_t is refused with ValueError: there is no t-distinguished form.
     """
     if len(smearings) != request.k:
         raise ValueError("one smearing per operator required")
     if request.k > 2:
         raise ValueError("smeared correlators are two-point only (k <= 2)")
+    if request.mixed_t is not None:
+        raise ValueError("smeared correlators have no t-distinguished form")
     legs = _SmearedLegs(smearings)
     return _sum_compositions(request, I_n=lambda comp: _refine(request, comp, legs))

@@ -71,8 +71,7 @@ def default_ladder(comp: CompositionVector, params: ModelParams) -> ContourLadde
     return ContourLadder(comp.k, eta)
 
 
-def _clearances(request: CorrelatorRequest, comp: CompositionVector,
-                mixed_t: int | None = None) -> np.ndarray:
+def _clearances(request: CorrelatorRequest, comp: CompositionVector) -> np.ndarray:
     """Rows (slope, offset): the imaginary distance slope * step + offset from
     the contours of an equally spaced ladder, eta^(ba) = rank * step over the
     occupied blocks in canonical order (rank 1, 2, ...), to each singularity
@@ -99,10 +98,11 @@ def _clearances(request: CorrelatorRequest, comp: CompositionVector,
         for c in (params.b, params.b_hat)])
     diffs = [(i, 0.0, np.array([0.0, np.pi])) for i in rank.values()]
     diffs += [(rank[u] - rank[v], 0.0, s_poles)
-              for u, v in _scattering_pairs(request.k, mixed_t) if u in rank and v in rank]
+              for u, v in _scattering_pairs(request.k, request.mixed_t)
+              if u in rank and v in rank]
     for p, op in enumerate(request.operators, start=1):
         if not op.provider.pole_free:
-            word = [(blk, shift) for blk, shift in _operator_word(request.k, p, mixed_t)
+            word = [(blk, shift) for blk, shift in _operator_word(request.k, p, request.mixed_t)
                     if blk in rank]
             diffs += [(rank[u] - rank[v], su - sv, f_poles)
                       for (u, su), (v, sv) in itertools.combinations(word, 2)]
@@ -117,15 +117,14 @@ def _clearances(request: CorrelatorRequest, comp: CompositionVector,
     return np.array(sorted(rows), dtype=float).reshape(-1, 2)
 
 
-def _spread_ladder(request: CorrelatorRequest, comp: CompositionVector,
-                   mixed_t: int | None = None) -> ContourLadder:
+def _spread_ladder(request: CorrelatorRequest, comp: CompositionVector) -> ContourLadder:
     """The equally spaced ladder eta^(ba) = rank * step whose step puts the
     contours as far from every singularity of the composition's integrand as
     the cell of small steps allows (see _clearances), which is where
     default_ladder lies: the trapezoid error falls like exp(-2 pi d / h) in
     that distance d. Raises default_ladder's ValueError where it does."""
     ladder = default_ladder(comp, request.params)
-    rows = _clearances(request, comp, mixed_t)
+    rows = _clearances(request, comp)
     if not rows.size:
         return ladder
     slope, offset = rows.T

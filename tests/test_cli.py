@@ -264,6 +264,9 @@ EL_CFG["operators"] = [
     for name in ("E1", "E2")]
 REGION_CFG = _variant(UNIT_CFG, "request", points=[[0.0, 0.0], [0.0, 1.0]])
 UNCONVERGED_CFG = _variant(UNIT_CFG, "request", nodes=4, max_nodes=8, tol=1e-12)
+SMEARED_CFG = _variant(UNIT_CFG, "request", smearings=[
+    {"center": [0.0, 1.0], "width": [0.05, 0.05]},
+    {"center": [0.0, 0.0], "width": [0.05, 0.05]}])
 DOC_CFG = _variant(UNIT_CFG, "output", doc="missing/report.txt")
 FD_DOC_CFG = _variant(UNIT_CFG, "output", doc=1)
 LIST_OUTPUT_CFG = dict(UNIT_CFG, output=[])
@@ -335,6 +338,14 @@ EXIT_TABLE = [
                  id="correlator-region-threads"),
     pytest.param(["correlator", "--config", "CFG", "--threads", "0"], UNIT_CFG, None,
                  EXIT_CONFIG, "Error: Invalid value for '--threads'", id="correlator-no-threads"),
+    pytest.param(["correlator", "--config", "CFG", "--mixed", "2"], UNIT_CFG, None, EXIT_OK,
+                 None, id="correlator-mixed"),
+    pytest.param(["correlator", "--config", "CFG", "--mixed", "5"], UNIT_CFG, None,
+                 EXIT_CONFIG, "config error: mixed_t must be in 1..2", id="correlator-bad-mixed"),
+    pytest.param(["correlator", "--config", "CFG", "--smeared", "--mixed", "2"], SMEARED_CFG,
+                 None, EXIT_CONFIG,
+                 "config error: smeared correlators have no t-distinguished form",
+                 id="correlator-smeared-mixed"),
     pytest.param(["correlator", "--config", "CFG"], UNCONVERGED_CFG, None, EXIT_NONCONVERGED,
                  "non-convergence: error estimate", id="correlator-unconverged"),
     pytest.param(["correlator", "--config", "CFG"], UNIT_CFG, "compute_W_r", EXIT_INTERNAL,

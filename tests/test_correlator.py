@@ -1,4 +1,6 @@
 """Truncated correlators: Bessel oracle, contour invariance, symmetries."""
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -173,7 +175,7 @@ def test_ladder_invariance_three_point():
     vals = []
     for (e1, e2) in [(0.2, 0.8), (0.4, 0.6), (0.1, 0.95)]:
         lad = ContourLadder(3, {(2, 1): e1 * em, (3, 1): 0.0, (3, 2): e2 * em})
-        val, _ = compute_I_n(req, comp, ladder=lad)
+        val, _ = compute_I_n(dataclasses.replace(req, ladder=lad), comp)
         vals.append(val)
     for v in vals[1:]:
         assert abs(v - vals[0]) < 1e-9 * max(1.0, abs(vals[0]))
@@ -183,10 +185,10 @@ def test_ladder_invariance_three_point():
 # ladders placed per composition
 # ---------------------------------------------------------------------------
 
-def _clearance(req, comp, mixed_t, ladder):
+def _clearance(req, comp, ladder):
     """The distance from the contours of an equally spaced ladder to the
     nearest singularity of the composition's integrand."""
-    slope, offset = _clearances(req, comp, mixed_t).T
+    slope, offset = _clearances(req, comp).T
     return np.min(slope * min(e for e in ladder.eta.values() if e > 0) + offset)
 
 
@@ -204,8 +206,8 @@ def test_kt3pt_ladders_keep_pi_over_3_from_every_singularity():
     lad = _spread_ladder(req, comp)
     assert lad.eta == pytest.approx({(2, 1): np.pi / 3, (3, 1): 0.0, (3, 2): 2 * np.pi / 3},
                                     rel=1e-14)
-    assert _clearance(req, comp, None, lad) == pytest.approx(np.pi / 3, rel=1e-14)
-    assert _clearance(req, comp, None, default_ladder(comp, P)) == pytest.approx(
+    assert _clearance(req, comp, lad) == pytest.approx(np.pi / 3, rel=1e-14)
+    assert _clearance(req, comp, default_ladder(comp, P)) == pytest.approx(
         eta_max(P) / 3, rel=1e-14)
     comp = CompositionVector(3, (0, 1, 0))
     assert _spread_ladder(req, comp).eta[(3, 1)] == pytest.approx(np.pi / 2, rel=1e-14)
@@ -221,11 +223,12 @@ def test_spread_ladder_is_never_closer_than_the_default(b):
         req = CorrelatorRequest(params=params, operators=ops, r=r,
                                 points=[SpacetimePoint(*xy) for xy in points])
         for mixed_t in (None,) + tuple(range(1, req.k + 1)):
+            req_t = dataclasses.replace(req, mixed_t=mixed_t)
             for comp in enumerate_compositions(req.k, r):
-                lad = _spread_ladder(req, comp, mixed_t)
+                lad = _spread_ladder(req_t, comp)
                 lad.validate(comp)
-                base = _clearance(req, comp, mixed_t, default_ladder(comp, params))
-                assert 0.0 < base <= _clearance(req, comp, mixed_t, lad), (r, mixed_t, comp)
+                base = _clearance(req_t, comp, default_ladder(comp, params))
+                assert 0.0 < base <= _clearance(req_t, comp, lad), (r, mixed_t, comp)
 
 
 @pytest.mark.parametrize("case", ["kt3pt", "unit3_r11", "unit3_r22", "unit4_r111",
@@ -239,7 +242,8 @@ def test_spread_ladder_matches_the_default_ladder(case):
     req = _req(points, r, ops=ops, nodes=96, max_nodes=1536, tol=1e-10)
     for comp in enumerate_compositions(req.k, r):
         val, err = compute_I_n(req, comp)
-        ref, ref_err = compute_I_n(req, comp, ladder=default_ladder(comp, P))
+        ref, ref_err = compute_I_n(dataclasses.replace(req, ladder=default_ladder(comp, P)),
+                                   comp)
         assert abs(val - ref) <= err + ref_err, comp
         assert err < 1e-9, comp
 
@@ -256,8 +260,9 @@ def test_t_forms_near_the_free_and_half_couplings(b):
                             nodes=48, max_nodes=768, tol=1e-9)
     for t in (1, 2, 3, 4):
         got = compute_W_r_mixed(req, t)
-        ref = _sum_compositions(req, t, I_n=lambda comp: compute_I_n(
-            req, comp, t, ladder=default_ladder(comp, params)))
+        req_t = dataclasses.replace(req, mixed_t=t)
+        ref = _sum_compositions(req_t, I_n=lambda comp: compute_I_n(
+            dataclasses.replace(req_t, ladder=default_ladder(comp, params)), comp))
         assert got.converged is True
         assert ref.error < 1e-4
         assert abs(got.value - ref.value) <= got.error + ref.error, t
@@ -282,8 +287,9 @@ def test_two_variables_of_one_block_never_coincide():
         res = compute_W_r(req)
         assert res.converged is True
         assert abs(res.value - 0.02573654637525) < 1e-12
-        vals = [compute_I_n(req, CompositionVector(2, (2,)),
-                            ladder=ContourLadder(2, {(2, 1): f * eta_max(P)}))
+        vals = [compute_I_n(dataclasses.replace(
+                    req, ladder=ContourLadder(2, {(2, 1): f * eta_max(P)})),
+                    CompositionVector(2, (2,)))
                 for f in (0.3, 0.9)]
         assert all(err < 1e-10 for _, err in vals)
         assert abs(vals[0][0] - vals[1][0]) < 1e-12 * abs(vals[0][0])
@@ -348,14 +354,14 @@ def test_scattering_factors_on_the_open_mesh_match_the_dense_mesh():
     assert np.max(np.abs(vals[0] - vals[1]) / np.abs(vals[1])) < 1e-13
 
 
-def _dense_quad(req, comp, legs, mixed_t, nodes, gamma):
+def _dense_quad(req, comp, legs, nodes, gamma):
     """The trapezoid value, tail estimate and integral of |integrand| from
     the integrand broadcast to the full (nodes + 1)^d mesh and contracted
     axis by axis."""
     h = 2.0 * req.L / nodes
     w = np.full(nodes + 1, h)
     w[0] = w[-1] = h / 2.0
-    vals = np.broadcast_to(integrand(req, comp, gamma, mixed_t, legs),
+    vals = np.broadcast_to(integrand(req, comp, gamma, legs),
                            (nodes + 1,) * comp.total)
 
     def contract(v):
@@ -386,14 +392,13 @@ def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
     # variables of one block, 2-axis S-factors (plain and t = 2), and a
     # 2-axis Gaussian transform; at L = 3 the tails are 4e-10 to 5, not
     # below the floating-point range
-    mixed_t = None
     if case == "kt_101":
         req, counts = _req(X3, (1, 1), ops=[KT] * 3, L=3.0), (1, 0, 1)
     elif case == "kt_r2":
         req, counts = _req(X3[:2], (2,), ops=[KT] * 2, L=3.0), (2,)
     elif case.startswith("k4"):
-        req, counts = _req(X4, (1, 2, 1), L=3.0), (0, 1, 0, 0, 1, 0)
         mixed_t = 2 if case == "k4_t2" else None
+        req, counts = _req(X4, (1, 2, 1), L=3.0, mixed_t=mixed_t), (0, 1, 0, 0, 1, 0)
     else:
         req, counts = _req(X3[:2], (2,), L=3.0), (2,)
     comp = CompositionVector(req.k, counts)
@@ -405,11 +410,11 @@ def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
                         lambda r, gamma, *a: seen.append(gamma) or factors(r, gamma, *a))
     for nodes in (48, 96):
         seen.clear()
-        got = _quad_tensor(req, comp, legs.contours(req, comp), legs, mixed_t, nodes)
-        want = _dense_quad(req, comp, legs, mixed_t, nodes, seen[0])
+        got = _quad_tensor(req, comp, legs.contours(req, comp), legs, nodes)
+        want = _dense_quad(req, comp, legs, nodes, seen[0])
         assert abs(got[0] - want[0]) <= 1e-13 * abs(want[0])
         assert abs(got[1] - want[1]) <= 1e-13 * want[1]
-        floor = (len(factors(req, seen[0], mixed_t, legs)) + comp.total) * np.finfo(float).eps
+        floor = (len(factors(req, seen[0], legs)) + comp.total) * np.finfo(float).eps
         assert abs(got[2] - floor * want[2]) <= 1e-13 * floor * want[2]
 
 
@@ -421,10 +426,11 @@ def test_error_estimate_covers_the_true_error():
     for comp in enumerate_compositions(3, (1, 1)):
         for _ in range(5):
             fr = np.sort(rng.uniform(0.05, 0.95, len(blocks(3))))
-            lad = ContourLadder(3, {blk: em * f for blk, f in zip(blocks(3), fr)})
-            val, err = compute_I_n(req, comp, ladder=lad)
-            legs = _PointLegs(req.points, lad)
-            ref = _quad_tensor(req, comp, legs.contours(req, comp), legs, None, 3072)[0]
+            req_l = dataclasses.replace(req, ladder=ContourLadder(
+                3, {blk: em * f for blk, f in zip(blocks(3), fr)}))
+            val, err = compute_I_n(req_l, comp)
+            legs = _PointLegs(req.points)
+            ref = _quad_tensor(req_l, comp, legs.contours(req_l, comp), legs, 3072)[0]
             assert abs(val - ref) <= err + 1e-14 * max(1.0, abs(ref))
 
 
@@ -437,9 +443,9 @@ def test_max_nodes_below_the_second_level_is_rejected():
 def test_nodes_override_beyond_max_nodes_is_rejected():
     req = _req([(0.0, 1.0), (0.0, 0.0)], (1,), nodes=32, max_nodes=128)
     comp = CompositionVector(2, (1,))
-    compute_I_n(req, comp, nodes=64)
+    compute_I_n(dataclasses.replace(req, nodes=64), comp)
     with pytest.raises(ValueError, match="max_nodes"):
-        compute_I_n(req, comp, nodes=96)
+        dataclasses.replace(req, nodes=96)
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +478,21 @@ def test_mixed_representation_matches_standard_unit_ops():
     req = _req([(0.0, 2.0), (0.0, 1.0), (0.0, 0.0)], (1, 1), nodes=96, tol=1e-8)
     base = compute_W_r(req).value
     for t in (1, 2, 3):
-        vt = compute_W_r_mixed(req, t).value
-        assert abs(vt - base) < 1e-6 * max(1.0, abs(base))
+        vt = compute_W_r_mixed(req, t)
+        assert abs(vt.value - base) < 1e-6 * max(1.0, abs(base))
+        # the t-form entry point is the plain one on the request with mixed_t = t
+        assert vt == compute_W_r(dataclasses.replace(req, mixed_t=t))
 
 
-def test_mixed_rejects_bad_t():
+def test_mixed_rejects_bad_t(monkeypatch):
+    # 1 <= mixed_t <= k is checked when the request is built, before any quadrature
+    monkeypatch.setattr(shgff.correlator, "_quad_tensor", None)
     req = _req([(0.0, 1.0), (0.0, 0.0)], (1,))
-    with pytest.raises(ValueError):
-        compute_W_r(req, mixed_t=5)
+    for t in (0, 3, 5):
+        with pytest.raises(ValueError, match="mixed_t must be in 1..2"):
+            _req([(0.0, 1.0), (0.0, 0.0)], (1,), mixed_t=t)
+        with pytest.raises(ValueError, match="mixed_t must be in 1..2"):
+            compute_W_r_mixed(req, t)
 
 
 # ---------------------------------------------------------------------------
