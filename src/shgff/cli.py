@@ -95,11 +95,11 @@ def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L
                  for key, kind, flag in (("nodes", int, nodes), ("L", float, L),
                                          ("max_nodes", int, None), ("tol", float, tol))
                  if flag is not None or key in r}
-        return CorrelatorRequest(
-            params=params, operators=operators, points=points,
-            r=tuple(int(x) for x in r["r"]), ladder=ladder, **given)
+        ranks = tuple(int(x) for x in r["r"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad request section: {exc}") from exc
+    return CorrelatorRequest(params=params, operators=operators, points=points,
+                             r=ranks, ladder=ladder, **given)
 
 
 def _doc_from(cfg: dict) -> str | None:

@@ -69,26 +69,26 @@ def _open_axis(x):
     return long[0] if len(long) == 1 else None
 
 
-def _lattice(f, *axes):
-    """f(*axes) for a function f of n rapidities that is invariant under a
-    common shift of all of them, returning an array or a tuple of arrays.
+def _difference_lattice(*axes):
+    """(args, gather) with f(*axes) = gather(f(*args)) for every function f
+    of n rapidities that is invariant under a common shift of all of them.
     When the axes are open-mesh axes along distinct dimensions with one
     uniform step, x_k[i_k] - x_last[i_last] depends on i_k - i_last only:
-    f is evaluated once on the open mesh of those n - 1 difference vectors,
-    of len(x_k) + len(x_last) - 1 values each, with the last rapidity at 0,
-    and gathered back onto the axes (at n = 1 the lattice is the one point
-    0, so the value is f(0)). Any other input (a Gauss-Legendre rule, a
-    scalar, two axes along one dimension) is evaluated directly."""
+    args is the open mesh of those n - 1 difference vectors, of
+    len(x_k) + len(x_last) - 1 values each, with the last rapidity at 0, and
+    gather takes a table on it back onto the axes (at n = 1 the lattice is
+    the one point 0). Any other input (a rule that is not uniform, a scalar,
+    two axes along one dimension) is its own args, gathered as it is."""
     dims = [_open_axis(x) for x in axes]
     if (not axes or None in dims or len(set(dims)) < len(dims)
             or len({np.ndim(x) for x in axes}) > 1):
-        return f(*axes)
+        return axes, lambda t: t
     *xs, y = vecs = [np.ravel(x) for x in axes]
     steps = np.concatenate([np.diff(v) for v in vecs])
     # each grid point carries a rounding or two, so one step varies by a few ulps
     scale = max(np.max(np.abs(v)) for v in vecs)
     if np.max(np.abs(steps - steps[0])) > 8.0 * np.finfo(float).eps * scale:
-        return f(*axes)
+        return axes, lambda t: t
     # x[i] - y[j] depends on s = i - j only; one pair (i, j) represents each s
     diffs = []
     for k, x in enumerate(xs):
@@ -99,10 +99,15 @@ def _lattice(f, *axes):
     last = np.arange(len(y)).reshape(np.shape(axes[-1])) - (len(y) - 1)
     idx = tuple(np.arange(len(x)).reshape(np.shape(a)) - last for x, a in zip(xs, axes))
     shape = tuple(len(d) for d in diffs)
-    table = f(*diffs, 0.0)
-    if isinstance(table, tuple):
-        return tuple(np.broadcast_to(t, shape)[idx] for t in table)
-    return np.broadcast_to(table, shape)[idx]
+    return (*diffs, 0.0), lambda t: np.broadcast_to(t, shape)[idx]
+
+
+def _lattice(f, *axes):
+    """f(*axes) for a shift-invariant f (see _difference_lattice) returning an
+    array or a tuple of arrays, evaluated on the lattice where there is one."""
+    args, gather = _difference_lattice(*axes)
+    table = f(*args)
+    return tuple(map(gather, table)) if isinstance(table, tuple) else gather(table)
 
 
 def _pairwise(f, x, y):
@@ -219,11 +224,15 @@ class KTransformProvider(FormFactorProvider):
 
     def _evaluate(self, *betas):
         betas = [np.asarray(b, dtype=complex) for b in betas]
+        # one min_form_factor call for all pairs: on small tables its per-call cost dominates
+        plans = [_difference_lattice(x, y) for x, y in itertools.combinations(betas, 2)]
+        diffs = [np.asarray(u - v) for (u, v), _ in plans]
         prod = 1.0 + 0.0j
-        for a in range(len(betas)):
-            for b in range(a + 1, len(betas)):
-                prod = prod * _pairwise(lambda d: min_form_factor(d, self.params),
-                                        betas[a], betas[b])
+        if diffs:
+            values = min_form_factor(np.concatenate([d.ravel() for d in diffs]), self.params)
+            parts = np.split(values, np.cumsum([d.size for d in diffs])[:-1])
+            for d, (_, gather), v in zip(diffs, plans, parts):
+                prod = prod * gather(v.reshape(d.shape))
         return prod * k_transform(self.pn, betas, self.params)
 
 

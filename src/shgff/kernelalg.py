@@ -13,7 +13,7 @@ A kernel term is fully determined by
 from __future__ import annotations
 
 import dataclasses
-import functools
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -165,49 +165,43 @@ _PROBE_DELTA = 1e-3
 _PAIR_CHUNK = 1 << 16
 
 
-@functools.lru_cache(maxsize=64)
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on [-1, 1]; shared by every pass, so read-only."""
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
-    xs.flags.writeable = ws.flags.writeable = False
-    return xs, ws
+# free axis k has its nodes offset by frac((k + 1) _GOLDEN) steps, never 0 or 1/2
+_GOLDEN = 0.6180339887498949
 
 
 def _rule_1d(poles: Sequence[tuple], L: float, nodes: int, eps: float = 0.0,
-             delta: float = _PROBE_DELTA) -> tuple[np.ndarray, np.ndarray]:
+             delta: float = _PROBE_DELTA, offset: float = _GOLDEN):
     """Linear rule (x, w), sum_i w_i g(x_i), for the integral over [-L, L] of
     a g with simple poles at z_r = p_r + i side_r eps, given as (p_r, side_r)
     pairs: side = -1 below the real axis (from +i pi shifts), +1 above it.
 
-    Gauss-Legendre (x_i, ws_i) with the poles subtracted from H = g prod(x - z):
-    with cpf_r = 1/prod_{q != r}(z_r - z_q) and h_r = H(p_r),
-        sum_i ws_i sum_r cpf_r (H_i - h_r)/(x_i - z_r) + sum_r cpf_r h_r log_r
-      = sum_i ws_i g_i + sum_r cpf_r h_r (log_r - sum_i ws_i/(x_i - z_r)),
-    since 1/prod_r (x - z_r) = sum_r cpf_r/(x - z_r). h_r is the mean of H
-    over probe points around p_r, which join the nodes with the weights of
-    the second sum. At eps = 0 the limit is analytic (principal value plus
-    i pi side_r times the residue), with a 4-point symmetric probe of radius
-    delta (error O(delta^4)). With no poles the rule is plain Gauss-Legendre.
+    The first `nodes` points are x_i = -L + (i + offset) h, h = 2L/nodes, of
+    weight h. Each pole is subtracted with K_r(x) = (pi/2L) cot(pi (x - z_r)/2L),
+    of residue 1 and period 2L, so that the trapezoid rule sees a periodic
+    integrand; int K_r = i pi side_r, and its trapezoid sum is
+    pi cot(pi (x_0 - z_r)/h). With H = g prod(x - z), g = sum_r cpf_r H/(x - z_r)
+    for cpf_r = 1/prod_{q != r}(z_r - z_q); with h_r = H(p_r),
+        int g = sum_i h g_i + sum_r cpf_r h_r (i pi side_r - pi cot(pi (x_0 - z_r)/h)).
+    h_r is the mean of H over probe points around p_r, the rule's other
+    points. At eps = 0 the limit is analytic (principal value plus i pi
+    side_r times the residue), with a 4-point symmetric probe of radius
+    delta (error O(delta^4)). With no poles the rule is the plain trapezoid rule.
     """
-    xs, ws = _gauss_legendre(nodes)
-    xs, ws = L * xs + 0j, L * ws
+    h = 2.0 * L / nodes
+    xs = -L + (np.arange(nodes) + offset) * h
     ps = np.array([p for p, _ in poles], dtype=float)
     sides = np.array([side for _, side in poles], dtype=float)
-    if eps == 0.0:
-        zs = ps + 0j
-        offs = delta * np.array([1, -1, 1j, -1j])
-        logs = np.log(np.abs(L - zs)) - np.log(np.abs(L + zs)) + 1j * np.pi * sides
-    else:
-        zs = ps + 1j * eps * sides
-        offs = np.zeros(1)
-        logs = np.log((L - zs) / (-L - zs))
+    zs = ps + 1j * eps * sides
+    offs = delta * np.array([1, -1, 1j, -1j]) if eps == 0.0 else np.zeros(1)
     gaps = zs[:, None] - zs[None, :]
     np.fill_diagonal(gaps, 1.0)
     cpf = 1.0 / np.prod(gaps, axis=1)
     probes = ps[:, None] + offs[None, :]
     hfac = np.prod(probes[:, :, None] - zs, axis=2) / len(offs)
-    wprobe = (cpf * (logs - ws @ (1.0 / (xs[:, None] - zs))))[:, None] * hfac
-    return np.concatenate([xs, probes.ravel()]), np.concatenate([ws, wprobe.ravel()])
+    cot = 1.0 / np.tan(np.pi * (xs[0] - zs) / h)
+    wprobe = (np.pi * cpf * (1j * sides - cot))[:, None] * hfac
+    return (np.concatenate([xs + 0j, probes.ravel()]),
+            np.concatenate([np.full(nodes, h), wprobe.ravel()]))
 
 
 def _pair_at_eps(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
@@ -219,9 +213,6 @@ def _pair_at_eps(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
     aval = {A[i]: complex(alphas[i]) for i in range(n)}
     phase = np.exp(-2j * np.pi * op.omega)
     sfun = lambda d: s_matrix(d, params)
-    # an odd count puts a node at 0 on every axis, where the mesh would have
-    # coinciding rapidities
-    nodes += nodes % 2
 
     total = 0.0 + 0.0j
     for term in kernel.terms:
@@ -244,20 +235,25 @@ def _pair_at_eps(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
         poles = [] if op.provider.pole_free else (
             [(fixed[s.base()].real, -1) for s in term.ff_word if s.shift > 0]
             + [(fixed[s.base()].real, +1) for s in term.ff_word if s.shift < 0])
-        # stagger node counts and probe radii per axis so that nodes and
-        # probe points never coincide across axes
-        rules = [_rule_1d(poles, L, nodes + 8 * k, eps, _PROBE_DELTA * (1.0 + 0.618 * k))
-                 for k in range(len(free))]
-        step = max(1, _PAIR_CHUNK // math.prod(len(x) for x, _ in rules[1:]))
+        # one step on every axis, with staggered node offsets and probe radii
+        # so that no two axes share a point; a block of the tensor rule takes
+        # the uniform nodes or the probe points (if any) of each axis, and on
+        # the all-uniform one form factors run on the lattice of differences
+        rules = [_rule_1d(poles, L, nodes, eps, _PROBE_DELTA * (1.0 + 0.618 * k),
+                          (k + 1) * _GOLDEN % 1.0) for k in range(len(free))]
+        parts = [[(x[:nodes], w[:nodes]), (x[nodes:], w[nodes:])][:1 + bool(poles)]
+                 for x, w in rules]
         value = 0.0 + 0.0j
-        for lo in range(0, len(rules[0][0]) if rules else 1, step):
-            slab = [(x[lo:lo + step], w[lo:lo + step]) for x, w in rules[:1]] + rules[1:]
-            mesh = np.meshgrid(*(x for x, _ in slab), indexing="ij", sparse=True)
-            vals = np.broadcast_to(integrand({**fixed, **dict(zip(free, mesh))}),
-                                   tuple(len(x) for x, _ in slab))
-            for _, w in reversed(slab):
-                vals = vals @ w
-            value += complex(vals)
+        for block in itertools.product(*parts):
+            step = max(1, _PAIR_CHUNK // math.prod(len(x) for x, _ in block[1:]))
+            for lo in range(0, len(block[0][0]) if block else 1, step):
+                slab = [(x[lo:lo + step], w[lo:lo + step]) for x, w in block[:1]] + list(block[1:])
+                mesh = np.meshgrid(*(x for x, _ in slab), indexing="ij", sparse=True)
+                vals = np.broadcast_to(integrand({**fixed, **dict(zip(free, mesh))}),
+                                       tuple(len(x) for x, _ in slab))
+                for _, w in reversed(slab):
+                    vals = vals @ w
+                value += complex(vals)
         total += term.sign * phase ** term.phase_power * value \
             / (2.0 * np.pi) ** len(free)
     return total
@@ -275,9 +271,9 @@ def pair_numeric(kernel: FormalKernelSum, alphas: Sequence[float], test: Callabl
     each term are one tensor product of pole-subtracted 1-D rules, one per
     free variable, with the integrand evaluated once per slab of the mesh:
     test receives the m beta values as mutually broadcastable arrays and
-    returns its values on their broadcast shape (or a scalar). The node
-    count is rounded up to even, so that no axis has a node at 0, and grows
-    by 8 from one axis to the next. The default eps_seq (0,) takes the
+    returns its values on their broadcast shape (or a scalar). `nodes` is
+    the number of intervals per axis on [-L, L], the same on every axis
+    (only the node offsets differ). The default eps_seq (0,) takes the
     regulator limit analytically (PV + i pi delta splitting); a positive
     sequence such as EPS_SEQUENCE computes at the given common regulators
     and Richardson-extrapolates to 0 at first order, iterated.

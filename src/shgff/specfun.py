@@ -200,15 +200,20 @@ def s_matrix(beta, params: ModelParams):
     return complex(out) if scalar else out
 
 
-def _log_varpi(z, b, acc=0.0):
-    """acc + log w_b(z), accumulated term by term and in place, so that two
-    quotients chained through acc round as one eight-term sum and hold no
-    more grid-sized arrays than it."""
-    acc += log_barnes_g(1.0 - b - z)
-    acc += log_barnes_g(2.0 - b + z)
-    acc -= log_barnes_g(1.0 + b + z)
-    acc -= log_barnes_g(b - z)
-    return acc
+def _log_varpi(z, exponents):
+    """The sum over the exponents b of log w_b(z). Each chunk of z makes one
+    log_barnes_g call on the stacked arguments of all the quotients, whose
+    terms are summed in the order of the formula, quotient after quotient."""
+    flat = np.asarray(z, dtype=complex).ravel()
+    out = np.empty_like(flat)
+    for s in range(0, flat.size, _CHUNK):
+        c = flat[s:s + _CHUNK]
+        acc = 0.0
+        for g in log_barnes_g(np.concatenate([a for b in exponents for a in (
+                1.0 - b - c, 2.0 - b + c, 1.0 + b + c, b - c)])).reshape(-1, 4, c.size):
+            acc = acc + g[0] + g[1] - g[2] - g[3]
+        out[s:s + _CHUNK] = acc
+    return out.reshape(np.shape(z))
 
 
 def varpi(z, exponent):
@@ -218,7 +223,7 @@ def varpi(z, exponent):
     exponent b. The minimal form factor is the product of two of these at the
     dual pair of exponents times an elementary prefactor.
     """
-    arr, scalar = _as_array(_log_varpi(z, exponent))
+    arr, scalar = _as_array(_log_varpi(z, (exponent,)))
     out = np.exp(arr)
     return complex(out) if scalar else out
 
@@ -241,10 +246,10 @@ def min_form_factor(beta, params: ModelParams):
     if params.b == 0.0 or params.b_hat == 0.0:
         return varpi(z, params.b + params.b_hat)    # the other exponent
     if params.b_hat == params.b:
-        lg = _log_varpi(z, params.b)
+        lg = _log_varpi(z, (params.b,))
         lg *= 2.0
     else:
-        lg = _log_varpi(z, params.b_hat, _log_varpi(z, params.b))
+        lg = _log_varpi(z, (params.b, params.b_hat))
     out = -np.sin(np.pi * z) / np.pi * np.exp(lg)
     return complex(out) if scalar else out
 

@@ -346,6 +346,11 @@ EXIT_TABLE = [
                  None, EXIT_CONFIG,
                  "config error: smeared correlators have no t-distinguished form",
                  id="correlator-smeared-mixed"),
+    pytest.param(["correlator", "--config", "CFG", "--nodes", "2000"], UNIT_CFG, None,
+                 EXIT_CONFIG, "config error: max_nodes must be at least 2 * nodes = 4000",
+                 id="correlator-nodes-flag-beyond-max-nodes"),
+    pytest.param(["correlator", "--config", "CFG", "--tol", "-1"], UNIT_CFG, None,
+                 EXIT_CONFIG, "config error: tol must be positive", id="correlator-negative-tol"),
     pytest.param(["correlator", "--config", "CFG"], UNCONVERGED_CFG, None, EXIT_NONCONVERGED,
                  "non-convergence: error estimate", id="correlator-unconverged"),
     pytest.param(["correlator", "--config", "CFG"], UNIT_CFG, "compute_W_r", EXIT_INTERNAL,

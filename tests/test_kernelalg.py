@@ -11,10 +11,10 @@ from shgff.formfactor import (
     OperatorSpec, load_operator,
 )
 from shgff.kernelalg import (
-    EPS_SEQUENCE, FormalKernelSum, _gauss_legendre, _rule_1d, expand_direct, expand_dual,
+    EPS_SEQUENCE, FormalKernelSum, _rule_1d, expand_direct, expand_dual,
     expand_mixed, jump_terms, pair_numeric, pair_numeric_with_tail, term_count,
 )
-from shgff.specfun import ModelParams, s_matrix
+from shgff.specfun import ModelParams, SpecialFunctionError, s_matrix
 
 P = ModelParams(b=0.25)
 KT_OP = OperatorSpec("kt", 0.0, 0.0, 0.0,
@@ -126,14 +126,40 @@ def test_pairing_equivalence_interacting_1_3():
 
 
 def test_odd_node_count_pairs_interacting_kernel():
-    # an odd count would put a Gauss-Legendre node at 0 on both axes, where
-    # the K-transform sees coinciding rapidities; it is rounded up to even
+    # every axis has the same count and no node at 0, odd or even
     kern = expand_direct(1, 2)
     odd = pair_numeric(kern, [0.4], gauss_test, KT_OP, P, nodes=49)
     assert np.isfinite(odd)
-    assert odd == pair_numeric(kern, [0.4], gauss_test, KT_OP, P, nodes=50)
     even = pair_numeric(kern, [0.4], gauss_test, KT_OP, P, nodes=48)
     assert abs(odd - even) < 1e-6 * max(1.0, abs(even))
+
+
+def _kt_op(params):
+    return OperatorSpec("kt", 0.0, 0.0, 0.0,
+                        KTransformProvider(ExponentialPn(params, t=0.3), params))
+
+
+@pytest.mark.parametrize("expand", [expand_direct, expand_dual])
+@pytest.mark.parametrize("b,coarse,fine,tol", [(0.25, 32, 160, 2e-6), (0.05, 160, 480, 1e-7)])
+def test_interacting_pairing_converges_in_the_node_count(expand, b, coarse, fine, tol):
+    params = ModelParams(b=b)
+    op, kern = _kt_op(params), expand(1, 2)
+    got = pair_numeric(kern, [0.4], gauss_test, op, params, nodes=coarse)
+    want = pair_numeric(kern, [0.4], gauss_test, op, params, nodes=fine)
+    assert abs(got - want) < tol
+
+
+@pytest.mark.parametrize("nodes", list(range(40, 65)) + [400])
+def test_no_node_meets_a_dirac_fixed_rapidity(nodes):
+    # at offsets 0 and 1/2 some of these counts put a node on an alpha
+    cases = [(expand_direct(1, 2), [a]) for a in (0.4, -0.7, 0.0, 0.5)]
+    cases += [(expand_direct(2, 1), al) for al in ([0.4, -0.7], [0.0, 0.5])]
+    for kern, al in cases:
+        try:
+            val = pair_numeric(kern, al, gauss_test, KT_OP, P, nodes=nodes)
+        except SpecialFunctionError as exc:
+            pytest.fail(f"{kern.n},{kern.m} at {al}: {exc}")
+        assert np.isfinite(val), (kern.n, kern.m, al)
 
 
 def _plemelj_gauss(p, side):
@@ -156,26 +182,15 @@ def test_rule_1d_two_poles_match_partial_fractions():
     assert abs(got - want) < 1e-10
 
 
-@pytest.mark.parametrize("nodes", [1, 8, 48, 96, 104, 200])
-def test_rule_1d_without_poles_is_gauss_legendre(nodes):
-    # numpy's rule agrees with scipy's and is exact up to degree 2n - 1
+@pytest.mark.parametrize("nodes", [48, 96, 104, 200])
+def test_rule_1d_without_poles_is_the_trapezoid_rule(nodes):
+    # equal weights 2L/nodes on a uniform grid; spectrally exact on x^k e^{-x^2}
     x, w = _rule_1d([], 8.0, nodes)
-    xs, ws = roots_legendre(nodes)
-    assert np.max(np.abs(x - 8.0 * xs)) < 1e-12
-    assert np.max(np.abs(w - 8.0 * ws)) < 1e-12
-    t, wt = _rule_1d([], 1.0, nodes)
-    for k in range(2 * nodes):
-        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        assert abs(wt @ t ** k - exact) < 1e-13
-
-
-def test_gauss_legendre_rule_is_cached_read_only():
-    t, w = _gauss_legendre(48)
-    assert _gauss_legendre(48)[0] is t
-    with pytest.raises(ValueError):
-        t[0] = 0.0
-    with pytest.raises(ValueError):
-        w *= 2.0
+    assert len(x) == nodes and np.all(w == 16.0 / nodes)
+    assert np.max(np.abs(np.diff(x) - 16.0 / nodes)) < 1e-13
+    for k in range(7):
+        exact = math.gamma((k + 1) / 2) if k % 2 == 0 else 0.0
+        assert abs(w @ (x ** k * np.exp(-x * x)) - exact) < 1e-13
 
 
 def test_limit_matches_finite_regulator_extrapolation():

@@ -284,6 +284,32 @@ def test_min_form_factor_self_dual_single_quotient():
     assert np.max(np.abs(got - rebuilt) / np.abs(rebuilt)) < 1e-13
 
 
+def _log_w_four_calls(z, b, acc=0.0):
+    acc = acc + log_barnes_g(1.0 - b - z)
+    acc = acc + log_barnes_g(2.0 - b + z)
+    acc = acc - log_barnes_g(1.0 + b + z)
+    return acc - log_barnes_g(b - z)
+
+
+@pytest.mark.parametrize("b", [0.25, 0.1, 0.0, 0.5])
+@pytest.mark.parametrize("size", [5000, 3 * 8192 + 5])
+def test_min_form_factor_is_four_barnes_calls_bitwise(b, size):
+    # one stacked log_barnes_g call a chunk sums the terms of separate calls
+    # in the same order
+    rng = np.random.default_rng(5)
+    beta = rng.uniform(-16.0, 16.0, size) + 1j * rng.uniform(-3.5, 3.5, size)
+    p = ModelParams(b=b)
+    z = 1j * beta / (2.0 * np.pi)
+    if b in (0.0, 0.5):
+        want = np.exp(_log_w_four_calls(z, p.b + p.b_hat))
+    else:
+        lg = (2.0 * _log_w_four_calls(z, b) if p.b_hat == b
+              else _log_w_four_calls(z, p.b_hat, _log_w_four_calls(z, b)))
+        want = -np.sin(np.pi * z) / np.pi * np.exp(lg)
+    got = min_form_factor(beta, p)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_barnes_vectorized_matches_scalar():
     z = RNG.uniform(0.5, 10, 20) + 1j * RNG.uniform(-5, 5, 20)
     vec = log_barnes_g(z)
