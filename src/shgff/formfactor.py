@@ -72,34 +72,54 @@ def _open_axis(x):
 def _difference_lattice(*axes):
     """(args, gather) with f(*axes) = gather(f(*args)) for every function f
     of n rapidities that is invariant under a common shift of all of them.
-    When the axes are open-mesh axes along distinct dimensions with one
-    uniform step, x_k[i_k] - x_last[i_last] depends on i_k - i_last only:
-    args is the open mesh of those n - 1 difference vectors, of
-    len(x_k) + len(x_last) - 1 values each, with the last rapidity at 0, and
-    gather takes a table on it back onto the axes (at n = 1 the lattice is
-    the one point 0). Any other input (a rule that is not uniform, a scalar,
-    two axes along one dimension) is its own args, gathered as it is."""
+    The axes are open-mesh axes along distinct dimensions, each a uniform
+    run of one common step followed by fewer extra points (as kernelalg's
+    rules have them; the correlator's axes have none). On the runs
+    x_k[i_k] - x_last[i_last] depends on i_k - i_last only, so args is the
+    open mesh of those n - 1 difference vectors, of run_k + run_last - 1
+    values each, with the last rapidity at 0 (at n = 1 the one point 0).
+    At n = 2 every difference that involves an extra point follows its
+    lattice in the one table, evaluated as it is. gather takes the table
+    back onto the axes. Any other input (a rule that is not uniform, a
+    scalar, two axes along one dimension, extras on three or more axes) is
+    its own args, gathered as it is."""
     dims = [_open_axis(x) for x in axes]
     if (not axes or None in dims or len(set(dims)) < len(dims)
             or len({np.ndim(x) for x in axes}) > 1):
         return axes, lambda t: t
-    *xs, y = vecs = [np.ravel(x) for x in axes]
-    steps = np.concatenate([np.diff(v) for v in vecs])
+    vecs = [np.ravel(x) for x in axes]
     # each grid point carries a rounding or two, so one step varies by a few ulps
-    scale = max(np.max(np.abs(v)) for v in vecs)
-    if np.max(np.abs(steps - steps[0])) > 8.0 * np.finfo(float).eps * scale:
+    tol = 8.0 * np.finfo(float).eps * max(np.max(np.abs(v)) for v in vecs)
+    lens = [len(v) for v in vecs]
+    step = vecs[0][1] - vecs[0][0]
+    on_step = np.abs(np.concatenate([np.diff(v) for v in vecs]) - step) <= tol
+    # each axis's run: its leading points on the common step
+    runs = lens if on_step.all() else [
+        1 + np.argmin(np.append(o, False))
+        for o in np.split(on_step, np.cumsum(lens)[:-1] - np.arange(1, len(lens)))]
+    extras = len(axes) > 1 and runs != lens
+    # a run must hold most of its axis, or the lattice saves nothing
+    if any(2 * r <= n for r, n in zip(runs, lens)) or extras and len(axes) > 2:
         return axes, lambda t: t
+    *xs, y = vecs
     # x[i] - y[j] depends on s = i - j only; one pair (i, j) represents each s
     diffs = []
-    for k, x in enumerate(xs):
-        s = np.arange(1 - len(y), len(x))
+    for k, (x, run) in enumerate(zip(xs, runs)):
+        s = np.arange(1 - runs[-1], run)
         i = np.maximum(s, 0)
         diffs.append((x[i] - y[i - s]).reshape((-1,) + (1,) * (len(xs) - 1 - k)))
-    # the table index of x_k[i_k] - y[i_last] is i_k - i_last + len(y) - 1
-    last = np.arange(len(y)).reshape(np.shape(axes[-1])) - (len(y) - 1)
-    idx = tuple(np.arange(len(x)).reshape(np.shape(a)) - last for x, a in zip(xs, axes))
+    # the table index of x_k[i_k] - y[i_last] is i_k - i_last + run_last - 1
+    pos = [np.arange(len(v)).reshape(np.shape(a)) for v, a in zip(vecs, axes)]
+    last = pos[-1] - (runs[-1] - 1)
+    idx = [p - last for p in pos[:-1]]
+    if extras:
+        # n = 2: the pairs off the runs follow the lattice in the one table
+        off = (pos[0] >= runs[0]) | (pos[1] >= runs[1])
+        i, j = (np.broadcast_to(p, off.shape)[off] for p in pos)
+        idx[0] = np.where(off, np.cumsum(off).reshape(off.shape) + len(diffs[0]) - 1, idx[0])
+        diffs[0] = np.concatenate([diffs[0], xs[0][i] - y[j]])
     shape = tuple(len(d) for d in diffs)
-    return (*diffs, 0.0), lambda t: np.broadcast_to(t, shape)[idx]
+    return (*diffs, 0.0), lambda t: np.broadcast_to(t, shape)[tuple(idx)]
 
 
 def _lattice(f, *axes):

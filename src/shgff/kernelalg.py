@@ -13,7 +13,6 @@ A kernel term is fully determined by
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from typing import Callable, Sequence
 
@@ -159,7 +158,7 @@ def jump_terms(m: int) -> FormalKernelSum:
 # numerical pairing
 # ---------------------------------------------------------------------------
 
-_PROBE_DELTA = 1e-3
+_PROBE_DELTA = 3e-4
 # Mesh points per integrand call; the first free variable is cut into slabs
 # of at most this many points, so memory stays bounded as m grows
 _PAIR_CHUNK = 1 << 16
@@ -206,6 +205,11 @@ def _rule_1d(poles: Sequence[tuple], L: float, nodes: int, eps: float = 0.0,
 
 def _pair_at_eps(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
                  eps: float, L: float, nodes: int) -> complex:
+    """pair_numeric at one common regulator eps (0: the limit). A term's
+    integrand runs once on the open mesh of its whole tensor rule, each axis
+    its uniform nodes and then its probe points (once per slab of at most
+    _PAIR_CHUNK points, cut along the first axis): one provider evaluation,
+    one s_product per side and one test call a slab."""
     n, m = kernel.n, kernel.m
     if len(alphas) != n:
         raise ValueError("alpha count does not match the kernel")
@@ -236,24 +240,19 @@ def _pair_at_eps(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
             [(fixed[s.base()].real, -1) for s in term.ff_word if s.shift > 0]
             + [(fixed[s.base()].real, +1) for s in term.ff_word if s.shift < 0])
         # one step on every axis, with staggered node offsets and probe radii
-        # so that no two axes share a point; a block of the tensor rule takes
-        # the uniform nodes or the probe points (if any) of each axis, and on
-        # the all-uniform one form factors run on the lattice of differences
+        # so that no two axes share a point
         rules = [_rule_1d(poles, L, nodes, eps, _PROBE_DELTA * (1.0 + 0.618 * k),
                           (k + 1) * _GOLDEN % 1.0) for k in range(len(free))]
-        parts = [[(x[:nodes], w[:nodes]), (x[nodes:], w[nodes:])][:1 + bool(poles)]
-                 for x, w in rules]
+        step = max(1, _PAIR_CHUNK // math.prod(len(x) for x, _ in rules[1:]))
         value = 0.0 + 0.0j
-        for block in itertools.product(*parts):
-            step = max(1, _PAIR_CHUNK // math.prod(len(x) for x, _ in block[1:]))
-            for lo in range(0, len(block[0][0]) if block else 1, step):
-                slab = [(x[lo:lo + step], w[lo:lo + step]) for x, w in block[:1]] + list(block[1:])
-                mesh = np.meshgrid(*(x for x, _ in slab), indexing="ij", sparse=True)
-                vals = np.broadcast_to(integrand({**fixed, **dict(zip(free, mesh))}),
-                                       tuple(len(x) for x, _ in slab))
-                for _, w in reversed(slab):
-                    vals = vals @ w
-                value += complex(vals)
+        for lo in range(0, len(rules[0][0]) if rules else 1, step):
+            slab = [(x[lo:lo + step], w[lo:lo + step]) for x, w in rules[:1]] + rules[1:]
+            mesh = np.meshgrid(*(x for x, _ in slab), indexing="ij", sparse=True)
+            vals = np.broadcast_to(integrand({**fixed, **dict(zip(free, mesh))}),
+                                   tuple(len(x) for x, _ in slab))
+            for _, w in reversed(slab):
+                vals = vals @ w
+            value += complex(vals)
         total += term.sign * phase ** term.phase_power * value \
             / (2.0 * np.pi) ** len(free)
     return total
@@ -269,11 +268,14 @@ def pair_numeric(kernel: FormalKernelSum, alphas: Sequence[float], test: Callabl
 
     Dirac pairings are resolved exactly. The remaining beta integrals of
     each term are one tensor product of pole-subtracted 1-D rules, one per
-    free variable, with the integrand evaluated once per slab of the mesh:
-    test receives the m beta values as mutually broadcastable arrays and
-    returns its values on their broadcast shape (or a scalar). `nodes` is
-    the number of intervals per axis on [-L, L], the same on every axis
-    (only the node offsets differ). The default eps_seq (0,) takes the
+    free variable (uniform nodes, then probe points), with the integrand
+    evaluated once a term on the whole rule (once per slab of the mesh on
+    large ones): test receives the m beta values as mutually broadcastable
+    arrays and returns its values on their broadcast shape (or a scalar);
+    form factors of two free variables run on one table, the lattice of the
+    nodes' differences followed by those that involve a probe point.
+    `nodes` is the number of intervals per axis on [-L, L], the same on
+    every axis (only the node offsets differ). The default eps_seq (0,) takes the
     regulator limit analytically (PV + i pi delta splitting); a positive
     sequence such as EPS_SEQUENCE computes at the given common regulators
     and Richardson-extrapolates to 0 at first order, iterated.

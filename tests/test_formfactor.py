@@ -5,8 +5,8 @@ from scipy.special import roots_legendre
 
 from shgff.formfactor import (
     ExponentialPn, FixtureExponentialLikeProvider, FixtureUnitProvider,
-    KTransformProvider, OperatorSpec, _lattice, _pairwise, factorize_regular,
-    k_transform, load_operator, numerical_residue, verify_axioms,
+    KTransformProvider, OperatorSpec, _difference_lattice, _lattice, _pairwise,
+    factorize_regular, k_transform, load_operator, numerical_residue, verify_axioms,
 )
 import shgff.formfactor
 from shgff.specfun import ModelParams, SpecialFunctionError, min_form_factor, s_matrix
@@ -107,6 +107,69 @@ def test_pairwise_falls_back_bitwise_off_the_uniform_mesh(f):
     finer = _uniform_axes([(0.0, 0.2), (0.0, 0.2)], nodes=96)[1][:, :49]
     for x, y in ((a, b), (a, v), (u, 0.3 + 0.1j), (u, u + 0.5j), (u, finer)):
         assert np.array_equal(_pairwise(f, x, y), f(x - y))
+
+
+def _run_and_extras(nodes, offset, shift, extras, L=8.0):
+    """A uniform run of `nodes` points of step 2L/nodes on [-L, L], followed
+    by extra points, as kernelalg's pole-subtracted rules lay out an axis."""
+    h = 2.0 * L / nodes
+    return np.concatenate([-L + (np.arange(nodes) + offset) * h + shift,
+                           np.asarray(extras, dtype=complex)])
+
+
+# kernelalg-like probes: 4 points of radius 1e-3 around a pole at 0.4
+PROBES = 0.4 + 1e-3 * np.array([1, -1, 1j, -1j])
+# the point after the last of x's run below, -8 + (48 + 0.62) / 3 + pi + 0.1i
+NEXT_X = 8.0 + 0.62 / 3.0 + np.pi + 0.1j
+
+
+@pytest.mark.parametrize("f", PAIR_FUNCTIONS)
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("x_extras, y_extras, run_x", [
+    (PROBES, [], 48), ([], PROBES - 0.7, 48), (PROBES, 1.2 * PROBES, 48), ([], [], 48),
+    # an extra point on the step of the run joins the run
+    ([NEXT_X, 0.3 + 1e-3j], PROBES, 49)])
+def test_lattice_with_extra_points_matches_the_dense_mesh(f, order, x_extras, y_extras,
+                                                          run_x):
+    x = _run_and_extras(48, 0.62, np.pi + 0.1j, x_extras)
+    y = _run_and_extras(48, 0.24, 0.0, y_extras)
+    x, y = (v.reshape((-1, 1) if dim == 0 else (1, -1)) for v, dim in zip((x, y), order))
+    # the lattice of the runs, then every pair that involves an extra point
+    want_size = run_x + 48 - 1 + x.size * y.size - run_x * 48
+    want = f(x - y)
+    seen = []
+    got = _pairwise(lambda d: seen.append(np.shape(d)) or f(d), x, y)
+    assert seen == [(want_size,)]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+    # the lattice of a shift-invariant function of two rapidities
+    (u, v), gather = _difference_lattice(x, y)
+    assert np.shape(u) == (want_size,) and v == 0.0
+    got = gather(f(u - v))
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
+def test_lattice_falls_back_bitwise_with_extras_on_three_axes():
+    pn = ExponentialPn(P, t=0.3)
+    f = lambda *betas: k_transform(pn, betas, P)
+    x = _run_and_extras(12, 0.62, 0.0, PROBES)
+    y = _run_and_extras(12, 0.24, 0.1j, [])
+    z = _run_and_extras(12, 0.86, 0.2j, [])
+    betas = np.meshgrid(x, y, z, indexing="ij", sparse=True)
+    args, _ = _difference_lattice(*betas)
+    assert len(args) == 3 and all(a is b for a, b in zip(args, betas))
+    assert np.array_equal(_lattice(f, *betas), f(*betas))
+
+
+def test_lattice_needs_a_run_over_most_of_each_axis():
+    xg = 8.0 * roots_legendre(48)[0]
+    half = _run_and_extras(8, 0.62, 0.0, 0.3 + 0.1 * np.arange(8))
+    # Gauss-Legendre nodes agree on their first step only; half an axis off
+    # the run leaves the lattice nothing to save
+    for x, y in ((xg + 0.1j, xg - 0.4), (half, _run_and_extras(8, 0.24, 0.1j, []))):
+        x, y = x.reshape(-1, 1), y.reshape(1, -1)
+        args, _ = _difference_lattice(x, y)
+        assert args[0] is x and args[1] is y
 
 
 def test_k_transform_table_path_matches_and_guards_poles():

@@ -14,6 +14,7 @@ from shgff.kernelalg import (
     EPS_SEQUENCE, FormalKernelSum, _rule_1d, expand_direct, expand_dual,
     expand_mixed, jump_terms, pair_numeric, pair_numeric_with_tail, term_count,
 )
+import shgff.formfactor
 from shgff.specfun import ModelParams, SpecialFunctionError, s_matrix
 
 P = ModelParams(b=0.25)
@@ -147,6 +148,41 @@ def test_interacting_pairing_converges_in_the_node_count(expand, b, coarse, fine
     got = pair_numeric(kern, [0.4], gauss_test, op, params, nodes=coarse)
     want = pair_numeric(kern, [0.4], gauss_test, op, params, nodes=fine)
     assert abs(got - want) < tol
+
+
+def test_probe_error_is_below_the_refinement_floor():
+    # the probe mean of each pole-subtracted rule errs by O(delta^4), an error
+    # no node count lowers; direct and dual carry different probe errors
+    params = ModelParams(b=0.05)
+    op = _kt_op(params)
+    d, u = (pair_numeric(expand(1, 2), [0.4], gauss_test, op, params, nodes=320)
+            for expand in (expand_direct, expand_dual))
+    assert abs(d - u) < 1e-11
+
+
+@pytest.mark.parametrize("expand", [expand_direct, expand_dual])
+def test_one_form_factor_evaluation_per_term(monkeypatch, expand):
+    # every term's integrand runs once on its whole tensor rule: the uniform
+    # nodes and the probe points of each free axis
+    op, kern = _kt_op(P), expand(1, 2)
+    words = [len(t.ff_word) for t in kern.terms if len(t.dirac_pairs) < kern.m]
+    calls = {"evaluate": 0, "min_form_factor": 0}
+    evaluate, min_ff = KTransformProvider.evaluate, shgff.formfactor.min_form_factor
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(KTransformProvider, "evaluate", counted("evaluate", evaluate))
+    monkeypatch.setattr(shgff.formfactor, "min_form_factor",
+                        counted("min_form_factor", min_ff))
+    pair_numeric(kern, [0.4], gauss_test, op, P, nodes=96)
+    # F_1 is constant, so only words of two or more rapidities need F_min
+    assert calls == {"evaluate": len(words),
+                     "min_form_factor": sum(w > 1 for w in words)}
+    assert words == [3, 1, 1]
 
 
 @pytest.mark.parametrize("nodes", list(range(40, 65)) + [400])
