@@ -1,14 +1,15 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 configuration error, 3 kinematic-region violation,
-4 quadrature non-convergence, 5 internal error. Every command fails the same
+4 quadrature non-convergence, 5 internal error. `correlator` exits 4 exactly
+when its result is not converged, that is when W's error exceeds tol; tol is
+also each composition's refinement target. Every command fails the same
 way: a RegionError exits 3, any other ValueError or an OSError exits 2 and any
 other exception exits 5 (see Main.invoke); a usage error is click's, exit 2.
 """
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import json
 
 import click
@@ -80,8 +81,8 @@ def _operators_from(cfg: dict, params: ModelParams) -> list:
         raise ValueError(f"bad operators section: {exc}") from exc
 
 
-def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L
-                  ) -> CorrelatorRequest:
+def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L,
+                  mixed_t=None) -> CorrelatorRequest:
     try:
         r = cfg["request"]
         points = [SpacetimePoint(float(p[0]), float(p[1])) for p in r["points"]]
@@ -99,7 +100,7 @@ def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad request section: {exc}") from exc
     return CorrelatorRequest(params=params, operators=operators, points=points,
-                             r=ranks, ladder=ladder, **given)
+                             r=ranks, ladder=ladder, mixed_t=mixed_t, **given)
 
 
 def _doc_from(cfg: dict) -> str | None:
@@ -199,7 +200,8 @@ def eval_ff_cmd(config_path, op_name, betas_str):
               help="distinguished operator index for the t-representation")
 @click.option("--smeared", is_flag=True, default=False)
 @click.option("--threads", type=click.IntRange(min=1), default=1)
-@click.option("--tol", type=float, default=None)
+@click.option("--tol", type=float, default=None,
+              help="each composition's refinement target; exit 4 if W's error exceeds it")
 @click.option("--nodes", type=int, default=None,
               help="grid intervals per axis over [-L, L] at the first level")
 @click.option("--l", "--L", "L", type=float, default=None,
@@ -208,9 +210,8 @@ def correlator_cmd(config_path, output_path, mixed_t, smeared, threads, tol, nod
     """Compute a truncated correlator and write a CSV breakdown."""
     cfg = _load_config(config_path)
     params = _model_from(cfg)
-    request = dataclasses.replace(
-        _request_from(cfg, params, _operators_from(cfg, params), tol, nodes, L),
-        mixed_t=mixed_t)
+    request = _request_from(cfg, params, _operators_from(cfg, params), tol, nodes, L,
+                            mixed_t)
     doc_path = _doc_from(cfg)
     if smeared:
         result = smeared_correlator(request, _smearings_from(cfg))
@@ -237,7 +238,7 @@ def correlator_cmd(config_path, output_path, mixed_t, smeared, threads, tol, nod
     if doc_path:
         with open(doc_path, "w") as fh:
             fh.write(result.describe() + "\n")
-    if result.error > request.tol * max(1.0, abs(result.value)):
+    if not result.converged:
         raise Failure(f"non-convergence: error estimate {result.error:.3e} "
                       f"exceeds tolerance", EXIT_NONCONVERGED)
 

@@ -67,6 +67,8 @@ class CorrelatorRequest:
     step is halved until two levels agree to `tol` or a level would exceed
     `max_nodes` intervals. Every composition evaluates at least two levels,
     so `max_nodes` must be at least 2 * `nodes` (ValueError otherwise).
+    `tol` is thus each composition's refinement target; the result is
+    `converged` when W's error estimate is at most `tol`.
     Without a `ladder`, each composition is integrated on its own equally
     spaced ladder, placed as far from the singularities of its integrand as
     its factors allow (see ladder._spread_ladder); for the three-point
@@ -332,10 +334,14 @@ def _tail(moduli, d, w, h) -> float:
 
 @dataclasses.dataclass
 class CorrelatorResult:
+    """W, its error estimate (the weighted sum of the compositions' errors,
+    tails and rounding included) and the one verdict on it: converged is
+    error <= request.tol."""
+
     value: complex
     error: float
     breakdown: list   # (CompositionVector, I_n, err, phase) per composition
-    converged: bool   # every composition's error, tails included, is <= request.tol
+    converged: bool
 
     def describe(self) -> str:
         lines = [f"W = {self.value} (err <= {self.error:.3e}, "
@@ -361,8 +367,7 @@ def _sum_compositions(request: CorrelatorRequest, map_=map, I_n=None) -> Correla
         total += weight * val
         err_total += abs(weight) * err
         breakdown.append((comp, val, err, ph))
-    converged = all(err <= request.tol for _, _, err, _ in breakdown)
-    return CorrelatorResult(total, err_total, breakdown, converged)
+    return CorrelatorResult(total, err_total, breakdown, bool(err_total <= request.tol))
 
 
 def compute_W_r(request: CorrelatorRequest) -> CorrelatorResult:

@@ -209,7 +209,9 @@ def _pair_at_eps(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
     integrand runs once on the open mesh of its whole tensor rule, each axis
     its uniform nodes and then its probe points (once per slab of at most
     _PAIR_CHUNK points, cut along the first axis): one provider evaluation,
-    one s_product per side and one test call a slab."""
+    one s_product per side and one test call a slab. The reduction runs slab
+    by slab because F and the test function each span every free axis, so no
+    contraction order keeps a whole term's mesh from being materialised."""
     n, m = kernel.n, kernel.m
     if len(alphas) != n:
         raise ValueError("alpha count does not match the kernel")
@@ -288,6 +290,12 @@ def pair_numeric_with_tail(kernel, alphas, test, op, params,
                            eps_seq: Sequence[float] = (0.0,),
                            L: float = 8.0, nodes: int = 48):
     """pair_numeric plus the last extrapolation increment as error indicator."""
+    if nodes < 1:
+        raise ValueError(f"nodes must be at least 1, got {nodes}")
+    if not L > 0.0:
+        raise ValueError(f"L must be positive, got {L}")
+    if len(eps_seq) == 0:
+        raise ValueError("eps_seq must hold at least one regulator")
     vals = [_pair_at_eps(kernel, alphas, test, op, params, e, L, nodes)
             for e in eps_seq]
     if len(vals) == 1:

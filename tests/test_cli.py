@@ -241,14 +241,21 @@ def test_specfun_free_point_at_zero_rapidity(runner):
     assert [float(x) for x in res.output.splitlines()[1].split(",")] == [0.0, 1.0, 0.0, 1.0, 0.0]
 
 
-def test_correlator_writes_doc(runner, tmp_path):
-    cfg = json.loads(json.dumps(UNIT_CFG))
+@pytest.mark.parametrize("entries, argv, code", [
+    ({}, [], EXIT_OK),
+    # the composition's error, 1.3e-2, exceeds tol; W's, 2.1e-3, does not
+    (dict(nodes=8, max_nodes=16, tol=1e-2), [], EXIT_OK),
+    (dict(nodes=8, max_nodes=16, tol=1e-2), ["--tol", "1e-3"], EXIT_NONCONVERGED),
+])
+def test_correlator_writes_doc(runner, tmp_path, entries, argv, code):
+    cfg = _variant(UNIT_CFG, "request", **entries)
     doc = tmp_path / "report.txt"
     cfg["output"] = {"doc": str(doc)}
-    path = _write(tmp_path, cfg)
-    res = runner.invoke(main, ["correlator", "--config", path])
-    assert res.exit_code == EXIT_OK
+    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg), *argv])
+    assert res.exit_code == code, res.output
+    # the report and the exit code give one verdict: W's error <= tol
     assert doc.read_text().startswith("W =")
+    assert f"converged: {code == EXIT_OK}" in doc.read_text()
 
 
 def _variant(cfg, section, **entries):

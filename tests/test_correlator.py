@@ -565,11 +565,20 @@ def test_breakdown_weights_reassemble_total():
     assert isinstance(res.describe(), str)
 
 
-def test_converged_flag():
-    pts = [(0.0, 1.0), (0.0, 0.0)]
-    assert compute_W_r(_req(pts, (1,))).converged is True
+@pytest.mark.parametrize("kw, want", [
+    ({}, True),
     # step halving stops at max_nodes with err > tol
-    res = compute_W_r(_req(pts, (1,), nodes=4, max_nodes=8))
-    assert res.error > 1e-9
-    assert res.converged is False
-    assert "converged: False" in res.describe()
+    (dict(nodes=4, max_nodes=8), False),
+    # the composition's own error, 1.3e-2, exceeds tol; W's weighted error,
+    # 2.1e-3, does not, and the verdict is on W's
+    (dict(nodes=8, max_nodes=16, tol=1e-2), True),
+])
+def test_converged_flag(kw, want):
+    pts = [(0.0, 1.0), (0.0, 0.0)]
+    req = _req(pts, (1,), **kw)
+    sm = [GaussianSmearing((p.x0, p.x1), (0.3, 0.3)) for p in req.points]
+    res = compute_W_r(req)
+    assert res.converged is want
+    assert f"converged: {want}" in res.describe()
+    for res in (res, compute_W_r_mixed(req, 2), smeared_correlator(req, sm)):
+        assert res.converged is bool(res.error <= req.tol)

@@ -1,6 +1,7 @@
 """Kernel partition sums: structure, pairing equivalences, jump identity."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,18 @@ def test_pairing_equivalence_interacting_1_3():
     m0 = pair_numeric(expand_mixed(1, 3, ()), al, gauss_test, KT_OP, P, nodes=48)
     for v in (u, m0):
         assert abs(v - d) < 1e-6 * max(1.0, abs(d))
+
+
+def test_pairing_memory_is_bounded_by_the_slab():
+    # the 67^3 mesh is reduced slab by slab (peak 4.6 MB); contracting the
+    # whole rule at once peaks at 20 MB
+    tracemalloc.start()
+    try:
+        pair_numeric(expand_direct(1, 3), [0.4], gauss_test, KT_OP, P, nodes=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_odd_node_count_pairs_interacting_kernel():
@@ -252,6 +265,18 @@ def test_exchange_covariance():
 def test_pairing_rejects_wrong_alpha_count():
     with pytest.raises(ValueError):
         pair_numeric(expand_direct(2, 1), [0.4], gauss_test, FIX_OP, P, nodes=8)
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(nodes=0), "nodes must be at least 1, got 0"),
+    (dict(nodes=-4), "nodes must be at least 1, got -4"),
+    (dict(L=0.0), "L must be positive, got 0.0"),
+    (dict(L=-8.0), "L must be positive, got -8.0"),
+    (dict(eps_seq=()), "eps_seq must hold at least one regulator"),
+])
+def test_pairing_rejects_bad_grid(kw, message):
+    with pytest.raises(ValueError, match=message):
+        pair_numeric(expand_direct(1, 2), [0.4], gauss_test, FIX_OP, P, **kw)
 
 
 # ---------------------------------------------------------------------------
