@@ -17,7 +17,7 @@ import click
 from .combin import blocks, enumerate_compositions
 from .correlator import (
     ContourLadder, CorrelatorRequest, GaussianSmearing, RegionError, SpacetimePoint,
-    compute_W_r, smeared_correlator, _sum_compositions,
+    compute_W_r, _sum_compositions,
 )
 from .formfactor import load_operator, verify_axioms
 from .specfun import ModelParams, min_form_factor, s_matrix
@@ -82,7 +82,7 @@ def _operators_from(cfg: dict, params: ModelParams) -> list:
 
 
 def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L,
-                  mixed_t=None) -> CorrelatorRequest:
+                  mixed_t=None, smeared=False) -> CorrelatorRequest:
     try:
         r = cfg["request"]
         points = [SpacetimePoint(float(p[0]), float(p[1])) for p in r["points"]]
@@ -97,10 +97,13 @@ def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L,
                                          ("max_nodes", int, None), ("tol", float, tol))
                  if flag is not None or key in r}
         ranks = tuple(int(x) for x in r["r"])
+        smearings = ([GaussianSmearing(tuple(s["center"]), tuple(s["width"]))
+                      for s in r["smearings"]] if smeared else None)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad request section: {exc}") from exc
     return CorrelatorRequest(params=params, operators=operators, points=points,
-                             r=ranks, ladder=ladder, mixed_t=mixed_t, **given)
+                             r=ranks, ladder=ladder, mixed_t=mixed_t, smearings=smearings,
+                             **given)
 
 
 def _doc_from(cfg: dict) -> str | None:
@@ -110,14 +113,6 @@ def _doc_from(cfg: dict) -> str | None:
     if not isinstance(out, dict) or not isinstance(doc, (str, type(None))):
         raise ValueError(f"bad output section: expected {{\"doc\": path}}, got {out!r}")
     return doc
-
-
-def _smearings_from(cfg: dict) -> list:
-    try:
-        return [GaussianSmearing(tuple(s["center"]), tuple(s["width"]))
-                for s in cfg["request"]["smearings"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad smearings: {exc}") from exc
 
 
 @click.group(cls=Main)
@@ -211,11 +206,9 @@ def correlator_cmd(config_path, output_path, mixed_t, smeared, threads, tol, nod
     cfg = _load_config(config_path)
     params = _model_from(cfg)
     request = _request_from(cfg, params, _operators_from(cfg, params), tol, nodes, L,
-                            mixed_t)
+                            mixed_t, smeared)
     doc_path = _doc_from(cfg)
-    if smeared:
-        result = smeared_correlator(request, _smearings_from(cfg))
-    elif threads > 1:
+    if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             result = _sum_compositions(request, pool.map)
     else:

@@ -183,6 +183,8 @@ def enumerate_compositions(k: int, r: Sequence[int]) -> list[CompositionVector]:
     """
     if len(r) != k - 1:
         raise ValueError("r must have length k-1")
+    if any(x < 0 for x in r):
+        raise ValueError(f"truncation ranks must be non-negative, got {tuple(r)}")
     blks = blocks(k)
     out: list[CompositionVector] = []
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import operator
 from typing import Sequence
 
@@ -74,7 +75,20 @@ class CorrelatorRequest:
     its factors allow (see ladder._spread_ladder); for the three-point
     function at b = 1/4 that distance is pi / 3, against 0.13 on
     default_ladder. `mixed_t`, one of 1..k, asks for the t-distinguished
-    representation with operator t distinguished (see compute_W_r_mixed)."""
+    representation with operator t distinguished (see compute_W_r_mixed).
+    `smearings`, one GaussianSmearing per operator, pairs the operators with
+    Gaussian test functions in place of the plane waves at `points`: the leg
+    factor of operator s is its Gaussian's Fourier transform at the momentum
+    q_s = sum_{a<s} pbar(gamma^(sa)) - sum_{b>s} pbar(gamma^(bs)), integrated
+    on real contours. For k = 2 there are no cross-level kinematic poles, so
+    the real-line limit is exact. k >= 3 is refused with ValueError: it needs
+    shifted contours, and on a shifted ladder the factor exp(-w^2 q^2 / 2) of
+    the middle operator grows like exp(c e^{2 |Re gamma|}) (for w = 0.3 on the
+    default ladder at b = 1/4 its exponent is +1.06 at Re gamma = 4 and +3160
+    at Re gamma = 8). A smeared request uses neither `points` nor `ladder`,
+    and one with `mixed_t` is refused too: there is no t-distinguished form.
+    Each refusal is a ValueError raised when the request is built, as is a
+    count of `points` other than k."""
 
     params: ModelParams
     operators: Sequence[OperatorSpec]     # O_1 ... O_k
@@ -86,19 +100,32 @@ class CorrelatorRequest:
     max_nodes: int = 3072
     tol: float = 1e-9
     mixed_t: int | None = None
+    smearings: Sequence[GaussianSmearing] | None = None
 
     def __post_init__(self):
+        if len(self.points) != self.k:
+            raise ValueError(f"one point per operator required: {self.k} operators, "
+                             f"{len(self.points)} points")
         if self.nodes < 1:
             raise ValueError(f"nodes must be at least 1, got {self.nodes}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if not self.L > 0.0:
             raise ValueError(f"L must be positive, got {self.L}")
+        if not math.isfinite(self.L):
+            raise ValueError(f"L must be finite, got {self.L}")
         if self.max_nodes < 2 * self.nodes:
             raise ValueError(f"max_nodes must be at least 2 * nodes = {2 * self.nodes}, "
                              f"got {self.max_nodes}")
         if self.mixed_t is not None and not 1 <= self.mixed_t <= self.k:
             raise ValueError(f"mixed_t must be in 1..{self.k}")
+        if self.smearings is not None:
+            if len(self.smearings) != self.k:
+                raise ValueError("one smearing per operator required")
+            if self.k > 2:
+                raise ValueError("smeared correlators are two-point only (k <= 2)")
+            if self.mixed_t is not None:
+                raise ValueError("smeared correlators have no t-distinguished form")
 
     @property
     def k(self) -> int:
@@ -159,10 +186,8 @@ class _PointLegs:
 
 
 class _SmearedLegs:
-    """Operators paired with Gaussian test functions. The leg factor of
-    operator s is the Fourier transform of its Gaussian at the momentum
-    transfer q_s = sum_{a<s} pbar(gamma^(sa)) - sum_{b>s} pbar(gamma^(bs)).
-    Contours stay on the real line, where every q_s is real."""
+    """Operators paired with Gaussian test functions (CorrelatorRequest's
+    smearings). Contours stay on the real line, where every q_s is real."""
 
     def __init__(self, smearings: Sequence[GaussianSmearing]):
         self.smearings = smearings
@@ -180,6 +205,14 @@ class _SmearedLegs:
         return [g.fourier(qs[..., 0], qs[..., 1]) for g, qs in zip(self.smearings, q[1:])]
 
 
+def _legs(request: CorrelatorRequest):
+    """The request's legs: Gaussian transforms with its smearings, if it has
+    them, or else plane waves at its points."""
+    if request.smearings is not None:
+        return _SmearedLegs(request.smearings)
+    return _PointLegs(request.points)
+
+
 def _factors(request: CorrelatorRequest, gamma: dict, legs) -> list:
     """The factors whose product is the integrand: the S-factor of each pair of
     variables in scattering blocks, the legs' factors (a plane wave per
@@ -193,12 +226,12 @@ def _factors(request: CorrelatorRequest, gamma: dict, legs) -> list:
             + legs.factors(params, gamma) + _form_factors(request, gamma))
 
 
-def integrand(request: CorrelatorRequest, comp: CompositionVector, gamma: dict, legs=None):
+def integrand(request: CorrelatorRequest, comp: CompositionVector, gamma: dict):
     """S-factors x external-leg factors x form-factor product at the given
     contour points (each gamma[blk] a list of complex arrays, broadcastable).
-    The legs default to plane waves at request.points."""
-    legs = legs or _PointLegs(request.points)
-    return functools.reduce(operator.mul, _factors(request, gamma, legs), 1.0 + 0.0j)
+    The legs are plane waves at request.points, or the Gaussian transforms
+    of request.smearings."""
+    return functools.reduce(operator.mul, _factors(request, gamma, _legs(request)), 1.0 + 0.0j)
 
 
 def _composition_phase(comp: CompositionVector, request: CorrelatorRequest) -> complex:
@@ -212,23 +245,19 @@ def _composition_phase(comp: CompositionVector, request: CorrelatorRequest) -> c
 
 def compute_I_n(request: CorrelatorRequest, comp: CompositionVector) -> tuple[complex, float]:
     """The multidimensional contour integral of one composition with the
-    operators at request.points, and an error estimate: the change from
-    halving the grid step plus the truncated tails beyond +-L. The ladder,
-    the first grid and the representation are the request's; evaluate
-    another with dataclasses.replace(request, ladder=..., nodes=...).
-    Deterministic: the integrand's factors are contracted in an order fixed
-    by which axes each varies along, so a composition gives the same bits on
-    every call."""
-    return _refine(request, comp, _PointLegs(request.points))
-
-
-def _refine(request, comp, legs) -> tuple[complex, float]:
-    """Trapezoid rule on the legs' contours with request.nodes intervals per
+    request's legs (plane waves at request.points, or the Gaussian transforms
+    of request.smearings), and an error estimate. The ladder, the first grid
+    and the representation are the request's; evaluate another with
+    dataclasses.replace(request, ladder=..., nodes=...).
+    Trapezoid rule on the legs' contours with request.nodes intervals per
     axis over [-L, L], halving the step until two successive grids agree to
     request.tol or the next grid would exceed request.max_nodes intervals.
-    The error is that agreement plus the finest grid's tail estimate and
-    rounding floor; neither drives the refinement, since a smaller step
-    shrinks neither."""
+    The error is that agreement plus the finest grid's tail estimate beyond
+    +-L and rounding floor; neither drives the refinement, since a smaller
+    step shrinks neither. Deterministic: the integrand's factors are
+    contracted in an order fixed by which axes each varies along, so a
+    composition gives the same bits on every call."""
+    legs = _legs(request)
     nodes = request.nodes
     quad = functools.partial(_quad_tensor, request, comp, legs.contours(request, comp), legs)
     (v1, _, _), (v2, tail, floor) = quad(nodes), quad(2 * nodes)
@@ -351,12 +380,12 @@ class CorrelatorResult:
         return "\n".join(lines)
 
 
-def _sum_compositions(request: CorrelatorRequest, map_=map, I_n=None) -> CorrelatorResult:
+def _sum_compositions(request: CorrelatorRequest, map_=map) -> CorrelatorResult:
     """Sum of phase * I_n / (n! (2 pi)^{|n|}) over the compositions of
-    request.r. I_n maps a composition to (value, error) and defaults to
-    compute_I_n; map_ (an executor's map, say) may evaluate the compositions
-    concurrently, while the sum always runs in composition order."""
-    I_n = I_n or functools.partial(compute_I_n, request)
+    request.r, each I_n from compute_I_n; map_ (an executor's map, say) may
+    evaluate the compositions concurrently, while the sum always runs in
+    composition order."""
+    I_n = functools.partial(compute_I_n, request)
     comps = enumerate_compositions(request.k, tuple(request.r))
     total = 0.0 + 0.0j
     err_total = 0.0
@@ -395,6 +424,14 @@ class GaussianSmearing:
     center: tuple
     width: tuple
 
+    def __post_init__(self):
+        for name, pair in (("center", self.center), ("width", self.width)):
+            if np.shape(pair) != (2,) or not all(
+                    isinstance(v, numbers.Real) and math.isfinite(v) for v in pair):
+                raise ValueError(f"{name} must be two finite numbers, got {pair!r}")
+        if not min(self.width) > 0.0:
+            raise ValueError(f"widths must be positive, got {self.width!r}")
+
     def fourier(self, q0, q1):
         """int d^2x g(x) exp(i q.x) with q.x = q0 x0 - q1 x1."""
         c0, c1 = self.center
@@ -406,24 +443,7 @@ class GaussianSmearing:
 
 def smeared_correlator(request: CorrelatorRequest,
                        smearings: Sequence[GaussianSmearing]) -> CorrelatorResult:
-    """Truncated two-point correlator paired with separable Gaussians.
-
-    The plane waves are replaced by the Gaussian Fourier transforms at the
-    momenta q_s = sum_{a<s} pbar(gamma^(sa)) - sum_{b>s} pbar(gamma^(bs)),
-    integrated on real contours: for k = 2 there are no cross-level kinematic
-    poles, so the real-line limit is exact. k >= 3 is refused with
-    ValueError. It needs shifted contours, and on a shifted ladder the factor
-    exp(-w^2 q^2 / 2) of the middle operator grows like
-    exp(c e^{2 |Re gamma|}) (for w = 0.3 on the default ladder at b = 1/4 its
-    exponent is +1.06 at Re gamma = 4 and +3160 at Re gamma = 8).
-    request.points and request.ladder are not used, and a request with
-    mixed_t is refused with ValueError: there is no t-distinguished form.
-    """
-    if len(smearings) != request.k:
-        raise ValueError("one smearing per operator required")
-    if request.k > 2:
-        raise ValueError("smeared correlators are two-point only (k <= 2)")
-    if request.mixed_t is not None:
-        raise ValueError("smeared correlators have no t-distinguished form")
-    legs = _SmearedLegs(smearings)
-    return _sum_compositions(request, I_n=lambda comp: _refine(request, comp, legs))
+    """The correlator of the request paired with separable Gaussians, one
+    per operator: a shorthand for the request with these smearings (see
+    CorrelatorRequest), which refuses k >= 3 and mixed_t with ValueError."""
+    return compute_W_r(dataclasses.replace(request, smearings=smearings))

@@ -294,6 +294,8 @@ def pair_numeric_with_tail(kernel, alphas, test, op, params,
         raise ValueError(f"nodes must be at least 1, got {nodes}")
     if not L > 0.0:
         raise ValueError(f"L must be positive, got {L}")
+    if not math.isfinite(L):
+        raise ValueError(f"L must be finite, got {L}")
     if len(eps_seq) == 0:
         raise ValueError("eps_seq must hold at least one regulator")
     vals = [_pair_at_eps(kernel, alphas, test, op, params, e, L, nodes)

@@ -35,7 +35,8 @@ def eta_max(params: ModelParams) -> float:
 class ContourLadder:
     """Imaginary shifts eta^(ba) per block, strictly increasing in the
     canonical block order (2,1) < (3,1) < (3,2) < (4,1) < ... on the blocks
-    that carry variables."""
+    that carry variables, and below pi, where the plane waves leave their
+    strip of decay."""
 
     k: int
     eta: dict
@@ -43,10 +44,14 @@ class ContourLadder:
     def validate(self, comp: CompositionVector) -> None:
         prev = 0.0
         for blk in _occupied(comp):
-            e = self.eta[blk]
+            e = self.eta.get(blk)
+            if e is None:
+                raise ValueError(f"ladder has no shift for occupied block {blk}")
             if not (e > prev):
                 raise ValueError(
                     f"ladder violation at block {blk}: eta={e} must exceed {prev}")
+            if not e < np.pi:
+                raise ValueError(f"ladder violation at block {blk}: eta={e} must be below pi")
             prev = e
 
 

@@ -192,6 +192,22 @@ def test_correlator_threads_match_serial(runner, tmp_path):
     assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
+def test_correlator_smeared_threads_match_serial(runner, tmp_path, monkeypatch):
+    # --threads runs the compositions on a pool with --smeared too
+    path = _write(tmp_path, _variant(SMEARED_CFG, "request", r=[2], nodes=48))
+    maps = []
+    original = shgff.cli._sum_compositions
+    monkeypatch.setattr(shgff.cli, "_sum_compositions",
+                        lambda request, map_: maps.append(map_) or original(request, map_))
+    out1, out2 = str(tmp_path / "s.csv"), str(tmp_path / "t.csv")
+    r1 = runner.invoke(main, ["correlator", "--config", path, "--output", out1, "--smeared"])
+    r2 = runner.invoke(main, ["correlator", "--config", path, "--output", out2, "--smeared",
+                              "--threads", "4"])
+    assert r1.exit_code == EXIT_OK and r2.exit_code == EXIT_OK, (r1.output, r2.output)
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+    assert len(maps) == 1 and maps[0] is not map
+
+
 def test_correlator_threads_reject_bad_mixed(runner, tmp_path):
     path = _write(tmp_path, UNIT_CFG)
     res = runner.invoke(main, ["correlator", "--config", path, "--mixed", "5",
@@ -274,6 +290,18 @@ UNCONVERGED_CFG = _variant(UNIT_CFG, "request", nodes=4, max_nodes=8, tol=1e-12)
 SMEARED_CFG = _variant(UNIT_CFG, "request", smearings=[
     {"center": [0.0, 1.0], "width": [0.05, 0.05]},
     {"center": [0.0, 0.0], "width": [0.05, 0.05]}])
+THREE_OPS_TWO_POINTS_CFG = _variant(UNIT_CFG, "request", r=[1, 1])
+THREE_OPS_TWO_POINTS_CFG["operators"].append(dict(UNIT_CFG["operators"][0], name="O3"))
+TWO_OPS_THREE_POINTS_CFG = _variant(UNIT_CFG, "request",
+                                    points=[[0.0, 1.0], [0.0, 0.0], [0.0, -1.0]])
+NO_SHIFT_CFG = _variant(UNIT_CFG, "request", ladder={})
+OUT_OF_STRIP_CFG = _variant(UNIT_CFG, "request", ladder={"2,1": 3.3})
+BAD_CENTER_CFG = _variant(UNIT_CFG, "request", smearings=[
+    {"center": ["a", 1.0], "width": [0.05, 0.05]},
+    {"center": [0.0, 0.0], "width": [0.05, 0.05]}])
+ZERO_WIDTH_CFG = _variant(UNIT_CFG, "request", smearings=[
+    {"center": [0.0, 1.0], "width": [0.05, 0.0]},
+    {"center": [0.0, 0.0], "width": [0.05, 0.05]}])
 DOC_CFG = _variant(UNIT_CFG, "output", doc="missing/report.txt")
 FD_DOC_CFG = _variant(UNIT_CFG, "output", doc=1)
 LIST_OUTPUT_CFG = dict(UNIT_CFG, output=[])
@@ -313,6 +341,9 @@ EXIT_TABLE = [
                  id="enumerate-ok"),
     pytest.param(["enumerate", "--k", "3", "--r", "1,x"], None, None, EXIT_CONFIG,
                  "config error: invalid literal", id="enumerate-bad-rank"),
+    pytest.param(["enumerate", "--k", "2", "--r", "-1"], None, None, EXIT_CONFIG,
+                 "config error: truncation ranks must be non-negative",
+                 id="enumerate-negative-rank"),
     pytest.param(["enumerate", "--k", "3", "--r", "1,1"], None, "enumerate_compositions",
                  EXIT_INTERNAL, "internal error: boom", id="enumerate-internal"),
     pytest.param(["eval-ff", "--config", "CFG", "--betas", "0.1,0.2"], KT_CFG, None,
@@ -353,6 +384,26 @@ EXIT_TABLE = [
                  None, EXIT_CONFIG,
                  "config error: smeared correlators have no t-distinguished form",
                  id="correlator-smeared-mixed"),
+    pytest.param(["correlator", "--config", "CFG", "--smeared"], BAD_CENTER_CFG, None,
+                 EXIT_CONFIG, "config error: bad request section: center must be two finite",
+                 id="correlator-smeared-bad-center"),
+    pytest.param(["correlator", "--config", "CFG", "--smeared"], ZERO_WIDTH_CFG, None,
+                 EXIT_CONFIG, "config error: bad request section: widths must be positive",
+                 id="correlator-smeared-zero-width"),
+    pytest.param(["correlator", "--config", "CFG"], THREE_OPS_TWO_POINTS_CFG, None, EXIT_CONFIG,
+                 "config error: one point per operator required: 3 operators, 2 points",
+                 id="correlator-three-operators-two-points"),
+    pytest.param(["correlator", "--config", "CFG"], TWO_OPS_THREE_POINTS_CFG, None, EXIT_CONFIG,
+                 "config error: one point per operator required: 2 operators, 3 points",
+                 id="correlator-two-operators-three-points"),
+    pytest.param(["correlator", "--config", "CFG", "--L", "inf"], UNIT_CFG, None, EXIT_CONFIG,
+                 "config error: L must be finite, got inf", id="correlator-infinite-L"),
+    pytest.param(["correlator", "--config", "CFG"], NO_SHIFT_CFG, None, EXIT_CONFIG,
+                 "config error: ladder has no shift for occupied block (2, 1)",
+                 id="correlator-ladder-missing-shift"),
+    pytest.param(["correlator", "--config", "CFG"], OUT_OF_STRIP_CFG, None, EXIT_CONFIG,
+                 "config error: ladder violation at block (2, 1): eta=3.3 must be below pi",
+                 id="correlator-ladder-outside-strip"),
     pytest.param(["correlator", "--config", "CFG", "--nodes", "2000"], UNIT_CFG, None,
                  EXIT_CONFIG, "config error: max_nodes must be at least 2 * nodes = 4000",
                  id="correlator-nodes-flag-beyond-max-nodes"),

@@ -215,6 +215,14 @@ def test_enumerate_compositions_rejects_bad_r():
         enumerate_compositions(3, (1,))
 
 
+def test_enumerate_compositions_rejects_negative_ranks():
+    # r = (-1,) gave no composition, so W = 0 and converged; r = 0 stays valid
+    for k, r in ((2, (-1,)), (3, (1, -1)), (3, (-2, 0))):
+        with pytest.raises(ValueError, match="truncation ranks must be non-negative"):
+            enumerate_compositions(k, r)
+    assert [c.counts for c in enumerate_compositions(2, (0,))] == [(0,)]
+
+
 def test_omega_accumulation():
     om = [0.1, 0.2, 0.4, 0.8]
     assert omega_ba(3, 1, om) == pytest.approx(0.6)

@@ -11,9 +11,9 @@ import shgff.correlator
 import shgff.formfactor
 from shgff.combin import CompositionVector, blocks, enumerate_compositions
 from shgff.correlator import (
-    ContourLadder, CorrelatorRequest, GaussianSmearing, RegionError, SpacetimePoint,
-    _PointLegs, _quad_tensor, _SmearedLegs, _sum_compositions, check_region, compute_I_n,
-    compute_W_r, compute_W_r_mixed, default_ladder, eta_max, integrand, smeared_correlator,
+    ContourLadder, CorrelatorRequest, GaussianSmearing, RegionError, SpacetimePoint, _legs,
+    _PointLegs, _quad_tensor, check_region, compute_I_n, compute_W_r, compute_W_r_mixed,
+    default_ladder, eta_max, integrand, smeared_correlator,
 )
 from shgff.formfactor import (
     ExponentialPn, KTransformProvider, OperatorSpec, load_operator,
@@ -65,6 +65,22 @@ def test_ladder_validation():
     bad = ContourLadder(3, {(2, 1): 0.2, (3, 1): 0.1, (3, 2): 0.0})
     with pytest.raises(ValueError):
         bad.validate(comp)
+
+
+@pytest.mark.parametrize("eta, message", [
+    # a KeyError before
+    ({(2, 1): 0.1}, r"ladder has no shift for occupied block \(3, 1\)"),
+    # outside the plane waves' strip of decay: W = 6.6e98 at 3.3, nan at 4
+    ({(2, 1): 0.1, (3, 1): np.pi}, r"eta=3.14\d* must be below pi"),
+    ({(2, 1): 3.3, (3, 1): 4.0}, "eta=3.3 must be below pi"),
+])
+def test_ladder_refuses_a_missing_shift_or_one_outside_the_strip(eta, message):
+    comp = CompositionVector(3, (1, 1, 0))
+    with pytest.raises(ValueError, match=message):
+        ContourLadder(3, eta).validate(comp)
+    req = _req(X3, (1, 1), ladder=ContourLadder(3, eta))
+    with pytest.raises(ValueError, match=message):
+        compute_I_n(req, comp)
 
 
 def test_default_ladder_is_admissible():
@@ -261,11 +277,15 @@ def test_t_forms_near_the_free_and_half_couplings(b):
     for t in (1, 2, 3, 4):
         got = compute_W_r_mixed(req, t)
         req_t = dataclasses.replace(req, mixed_t=t)
-        ref = _sum_compositions(req_t, I_n=lambda comp: compute_I_n(
-            dataclasses.replace(req_t, ladder=default_ladder(comp, params)), comp))
+        ref, ref_err = 0.0, 0.0
+        for comp, _, _, ph in got.breakdown:
+            val, err = compute_I_n(
+                dataclasses.replace(req_t, ladder=default_ladder(comp, params)), comp)
+            weight = ph / (comp.factorial_weight() * (2.0 * np.pi) ** comp.total)
+            ref, ref_err = ref + weight * val, ref_err + abs(weight) * err
         assert got.converged is True
-        assert ref.error < 1e-4
-        assert abs(got.value - ref.value) <= got.error + ref.error, t
+        assert ref_err < 1e-4
+        assert abs(got.value - ref) <= got.error + ref_err, t
 
 
 def test_four_point_unit_correlator_converges():
@@ -354,14 +374,14 @@ def test_scattering_factors_on_the_open_mesh_match_the_dense_mesh():
     assert np.max(np.abs(vals[0] - vals[1]) / np.abs(vals[1])) < 1e-13
 
 
-def _dense_quad(req, comp, legs, nodes, gamma):
+def _dense_quad(req, comp, nodes, gamma):
     """The trapezoid value, tail estimate and integral of |integrand| from
     the integrand broadcast to the full (nodes + 1)^d mesh and contracted
     axis by axis."""
     h = 2.0 * req.L / nodes
     w = np.full(nodes + 1, h)
     w[0] = w[-1] = h / 2.0
-    vals = np.broadcast_to(integrand(req, comp, gamma, legs),
+    vals = np.broadcast_to(integrand(req, comp, gamma),
                            (nodes + 1,) * comp.total)
 
     def contract(v):
@@ -400,10 +420,10 @@ def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
         mixed_t = 2 if case == "k4_t2" else None
         req, counts = _req(X4, (1, 2, 1), L=3.0, mixed_t=mixed_t), (0, 1, 0, 0, 1, 0)
     else:
-        req, counts = _req(X3[:2], (2,), L=3.0), (2,)
+        req, counts = _req(X3[:2], (2,), L=3.0, smearings=[
+            GaussianSmearing(xy, (0.3, 0.3)) for xy in X3[:2]]), (2,)
     comp = CompositionVector(req.k, counts)
-    legs = (_SmearedLegs([GaussianSmearing((p.x0, p.x1), (0.3, 0.3)) for p in req.points])
-            if case == "smeared_r2" else _PointLegs(req.points))
+    legs = _legs(req)
     seen = []
     factors = shgff.correlator._factors
     monkeypatch.setattr(shgff.correlator, "_factors",
@@ -411,7 +431,7 @@ def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
     for nodes in (48, 96):
         seen.clear()
         got = _quad_tensor(req, comp, legs.contours(req, comp), legs, nodes)
-        want = _dense_quad(req, comp, legs, nodes, seen[0])
+        want = _dense_quad(req, comp, nodes, seen[0])
         assert abs(got[0] - want[0]) <= 1e-13 * abs(want[0])
         assert abs(got[1] - want[1]) <= 1e-13 * want[1]
         floor = (len(factors(req, seen[0], legs)) + comp.total) * np.finfo(float).eps
@@ -432,6 +452,19 @@ def test_error_estimate_covers_the_true_error():
             legs = _PointLegs(req.points)
             ref = _quad_tensor(req_l, comp, legs.contours(req_l, comp), legs, 3072)[0]
             assert abs(val - ref) <= err + 1e-14 * max(1.0, abs(ref))
+
+
+def test_request_refuses_a_point_per_operator_mismatch_and_an_infinite_L():
+    # three operators at two points raised IndexError in the quadrature; two
+    # operators at three points dropped the third; L = inf gave W = nan
+    with pytest.raises(ValueError, match="one point per operator required: "
+                                         "3 operators, 2 points"):
+        _req(X3[:2], (1, 1), ops=_unit_ops(3))
+    with pytest.raises(ValueError, match="one point per operator required: "
+                                         "2 operators, 3 points"):
+        _req(X3, (1,), ops=_unit_ops(2))
+    with pytest.raises(ValueError, match="L must be finite, got inf"):
+        _req(X3[:2], (1,), L=np.inf)
 
 
 def test_max_nodes_below_the_second_level_is_rejected():
@@ -529,6 +562,43 @@ def test_smeared_narrow_width_approaches_point_value():
     assert devs[1] < 5e-3
     # quadratic small-width scaling
     assert 4.0 < devs[0] / devs[1] < 9.0
+
+
+@pytest.mark.parametrize("center, width, message", [
+    # a string centre raised TypeError inside the quadrature
+    (("a", 1.0), (0.3, 0.3), "center must be two finite numbers"),
+    ((0.0,), (0.3, 0.3), "center must be two finite numbers"),
+    ((0.0, np.nan), (0.3, 0.3), "center must be two finite numbers"),
+    ((0.0, 0.0), (0.3, np.inf), "width must be two finite numbers"),
+    ((0.0, 0.0), 0.3, "width must be two finite numbers"),
+    # a zero width gave W = 0, converged
+    ((0.0, 0.0), (0.3, 0.0), "widths must be positive"),
+    ((0.0, 0.0), (-0.3, 0.3), "widths must be positive"),
+])
+def test_gaussian_smearing_refuses_bad_center_or_width(center, width, message):
+    with pytest.raises(ValueError, match=message):
+        GaussianSmearing(center, width)
+
+
+def test_smeared_request_refuses_bad_smearings_when_built(monkeypatch):
+    # the refusals of smeared_correlator belong to the request, before any quadrature
+    monkeypatch.setattr(shgff.correlator, "_quad_tensor", None)
+    sm = [GaussianSmearing((x0, x1), (0.3, 0.3)) for x0, x1 in X3]
+    for points, smearings, kw, message in (
+            (X3[:2], sm[:1], {}, "one smearing per operator required"),
+            (X3, sm, {}, r"smeared correlators are two-point only \(k <= 2\)"),
+            (X3[:2], sm[:2], dict(mixed_t=2), "smeared correlators have no t-distinguished form")):
+        with pytest.raises(ValueError, match=message):
+            _req(points, (1,) * (len(points) - 1), smearings=smearings, **kw)
+
+
+def test_compute_I_n_on_a_smeared_request_matches_the_breakdown():
+    req = _req(X3[:2], (2,), nodes=48, tol=1e-10)
+    sm = [GaussianSmearing((0.0, 1.0), (0.3, 0.3)), GaussianSmearing((0.0, 0.0), (0.3, 0.2))]
+    res = smeared_correlator(req, sm)
+    assert res == compute_W_r(dataclasses.replace(req, smearings=sm))
+    for comp, val, err, _ in res.breakdown:
+        assert compute_I_n(dataclasses.replace(req, smearings=sm), comp) == (val, err)
 
 
 def test_smeared_requires_one_kernel_per_operator():

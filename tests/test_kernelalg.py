@@ -272,6 +272,8 @@ def test_pairing_rejects_wrong_alpha_count():
     (dict(nodes=-4), "nodes must be at least 1, got -4"),
     (dict(L=0.0), "L must be positive, got 0.0"),
     (dict(L=-8.0), "L must be positive, got -8.0"),
+    # nan+nanj with a numpy warning before
+    (dict(L=float("inf")), "L must be finite, got inf"),
     (dict(eps_seq=()), "eps_seq must hold at least one regulator"),
 ])
 def test_pairing_rejects_bad_grid(kw, message):
