@@ -198,7 +198,7 @@ def eval_ff_cmd(config_path, op_name, betas_str):
 @click.option("--tol", type=float, default=None,
               help="each composition's refinement target; exit 4 if W's error exceeds it")
 @click.option("--nodes", type=int, default=None,
-              help="grid intervals per axis over [-L, L] at the first level")
+              help="the first grid has 2 * NODES intervals per axis over [-L, L]")
 @click.option("--l", "--L", "L", type=float, default=None,
               help="half-width of each contour's integration window")
 def correlator_cmd(config_path, output_path, mixed_t, smeared, threads, tol, nodes, L):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import numbers
 import operator
@@ -28,6 +29,9 @@ from .formfactor import OperatorSpec, _pairwise
 from .ladder import ContourLadder, _spread_ladder, default_ladder, eta_max  # noqa: F401
 # perfbench/tracing.py wraps correlator.minkowski_dot by name
 from .specfun import ModelParams, minkowski_dot, momentum, s_matrix  # noqa: F401
+
+# log of the largest double: exp and cosh overflow beyond it
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,11 +67,15 @@ def check_region(points: Sequence[SpacetimePoint]) -> bool:
 class CorrelatorRequest:
     """One truncated correlator, and the only description of how it is
     evaluated: no correlator function takes a ladder, grid or representation
-    of its own. Each integration variable runs over [-L, L] on its contour with
-    a uniform trapezoid grid of `nodes` intervals at the first level; the
-    step is halved until two levels agree to `tol` or a level would exceed
-    `max_nodes` intervals. Every composition evaluates at least two levels,
-    so `max_nodes` must be at least 2 * `nodes` (ValueError otherwise).
+    of its own. Each integration variable runs over [-L, L] on its contour
+    with a uniform trapezoid grid, first of 2 * `nodes` intervals. Each grid
+    is compared with the rule on its own even points, so the first
+    comparison is with `nodes` intervals; the step is halved until the two
+    agree to `tol` or the next grid would exceed `max_nodes` intervals, so
+    `max_nodes` must be at least 2 * `nodes` (ValueError otherwise). `L` is
+    refused too (ValueError) when a contour, which reaches |theta_ba| + L
+    plus less than one first-grid step L / `nodes`, would pass
+    |Re gamma| = log(max float) = 709.78, where exp and cosh overflow.
     `tol` is thus each composition's refinement target; the result is
     `converged` when W's error estimate is at most `tol`.
     Without a `ladder`, each composition is integrated on its own equally
@@ -114,6 +122,15 @@ class CorrelatorRequest:
             raise ValueError(f"L must be positive, got {self.L}")
         if not math.isfinite(self.L):
             raise ValueError(f"L must be finite, got {self.L}")
+        # a grid point lies within |theta_ba| + L + one first-grid step L / nodes of 0
+        # (see _PointLegs.contours and _quad_tensor)
+        theta = 0.0
+        if self.smearings is None and check_region(self.points):
+            theta = max((abs(math.atanh((b.x0 - a.x0) / (b.x1 - a.x1)))
+                         for a, b in itertools.combinations(self.points, 2)), default=0.0)
+        if not self.L * (1.0 + 1.0 / self.nodes) + theta < _LOG_MAX:
+            raise ValueError(f"L = {self.L} is too large: the contours would pass "
+                             f"|Re gamma| = {_LOG_MAX:.2f}, where exp overflows")
         if self.max_nodes < 2 * self.nodes:
             raise ValueError(f"max_nodes must be at least 2 * nodes = {2 * self.nodes}, "
                              f"got {self.max_nodes}")
@@ -249,35 +266,37 @@ def compute_I_n(request: CorrelatorRequest, comp: CompositionVector) -> tuple[co
     of request.smearings), and an error estimate. The ladder, the first grid
     and the representation are the request's; evaluate another with
     dataclasses.replace(request, ladder=..., nodes=...).
-    Trapezoid rule on the legs' contours with request.nodes intervals per
-    axis over [-L, L], halving the step until two successive grids agree to
-    request.tol or the next grid would exceed request.max_nodes intervals.
-    The error is that agreement plus the finest grid's tail estimate beyond
+    Trapezoid rule on the legs' contours over [-L, L], first with
+    2 * request.nodes intervals per axis. Each grid is compared with the rule
+    on its own even points, which the same evaluation of the integrand's
+    factors gives (see _quad_tensor); the step is halved until the two agree
+    to request.tol or the next grid would exceed request.max_nodes intervals.
+    The error is their difference plus the finest grid's tail estimate beyond
     +-L and rounding floor; neither drives the refinement, since a smaller
     step shrinks neither. Deterministic: the integrand's factors are
     contracted in an order fixed by which axes each varies along, so a
     composition gives the same bits on every call."""
     legs = _legs(request)
-    nodes = request.nodes
     quad = functools.partial(_quad_tensor, request, comp, legs.contours(request, comp), legs)
-    (v1, _, _), (v2, tail, floor) = quad(nodes), quad(2 * nodes)
-    while abs(v2 - v1) > request.tol and 4 * nodes <= request.max_nodes:
-        nodes *= 2
-        v1, (v2, tail, floor) = v2, quad(2 * nodes)
-    return v2, abs(v2 - v1) + tail + floor
+    value, tail, floor, coarse = quad(nodes := 2 * request.nodes)
+    while abs(value - coarse) > request.tol and 2 * nodes <= request.max_nodes:
+        value, tail, floor, coarse = quad(nodes := 2 * nodes)
+    return value, abs(value - coarse) + tail + floor
 
 
-def _quad_tensor(request, comp, contours, legs, nodes) -> tuple[complex, float]:
+def _quad_tensor(request, comp, contours, legs, nodes) -> tuple[complex, float, float, complex]:
     """Tensor trapezoid rule, `nodes` intervals of step h per axis over
     [-L, L] shifted to each variable's contour, on an open mesh.
     The j-th of the c variables of one block is further shifted by j h / c,
-    so that no two of them coincide while every axis keeps step h. The
-    integrand's factors are contracted one at a time and never multiplied
-    out on the full mesh, so the largest array is the largest factor or
-    contraction intermediate. Returns the value, the tail estimate and the
-    rounding floor: eps * (number of factors + number of axes) times the
+    so that no two of them coincide while every axis keeps step h (on the
+    even points, j / (2c) of their step 2h). The integrand's factors are
+    contracted one at a time and never multiplied out on the full mesh, so
+    the largest array is the largest factor or contraction intermediate.
+    Returns the value, the tail estimate, the rounding floor and the coarse
+    value. The floor is eps * (number of factors + number of axes) times the
     integral of |integrand| on the grid, which the moduli of the factors
-    give when contracted like the factors."""
+    give when contracted like the factors. The coarse value is the same
+    factors' rule of step 2h on the even points of each axis (`nodes` even)."""
     # block of each integration variable, in canonical block order
     counts = comp.as_dict()
     block_of = [blk for blk, cnt in counts.items() for _ in range(cnt)]
@@ -297,7 +316,11 @@ def _quad_tensor(request, comp, contours, legs, nodes) -> tuple[complex, float]:
     # a rounding or so in each factor and in the sum over each axis, each
     # relative to the integral of |integrand|
     floor = (len(factors) + d) * np.finfo(float).eps * float(_contract(moduli, weights))
-    return complex(_contract(factors, weights)), _tail(moduli, d, w, h), floor
+    # the step-2h rule (h at the ends, 2h inside) on the even points of each axis, each
+    # factor copied there contiguously, so that einsum sums as on a grid of nodes / 2
+    even = [(f[(slice(None, None, 2),) * len(axes)].copy(), axes) for f, axes in factors]
+    return (complex(_contract(factors, weights)), _tail(moduli, d, w, h), floor,
+            complex(_contract(even, dict.fromkeys(range(d), 2.0 * w[::2]))))
 
 
 def _along(f, d):

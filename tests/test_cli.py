@@ -398,6 +398,13 @@ EXIT_TABLE = [
                  id="correlator-two-operators-three-points"),
     pytest.param(["correlator", "--config", "CFG", "--L", "inf"], UNIT_CFG, None, EXIT_CONFIG,
                  "config error: L must be finite, got inf", id="correlator-infinite-L"),
+    # exp(gamma) in the plane waves overflowed (internal error) at 1000; 1e308 gave NaN rows
+    pytest.param(["correlator", "--config", "CFG", "--L", "1000"], UNIT_CFG, None, EXIT_CONFIG,
+                 "config error: L = 1000.0 is too large", id="correlator-overflowing-L"),
+    pytest.param(["correlator", "--config", "CFG", "--L", "1e308"], UNIT_CFG, None, EXIT_CONFIG,
+                 "config error: L = 1e+308 is too large", id="correlator-huge-L"),
+    pytest.param(["correlator", "--config", "CFG", "--L", "700"], UNIT_CFG, None,
+                 EXIT_NONCONVERGED, "non-convergence: error estimate", id="correlator-large-L"),
     pytest.param(["correlator", "--config", "CFG"], NO_SHIFT_CFG, None, EXIT_CONFIG,
                  "config error: ladder has no shift for occupied block (2, 1)",
                  id="correlator-ladder-missing-shift"),

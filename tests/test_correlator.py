@@ -1,5 +1,6 @@
 """Truncated correlators: Bessel oracle, contour invariance, symmetries."""
 import dataclasses
+import re
 
 import mpmath
 import numpy as np
@@ -171,6 +172,18 @@ def test_two_point_two_particle_factorizes():
     assert abs(res.value - want) < 1e-7
 
 
+@pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("nodes", [8, 16, 24, 32])
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_two_particle_error_covers_the_bessel_oracle(rho, nodes, tol):
+    # the two variables of block (2,1) sit a quarter of the coarse step apart
+    # on the even points of each grid: the refinement estimate must still
+    # cover the true error
+    res = compute_W_r(_req([(0.0, rho), (0.0, 0.0)], (2,), nodes=nodes, tol=tol))
+    assert res.converged is True
+    assert abs(res.value - k0(rho) ** 2 / (2.0 * np.pi ** 2)) <= res.error
+
+
 def test_massive_two_point_scales_with_mass():
     pm = ModelParams(b=0.25, mass=1.7)
     ops = [load_operator(UNIT, pm) for _ in range(2)]
@@ -325,7 +338,8 @@ def test_kt3pt_matches_refined_oracle():
 
 def test_min_form_factor_sees_one_line_per_grid(monkeypatch):
     # composition (1,0,1): the middle operator's F_2 pairs the two variables;
-    # its min_form_factor runs on the 2N + 1 differences, not the N^2 mesh
+    # its min_form_factor runs on the 4N + 1 differences of the one 2N grid,
+    # not the (2N + 1)^2 mesh
     seen = []
     original = shgff.formfactor.min_form_factor
     monkeypatch.setattr(shgff.formfactor, "min_form_factor",
@@ -336,13 +350,13 @@ def test_min_form_factor_sees_one_line_per_grid(monkeypatch):
                    nodes=nodes, max_nodes=2 * nodes)
         seen.clear()
         compute_I_n(req, comp)
-        assert sum(seen) == (2 * nodes + 1) + (4 * nodes + 1)
+        assert sum(seen) == 4 * nodes + 1
 
 
 def test_k_transform_sees_only_difference_tables(monkeypatch):
     # composition (1,0,1): the middle operator's F_2 runs its label sum on the
-    # 1-D table of the 2N + 1 differences of its two variables, never on an
-    # N^2 plane; the outer operators' F_1 runs on the single difference 0
+    # 1-D table of the 4N + 1 differences of its two variables, never on a
+    # (2N + 1)^2 plane; the outer operators' F_1 runs on the single difference 0
     shapes = []
     original = shgff.formfactor.k_transform
     monkeypatch.setattr(shgff.formfactor, "k_transform",
@@ -354,9 +368,37 @@ def test_k_transform_sees_only_difference_tables(monkeypatch):
                    nodes=nodes, max_nodes=2 * nodes)
         shapes.clear()
         compute_I_n(req, comp)
-        grids = [(2 * nodes + 1,), (4 * nodes + 1,)]
+        grids = [(4 * nodes + 1,)]
         assert sorted(s for s in shapes if s) == grids
         assert len(shapes) == 3 * len(grids)
+
+
+def test_a_converged_two_level_run_builds_its_factors_once(monkeypatch):
+    # the coarse level is read off the even points of the 2N grid, so a
+    # composition that converges there evaluates its integrand's factors once
+    calls = []
+    factors = shgff.correlator._factors
+    monkeypatch.setattr(shgff.correlator, "_factors",
+                        lambda *a: calls.append(a) or factors(*a))
+    req = _req(X3, (1, 1), ops=[KT] * 3, tol=1e-7)
+    for comp in enumerate_compositions(3, (1, 1)):
+        calls.clear()
+        _, err = compute_I_n(req, comp)
+        assert err <= req.tol
+        assert len(calls) == 1
+
+
+def test_coarse_level_is_the_rule_on_the_even_points():
+    # kt3pt's (1,0,1): one variable per block, so the even points of the 2N
+    # grid are the N grid, and the coarse value is the N-interval rule
+    req = _req(X3, (1, 1), ops=[KT] * 3, tol=1e-7)
+    comp = CompositionVector(3, (1, 0, 1))
+    legs = _legs(req)
+    contours = legs.contours(req, comp)
+    value, _, _, coarse = _quad_tensor(req, comp, contours, legs, 2 * req.nodes)
+    assert compute_I_n(req, comp)[0] == value
+    want = _quad_tensor(req, comp, contours, legs, req.nodes)[0]
+    assert abs(coarse - want) <= 1e-14 * abs(want)
 
 
 def test_scattering_factors_on_the_open_mesh_match_the_dense_mesh():
@@ -465,6 +507,23 @@ def test_request_refuses_a_point_per_operator_mismatch_and_an_infinite_L():
         _req(X3, (1,), ops=_unit_ops(2))
     with pytest.raises(ValueError, match="L must be finite, got inf"):
         _req(X3[:2], (1,), L=np.inf)
+
+
+def test_request_refuses_an_L_whose_contours_overflow_exp():
+    # L = 1000 overflowed exp(gamma) in the plane waves (internal error);
+    # L = 1e308 gave W = nan
+    for L in (1000.0, 1e308):
+        with pytest.raises(ValueError, match=re.escape(f"L = {L} is too large")):
+            _req(X3[:2], (1,), L=L)
+    # a contour's reach is |theta_ba| + L + one first-grid step L / nodes;
+    # near the light cone theta_21 = artanh(0.999) = 3.8
+    near = [(0.999, 1.0), (0.0, 0.0)]
+    with pytest.raises(ValueError, match="L = 702.0 is too large"):
+        _req(near, (1,), L=702.0)
+    for points, L in ((X3[:2], 702.0), (near, 698.0)):
+        res = compute_W_r(_req(points, (2,), L=L))
+        assert np.isfinite(res.value) and np.isfinite(res.error)
+        assert res.converged is False
 
 
 def test_max_nodes_below_the_second_level_is_rejected():
