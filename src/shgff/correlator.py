@@ -75,7 +75,9 @@ class CorrelatorRequest:
     `max_nodes` must be at least 2 * `nodes` (ValueError otherwise). `L` is
     refused too (ValueError) when a contour, which reaches |theta_ba| + L
     plus less than one first-grid step L / `nodes`, would pass
-    |Re gamma| = log(max float) = 709.78, where exp and cosh overflow.
+    |Re gamma| = log(max float) = 709.78, where exp and cosh overflow, and
+    with `smearings` when that reach plus log(max(r) * m * max(1, widths))
+    would pass 709.78 / 2, where a Gaussian's squared momentum overflows.
     `tol` is thus each composition's refinement target; the result is
     `converged` when W's error estimate is at most `tol`.
     Without a `ladder`, each composition is integrated on its own equally
@@ -143,6 +145,13 @@ class CorrelatorRequest:
                 raise ValueError("smeared correlators are two-point only (k <= 2)")
             if self.mixed_t is not None:
                 raise ValueError("smeared correlators have no t-distinguished form")
+            # GaussianSmearing.fourier squares q, a sum of up to max(r) terms m cosh(gamma)
+            reach = (max(self.r, default=0) * self.params.mass
+                     * max(1.0, *(w for g in self.smearings for w in g.width)))
+            if reach > 0.0 and not (self.L * (1.0 + 1.0 / self.nodes) + math.log(reach)
+                                    < _LOG_MAX / 2):
+                raise ValueError(f"L = {self.L} is too large for a smeared correlator: the "
+                                 f"squared momenta of its Gaussians would overflow")
 
     @property
     def k(self) -> int:
@@ -293,10 +302,11 @@ def _quad_tensor(request, comp, contours, legs, nodes) -> tuple[complex, float, 
     contracted one at a time and never multiplied out on the full mesh, so
     the largest array is the largest factor or contraction intermediate.
     Returns the value, the tail estimate, the rounding floor and the coarse
-    value. The floor is eps * (number of factors + number of axes) times the
-    integral of |integrand| on the grid, which the moduli of the factors
-    give when contracted like the factors. The coarse value is the same
-    factors' rule of step 2h on the even points of each axis (`nodes` even)."""
+    value. The floor is eps * (number of factors + number of axes), plus the
+    rounding of each operator's provider, times the integral of |integrand|
+    on the grid, which the moduli of the factors give when contracted like
+    the factors. The coarse value is the same factors' rule of step 2h on
+    the even points of each axis (`nodes` even)."""
     # block of each integration variable, in canonical block order
     counts = comp.as_dict()
     block_of = [blk for blk, cnt in counts.items() for _ in range(cnt)]
@@ -313,9 +323,11 @@ def _quad_tensor(request, comp, contours, legs, nodes) -> tuple[complex, float, 
     factors = [_along(f, d) for f in _factors(request, gamma, legs)]
     moduli = [(np.abs(f), axes) for f, axes in factors]
     weights = dict.fromkeys(range(d), w)
-    # a rounding or so in each factor and in the sum over each axis, each
-    # relative to the integral of |integrand|
-    floor = (len(factors) + d) * np.finfo(float).eps * float(_contract(moduli, weights))
+    # a rounding or so in each factor and in the sum over each axis, and each
+    # form factor's own rounding, each relative to the integral of |integrand|
+    rounding = sum(op.provider.rounding for op in request.operators)
+    floor = ((len(factors) + d) * np.finfo(float).eps + rounding) * float(
+        _contract(moduli, weights))
     # the step-2h rule (h at the ends, 2h inside) on the even points of each axis, each
     # factor copied there contiguously, so that einsum sums as on a grid of nodes / 2
     even = [(f[(slice(None, None, 2),) * len(axes)].copy(), axes) for f, axes in factors]

@@ -189,6 +189,9 @@ class FormFactorProvider:
 
     #: True if F_n has no kinematic poles (constant-amplitude fixtures)
     pole_free: bool = False
+    #: relative rounding of one F_n value beyond the few ulps of any factor
+    #: (see correlator._quad_tensor's floor); 0 for the exact fixtures
+    rounding: float = 0.0
 
     def evaluate(self, betas: Sequence[complex]) -> complex:
         raise NotImplementedError
@@ -234,6 +237,11 @@ class KTransformProvider(FormFactorProvider):
     """
 
     pole_free = False
+    # min_form_factor's rounding noise, which its conditioning does not
+    # explain: at b = 1/4 a one-ulp change of beta moves it by up to 1.4e-13
+    # relative on Im beta = 2 pi / 3, kt3pt's F_2 contour, and by up to
+    # 2.8e-13 on Im beta = pi
+    rounding = 3e-13
 
     def __init__(self, pn: PnSolution, params: ModelParams):
         self.pn = pn

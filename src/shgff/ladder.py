@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .combin import CompositionVector, _operator_word, _scattering_pairs, blocks
 from .specfun import ModelParams
@@ -24,10 +23,10 @@ if TYPE_CHECKING:
 def eta_max(params: ModelParams) -> float:
     """Safe overall scale for contour shifts: a quarter of the distance from
     the real axis to the nearest S-matrix/form-factor singularity."""
-    cands = [np.pi / 2.0]
+    cands = [math.pi / 2.0]
     if params.b > 0.0:
-        cands.append(2.0 * np.pi * params.b)
-        cands.append(np.pi * (1.0 - 2.0 * params.b))
+        cands.append(2.0 * math.pi * params.b)
+        cands.append(math.pi * (1.0 - 2.0 * params.b))
     return min(cands) / 4.0
 
 
@@ -50,7 +49,7 @@ class ContourLadder:
             if not (e > prev):
                 raise ValueError(
                     f"ladder violation at block {blk}: eta={e} must exceed {prev}")
-            if not e < np.pi:
+            if not e < math.pi:
                 raise ValueError(f"ladder violation at block {blk}: eta={e} must be below pi")
             prev = e
 
@@ -76,8 +75,8 @@ def default_ladder(comp: CompositionVector, params: ModelParams) -> ContourLadde
     return ContourLadder(comp.k, eta)
 
 
-def _clearances(request: CorrelatorRequest, comp: CompositionVector) -> np.ndarray:
-    """Rows (slope, offset): the imaginary distance slope * step + offset from
+def _clearances(request: CorrelatorRequest, comp: CompositionVector) -> list:
+    """Sorted rows (slope, offset): the imaginary distance slope * step + offset from
     the contours of an equally spaced ladder, eta^(ba) = rank * step over the
     occupied blocks in canonical order (rank 1, 2, ...), to each singularity
     of the composition's integrand, for steps in the cell of small steps,
@@ -96,12 +95,12 @@ def _clearances(request: CorrelatorRequest, comp: CompositionVector) -> np.ndarr
     rank = {blk: i for i, blk in enumerate(_occupied(comp), start=1)}
     # the differences stay within (-2 pi, 2 pi) on any ladder inside the legs'
     # strip, so the singular values are listed over [-4 pi, 4 pi]
-    n = np.arange(-2, 3)
-    s_poles = np.concatenate([2.0 * np.pi * (n - params.b), np.pi + 2.0 * np.pi * (n + params.b)])
-    f_poles = np.concatenate([np.pi * np.arange(-4, 5)] + [
-        2.0 * np.pi * np.concatenate([-(c + n[2:]), 1.0 + c + n[2:]])
-        for c in (params.b, params.b_hat)])
-    diffs = [(i, 0.0, np.array([0.0, np.pi])) for i in rank.values()]
+    s_poles = ([2.0 * math.pi * (n - params.b) for n in range(-2, 3)]
+               + [math.pi + 2.0 * math.pi * (n + params.b) for n in range(-2, 3)])
+    f_poles = [math.pi * n for n in range(-4, 5)] + [
+        2.0 * math.pi * v for c in (params.b, params.b_hat)
+        for v in [-(c + n) for n in range(3)] + [1.0 + c + n for n in range(3)]]
+    diffs = [(i, 0.0, (0.0, math.pi)) for i in rank.values()]
     diffs += [(rank[u] - rank[v], 0.0, s_poles)
               for u, v in _scattering_pairs(request.k, request.mixed_t)
               if u in rank and v in rank]
@@ -113,13 +112,12 @@ def _clearances(request: CorrelatorRequest, comp: CompositionVector) -> np.ndarr
                       for (u, su), (v, sv) in itertools.combinations(word, 2)]
     rows = set()
     for slope, start, values in diffs:
-        gap = values - start
+        gaps = [v - start for v in values]
         # a singularity at the start lies below the difference if it rises
-        at = np.abs(gap) < 1e-12
-        below = gap[(gap < 0) & ~at | at & (slope > 0)].max()
-        above = gap[(gap > 0) & ~at | at & (slope < 0)].min()
+        below = max(g for g in gaps if (slope > 0 if abs(g) < 1e-12 else g < 0))
+        above = min(g for g in gaps if (slope < 0 if abs(g) < 1e-12 else g > 0))
         rows |= {(slope, -below), (-slope, above)}
-    return np.array(sorted(rows), dtype=float).reshape(-1, 2)
+    return sorted(rows)
 
 
 def _spread_ladder(request: CorrelatorRequest, comp: CompositionVector) -> ContourLadder:
@@ -130,16 +128,13 @@ def _spread_ladder(request: CorrelatorRequest, comp: CompositionVector) -> Conto
     that distance d. Raises default_ladder's ValueError where it does."""
     ladder = default_ladder(comp, request.params)
     rows = _clearances(request, comp)
-    if not rows.size:
+    if not rows:
         return ladder
-    slope, offset = rows.T
-    falls = slope < 0
-    cell = np.min(offset[falls] / -slope[falls])
+    cell = min(offset / -slope for slope, offset in rows if slope < 0)
     # the smallest distance is concave in the step: it peaks where two rows
     # cross or at the end of the cell
-    run = slope - slope[:, None]
-    cross = np.divide(offset[:, None] - offset, run, out=np.zeros_like(run), where=run != 0)
-    steps = np.append(cross[(cross > 0) & (cross < cell)], cell)
-    step = float(steps[np.argmax(np.min(slope[:, None] * steps + offset[:, None], axis=0))])
+    steps = [cross for si, oi in rows for sj, oj in rows if sj != si
+             if 0.0 < (cross := (oi - oj) / (sj - si)) < cell] + [cell]
+    step = max(steps, key=lambda s: min(slope * s + offset for slope, offset in rows))
     return ContourLadder(comp.k, {**ladder.eta, **{blk: i * step for i, blk in
                                                   enumerate(_occupied(comp), start=1)}})

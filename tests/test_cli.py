@@ -290,6 +290,9 @@ UNCONVERGED_CFG = _variant(UNIT_CFG, "request", nodes=4, max_nodes=8, tol=1e-12)
 SMEARED_CFG = _variant(UNIT_CFG, "request", smearings=[
     {"center": [0.0, 1.0], "width": [0.05, 0.05]},
     {"center": [0.0, 0.0], "width": [0.05, 0.05]}])
+SMEARED_R2_CFG = _variant(UNIT_CFG, "request", r=[2], max_nodes=384, smearings=[
+    {"center": [0.0, 1.0], "width": [0.3, 0.3]},
+    {"center": [0.0, 0.0], "width": [0.3, 0.3]}])
 THREE_OPS_TWO_POINTS_CFG = _variant(UNIT_CFG, "request", r=[1, 1])
 THREE_OPS_TWO_POINTS_CFG["operators"].append(dict(UNIT_CFG["operators"][0], name="O3"))
 TWO_OPS_THREE_POINTS_CFG = _variant(UNIT_CFG, "request",
@@ -405,6 +408,14 @@ EXIT_TABLE = [
                  "config error: L = 1e+308 is too large", id="correlator-huge-L"),
     pytest.param(["correlator", "--config", "CFG", "--L", "700"], UNIT_CFG, None,
                  EXIT_NONCONVERGED, "non-convergence: error estimate", id="correlator-large-L"),
+    # GaussianSmearing.fourier's q0 * q0 overflowed (internal error) at 354, 360 and 700
+    pytest.param(["correlator", "--config", "CFG", "--smeared", "--L", "360"], SMEARED_R2_CFG,
+                 None, EXIT_CONFIG,
+                 "config error: L = 360.0 is too large for a smeared correlator",
+                 id="correlator-smeared-overflowing-L"),
+    pytest.param(["correlator", "--config", "CFG", "--smeared", "--L", "300"], SMEARED_R2_CFG,
+                 None, EXIT_NONCONVERGED, "non-convergence: error estimate",
+                 id="correlator-smeared-large-L"),
     pytest.param(["correlator", "--config", "CFG"], NO_SHIFT_CFG, None, EXIT_CONFIG,
                  "config error: ladder has no shift for occupied block (2, 1)",
                  id="correlator-ladder-missing-shift"),

@@ -1,5 +1,6 @@
 """Truncated correlators: Bessel oracle, contour invariance, symmetries."""
 import dataclasses
+import itertools
 import re
 
 import mpmath
@@ -10,7 +11,9 @@ from scipy.special import k0
 
 import shgff.correlator
 import shgff.formfactor
-from shgff.combin import CompositionVector, blocks, enumerate_compositions
+from shgff.combin import (
+    CompositionVector, _operator_word, _scattering_pairs, blocks, enumerate_compositions,
+)
 from shgff.correlator import (
     ContourLadder, CorrelatorRequest, GaussianSmearing, RegionError, SpacetimePoint, _legs,
     _PointLegs, _quad_tensor, check_region, compute_I_n, compute_W_r, compute_W_r_mixed,
@@ -19,7 +22,7 @@ from shgff.correlator import (
 from shgff.formfactor import (
     ExponentialPn, KTransformProvider, OperatorSpec, load_operator,
 )
-from shgff.ladder import _clearances, _spread_ladder
+from shgff.ladder import _clearances, _occupied, _spread_ladder
 from shgff.specfun import ModelParams
 
 P = ModelParams(b=0.25)
@@ -217,7 +220,7 @@ def test_ladder_invariance_three_point():
 def _clearance(req, comp, ladder):
     """The distance from the contours of an equally spaced ladder to the
     nearest singularity of the composition's integrand."""
-    slope, offset = _clearances(req, comp).T
+    slope, offset = np.array(_clearances(req, comp)).T
     return np.min(slope * min(e for e in ladder.eta.values() if e > 0) + offset)
 
 
@@ -240,6 +243,80 @@ def test_kt3pt_ladders_keep_pi_over_3_from_every_singularity():
         eta_max(P) / 3, rel=1e-14)
     comp = CompositionVector(3, (0, 1, 0))
     assert _spread_ladder(req, comp).eta[(3, 1)] == pytest.approx(np.pi / 2, rel=1e-14)
+
+
+def _array_clearances(request, comp):
+    """ladder._clearances on numpy arrays, the reference for its float form."""
+    params = request.params
+    rank = {blk: i for i, blk in enumerate(_occupied(comp), start=1)}
+    n = np.arange(-2, 3)
+    s_poles = np.concatenate([2.0 * np.pi * (n - params.b), np.pi + 2.0 * np.pi * (n + params.b)])
+    f_poles = np.concatenate([np.pi * np.arange(-4, 5)] + [
+        2.0 * np.pi * np.concatenate([-(c + n[2:]), 1.0 + c + n[2:]])
+        for c in (params.b, params.b_hat)])
+    diffs = [(i, 0.0, np.array([0.0, np.pi])) for i in rank.values()]
+    diffs += [(rank[u] - rank[v], 0.0, s_poles)
+              for u, v in _scattering_pairs(request.k, request.mixed_t)
+              if u in rank and v in rank]
+    for p, op in enumerate(request.operators, start=1):
+        if not op.provider.pole_free:
+            word = [(blk, shift) for blk, shift in _operator_word(request.k, p, request.mixed_t)
+                    if blk in rank]
+            diffs += [(rank[u] - rank[v], su - sv, f_poles)
+                      for (u, su), (v, sv) in itertools.combinations(word, 2)]
+    rows = set()
+    for slope, start, values in diffs:
+        gap = values - start
+        at = np.abs(gap) < 1e-12
+        below = gap[(gap < 0) & ~at | at & (slope > 0)].max()
+        above = gap[(gap > 0) & ~at | at & (slope < 0)].min()
+        rows |= {(slope, -below), (-slope, above)}
+    return np.array(sorted(rows), dtype=float).reshape(-1, 2)
+
+
+def _array_spread_ladder(request, comp):
+    """ladder._spread_ladder on numpy arrays, the reference for its float form."""
+    ladder = default_ladder(comp, request.params)
+    rows = _array_clearances(request, comp)
+    if not rows.size:
+        return ladder
+    slope, offset = rows.T
+    falls = slope < 0
+    cell = np.min(offset[falls] / -slope[falls])
+    run = slope - slope[:, None]
+    cross = np.divide(offset[:, None] - offset, run, out=np.zeros_like(run), where=run != 0)
+    steps = np.append(cross[(cross > 0) & (cross < cell)], cell)
+    step = float(steps[np.argmax(np.min(slope[:, None] * steps + offset[:, None], axis=0))])
+    return ContourLadder(comp.k, {**ladder.eta, **{blk: i * step for i, blk in
+                                                  enumerate(_occupied(comp), start=1)}})
+
+
+@pytest.mark.parametrize("b", [0.0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.45, 0.5])
+def test_float_ladder_is_the_array_ladder_bit_for_bit(b):
+    # every composition of every r up to (3,), (2, 2) and (1, 2, 1), with
+    # unit and K-transform operators, in every representation; at b = 1/2
+    # both refuse with default_ladder's ValueError. The ladder reads only
+    # whether a provider is pole-free, so KT (built at b = 1/4, since
+    # ExponentialPn is singular at b = 0 and 1/2) stands for every b
+    params = ModelParams(b=b)
+    for points, top in ((X3[:2], (3,)), (X3, (2, 2)), (X4, (1, 2, 1))):
+        for op in (load_operator(UNIT, params), KT):
+            req = CorrelatorRequest(params=params, operators=[op] * len(points), r=top,
+                                    points=[SpacetimePoint(*xy) for xy in points])
+            for mixed_t in (None,) + tuple(range(1, req.k + 1)):
+                req_t = dataclasses.replace(req, mixed_t=mixed_t)
+                for r in itertools.product(*(range(t + 1) for t in top)):
+                    for comp in enumerate_compositions(req.k, r):
+                        rows = _array_clearances(req_t, comp)
+                        assert (np.array(_clearances(req_t, comp)).reshape(-1, 2)
+                                == rows).all(), (mixed_t, comp)
+                        if b == 0.5 and _occupied(comp):
+                            for spread in (_spread_ladder, _array_spread_ladder):
+                                with pytest.raises(ValueError, match="eta_max = 0 at b = 1/2"):
+                                    spread(req_t, comp)
+                        else:
+                            assert (_spread_ladder(req_t, comp).eta
+                                    == _array_spread_ladder(req_t, comp).eta), (mixed_t, comp)
 
 
 @pytest.mark.parametrize("b", [0.05, 0.25, 0.45])
@@ -334,6 +411,10 @@ def test_kt3pt_matches_refined_oracle():
     for res in (compute_W_r(req), compute_W_r_mixed(req, 2)):
         assert res.converged is True
         assert abs(res.value - KT3PT_W) < 1e-12 * KT3PT_W
+        # min_form_factor's own rounding (KTransformProvider.rounding) is in the
+        # floor: with a few ulps per factor alone the error was 3.07e-16
+        # (3.04e-16 at t = 2), 3.39e-16 from the oracle
+        assert abs(res.value - KT3PT_W) <= res.error < 1e-13
 
 
 def test_min_form_factor_sees_one_line_per_grid(monkeypatch):
@@ -476,7 +557,8 @@ def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
         want = _dense_quad(req, comp, nodes, seen[0])
         assert abs(got[0] - want[0]) <= 1e-13 * abs(want[0])
         assert abs(got[1] - want[1]) <= 1e-13 * want[1]
-        floor = (len(factors(req, seen[0], legs)) + comp.total) * np.finfo(float).eps
+        floor = ((len(factors(req, seen[0], legs)) + comp.total) * np.finfo(float).eps
+                 + sum(op.provider.rounding for op in req.operators))
         assert abs(got[2] - floor * want[2]) <= 1e-13 * floor * want[2]
 
 
@@ -649,6 +731,28 @@ def test_smeared_request_refuses_bad_smearings_when_built(monkeypatch):
             (X3[:2], sm[:2], dict(mixed_t=2), "smeared correlators have no t-distinguished form")):
         with pytest.raises(ValueError, match=message):
             _req(points, (1,) * (len(points) - 1), smearings=smearings, **kw)
+
+
+def test_smeared_request_refuses_an_L_whose_momenta_overflow_when_squared():
+    # GaussianSmearing.fourier squared q0 past the largest float (internal
+    # error) at L = 354, 360 and 700; a sum of max(r) = 2 terms m cosh(gamma)
+    # on contours that reach L (1 + 1 / nodes) is squared, times width^2
+    sm = [GaussianSmearing(xy, (0.3, 0.3)) for xy in X3[:2]]
+    for L in (354.0, 360.0, 700.0):
+        with pytest.raises(ValueError, match=f"L = {L} is too large for a smeared correlator"):
+            _req(X3[:2], (2,), L=L, smearings=sm)
+    bound = (shgff.correlator._LOG_MAX / 2 - np.log(2.0)) / (1.0 + 1.0 / 8)
+    with pytest.raises(ValueError, match="too large for a smeared correlator"):
+        _req(X3[:2], (2,), L=bound * (1.0 + 1e-12), nodes=8, smearings=sm)
+    # wide Gaussians move the bound down by log(width)
+    wide = [GaussianSmearing(xy, (0.3, 1e3)) for xy in X3[:2]]
+    with pytest.raises(ValueError, match="too large for a smeared correlator"):
+        _req(X3[:2], (2,), L=bound - 6.0, nodes=8, smearings=wide)
+    # just below the bound every factor stays finite, and no warning is raised
+    req = _req(X3[:2], (2,), L=bound * (1.0 - 1e-12), nodes=8, max_nodes=16, smearings=sm)
+    res = compute_W_r(req)
+    assert np.isfinite(res.value) and np.isfinite(res.error)
+    assert _req(X3[:2], (2,), L=300.0, smearings=sm).L == 300.0
 
 
 def test_compute_I_n_on_a_smeared_request_matches_the_breakdown():
