@@ -85,7 +85,8 @@ def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L,
                   mixed_t=None, smeared=False) -> CorrelatorRequest:
     try:
         r = cfg["request"]
-        points = [SpacetimePoint(float(p[0]), float(p[1])) for p in r["points"]]
+        ranks = tuple(int(x) for x in r["r"])  # before r.get: refuses a non-object section
+        points = [SpacetimePoint(float(p[0]), float(p[1])) for p in r.get("points", ())]
         ladder = None
         if "ladder" in r:
             ladder = ContourLadder(len(operators),
@@ -96,7 +97,6 @@ def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L,
                  for key, kind, flag in (("nodes", int, nodes), ("L", float, L),
                                          ("max_nodes", int, None), ("tol", float, tol))
                  if flag is not None or key in r}
-        ranks = tuple(int(x) for x in r["r"])
         smearings = ([GaussianSmearing(tuple(s["center"]), tuple(s["width"]))
                       for s in r["smearings"]] if smeared else None)
     except (KeyError, TypeError, ValueError) as exc:

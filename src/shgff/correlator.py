@@ -63,6 +63,16 @@ def check_region(points: Sequence[SpacetimePoint]) -> bool:
     return True
 
 
+def _check_grid(nodes: int, L: float) -> None:
+    """ValueError unless nodes >= 1 and the window [-L, L] is finite and not empty."""
+    if nodes < 1:
+        raise ValueError(f"nodes must be at least 1, got {nodes}")
+    if not L > 0.0:
+        raise ValueError(f"L must be positive, got {L}")
+    if not math.isfinite(L):
+        raise ValueError(f"L must be finite, got {L}")
+
+
 @dataclasses.dataclass
 class CorrelatorRequest:
     """One truncated correlator, and the only description of how it is
@@ -91,14 +101,13 @@ class CorrelatorRequest:
     factor of operator s is its Gaussian's Fourier transform at the momentum
     q_s = sum_{a<s} pbar(gamma^(sa)) - sum_{b>s} pbar(gamma^(bs)), integrated
     on real contours. For k = 2 there are no cross-level kinematic poles, so
-    the real-line limit is exact. k >= 3 is refused with ValueError: it needs
-    shifted contours, and on a shifted ladder the factor exp(-w^2 q^2 / 2) of
-    the middle operator grows like exp(c e^{2 |Re gamma|}) (for w = 0.3 on the
-    default ladder at b = 1/4 its exponent is +1.06 at Re gamma = 4 and +3160
-    at Re gamma = 8). A smeared request uses neither `points` nor `ladder`,
-    and one with `mixed_t` is refused too: there is no t-distinguished form.
-    Each refusal is a ValueError raised when the request is built, as is a
-    count of `points` other than k."""
+    the real-line limit is exact. k >= 3 is refused with ValueError: on the
+    shifted contours it needs, the middle operator's exp(-w^2 q^2 / 2) grows
+    like exp(c e^{2 |Re gamma|}) (w = 0.3, b = 1/4, default ladder: exponent
+    +1.06 at Re gamma = 4, +3160 at 8). A smeared request reads neither
+    `points` (they may be empty) nor `ladder`, and it refuses `mixed_t`. A
+    point request needs one point per operator in check_region's region
+    (RegionError otherwise). Each refusal is raised when the request is built."""
 
     params: ModelParams
     operators: Sequence[OperatorSpec]     # O_1 ... O_k
@@ -113,32 +122,27 @@ class CorrelatorRequest:
     smearings: Sequence[GaussianSmearing] | None = None
 
     def __post_init__(self):
-        if len(self.points) != self.k:
-            raise ValueError(f"one point per operator required: {self.k} operators, "
-                             f"{len(self.points)} points")
-        if self.nodes < 1:
-            raise ValueError(f"nodes must be at least 1, got {self.nodes}")
+        _check_grid(self.nodes, self.L)
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if not self.L > 0.0:
-            raise ValueError(f"L must be positive, got {self.L}")
-        if not math.isfinite(self.L):
-            raise ValueError(f"L must be finite, got {self.L}")
-        # a grid point lies within |theta_ba| + L + one first-grid step L / nodes of 0
-        # (see _PointLegs.contours and _quad_tensor)
-        theta = 0.0
-        if self.smearings is None and check_region(self.points):
-            theta = max((abs(math.atanh((b.x0 - a.x0) / (b.x1 - a.x1)))
-                         for a, b in itertools.combinations(self.points, 2)), default=0.0)
-        if not self.L * (1.0 + 1.0 / self.nodes) + theta < _LOG_MAX:
-            raise ValueError(f"L = {self.L} is too large: the contours would pass "
-                             f"|Re gamma| = {_LOG_MAX:.2f}, where exp overflows")
         if self.max_nodes < 2 * self.nodes:
             raise ValueError(f"max_nodes must be at least 2 * nodes = {2 * self.nodes}, "
                              f"got {self.max_nodes}")
         if self.mixed_t is not None and not 1 <= self.mixed_t <= self.k:
             raise ValueError(f"mixed_t must be in 1..{self.k}")
-        if self.smearings is not None:
+        # grid points lie within L + one first-grid step L / nodes of their contour's centre
+        reach = self.L * (1.0 + 1.0 / self.nodes)
+        if self.smearings is None:
+            if len(self.points) != self.k:
+                raise ValueError(f"one point per operator required: {self.k} operators, "
+                                 f"{len(self.points)} points")
+            if not check_region(self.points):
+                raise RegionError("points must be space-like separated with decreasing "
+                                  "spatial coordinates along the operator list")
+            # each block's contour is centred at its theta_ba (see _PointLegs.contours)
+            reach += max((abs(math.atanh((b.x0 - a.x0) / (b.x1 - a.x1)))
+                          for a, b in itertools.combinations(self.points, 2)), default=0.0)
+        else:
             if len(self.smearings) != self.k:
                 raise ValueError("one smearing per operator required")
             if self.k > 2:
@@ -146,12 +150,14 @@ class CorrelatorRequest:
             if self.mixed_t is not None:
                 raise ValueError("smeared correlators have no t-distinguished form")
             # GaussianSmearing.fourier squares q, a sum of up to max(r) terms m cosh(gamma)
-            reach = (max(self.r, default=0) * self.params.mass
+            scale = (max(self.r, default=0) * self.params.mass
                      * max(1.0, *(w for g in self.smearings for w in g.width)))
-            if reach > 0.0 and not (self.L * (1.0 + 1.0 / self.nodes) + math.log(reach)
-                                    < _LOG_MAX / 2):
+            if scale > 0.0 and not reach + math.log(scale) < _LOG_MAX / 2:
                 raise ValueError(f"L = {self.L} is too large for a smeared correlator: the "
                                  f"squared momenta of its Gaussians would overflow")
+        if not reach < _LOG_MAX:
+            raise ValueError(f"L = {self.L} is too large: the contours would pass "
+                             f"|Re gamma| = {_LOG_MAX:.2f}, where exp overflows")
 
     @property
     def k(self) -> int:
@@ -183,12 +189,9 @@ class _PointLegs:
     with every eta in the plane waves' strip of decay 0 < eta < pi. Each
     block is centred at the separation rapidity theta_ba = artanh(dx0/dx1)
     of x_b - x_a, where its plane waves peak; a real shift of a full-line
-    integral is exact."""
+    integral is exact. The request has checked the points' region."""
 
     def __init__(self, points: Sequence[SpacetimePoint]):
-        if not check_region(points):
-            raise RegionError("points must be space-like separated with decreasing "
-                              "spatial coordinates along the operator list")
         self.xs = [pt.as_array() for pt in points]
 
     def contours(self, request: CorrelatorRequest, comp: CompositionVector) -> dict:
@@ -303,10 +306,10 @@ def _quad_tensor(request, comp, contours, legs, nodes) -> tuple[complex, float, 
     the largest array is the largest factor or contraction intermediate.
     Returns the value, the tail estimate, the rounding floor and the coarse
     value. The floor is eps * (number of factors + number of axes), plus the
-    rounding of each operator's provider, times the integral of |integrand|
-    on the grid, which the moduli of the factors give when contracted like
-    the factors. The coarse value is the same factors' rule of step 2h on
-    the even points of each axis (`nodes` even)."""
+    rounding of each provider whose F_n here has n >= 2, times the integral
+    of |integrand| on the grid, which the moduli of the factors give when
+    contracted like the factors. The coarse value is the same factors' rule
+    of step 2h on the even points of each axis (`nodes` even)."""
     # block of each integration variable, in canonical block order
     counts = comp.as_dict()
     block_of = [blk for blk, cnt in counts.items() for _ in range(cnt)]
@@ -323,9 +326,10 @@ def _quad_tensor(request, comp, contours, legs, nodes) -> tuple[complex, float, 
     factors = [_along(f, d) for f in _factors(request, gamma, legs)]
     moduli = [(np.abs(f), axes) for f, axes in factors]
     weights = dict.fromkeys(range(d), w)
-    # a rounding or so in each factor and in the sum over each axis, and each
-    # form factor's own rounding, each relative to the integral of |integrand|
-    rounding = sum(op.provider.rounding for op in request.operators)
+    # a rounding or so per factor and per axis's sum, and each F_n's own noise if n >= 2
+    rounding = sum(op.provider.rounding for p, op in enumerate(request.operators, start=1)
+                   if op.provider.rounding and sum(
+                       counts[blk] for blk, _ in _operator_word(comp.k, p, request.mixed_t)) >= 2)
     floor = ((len(factors) + d) * np.finfo(float).eps + rounding) * float(
         _contract(moduli, weights))
     # the step-2h rule (h at the ends, 2h inside) on the even points of each axis, each

@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .combin import Slot, concat, iter_partitions, reverse_word, s_product
+from .correlator import _check_grid
 from .formfactor import OperatorSpec
 from .specfun import ModelParams, s_matrix
 
@@ -290,12 +291,7 @@ def pair_numeric_with_tail(kernel, alphas, test, op, params,
                            eps_seq: Sequence[float] = (0.0,),
                            L: float = 8.0, nodes: int = 48):
     """pair_numeric plus the last extrapolation increment as error indicator."""
-    if nodes < 1:
-        raise ValueError(f"nodes must be at least 1, got {nodes}")
-    if not L > 0.0:
-        raise ValueError(f"L must be positive, got {L}")
-    if not math.isfinite(L):
-        raise ValueError(f"L must be finite, got {L}")
+    _check_grid(nodes, L)
     if len(eps_seq) == 0:
         raise ValueError("eps_seq must hold at least one regulator")
     vals = [_pair_at_eps(kernel, alphas, test, op, params, e, L, nodes)

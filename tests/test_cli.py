@@ -293,6 +293,10 @@ SMEARED_CFG = _variant(UNIT_CFG, "request", smearings=[
 SMEARED_R2_CFG = _variant(UNIT_CFG, "request", r=[2], max_nodes=384, smearings=[
     {"center": [0.0, 1.0], "width": [0.3, 0.3]},
     {"center": [0.0, 0.0], "width": [0.3, 0.3]}])
+NO_POINTS_CFG = _variant(UNIT_CFG, "request")
+del NO_POINTS_CFG["request"]["points"]
+SMEARED_NO_POINTS_CFG = _variant(SMEARED_CFG, "request")
+del SMEARED_NO_POINTS_CFG["request"]["points"]
 THREE_OPS_TWO_POINTS_CFG = _variant(UNIT_CFG, "request", r=[1, 1])
 THREE_OPS_TWO_POINTS_CFG["operators"].append(dict(UNIT_CFG["operators"][0], name="O3"))
 TWO_OPS_THREE_POINTS_CFG = _variant(UNIT_CFG, "request",
@@ -393,6 +397,15 @@ EXIT_TABLE = [
     pytest.param(["correlator", "--config", "CFG", "--smeared"], ZERO_WIDTH_CFG, None,
                  EXIT_CONFIG, "config error: bad request section: widths must be positive",
                  id="correlator-smeared-zero-width"),
+    # a smeared config had to list points that nothing read
+    pytest.param(["correlator", "--config", "CFG", "--smeared"], SMEARED_NO_POINTS_CFG, None,
+                 EXIT_OK, None, id="correlator-smeared-no-points"),
+    pytest.param(["correlator", "--config", "CFG"], dict(UNIT_CFG, request=[]), None,
+                 EXIT_CONFIG, "config error: bad request section", id="correlator-request-list"),
+    # "bad request section: 'points'" before
+    pytest.param(["correlator", "--config", "CFG"], NO_POINTS_CFG, None, EXIT_CONFIG,
+                 "config error: one point per operator required: 2 operators, 0 points",
+                 id="correlator-no-points"),
     pytest.param(["correlator", "--config", "CFG"], THREE_OPS_TWO_POINTS_CFG, None, EXIT_CONFIG,
                  "config error: one point per operator required: 3 operators, 2 points",
                  id="correlator-three-operators-two-points"),

@@ -105,17 +105,28 @@ def test_default_ladder_at_half_coupling_names_the_cause():
 
 
 def test_region_violation_raises():
-    req = _req([(0.0, 0.0), (0.0, 1.0)], (1,))
     with pytest.raises(ValueError):
-        compute_W_r(req)
+        _req([(0.0, 0.0), (0.0, 1.0)], (1,))
 
 
 def test_region_violation_is_a_region_error():
-    # library callers that catch ValueError keep catching it
-    req = _req([(0.0, 0.0), (0.0, 1.0)], (1,))
+    # library callers that catch ValueError keep catching it; the request
+    # refuses the points when it is built
     with pytest.raises(RegionError, match="space-like separated") as info:
-        compute_I_n(req, CompositionVector(2, (1,)))
+        _req([(0.0, 0.0), (0.0, 1.0)], (1,))
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("points", [
+    [(0.0, 0.0), (0.0, 1.0)],                 # wrong spatial order
+    [(2.0, 1.0), (0.0, 0.0)],                 # time-like
+    [(1.0, 1.0), (0.0, 0.0)],                 # light-like
+    [(0.0, 1.0), (0.0, 0.0), (0.0, 0.5)],
+])
+def test_region_refusal_runs_no_quadrature(points, monkeypatch):
+    monkeypatch.setattr(shgff.correlator, "_quad_tensor", None)
+    with pytest.raises(RegionError, match="space-like separated"):
+        _req(points, (1,) * (len(points) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +416,15 @@ def test_two_variables_of_one_block_never_coincide():
         assert abs(vals[0][0] - vals[1][0]) < 1e-12 * abs(vals[0][0])
 
 
+@pytest.mark.parametrize("tol", [1e-7, 1e-10])
+def test_kt3pt_error_is_within_100_times_its_oracle_distance(tol):
+    # the floor counted min_form_factor's rounding for F_0 and F_1 too, which
+    # evaluate none: the error was 3.58e-14, 105.8 times the 3.39e-16 distance
+    req = _req(X3, (1, 1), ops=[KT] * 3, tol=tol)
+    for res in (compute_W_r(req), compute_W_r_mixed(req, 2)):
+        assert abs(res.value - KT3PT_W) <= res.error <= 100 * abs(res.value - KT3PT_W)
+
+
 def test_kt3pt_matches_refined_oracle():
     req = _req([(0.0, 1.0), (0.0, 0.0), (0.0, -1.0)], (1, 1), ops=[KT] * 3,
                tol=1e-10)
@@ -557,8 +577,11 @@ def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
         want = _dense_quad(req, comp, nodes, seen[0])
         assert abs(got[0] - want[0]) <= 1e-13 * abs(want[0])
         assert abs(got[1] - want[1]) <= 1e-13 * want[1]
+        # a provider's rounding counts for each operator whose F_n has n >= 2
         floor = ((len(factors(req, seen[0], legs)) + comp.total) * np.finfo(float).eps
-                 + sum(op.provider.rounding for op in req.operators))
+                 + sum(op.provider.rounding for p, op in enumerate(req.operators, start=1)
+                       if sum(comp.as_dict()[blk]
+                              for blk, _ in _operator_word(req.k, p, req.mixed_t)) >= 2))
         assert abs(got[2] - floor * want[2]) <= 1e-13 * floor * want[2]
 
 
@@ -762,6 +785,17 @@ def test_compute_I_n_on_a_smeared_request_matches_the_breakdown():
     assert res == compute_W_r(dataclasses.replace(req, smearings=sm))
     for comp, val, err, _ in res.breakdown:
         assert compute_I_n(dataclasses.replace(req, smearings=sm), comp) == (val, err)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_smeared_request_needs_no_points(r):
+    # the Gaussians' centres place the operators: one point per operator was
+    # required, and nothing read it
+    sm = [GaussianSmearing((0.0, 1.0), (0.3, 0.3)), GaussianSmearing((0.0, 0.0), (0.3, 0.2))]
+    req = _req(X3[:2], (r,), nodes=48, tol=1e-10, smearings=sm)
+    assert compute_W_r(dataclasses.replace(req, points=())) == compute_W_r(req)
+    # nor are a smeared request's points checked against the region
+    dataclasses.replace(req, points=req.points[::-1])
 
 
 def test_smeared_requires_one_kernel_per_operator():
