@@ -5,15 +5,17 @@ Barnes-G construction. Optionally write a CSV.
 
 With --time, print instead the cost of min_form_factor on the largest grid
 of the 3-point K-transform correlator (composition (1,0,1) on the default
-ladder, L = 8, 768 intervals per axis): evaluated on every point of the dense
-mesh, and through the 1-D table of rapidity differences that the correlator
-uses on its open mesh; and the cost per point of log_barnes_g."""
+ladder, L = 8, 768 intervals per axis): per point, on calls of 100, 1175 and
+8192 of its rapidities (the kernel pairing makes calls of about 100 and 1175
+points, and 8192 points are one chunk); evaluated on every point of the dense
+mesh; and through the 1-D table of rapidity differences that the correlator
+uses on its open mesh."""
 import argparse
 import time
 
 import numpy as np
 
-from shgff import ModelParams, eta_max, log_barnes_g, min_form_factor, s_matrix
+from shgff import ModelParams, eta_max, min_form_factor, s_matrix
 from shgff.formfactor import _pairwise
 
 
@@ -35,11 +37,12 @@ def time_grid(params: ModelParams, nodes: int = 768) -> None:
     g21, g32 = np.meshgrid(x + 1j * em / 3.0 + 1j * np.pi, x + 2j * em / 3.0,
                            indexing="ij", sparse=True)
     beta = g21 - g32
-    arg = 1.0 - params.b - 1j * beta / (2.0 * np.pi)
     print(f"# grid {beta.shape[0]}x{beta.shape[1]} = {beta.size} points, "
           f"b={params.b}, b_hat={params.b_hat}")
-    print(f"log_barnes_g: {1e6 * _seconds(lambda: log_barnes_g(arg)) / arg.size:.3f} "
-          "us/point")
+    for size in (100, 1175, 8192):
+        part = beta.ravel()[:size]
+        cost = _seconds(lambda: min_form_factor(part, params)) / size
+        print(f"min_form_factor, {size}-point call: {1e6 * cost:.3f} us/point")
     dense = _seconds(lambda: min_form_factor(beta, params))
     table = _seconds(lambda: _pairwise(lambda d: min_form_factor(d, params), g21, g32))
     print(f"min_form_factor, dense mesh: {1e3 * dense:.2f} ms "

@@ -106,8 +106,9 @@ class CorrelatorRequest:
     like exp(c e^{2 |Re gamma|}) (w = 0.3, b = 1/4, default ladder: exponent
     +1.06 at Re gamma = 4, +3160 at 8). A smeared request reads neither
     `points` (they may be empty) nor `ladder`, and it refuses `mixed_t`. A
-    point request needs one point per operator in check_region's region
-    (RegionError otherwise). Each refusal is raised when the request is built."""
+    point request needs one point per operator, with finite coordinates
+    (ValueError otherwise), in check_region's region (RegionError otherwise).
+    Each refusal is raised when the request is built."""
 
     params: ModelParams
     operators: Sequence[OperatorSpec]     # O_1 ... O_k
@@ -136,6 +137,10 @@ class CorrelatorRequest:
             if len(self.points) != self.k:
                 raise ValueError(f"one point per operator required: {self.k} operators, "
                                  f"{len(self.points)} points")
+            # check_region's comparisons are all False on NaN, so it would pass them
+            for pt in self.points:
+                if not (math.isfinite(pt.x0) and math.isfinite(pt.x1)):
+                    raise ValueError(f"point coordinates must be finite, got ({pt.x0}, {pt.x1})")
             if not check_region(self.points):
                 raise RegionError("points must be space-like separated with decreasing "
                                   "spatial coordinates along the operator list")

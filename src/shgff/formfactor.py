@@ -6,8 +6,10 @@ shifted contours).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -137,35 +139,38 @@ def _pairwise(f, x, y):
     return _lattice(lambda u, v: f(u - v), x, y)
 
 
+def _k_factors(d, params: ModelParams):
+    """The K-transform's pair factors 1 - q and 1 + q, q = i sin(2 pi b)/sinh(d),
+    of a pair with ell_k - ell_s = +1 and -1, at rapidity differences d."""
+    sh = np.sinh(d)
+    if np.any(np.abs(sh) < POLE_TOL):
+        raise SpecialFunctionError("k_transform: coinciding rapidities with ell_k != ell_s")
+    q = 1j * params.sin2pib / sh
+    return 1.0 - q, 1.0 + q
+
+
+def _label_sum(p: PnSolution, betas, pair):
+    """sum over ell in {0,1}^n of (-1)^{|ell|} p(beta|ell) times the product,
+    over the pairs k < s with ell_k != ell_s, of pair[k, s][ell_k - ell_s].
+    Each term multiplies the scalar (-1)^{|ell|} p(beta|ell) into the product
+    of its pair factors, which starts from the first of them."""
+    total = 0.0 + 0.0j
+    for ells in itertools.product((0, 1), repeat=len(betas)):
+        term = (-1.0) ** sum(ells) * p.evaluate(betas, ells)
+        facs = [f[ells[k] - ells[s]] for (k, s), f in pair.items() if ells[k] != ells[s]]
+        total = total + (functools.reduce(operator.mul, facs) * term if facs else term)
+    return total
+
+
 def k_transform(p: PnSolution, betas: Sequence[complex], params: ModelParams) -> complex:
     """K_n[p](beta) = sum over ell in {0,1}^n of (-1)^{|ell|} *
     prod_{k<s} (1 - i (ell_k - ell_s) sin(2 pi b)/sinh(beta_k - beta_s)) * p(beta|ell).
+    Each pair's factors are evaluated on its table of differences (see _pairwise).
     """
-    n = len(betas)
-    s2 = params.sin2pib
     betas = [np.asarray(b, dtype=complex) for b in betas]
-
-    def factors(d):
-        sh = np.sinh(d)
-        if np.any(np.abs(sh) < POLE_TOL):
-            raise SpecialFunctionError(
-                "k_transform: coinciding rapidities with ell_k != ell_s")
-        q = 1j * s2 / sh
-        return 1.0 - q, 1.0 + q
-
-    # the factors for ell_k - ell_s = +1 and -1, once per pair for every ell
-    pair = {(k, s): dict(zip((1, -1), _pairwise(factors, betas[k], betas[s])))
-            for k in range(n) for s in range(k + 1, n)}
-    total = 0.0 + 0.0j
-    for ells in itertools.product((0, 1), repeat=n):
-        w = (-1.0) ** sum(ells)
-        fac = 1.0 + 0.0j
-        for (k, s), facs in pair.items():
-            lks = ells[k] - ells[s]
-            if lks != 0:
-                fac = fac * facs[lks]
-        total = total + w * fac * p.evaluate(betas, ells)
-    return total
+    pair = {(k, s): dict(zip((1, -1), _pairwise(lambda d: _k_factors(d, params), x, y)))
+            for (k, x), (s, y) in itertools.combinations(enumerate(betas), 2)}
+    return _label_sum(p, betas, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +242,10 @@ class KTransformProvider(FormFactorProvider):
     """
 
     pole_free = False
-    # min_form_factor's rounding noise, which its conditioning does not
-    # explain: at b = 1/4 a one-ulp change of beta moves it by up to 1.4e-13
-    # relative on Im beta = 2 pi / 3, kt3pt's F_2 contour, and by up to
-    # 2.8e-13 on Im beta = pi
-    rounding = 3e-13
+    # the largest relative change of min_form_factor under a one-ulp change
+    # of Re beta in [-12, 12] at b = 1/4: 8.0e-15 on Im beta = 2 pi / 3,
+    # kt3pt's F_2 contour, and 1.04e-14 on Im beta = pi (480001 points each)
+    rounding = 1.1e-14
 
     def __init__(self, pn: PnSolution, params: ModelParams):
         self.pn = pn
@@ -252,16 +256,23 @@ class KTransformProvider(FormFactorProvider):
 
     def _evaluate(self, *betas):
         betas = [np.asarray(b, dtype=complex) for b in betas]
-        # one min_form_factor call for all pairs: on small tables its per-call cost dominates
-        plans = [_difference_lattice(x, y) for x, y in itertools.combinations(betas, 2)]
+        # each pair's difference table, planned once; F_min and the K-transform
+        # pair factors run on all the tables together, one call each, since on
+        # small tables their per-call cost dominates
+        pairs = list(itertools.combinations(range(len(betas)), 2))
+        if not pairs:
+            return _label_sum(self.pn, betas, {})
+        plans = [_difference_lattice(betas[k], betas[s]) for k, s in pairs]
         diffs = [np.asarray(u - v) for (u, v), _ in plans]
-        prod = 1.0 + 0.0j
-        if diffs:
-            values = min_form_factor(np.concatenate([d.ravel() for d in diffs]), self.params)
-            parts = np.split(values, np.cumsum([d.size for d in diffs])[:-1])
-            for d, (_, gather), v in zip(diffs, plans, parts):
-                prod = prod * gather(v.reshape(d.shape))
-        return prod * k_transform(self.pn, betas, self.params)
+        flat = np.concatenate([d.ravel() for d in diffs])
+        cuts = np.cumsum([d.size for d in diffs])[:-1]
+        tables = zip(*(np.split(t, cuts) for t in (min_form_factor(flat, self.params),
+                                                      *_k_factors(flat, self.params))))
+        fmin, pair = [], {}
+        for ks, d, (_, gather), (f, minus, plus) in zip(pairs, diffs, plans, tables):
+            fmin.append(gather(f.reshape(d.shape)))
+            pair[ks] = {1: gather(minus.reshape(d.shape)), -1: gather(plus.reshape(d.shape))}
+        return functools.reduce(operator.mul, fmin) * _label_sum(self.pn, betas, pair)
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,8 @@ BAD_CENTER_CFG = _variant(UNIT_CFG, "request", smearings=[
 ZERO_WIDTH_CFG = _variant(UNIT_CFG, "request", smearings=[
     {"center": [0.0, 1.0], "width": [0.05, 0.0]},
     {"center": [0.0, 0.0], "width": [0.05, 0.05]}])
+NAN_POINT_CFG = _variant(UNIT_CFG, "request", points=[[float("nan"), 1.0], [0.0, 0.0]])
+INFINITE_POINT_CFG = _variant(UNIT_CFG, "request", points=[[0.0, float("inf")], [0.0, 0.0]])
 DOC_CFG = _variant(UNIT_CFG, "output", doc="missing/report.txt")
 FD_DOC_CFG = _variant(UNIT_CFG, "output", doc=1)
 LIST_OUTPUT_CFG = dict(UNIT_CFG, output=[])
@@ -414,6 +416,13 @@ EXIT_TABLE = [
                  id="correlator-two-operators-three-points"),
     pytest.param(["correlator", "--config", "CFG", "--L", "inf"], UNIT_CFG, None, EXIT_CONFIG,
                  "config error: L must be finite, got inf", id="correlator-infinite-L"),
+    # check_region passed both: "L = 8.0 is too large" for NaN, NaN rows and exit 4 for inf
+    pytest.param(["correlator", "--config", "CFG"], NAN_POINT_CFG, None, EXIT_CONFIG,
+                 "config error: point coordinates must be finite, got (nan, 1.0)",
+                 id="correlator-nan-point"),
+    pytest.param(["correlator", "--config", "CFG"], INFINITE_POINT_CFG, None, EXIT_CONFIG,
+                 "config error: point coordinates must be finite, got (0.0, inf)",
+                 id="correlator-infinite-point"),
     # exp(gamma) in the plane waves overflowed (internal error) at 1000; 1e308 gave NaN rows
     pytest.param(["correlator", "--config", "CFG", "--L", "1000"], UNIT_CFG, None, EXIT_CONFIG,
                  "config error: L = 1000.0 is too large", id="correlator-overflowing-L"),

@@ -459,10 +459,10 @@ def test_k_transform_sees_only_difference_tables(monkeypatch):
     # 1-D table of the 4N + 1 differences of its two variables, never on a
     # (2N + 1)^2 plane; the outer operators' F_1 runs on the single difference 0
     shapes = []
-    original = shgff.formfactor.k_transform
-    monkeypatch.setattr(shgff.formfactor, "k_transform",
-                        lambda p, b, pr: shapes.append(np.broadcast(*b).shape)
-                        or original(p, b, pr))
+    original = shgff.formfactor._label_sum
+    monkeypatch.setattr(shgff.formfactor, "_label_sum",
+                        lambda p, b, pair: shapes.append(np.broadcast(*b).shape)
+                        or original(p, b, pair))
     comp = CompositionVector(3, (1, 0, 1))
     for nodes in (48, 96):
         req = _req([(0.0, 1.0), (0.0, 0.0), (0.0, -1.0)], (1, 1), ops=[KT] * 3,
@@ -612,6 +612,16 @@ def test_request_refuses_a_point_per_operator_mismatch_and_an_infinite_L():
         _req(X3, (1,), ops=_unit_ops(2))
     with pytest.raises(ValueError, match="L must be finite, got inf"):
         _req(X3[:2], (1,), L=np.inf)
+
+
+def test_request_refuses_non_finite_points():
+    # every comparison of check_region is False on NaN, so a NaN point was
+    # refused as an overflowing L, and an infinite one gave W = nan
+    for bad in ((np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            _req([bad, (0.0, 0.0)], (1,))
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            _req([(0.0, 1.0), bad], (1,))
 
 
 def test_request_refuses_an_L_whose_contours_overflow_exp():

@@ -1,4 +1,6 @@
 """K-transform form factors, fixtures, axiom checks, residues, factorization."""
+import itertools
+
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
@@ -58,6 +60,35 @@ def test_k_transform_symmetric_in_ell_pairs():
     t = pn.t
     want = c2 * (1.0 - t * (1.0 - 1j * s2 / sh) - t * (1.0 + 1j * s2 / sh) + t * t)
     assert k_transform(pn, [b1, b2], P) == pytest.approx(want, rel=1e-13)
+
+
+def _k_transform_loop(p, betas, params):
+    """The label sum written out: for each ell, the product of its pair
+    factors from 1, times (-1)^{|ell|}, times p(beta|ell)."""
+    betas = [np.asarray(b, dtype=complex) for b in betas]
+    q = {(k, s): 1j * params.sin2pib / np.sinh(betas[k] - betas[s])
+         for k in range(len(betas)) for s in range(k + 1, len(betas))}
+    total = 0.0 + 0.0j
+    for ells in itertools.product((0, 1), repeat=len(betas)):
+        fac = 1.0 + 0.0j
+        for (k, s), qks in q.items():
+            if ells[k] != ells[s]:
+                fac = fac * (1.0 - (ells[k] - ells[s]) * qks)
+        total = total + (-1.0) ** sum(ells) * fac * p.evaluate(betas, ells)
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_k_transform_keeps_the_bits_of_the_written_out_label_sum(n):
+    # the label sum starts each product from its first pair factor and takes
+    # the scalar (-1)^{|ell|} p(beta|ell) last, both exact for the sign
+    pn = ExponentialPn(P, t=0.3, c1=0.8)
+    rng = np.random.default_rng(n)
+    betas = [rng.uniform(-2.0, 2.0, 7) + 1j * rng.uniform(0.0, 3.0, 7) for _ in range(n)]
+    for got, want in ((k_transform(pn, betas, P), _k_transform_loop(pn, betas, P)),
+                      (k_transform(pn, np.broadcast_arrays(*betas), P),
+                       _k_transform_loop(pn, betas, P))):
+        assert np.array_equal(np.atleast_1d(got).view(np.uint64), np.atleast_1d(want).view(np.uint64))
 
 
 def test_k_transform_pole_guard():
@@ -205,10 +236,10 @@ def test_k_transform_provider_on_the_lattice_matches_the_dense_mesh(
         monkeypatch, left, right, nodes, tol):
     prov = _kt_op(P).provider
     sizes = []
-    original = shgff.formfactor.k_transform
-    monkeypatch.setattr(shgff.formfactor, "k_transform",
-                        lambda p, b, pr: sizes.append(np.broadcast(*b).size)
-                        or original(p, b, pr))
+    original = shgff.formfactor._label_sum
+    monkeypatch.setattr(shgff.formfactor, "_label_sum",
+                        lambda p, b, pair: sizes.append(np.broadcast(*b).size)
+                        or original(p, b, pair))
     for betas in _block_axes(left, right, nodes):
         sizes.clear()
         got = prov.evaluate(betas)

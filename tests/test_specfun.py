@@ -267,47 +267,122 @@ def test_barnes_vectorized_equals_scalar_bitwise():
     assert np.array_equal(log_barnes_g(np.conj(z)), np.conj(sc))
 
 
+def _mp_min_form_factor(beta, params):
+    """F(beta) from mpmath's Barnes G at 30 digits, with w_b taken once at
+    b_hat = b."""
+    mpmath.mp.dps = 30
+    z = 1j * mpmath.mpc(complex(beta)) / (2 * mpmath.pi)
+    g = mpmath.barnesg
+
+    def w(b):
+        b = mpmath.mpf(b)
+        return g(1 - b - z) * g(2 - b + z) / (g(1 + b + z) * g(b - z))
+
+    if params.b == 0.0 or params.b_hat == 0.0:
+        return complex(w(params.b + params.b_hat))
+    wb = w(params.b)
+    wh = wb if params.b_hat == params.b else w(params.b_hat)
+    return complex(-mpmath.sin(mpmath.pi * z) / mpmath.pi * wb * wh)
+
+
+def _mp_rel_err(got, beta, params):
+    want = np.array([_mp_min_form_factor(x, params) for x in beta])
+    return np.max(np.abs(got - want) / np.abs(want))
+
+
 def test_min_form_factor_self_dual_single_quotient():
-    # at b_hat = b the squared quotient stands in for the eight-call sum
+    # at b_hat = b the squared quotient stands in for the two quotients; the
+    # reference is mpmath on every fifth rapidity
     rng = np.random.default_rng(4)
     beta = rng.uniform(-8.0, 8.0, 200) + 1j * rng.uniform(-0.5, 3.5, 200)
     b = 0.25
     got = min_form_factor(beta, ModelParams(b=b))
     eight = min_form_factor(beta, ModelParams(b=b, b_hat=np.nextafter(b, 1.0)))
-    z = 1j * beta / (2.0 * np.pi)
-    lg = 0.0
-    for _ in range(2):
-        lg = (lg + log_barnes_g(1 - b - z) + log_barnes_g(2 - b + z)
-              - log_barnes_g(1 + b + z) - log_barnes_g(b - z))
-    rebuilt = -np.sin(np.pi * z) / np.pi * np.exp(lg)
     assert np.max(np.abs(got - eight) / np.abs(eight)) < 1e-13
-    assert np.max(np.abs(got - rebuilt) / np.abs(rebuilt)) < 1e-13
-
-
-def _log_w_four_calls(z, b, acc=0.0):
-    acc = acc + log_barnes_g(1.0 - b - z)
-    acc = acc + log_barnes_g(2.0 - b + z)
-    acc = acc - log_barnes_g(1.0 + b + z)
-    return acc - log_barnes_g(b - z)
+    assert _mp_rel_err(got[::5], beta[::5], ModelParams(b=b)) < 3e-14
 
 
 @pytest.mark.parametrize("b", [0.25, 0.1, 0.0, 0.5])
 @pytest.mark.parametrize("size", [5000, 3 * 8192 + 5])
-def test_min_form_factor_is_four_barnes_calls_bitwise(b, size):
-    # one stacked log_barnes_g call a chunk sums the terms of separate calls
-    # in the same order
+def test_min_form_factor_matches_mpmath(b, size):
+    # the whole array is evaluated, in chunks of 8192 points; mpmath checks
+    # eight of its points, or four where F = w_{1/2} = 1, and at 24581 points
+    # also the first and last points of each chunk
     rng = np.random.default_rng(5)
     beta = rng.uniform(-16.0, 16.0, size) + 1j * rng.uniform(-3.5, 3.5, size)
     p = ModelParams(b=b)
-    z = 1j * beta / (2.0 * np.pi)
-    if b in (0.0, 0.5):
-        want = np.exp(_log_w_four_calls(z, p.b + p.b_hat))
-    else:
-        lg = (2.0 * _log_w_four_calls(z, b) if p.b_hat == b
-              else _log_w_four_calls(z, p.b_hat, _log_w_four_calls(z, b)))
-        want = -np.sin(np.pi * z) / np.pi * np.exp(lg)
     got = min_form_factor(beta, p)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    pick = np.linspace(0, size - 1, 4 if b in (0.0, 0.5) else 8).astype(int)
+    if size > 8192:
+        pick = np.union1d(pick, [8191, 8192, 16383, 16384, 24575, 24576])
+    assert _mp_rel_err(got[pick], beta[pick], p) < 3e-14
+
+
+def test_min_form_factor_chunks_and_scalars_are_evaluated_alone():
+    # each element's value is independent of the rest of the array: the
+    # 3 * 8192 + 5 array equals its chunks evaluated alone, and so do 1175 of
+    # its points, whose rising sums run in two blocks of steps where a full
+    # chunk runs one step a block; a scalar equals its element of the array
+    rng = np.random.default_rng(6)
+    size = 3 * 8192 + 5
+    beta = rng.uniform(-16.0, 16.0, size) + 1j * rng.uniform(-3.5, 3.5, size)
+    for p in (ModelParams(b=0.25), ModelParams(b=0.1), ModelParams(b=0.3, b_hat=0.7)):
+        got = min_form_factor(beta, p)
+        chunks = np.concatenate([min_form_factor(beta[s:s + 8192], p)
+                                 for s in range(0, size, 8192)] + [min_form_factor(beta[:1175], p)])
+        assert np.array_equal(np.concatenate([got, got[:1175]]).view(np.uint64),
+                              chunks.view(np.uint64))
+        for k in (0, 8191, 8192, size - 1):
+            assert np.array_equal(np.array([min_form_factor(complex(beta[k]), p)]).view(np.uint64),
+                                  got[k:k + 1].view(np.uint64))
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_min_form_factor_is_exactly_one_at_the_free_and_half_couplings(b):
+    # the remaining quotient has exponent 1/2, where a = 1 - 2b = 0 and each
+    # ratio log G(x + a) - log G(x) is 0
+    rng = np.random.default_rng(7)
+    beta = rng.uniform(-16.0, 16.0, 1000) + 1j * rng.uniform(-3.5, 3.5, 1000)
+    assert np.all(min_form_factor(beta, ModelParams(b=b)) == 1.0)
+    assert min_form_factor(0.3 + 0.2j, ModelParams(b=b)) == 1.0
+    assert np.all(varpi(1j * beta / (2.0 * np.pi), 0.5) == 1.0)
+
+
+@pytest.mark.parametrize("b, b_hat", [(0.3, None), (0.3, 0.7)])
+def test_min_form_factor_refuses_a_zero_of_each_barnes_argument(b, b_hat):
+    # z at a zero of G(1-b-z), G(2-b+z), G(1+b+z) and G(b-z), for each exponent
+    p = ModelParams(b=b, b_hat=b_hat)
+    for e in (p.b, p.b_hat):
+        for z in (1.0 - e, e - 2.0, -1.0 - e, e, 2.0 - e, e - 3.0, -2.0 - e, e + 1.0):
+            beta = -2j * np.pi * z
+            with pytest.raises(SpecialFunctionError):
+                min_form_factor(beta, p)
+            with pytest.raises(SpecialFunctionError):
+                min_form_factor(np.array([0.3 + 0.1j, beta, -1.0]), p)
+            with pytest.raises(SpecialFunctionError):
+                varpi(z, e)
+
+
+@pytest.mark.parametrize("b_hat", [0.35, 0.6, 0.9])
+def test_min_form_factor_with_a_dual_exponent_off_the_default(b_hat):
+    # b_hat != b, and b_hat > 1/2 (a = 1 - 2 b_hat < 0), against mpmath
+    rng = np.random.default_rng(8)
+    beta = rng.uniform(-10.0, 10.0, 6) + 1j * rng.uniform(-3.0, 6.0, 6)
+    p = ModelParams(b=0.2, b_hat=b_hat)
+    assert _mp_rel_err(min_form_factor(beta, p), beta, p) < 3e-14
+
+
+@pytest.mark.parametrize("eta", [2.0 * np.pi / 3.0, np.pi])
+def test_min_form_factor_one_ulp_noise(eta):
+    # a one-ulp change of Re beta moves F by its conditioning alone: at most
+    # 5e-14 relative over [-12, 12] (the four-call sum moved it by up to
+    # 2e-13 on Im beta = 2 pi / 3, kt3pt's F_2 contour, and 3.4e-13 on pi)
+    p = ModelParams(b=0.25)
+    x = np.linspace(-12.0, 12.0, 24001)
+    f = min_form_factor(x + 1j * eta, p)
+    for side in (np.inf, -np.inf):
+        g = min_form_factor(np.nextafter(x, side) + 1j * eta, p)
+        assert np.max(np.abs(g - f) / np.abs(f)) <= 5e-14
 
 
 def test_barnes_vectorized_matches_scalar():
