@@ -79,16 +79,21 @@ def _difference_lattice(*axes):
     rules have them; the correlator's axes have none). On the runs
     x_k[i_k] - x_last[i_last] depends on i_k - i_last only, so args is the
     open mesh of those n - 1 difference vectors, of run_k + run_last - 1
-    values each, with the last rapidity at 0 (at n = 1 the one point 0).
-    At n = 2 every difference that involves an extra point follows its
-    lattice in the one table, evaluated as it is. gather takes the table
-    back onto the axes. Any other input (a rule that is not uniform, a
-    scalar, two axes along one dimension, extras on three or more axes) is
-    its own args, gathered as it is."""
+    values each, with the last rapidity at 0 (at n = 1 the one point 0, on
+    any axis, since f is then a constant). At n = 2 every difference that
+    involves an extra point follows its lattice in the one table, evaluated
+    as it is. gather takes the table back onto the axes. Any other input (a
+    rule that is not uniform, a scalar, two axes along one dimension, extras
+    on three or more axes) is its own args, gathered as it is. On runs
+    alone gather copies a strided view of the table; with extras it indexes
+    the table by blocks built on 1-D ranges. Either way a plan costs the
+    order of its axes, and a gather that of its output."""
     dims = [_open_axis(x) for x in axes]
     if (not axes or None in dims or len(set(dims)) < len(dims)
             or len({np.ndim(x) for x in axes}) > 1):
         return axes, lambda t: t
+    if len(axes) == 1:
+        return (0.0,), lambda t: np.asarray(t)[()]
     vecs = [np.ravel(x) for x in axes]
     # each grid point carries a rounding or two, so one step varies by a few ulps
     tol = 8.0 * np.finfo(float).eps * max(np.max(np.abs(v)) for v in vecs)
@@ -99,7 +104,7 @@ def _difference_lattice(*axes):
     runs = lens if on_step.all() else [
         1 + np.argmin(np.append(o, False))
         for o in np.split(on_step, np.cumsum(lens)[:-1] - np.arange(1, len(lens)))]
-    extras = len(axes) > 1 and runs != lens
+    extras = runs != lens
     # a run must hold most of its axis, or the lattice saves nothing
     if any(2 * r <= n for r, n in zip(runs, lens)) or extras and len(axes) > 2:
         return axes, lambda t: t
@@ -110,18 +115,36 @@ def _difference_lattice(*axes):
         s = np.arange(1 - runs[-1], run)
         i = np.maximum(s, 0)
         diffs.append((x[i] - y[i - s]).reshape((-1,) + (1,) * (len(xs) - 1 - k)))
-    # the table index of x_k[i_k] - y[i_last] is i_k - i_last + run_last - 1
-    pos = [np.arange(len(v)).reshape(np.shape(a)) for v, a in zip(vecs, axes)]
-    last = pos[-1] - (runs[-1] - 1)
-    idx = [p - last for p in pos[:-1]]
-    if extras:
-        # n = 2: the pairs off the runs follow the lattice in the one table
-        off = (pos[0] >= runs[0]) | (pos[1] >= runs[1])
-        i, j = (np.broadcast_to(p, off.shape)[off] for p in pos)
-        idx[0] = np.where(off, np.cumsum(off).reshape(off.shape) + len(diffs[0]) - 1, idx[0])
-        diffs[0] = np.concatenate([diffs[0], xs[0][i] - y[j]])
-    shape = tuple(len(d) for d in diffs)
-    return (*diffs, 0.0), lambda t: np.broadcast_to(t, shape)[tuple(idx)]
+    mesh = np.broadcast_shapes(*(np.shape(a) for a in axes))
+    if not extras:
+        # x_k[i_k] - y[i_last] is the table element i_k - i_last + run_last - 1
+        # along axis k: a view of the table from (run_last - 1, ...) with each
+        # axis's stride along its dimension and minus their sum along y's,
+        # copied onto the mesh
+        shape, corner = tuple(len(d) for d in diffs), (slice(runs[-1] - 1, None),) * len(xs)
+
+        def gather(t):
+            t = np.broadcast_to(t, shape)
+            strides = [0] * len(mesh)
+            for dim, stride in zip(dims, t.strides):
+                strides[dim] = stride
+            strides[dims[-1]] = -sum(t.strides)
+            return np.lib.stride_tricks.as_strided(t[corner], mesh, strides,
+                                                   writeable=False).copy()
+        return (*diffs, 0.0), gather
+    # n = 2: the pairs off the runs follow the lattice in the one table, first
+    # those of a run x with an extra y, then those of an extra x, row by row;
+    # the index is laid out on the (x, y) blocks, then turned to the mesh
+    (x, y), (rx, ry), (nx, ny) = vecs, runs, lens
+    size, mid = len(diffs[0]), len(diffs[0]) + rx * (ny - ry)
+    diffs[0] = np.concatenate([diffs[0], (x[:rx, None] - y[ry:]).ravel(),
+                               (x[rx:, None] - y).ravel()])
+    index = np.empty((nx, ny), dtype=np.intp)
+    index[:rx, :ry] = np.arange(rx)[:, None] - np.arange(ry) + (ry - 1)
+    index[:rx, ry:] = np.arange(size, mid).reshape(rx, ny - ry)
+    index[rx:] = np.arange(mid, len(diffs[0])).reshape(nx - rx, ny)
+    idx = np.ascontiguousarray(index.T if dims[0] > dims[1] else index).reshape(mesh)
+    return (diffs[0], 0.0), lambda t: np.broadcast_to(t, diffs[0].shape)[idx]
 
 
 def _lattice(f, *axes):

@@ -189,6 +189,8 @@ def _rule_1d(poles: Sequence[tuple], L: float, nodes: int, eps: float = 0.0,
     """
     h = 2.0 * L / nodes
     xs = -L + (np.arange(nodes) + offset) * h
+    if not poles:
+        return xs + 0j, np.full(nodes, h + 0j)
     ps = np.array([p for p, _ in poles], dtype=float)
     sides = np.array([side for _, side in poles], dtype=float)
     zs = ps + 1j * eps * sides

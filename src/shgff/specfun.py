@@ -6,6 +6,8 @@ come back as python complex.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 
 import numpy as np
 
@@ -50,7 +52,8 @@ class ModelParams:
     b is the dimensionless coupling in [0, 1/2]; b_hat is the dual exponent
     entering the Barnes-G representation of the minimal form factor and
     defaults to 1/2 - b (the Watson-compatible choice; 1/2 - b = b at the
-    self-dual point b = 1/4).
+    self-dual point b = 1/4). A given b_hat must be a finite real number
+    (ValueError otherwise); it may lie outside [0, 1/2].
     """
 
     b: float
@@ -64,6 +67,8 @@ class ModelParams:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if self.b_hat is None:
             object.__setattr__(self, "b_hat", 0.5 - self.b)
+        elif not (isinstance(self.b_hat, numbers.Real) and math.isfinite(self.b_hat)):
+            raise ValueError(f"b_hat must be a finite real number, got {self.b_hat!r}")
 
     @property
     def sin2pib(self) -> float:

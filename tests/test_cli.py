@@ -311,6 +311,8 @@ ZERO_WIDTH_CFG = _variant(UNIT_CFG, "request", smearings=[
     {"center": [0.0, 0.0], "width": [0.05, 0.05]}])
 NAN_POINT_CFG = _variant(UNIT_CFG, "request", points=[[float("nan"), 1.0], [0.0, 0.0]])
 INFINITE_POINT_CFG = _variant(UNIT_CFG, "request", points=[[0.0, float("inf")], [0.0, 0.0]])
+KT2_CFG = _variant(UNIT_CFG, "request")
+KT2_CFG["operators"] = [KT_CFG["operators"][0]] * 2
 DOC_CFG = _variant(UNIT_CFG, "output", doc="missing/report.txt")
 FD_DOC_CFG = _variant(UNIT_CFG, "output", doc=1)
 LIST_OUTPUT_CFG = dict(UNIT_CFG, output=[])
@@ -449,6 +451,12 @@ EXIT_TABLE = [
                  id="correlator-nodes-flag-beyond-max-nodes"),
     pytest.param(["correlator", "--config", "CFG", "--tol", "-1"], UNIT_CFG, None,
                  EXIT_CONFIG, "config error: tol must be positive", id="correlator-negative-tol"),
+    # "bad operators section: cannot convert float NaN to integer", "can only concatenate
+    # str ..." and the like, once ExponentialPn evaluated F(i pi) with the bad b_hat
+    *(pytest.param(["correlator", "--config", "CFG"], _variant(KT2_CFG, "model", b_hat=b_hat),
+                   None, EXIT_CONFIG, "config error: bad model section: b_hat must be a finite "
+                   f"real number, got {b_hat!r}", id=f"correlator-b-hat-{b_hat}")
+      for b_hat in (float("nan"), float("inf"), "0.3")),
     pytest.param(["correlator", "--config", "CFG"], UNCONVERGED_CFG, None, EXIT_NONCONVERGED,
                  "non-convergence: error estimate", id="correlator-unconverged"),
     pytest.param(["correlator", "--config", "CFG"], UNIT_CFG, "compute_W_r", EXIT_INTERNAL,

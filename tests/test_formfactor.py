@@ -180,6 +180,51 @@ def test_lattice_with_extra_points_matches_the_dense_mesh(f, order, x_extras, y_
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
 
+@pytest.mark.parametrize("f", PAIR_FUNCTIONS)
+@pytest.mark.parametrize("dims", [(1, 2), (2, 0)])
+@pytest.mark.parametrize("x_extras, y_extras", [
+    (PROBES, []), ([], PROBES - 0.7), (PROBES, 1.2 * PROBES[:2])])
+def test_lattice_with_extra_points_on_two_axes_of_a_three_axis_mesh(f, dims, x_extras,
+                                                                    y_extras):
+    # a pair of a kernel term's three free variables: its two axes along two of
+    # the mesh's three dimensions, in either order, the third dimension of length 1
+    x = _run_and_extras(48, 0.62, np.pi + 0.1j, x_extras)
+    y = _run_and_extras(48, 0.24, 0.0, y_extras)
+    x, y = (v.reshape([-1 if d == dim else 1 for d in range(3)]) for v, dim in zip((x, y), dims))
+    want = f(x - y)
+    (u, v), gather = _difference_lattice(x, y)
+    assert np.shape(u) == (48 + 48 - 1 + x.size * y.size - 48 * 48,) and v == 0.0
+    got = gather(f(u - v))
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
+def test_lattice_of_one_rapidity_is_its_one_point():
+    # a shift-invariant function of one rapidity is a constant, on any axis
+    xg = 8.0 * roots_legendre(48)[0]
+    for x in (xg + 0.1j, _run_and_extras(48, 0.62, 0.0, PROBES), np.linspace(-8.0, 8.0, 97)):
+        args, gather = _difference_lattice(x.reshape(1, -1))
+        assert args == (0.0,) and gather(np.float64(2.5)) == 2.5
+
+
+@pytest.mark.parametrize("dims", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+def test_lattice_gather_copies_the_table_at_the_index_differences(dims):
+    # on runs alone x_k[i_k] - y[i_last] is the table element i_k - i_last +
+    # run_last - 1 along axis k, for axes along the mesh's dimensions in any order
+    lens = (9, 7, 8)
+    vecs = [0.25 * np.arange(n) + c for n, c in zip(lens, (0.1, 0.3j, -0.2))]
+    axes = [v.reshape([-1 if d == dim else 1 for d in range(3)]) for v, dim in zip(vecs, dims)]
+    (u, v, w), gather = _difference_lattice(*axes)
+    assert np.shape(u) == (9 + 8 - 1, 1) and np.shape(v) == (7 + 8 - 1,) and w == 0.0
+    table = np.exp(u) * np.cos(v)
+    i, j, k = np.meshgrid(*(np.arange(n) for n in lens), indexing="ij")
+    want = np.moveaxis(table[i - k + 7, j - k + 7], (0, 1, 2), dims)
+    got = gather(table)
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert np.array_equal(got, want)
+    assert np.array_equal(gather(2.5 + 0j), np.full(want.shape, 2.5 + 0j))
+
+
 def test_lattice_falls_back_bitwise_with_extras_on_three_axes():
     pn = ExponentialPn(P, t=0.3)
     f = lambda *betas: k_transform(pn, betas, P)

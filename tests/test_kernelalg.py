@@ -236,6 +236,7 @@ def test_rule_1d_without_poles_is_the_trapezoid_rule(nodes):
     # equal weights 2L/nodes on a uniform grid; spectrally exact on x^k e^{-x^2}
     x, w = _rule_1d([], 8.0, nodes)
     assert len(x) == nodes and np.all(w == 16.0 / nodes)
+    assert x.dtype == w.dtype == complex
     assert np.max(np.abs(np.diff(x) - 16.0 / nodes)) < 1e-13
     for k in range(7):
         exact = math.gamma((k + 1) / 2) if k % 2 == 0 else 0.0
