@@ -290,9 +290,9 @@ def compute_I_n(request: CorrelatorRequest, comp: CompositionVector) -> tuple[co
     to request.tol or the next grid would exceed request.max_nodes intervals.
     The error is their difference plus the finest grid's tail estimate beyond
     +-L and rounding floor; neither drives the refinement, since a smaller
-    step shrinks neither. Deterministic: the integrand's factors are
-    contracted in an order fixed by which axes each varies along, so a
-    composition gives the same bits on every call."""
+    step shrinks neither. Deterministic: the integrand's factors are split
+    and contracted in an order fixed by which axes each varies along (see
+    _contract), so a composition gives the same bits on every call."""
     legs = _legs(request)
     quad = functools.partial(_quad_tensor, request, comp, legs.contours(request, comp), legs)
     value, tail, floor, coarse = quad(nodes := 2 * request.nodes)
@@ -307,14 +307,18 @@ def _quad_tensor(request, comp, contours, legs, nodes) -> tuple[complex, float, 
     The j-th of the c variables of one block is further shifted by j h / c,
     so that no two of them coincide while every axis keeps step h (on the
     even points, j / (2c) of their step 2h). The integrand's factors are
-    contracted one at a time and never multiplied out on the full mesh, so
-    the largest array is the largest factor or contraction intermediate.
+    never multiplied out on the full mesh: they split once into a scalar,
+    one vector per axis (the product of the factors along that axis alone,
+    which folds into its trapezoid weights) and the factors of several axes,
+    which _contract reduces against the folded weights.
     Returns the value, the tail estimate, the rounding floor and the coarse
-    value. The floor is eps * (number of factors + number of axes), plus the
-    rounding of each provider whose F_n here has n >= 2, times the integral
-    of |integrand| on the grid, which the moduli of the factors give when
-    contracted like the factors. The coarse value is the same factors' rule
-    of step 2h on the even points of each axis (`nodes` even)."""
+    value. The coarse value is the same factors' rule of step 2h on the even
+    points of each axis (`nodes` even), read through strided views. The
+    moduli of the factors, contracted on every axis but one, give the
+    marginal of |integrand| along each axis: the tails come from their ends
+    (see _tail), and the floor is eps * (number of factors + number of
+    axes), plus the rounding of each provider whose F_n here has n >= 2,
+    times the integral of |integrand| on the grid, the sum of a marginal."""
     # block of each integration variable, in canonical block order
     counts = comp.as_dict()
     block_of = [blk for blk, cnt in counts.items() for _ in range(cnt)]
@@ -329,19 +333,25 @@ def _quad_tensor(request, comp, contours, legs, nodes) -> tuple[complex, float, 
         gamma[blk].append(grid)
     d = len(block_of)
     factors = [_along(f, d) for f in _factors(request, gamma, legs)]
-    moduli = [(np.abs(f), axes) for f, axes in factors]
-    weights = dict.fromkeys(range(d), w)
+    scale = math.prod(f for f, along in factors if not along)
+    folds = [math.prod((f for f, along in factors if along == (ax,)), start=np.ones(nodes + 1))
+             for ax in range(d)]
+    multi = [(f, along) for f, along in factors if len(along) > 1]
+    value = scale * _contract(multi, [w * f for f in folds])
+    coarse = scale * _contract([(f[(np.s_[::2],) * f.ndim], along) for f, along in multi],
+                               [2.0 * w[::2] * f[::2] for f in folds])
+    moduli = [(np.abs(f), along) for f, along in multi]
+    abs_folds = [np.abs(f) for f in folds]
+    abs_weights = [w * f for f in abs_folds]
+    marginals = [abs(scale) * abs_folds[ax] * _contract(moduli, abs_weights, keep=ax)
+                 for ax in range(d)]
     # a rounding or so per factor and per axis's sum, and each F_n's own noise if n >= 2
     rounding = sum(op.provider.rounding for p, op in enumerate(request.operators, start=1)
                    if op.provider.rounding and sum(
                        counts[blk] for blk, _ in _operator_word(comp.k, p, request.mixed_t)) >= 2)
     floor = ((len(factors) + d) * np.finfo(float).eps + rounding) * float(
-        _contract(moduli, weights))
-    # the step-2h rule (h at the ends, 2h inside) on the even points of each axis, each
-    # factor copied there contiguously, so that einsum sums as on a grid of nodes / 2
-    even = [(f[(slice(None, None, 2),) * len(axes)].copy(), axes) for f, axes in factors]
-    return (complex(_contract(factors, weights)), _tail(moduli, d, w, h), floor,
-            complex(_contract(even, dict.fromkeys(range(d), 2.0 * w[::2]))))
+        w @ marginals[0] if d else abs(scale))
+    return complex(value), _tail(marginals, h), floor, complex(coarse)
 
 
 def _along(f, d):
@@ -352,51 +362,41 @@ def _along(f, d):
     return np.reshape(f, [shape[i] for i in axes]), axes
 
 
-def _contract(factors, weights):
-    """Sum over the mesh of the product of the factors, each a pair from
-    _along, with weights[ax] along each axis ax. Scalars multiply out; a
-    factor along one axis folds into that axis's weights; the weights of an
-    axis that no factor of several axes touches are summed alone; the
-    factors of several axes are contracted against the folded weights of
-    their axes by np.einsum in a greedy order."""
-    weights = dict(weights)
-    scale = 1.0
-    shared = []
-    for f, axes in factors:
-        if not axes:
-            scale = scale * f
-        elif len(axes) == 1:
-            weights[axes[0]] = weights[axes[0]] * f
-        else:
-            shared += [f, list(axes)]
-    linked = {ax for axes in shared[1::2] for ax in axes}
-    for ax, wa in weights.items():
-        if ax in linked:
-            shared += [wa, [ax]]
-        else:
-            scale = scale * np.sum(wa)
-    return scale * np.einsum(*shared, [], optimize="greedy") if shared else scale
+def _contract(multi, weights, keep=None):
+    """Sum over the mesh of the product of the factors of several axes (pairs
+    from _along), with weights[ax] along each axis ax; with `keep`, the
+    vector along that axis of the sums over every other axis, its own
+    weights left out. An axis that no factor touches is summed alone. A lone
+    factor is reduced by matrix-vector products, one axis at a time in
+    axis order; two or more meet in one np.einsum in a greedy order."""
+    linked = {ax for _, along in multi for ax in along}
+    alone = math.prod(np.sum(wa) for ax, wa in enumerate(weights) if ax not in linked | {keep})
+    if len(multi) == 1:
+        (f, along), = multi
+        if keep in along:
+            f = np.moveaxis(f, along.index(keep), -1)
+        for ax in along:
+            if ax != keep:
+                f = (weights[ax] @ f.reshape(len(weights[ax]), -1)).reshape(f.shape[1:])
+        return alone * f
+    if multi:
+        ops = [x for f, along in multi for x in (f, along)]
+        ops += [x for ax in sorted(linked - {keep}) for x in (weights[ax], [ax])]
+        return alone * np.einsum(*ops, [keep] if keep in linked else [], optimize="greedy")
+    return alone
 
 
-def _tail(moduli, d, w, h) -> float:
-    """Estimate of the integral of |integrand| beyond +-L, from the moduli
-    of its factors (pairs from _along): on each end slice of each axis, |f|
-    decays like exp(-kappa t), with kappa read from that slice and its inner
-    neighbour, so the tail is |f(L)| / kappa (an upper bound where, as here,
-    the decay steepens outward). Infinite if |f| does not decrease toward an
-    end. |f| is the product of the moduli, so a slice takes only the moduli
-    along its axis at that index."""
+def _tail(marginals, h) -> float:
+    """Estimate of the integral of |integrand| beyond +-L from its marginal
+    along each axis (the integral over every other axis at each node): at
+    each end, the marginal decays like exp(-kappa t), with kappa read from
+    the end node and its inner neighbour, so the tail is m(L) / kappa (an
+    upper bound where, as here, the decay steepens outward). Infinite if a
+    marginal does not decrease toward an end."""
     tail = 0.0
-    for ax in range(d):
-        others = dict.fromkeys((a for a in range(d) if a != ax), w)
-        rest = [(f, axes) for f, axes in moduli if ax not in axes]
-        along = [(f, axes.index(ax), tuple(a for a in axes if a != ax))
-                 for f, axes in moduli if ax in axes]
-        mass = {i: float(_contract(rest + [(np.take(f, i, axis=j), axes)
-                                           for f, j, axes in along], others))
-                for i in (0, 1, -2, -1)}
+    for m in marginals:
         for end, inner in ((0, 1), (-1, -2)):
-            a_end, a_in = mass[end], mass[inner]
+            a_end, a_in = float(m[end]), float(m[inner])
             if a_end == 0.0:
                 continue
             if not a_in > a_end:

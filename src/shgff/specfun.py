@@ -49,7 +49,8 @@ class SpecialFunctionError(ValueError):
 class ModelParams:
     """Coupling and mass of the model.
 
-    b is the dimensionless coupling in [0, 1/2]; b_hat is the dual exponent
+    b is the dimensionless coupling in [0, 1/2] and mass a finite positive
+    number (ValueError otherwise); b_hat is the dual exponent
     entering the Barnes-G representation of the minimal form factor and
     defaults to 1/2 - b (the Watson-compatible choice; 1/2 - b = b at the
     self-dual point b = 1/4). A given b_hat must be a finite real number
@@ -63,8 +64,9 @@ class ModelParams:
     def __post_init__(self):
         if not (0.0 <= self.b <= 0.5):
             raise ValueError(f"coupling b must lie in [0, 1/2], got {self.b}")
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        # False on NaN too, which slips past a check of mass <= 0
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError(f"mass must be finite and positive, got {self.mass}")
         if self.b_hat is None:
             object.__setattr__(self, "b_hat", 0.5 - self.b)
         elif not (isinstance(self.b_hat, numbers.Real) and math.isfinite(self.b_hat)):

@@ -335,6 +335,9 @@ EXIT_TABLE = [
                  id="specfun-half-point-at-zero"),
     pytest.param(["specfun", "--b", "0.7", "--beta", "1"], None, None, EXIT_CONFIG,
                  "config error: coupling b", id="specfun-bad-coupling"),
+    pytest.param(["specfun", "--b", "0.25", "--mass", "nan", "--beta", "1"], None, None,
+                 EXIT_CONFIG, "config error: mass must be finite and positive",
+                 id="specfun-nan-mass"),
     pytest.param(["specfun", "--b", "0.25", "--beta", "1"], None, "s_matrix", EXIT_INTERNAL,
                  "internal error: boom", id="specfun-internal"),
     pytest.param(["verify", "--config", "CFG", "--n-max", "2"], KT_CFG, None, EXIT_OK, None,
@@ -457,6 +460,11 @@ EXIT_TABLE = [
                    None, EXIT_CONFIG, "config error: bad model section: b_hat must be a finite "
                    f"real number, got {b_hat!r}", id=f"correlator-b-hat-{b_hat}")
       for b_hat in (float("nan"), float("inf"), "0.3")),
+    # mass <= 0 was False on NaN: total,nan,... and non-convergence (exit 4)
+    *(pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "model", mass=mass),
+                   None, EXIT_CONFIG, "config error: bad model section: mass must be finite "
+                   f"and positive, got {mass}", id=f"correlator-mass-{mass}")
+      for mass in (float("nan"), float("inf"))),
     pytest.param(["correlator", "--config", "CFG"], UNCONVERGED_CFG, None, EXIT_NONCONVERGED,
                  "non-convergence: error estimate", id="correlator-unconverged"),
     pytest.param(["correlator", "--config", "CFG"], UNIT_CFG, "compute_W_r", EXIT_INTERNAL,

@@ -389,6 +389,22 @@ def test_t_forms_near_the_free_and_half_couplings(b):
         assert abs(got.value - ref) <= got.error + ref_err, t
 
 
+def test_k_transform_four_point_function_agrees_in_every_form_and_frame():
+    # r = (1, 1, 1): its compositions carry none, one and, at n_21 = n_32 =
+    # n_43 = 1, two factors of several axes (the F_2 of operators 2 and 3),
+    # so every branch of _contract runs. The plain form, each t-form and a
+    # boost by 0.3 agree to about 1e-15; W = 0.000789286238889401, error 1.9e-11
+    def request(theta):
+        ch, sh = np.cosh(theta), np.sinh(theta)
+        return _req([(x0 * ch + x1 * sh, x0 * sh + x1 * ch) for x0, x1 in X4], (1, 1, 1),
+                    ops=[KT] * 4, L=5.0, nodes=32, max_nodes=128, tol=1e-9)
+    req = request(0.0)
+    plain = compute_W_r(req)
+    assert plain.converged is True
+    for res in [compute_W_r_mixed(req, t) for t in (1, 2, 3, 4)] + [compute_W_r(request(0.3))]:
+        assert abs(res.value - plain.value) <= 1e-12 * abs(plain.value)
+
+
 def test_four_point_unit_correlator_converges():
     req = _req(X4, (1, 1, 1), nodes=48, max_nodes=768, tol=1e-9)
     res = compute_W_r(req)
@@ -549,16 +565,33 @@ X3 = [(0.0, 1.0), (0.0, 0.0), (0.0, -1.0)]
 X4 = [(0.0, 1.5), (0.0, 0.5), (0.0, -0.5), (0.0, -1.5)]
 
 
-@pytest.mark.parametrize("case", ["kt_101", "kt_r2", "k4", "k4_t2", "smeared_r2"])
+def _el_ops(slope, k):
+    op = {**UNIT, "provider": {"kind": "exponential-like", "coefficients": [1, 1, 1],
+                               "slope": slope}}
+    return [load_operator(op, P) for _ in range(k)]
+
+
+@pytest.mark.parametrize("case", ["kt_101", "kt_r2", "kt_unit_r3", "k4", "k4_t2", "smeared_r2",
+                                  "el_slope2", "el_slope10"])
 def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
     # every kind of factor: a 2-axis F_2 with 1-axis plane waves, two
     # variables of one block, 2-axis S-factors (plain and t = 2), and a
     # 2-axis Gaussian transform; at L = 3 the tails are 4e-10 to 5, not
-    # below the floating-point range
-    if case == "kt_101":
+    # below the floating-point range. Beside a unit operator, a K-transform
+    # F_3 is the one factor of several axes, and it spans three. Form
+    # factors growing like exp(slope * gamma) against the plane waves' decay
+    # give a finite tail (1.2094609694182727 at slope 2 and 96 intervals)
+    # and, at slope 10, an |integrand| that rises toward +L, whose tail is
+    # infinite
+    if case.startswith("el_"):
+        ops = _el_ops(float(case.removeprefix("el_slope")), 2)
+        req, counts = _req(X3[:2], (1,), ops=ops, L=3.0), (1,)
+    elif case == "kt_101":
         req, counts = _req(X3, (1, 1), ops=[KT] * 3, L=3.0), (1, 0, 1)
     elif case == "kt_r2":
         req, counts = _req(X3[:2], (2,), ops=[KT] * 2, L=3.0), (2,)
+    elif case == "kt_unit_r3":
+        req, counts = _req(X3[:2], (3,), ops=[KT] + _unit_ops(1), L=3.0), (3,)
     elif case.startswith("k4"):
         mixed_t = 2 if case == "k4_t2" else None
         req, counts = _req(X4, (1, 2, 1), L=3.0, mixed_t=mixed_t), (0, 1, 0, 0, 1, 0)
@@ -576,7 +609,15 @@ def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
         got = _quad_tensor(req, comp, legs.contours(req, comp), legs, nodes)
         want = _dense_quad(req, comp, nodes, seen[0])
         assert abs(got[0] - want[0]) <= 1e-13 * abs(want[0])
-        assert abs(got[1] - want[1]) <= 1e-13 * want[1]
+        if case == "el_slope10":
+            assert got[1] == want[1] == np.inf
+        else:
+            assert abs(got[1] - want[1]) <= 1e-13 * want[1] < np.inf
+        # the coarse value is the rule of nodes / 2 intervals on the even points
+        even = {blk: [g[(np.s_[::2],) * g.ndim] for g in grids]
+                for blk, grids in seen[0].items()}
+        coarse = _dense_quad(req, comp, nodes // 2, even)[0]
+        assert abs(got[3] - coarse) <= 1e-13 * abs(coarse)
         # a provider's rounding counts for each operator whose F_n has n >= 2
         floor = ((len(factors(req, seen[0], legs)) + comp.total) * np.finfo(float).eps
                  + sum(op.provider.rounding for p, op in enumerate(req.operators, start=1)

@@ -31,6 +31,13 @@ def test_params_validation():
         ModelParams(b=0.3, mass=0.0)
 
 
+@pytest.mark.parametrize("mass", [float("nan"), float("inf"), -float("inf")])
+def test_params_refuse_a_mass_that_is_not_finite(mass):
+    # mass <= 0 is False on NaN: a NaN or infinite mass gave NaN correlators
+    with pytest.raises(ValueError, match="mass must be finite and positive"):
+        ModelParams(b=0.25, mass=mass)
+
+
 def test_params_dual_exponent_default():
     assert ModelParams(b=0.3).b_hat == pytest.approx(0.2, abs=1e-15)
     # self-dual point
