@@ -89,6 +89,8 @@ def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L,
         points = [SpacetimePoint(float(p[0]), float(p[1])) for p in r.get("points", ())]
         ladder = None
         if "ladder" in r:
+            if not isinstance(r["ladder"], dict):
+                raise ValueError(f"ladder must be a mapping, got {r['ladder']!r}")
             ladder = ContourLadder(len(operators),
                                    {tuple(map(int, k.split(","))): float(v)
                                     for k, v in r["ladder"].items()})

@@ -314,7 +314,11 @@ def load_operator(doc, params: ModelParams) -> OperatorSpec:
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ValueError(f"an operator must be a mapping, got {doc!r}")
     pdoc = doc.get("provider", {"kind": "unit"})
+    if not isinstance(pdoc, dict):
+        raise ValueError(f"provider must be a mapping, got {pdoc!r}")
     kind = pdoc.get("kind", "unit")
     if kind == "unit":
         provider: FormFactorProvider = FixtureUnitProvider()

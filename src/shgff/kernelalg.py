@@ -23,8 +23,6 @@ from .correlator import _check_grid
 from .formfactor import OperatorSpec
 from .specfun import ModelParams, s_matrix
 
-EPS_SEQUENCE = (1e-2, 5e-3, 2.5e-3)
-
 
 @dataclasses.dataclass(frozen=True)
 class FormalTerm:
@@ -169,61 +167,69 @@ _PAIR_CHUNK = 1 << 16
 _GOLDEN = 0.6180339887498949
 
 
-def _rule_1d(poles: Sequence[tuple], L: float, nodes: int, eps: float = 0.0,
+def _rule_1d(poles: Sequence[tuple], L: float, nodes: int,
              delta: float = _PROBE_DELTA, offset: float = _GOLDEN):
     """Linear rule (x, w), sum_i w_i g(x_i), for the integral over [-L, L] of
-    a g with simple poles at z_r = p_r + i side_r eps, given as (p_r, side_r)
-    pairs: side = -1 below the real axis (from +i pi shifts), +1 above it.
+    a g with simple poles at real p_r, taken as boundary values: given as
+    (p_r, side_r) pairs, side = -1 for the lower side of the axis (from +i pi
+    shifts), +1 for the upper one.
 
     The first `nodes` points are x_i = -L + (i + offset) h, h = 2L/nodes, of
-    weight h. Each pole is subtracted with K_r(x) = (pi/2L) cot(pi (x - z_r)/2L),
+    weight h. Each pole is subtracted with K_r(x) = (pi/2L) cot(pi (x - p_r)/2L),
     of residue 1 and period 2L, so that the trapezoid rule sees a periodic
-    integrand; int K_r = i pi side_r, and its trapezoid sum is
-    pi cot(pi (x_0 - z_r)/h). With H = g prod(x - z), g = sum_r cpf_r H/(x - z_r)
-    for cpf_r = 1/prod_{q != r}(z_r - z_q); with h_r = H(p_r),
-        int g = sum_i h g_i + sum_r cpf_r h_r (i pi side_r - pi cot(pi (x_0 - z_r)/h)).
-    h_r is the mean of H over probe points around p_r, the rule's other
-    points. At eps = 0 the limit is analytic (principal value plus i pi
-    side_r times the residue), with a 4-point symmetric probe of radius
-    delta (error O(delta^4)). With no poles the rule is the plain trapezoid rule.
+    integrand; int K_r = i pi side_r (principal value plus i pi side_r times
+    the residue), and its trapezoid sum is pi cot(pi (x_0 - p_r)/h). With
+    H = g prod(x - p), g = sum_r cpf_r H/(x - p_r) for
+    cpf_r = 1/prod_{q != r}(p_r - p_q); with h_r = H(p_r),
+        int g = sum_i h g_i + sum_r cpf_r h_r (i pi side_r - pi cot(pi (x_0 - p_r)/h)).
+    h_r is the mean of H over the rule's other points, a 4-point symmetric
+    probe of radius delta around p_r (error O(delta^4)). With no poles the
+    rule is the plain trapezoid rule.
+
+    The third value wc is the same rule on the even nodes (step 2h, the same
+    x_0 and probe points, weight 0 on the odd nodes), or None for odd `nodes`.
     """
     h = 2.0 * L / nodes
     xs = -L + (np.arange(nodes) + offset) * h
-    if not poles:
-        return xs + 0j, np.full(nodes, h + 0j)
-    ps = np.array([p for p, _ in poles], dtype=float)
-    sides = np.array([side for _, side in poles], dtype=float)
-    zs = ps + 1j * eps * sides
-    offs = delta * np.array([1, -1, 1j, -1j]) if eps == 0.0 else np.zeros(1)
+    ps, sides = np.array(poles, dtype=float).reshape(-1, 2).T
+    zs = ps.astype(complex)
     gaps = zs[:, None] - zs[None, :]
     np.fill_diagonal(gaps, 1.0)
     cpf = 1.0 / np.prod(gaps, axis=1)
-    probes = ps[:, None] + offs[None, :]
-    hfac = np.prod(probes[:, :, None] - zs, axis=2) / len(offs)
-    cot = 1.0 / np.tan(np.pi * (xs[0] - zs) / h)
-    wprobe = (np.pi * cpf * (1j * sides - cot))[:, None] * hfac
+    probes = ps[:, None] + delta * np.array([1, -1, 1j, -1j])
+    hfac = np.prod(probes[:, :, None] - zs, axis=2) / 4.0
+    # the probe weights of step h (row 0) and of step 2h (row 1)
+    cot = 1.0 / np.tan(np.pi * (xs[0] - zs) / np.array([[h], [2.0 * h]]))
+    wprobe = ((np.pi * cpf * (1j * sides - cot))[:, :, None] * hfac).reshape(2, -1)
+    coarse = np.zeros(nodes)
+    coarse[::2] = 2.0 * h
     return (np.concatenate([xs + 0j, probes.ravel()]),
-            np.concatenate([np.full(nodes, h), wprobe.ravel()]))
+            np.concatenate([np.full(nodes, h), wprobe[0]]),
+            None if nodes % 2 else np.concatenate([coarse, wprobe[1]]))
 
 
-def _pair_at_eps(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
-                 eps: float, L: float, nodes: int) -> complex:
-    """pair_numeric at one common regulator eps (0: the limit). A term's
-    integrand runs once on the open mesh of its whole tensor rule, each axis
-    its uniform nodes and then its probe points (once per slab of at most
-    _PAIR_CHUNK points, cut along the first axis): one provider evaluation,
-    one s_product per side and one test call a slab. The reduction runs slab
-    by slab because F and the test function each span every free axis, so no
+def _pair(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
+          L: float, nodes: int) -> list:
+    """The pairing on the rule of `nodes` intervals per axis and, for even
+    `nodes`, on the rule of its even nodes: a list of one or two values. A
+    term's integrand runs once on the open mesh of its whole tensor rule,
+    each axis its uniform nodes and then its probe points (once per slab of
+    at most _PAIR_CHUNK points, cut along the first axis): one provider
+    evaluation, one s_product per side and one test call a slab, which is
+    then contracted with each set of weights. The reduction runs slab by
+    slab because F and the test function each span every free axis, so no
     contraction order keeps a whole term's mesh from being materialised."""
     n, m = kernel.n, kernel.m
     if len(alphas) != n:
         raise ValueError("alpha count does not match the kernel")
+    if not np.all(np.isfinite(alphas)):
+        raise ValueError("alphas must be finite")
     A, B = _word("a", n), _word("b", m)
     aval = {A[i]: complex(alphas[i]) for i in range(n)}
     phase = np.exp(-2j * np.pi * op.omega)
     sfun = lambda d: s_matrix(d, params)
 
-    total = 0.0 + 0.0j
+    totals = [0.0 + 0.0j] * (2 - nodes % 2)
     for term in kernel.terms:
         fixed = dict(aval)
         for aslot, bslot in term.dirac_pairs:
@@ -234,38 +240,41 @@ def _pair_at_eps(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
             sa = s_product(A, term.alpha_to, vals, sfun, side="alpha") if n > 1 else 1.0
             sb = s_product(B, term.beta_to, vals, sfun, side="beta") if m > 1 else 1.0
             fv = op.provider.evaluate(
-                [vals[s.base()] + s.shift * 1j * (np.pi - eps) for s in term.ff_word])
+                [vals[s.base()] + s.shift * 1j * np.pi for s in term.ff_word])
             return sa * sb * fv * test([vals[b] for b in B])
 
-        # kinematic poles in each free variable v: F(u + i(pi-eps) - v) is
-        # singular at v = u - i eps for every +i pi-shifted slot value u, and
-        # F(v - d + i(pi-eps)) at v = d + i eps for every -i pi-shifted value d
-        # (the shifted values are Dirac-fixed alpha's)
+        # kinematic poles in each free variable v: F(u + i pi - v) is singular
+        # at v = u, approached from below, for every +i pi-shifted slot value
+        # u, and F(v - d + i pi) at v = d, from above, for every -i pi-shifted
+        # value d (the shifted values are Dirac-fixed alpha's)
         poles = [] if op.provider.pole_free else (
             [(fixed[s.base()].real, -1) for s in term.ff_word if s.shift > 0]
             + [(fixed[s.base()].real, +1) for s in term.ff_word if s.shift < 0])
         # one step on every axis, with staggered node offsets and probe radii
         # so that no two axes share a point
-        rules = [_rule_1d(poles, L, nodes, eps, _PROBE_DELTA * (1.0 + 0.618 * k),
+        rules = [_rule_1d(poles, L, nodes, _PROBE_DELTA * (1.0 + 0.618 * k),
                           (k + 1) * _GOLDEN % 1.0) for k in range(len(free))]
-        step = max(1, _PAIR_CHUNK // math.prod(len(x) for x, _ in rules[1:]))
-        value = 0.0 + 0.0j
+        step = max(1, _PAIR_CHUNK // math.prod(len(x) for x, _, _ in rules[1:]))
+        values = [0.0 + 0.0j] * len(totals)
         for lo in range(0, len(rules[0][0]) if rules else 1, step):
-            slab = [(x[lo:lo + step], w[lo:lo + step]) for x, w in rules[:1]] + rules[1:]
-            mesh = np.meshgrid(*(x for x, _ in slab), indexing="ij", sparse=True)
+            cut = [slice(lo, lo + step)] + [slice(None)] * len(rules[1:])
+            axes = [x[c] for (x, _, _), c in zip(rules, cut)]
+            mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
             vals = np.broadcast_to(integrand({**fixed, **dict(zip(free, mesh))}),
-                                   tuple(len(x) for x, _ in slab))
-            for _, w in reversed(slab):
-                vals = vals @ w
-            value += complex(vals)
-        total += term.sign * phase ** term.phase_power * value \
-            / (2.0 * np.pi) ** len(free)
-    return total
+                                   tuple(len(x) for x in axes))
+            for k in range(len(totals)):  # the rule's weights, then its even-node ones
+                v = vals
+                for rule, c in reversed(list(zip(rules, cut))):
+                    v = v @ rule[1 + k][c]
+                values[k] += complex(v)
+        for k, value in enumerate(values):
+            totals[k] += term.sign * phase ** term.phase_power * value \
+                / (2.0 * np.pi) ** len(free)
+    return totals
 
 
 def pair_numeric(kernel: FormalKernelSum, alphas: Sequence[float], test: Callable,
                  op: OperatorSpec, params: ModelParams,
-                 eps_seq: Sequence[float] = (0.0,),
                  L: float = 8.0, nodes: int = 48) -> complex:
     """Pair the kernel against a test function:
 
@@ -280,36 +289,22 @@ def pair_numeric(kernel: FormalKernelSum, alphas: Sequence[float], test: Callabl
     form factors of two free variables run on one table, the lattice of the
     nodes' differences followed by those that involve a probe point.
     `nodes` is the number of intervals per axis on [-L, L], the same on
-    every axis (only the node offsets differ). The default eps_seq (0,) takes the
-    regulator limit analytically (PV + i pi delta splitting); a positive
-    sequence such as EPS_SEQUENCE computes at the given common regulators
-    and Richardson-extrapolates to 0 at first order, iterated.
+    every axis (only the node offsets differ). The kinematic poles are taken
+    as boundary values, in the regulator's limit: principal value plus
+    i pi delta, exactly.
     """
-    val, _ = pair_numeric_with_tail(kernel, alphas, test, op, params, eps_seq, L, nodes)
+    val, _ = pair_numeric_with_tail(kernel, alphas, test, op, params, L, nodes)
     return val
 
 
 def pair_numeric_with_tail(kernel, alphas, test, op, params,
-                           eps_seq: Sequence[float] = (0.0,),
                            L: float = 8.0, nodes: int = 48):
-    """pair_numeric plus the last extrapolation increment as error indicator."""
+    """pair_numeric, and its refinement term |P(h) - P(2h)|: the distance to
+    the same rule on the even nodes, contracted from the same integrand
+    values. It is math.inf for odd `nodes`, which have no even-node rule."""
     _check_grid(nodes, L)
-    if len(eps_seq) == 0:
-        raise ValueError("eps_seq must hold at least one regulator")
-    vals = [_pair_at_eps(kernel, alphas, test, op, params, e, L, nodes)
-            for e in eps_seq]
-    if len(vals) == 1:
-        return vals[0], float("nan")
-    # iterated first-order Richardson (regulators halving)
-    level = list(vals)
-    tail = abs(level[-1] - level[-2])
-    order = 1
-    while len(level) > 1:
-        fac = 2.0 ** order
-        level = [(fac * level[i + 1] - level[i]) / (fac - 1.0)
-                 for i in range(len(level) - 1)]
-        order += 1
-    return level[0], tail
+    fine, *coarse = _pair(kernel, alphas, test, op, params, L, nodes)
+    return fine, abs(fine - coarse[0]) if coarse else math.inf
 
 
 def term_count(flavor: str, n: int, m: int) -> int:

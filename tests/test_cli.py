@@ -409,6 +409,18 @@ EXIT_TABLE = [
                  EXIT_OK, None, id="correlator-smeared-no-points"),
     pytest.param(["correlator", "--config", "CFG"], dict(UNIT_CFG, request=[]), None,
                  EXIT_CONFIG, "config error: bad request section", id="correlator-request-list"),
+    # "internal error: 'list' object has no attribute 'get'" (and 'int' ..., 'items') before
+    pytest.param(["correlator", "--config", "CFG"],
+                 dict(UNIT_CFG, operators=[{"provider": [1]}, UNIT_CFG["operators"][1]]), None,
+                 EXIT_CONFIG, "config error: bad operators section: provider must be a mapping",
+                 id="correlator-provider-list"),
+    pytest.param(["correlator", "--config", "CFG"],
+                 dict(UNIT_CFG, operators=[5, UNIT_CFG["operators"][1]]), None, EXIT_CONFIG,
+                 "config error: bad operators section: an operator must be a mapping",
+                 id="correlator-operator-number"),
+    pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", ladder=[1]),
+                 None, EXIT_CONFIG, "config error: bad request section: ladder must be a mapping",
+                 id="correlator-ladder-list"),
     # "bad request section: 'points'" before
     pytest.param(["correlator", "--config", "CFG"], NO_POINTS_CFG, None, EXIT_CONFIG,
                  "config error: one point per operator required: 2 operators, 0 points",

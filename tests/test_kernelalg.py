@@ -12,10 +12,11 @@ from shgff.formfactor import (
     OperatorSpec, load_operator,
 )
 from shgff.kernelalg import (
-    EPS_SEQUENCE, FormalKernelSum, _rule_1d, expand_direct, expand_dual,
+    FormalKernelSum, _rule_1d, expand_direct, expand_dual,
     expand_mixed, jump_terms, pair_numeric, pair_numeric_with_tail, term_count,
 )
 import shgff.formfactor
+from shgff.combin import Slot
 from shgff.specfun import ModelParams, SpecialFunctionError, s_matrix
 
 P = ModelParams(b=0.25)
@@ -142,8 +143,9 @@ def test_pairing_memory_is_bounded_by_the_slab():
 def test_odd_node_count_pairs_interacting_kernel():
     # every axis has the same count and no node at 0, odd or even
     kern = expand_direct(1, 2)
-    odd = pair_numeric(kern, [0.4], gauss_test, KT_OP, P, nodes=49)
+    odd, term = pair_numeric_with_tail(kern, [0.4], gauss_test, KT_OP, P, nodes=49)
     assert np.isfinite(odd)
+    assert term == math.inf  # no even-node rule
     even = pair_numeric(kern, [0.4], gauss_test, KT_OP, P, nodes=48)
     assert abs(odd - even) < 1e-6 * max(1.0, abs(even))
 
@@ -161,6 +163,34 @@ def test_interacting_pairing_converges_in_the_node_count(expand, b, coarse, fine
     got = pair_numeric(kern, [0.4], gauss_test, op, params, nodes=coarse)
     want = pair_numeric(kern, [0.4], gauss_test, op, params, nodes=fine)
     assert abs(got - want) < tol
+
+
+@pytest.mark.parametrize("b", [0.05, 0.25, 0.45])
+def test_refinement_term_covers_the_distance_to_twice_the_nodes(b):
+    # |P(n) - P(n/2)|, read off the even nodes of the n-node rule, is at least
+    # |P(n) - P(2n)| wherever that is above 1e-12. The term does not cover the
+    # rounding floor: at 64 and 96 nodes direct (2,1) at b = 1/4 moves by
+    # 2.2e-12 and 8.2e-13 between n and 2n while the term reads 2.0e-12 and 7e-14
+    params = ModelParams(b=b)
+    op = _kt_op(params)
+    cases = [(expand(n, m), nodes) for n, m in ((1, 1), (1, 2))
+             for expand in (expand_direct, expand_dual, lambda n, m: expand_mixed(n, m, ()))
+             for nodes in (16, 24, 32, 48)]
+    cases += [(expand_direct(2, 1), nodes) for nodes in (16, 24, 32, 48)]
+    cases += [(expand_direct(1, 3), nodes) for nodes in (16, 32)]
+    checked = 0
+    for kern, nodes in cases:
+        al = [0.4, -0.7][:kern.n]
+        val, term = pair_numeric_with_tail(kern, al, gauss_test, op, params, nodes=nodes)
+        dist = abs(val - pair_numeric(kern, al, gauss_test, op, params, nodes=2 * nodes))
+        if dist > 1e-12:
+            checked += 1
+            assert term >= dist, (kern.flavor, kern.n, kern.m, nodes, term, dist)
+    assert checked >= 20
+    # where the rule has converged the term is at the rounding level
+    _, term = pair_numeric_with_tail(expand_direct(1, 1), [0.4], gauss_test, op, params,
+                                     nodes=64)
+    assert term < 1e-13
 
 
 def test_probe_error_is_below_the_refinement_floor():
@@ -219,13 +249,13 @@ def _plemelj_gauss(p, side):
 
 @pytest.mark.parametrize("p,side", [(0.4, -1), (-0.7, 1)])
 def test_rule_1d_one_pole_matches_dawson(p, side):
-    x, w = _rule_1d([(p, side)], 8.0, 48)
+    x, w, _ = _rule_1d([(p, side)], 8.0, 48)
     got = w @ (np.exp(-x * x) / (x - p))
     assert abs(got - _plemelj_gauss(p, side)) < 1e-10
 
 
 def test_rule_1d_two_poles_match_partial_fractions():
-    x, w = _rule_1d([(0.4, -1), (-0.7, 1)], 8.0, 48)
+    x, w, _ = _rule_1d([(0.4, -1), (-0.7, 1)], 8.0, 48)
     got = w @ (np.exp(-x * x) / ((x - 0.4) * (x + 0.7)))
     want = (_plemelj_gauss(0.4, -1) - _plemelj_gauss(-0.7, 1)) / 1.1
     assert abs(got - want) < 1e-10
@@ -234,7 +264,7 @@ def test_rule_1d_two_poles_match_partial_fractions():
 @pytest.mark.parametrize("nodes", [48, 96, 104, 200])
 def test_rule_1d_without_poles_is_the_trapezoid_rule(nodes):
     # equal weights 2L/nodes on a uniform grid; spectrally exact on x^k e^{-x^2}
-    x, w = _rule_1d([], 8.0, nodes)
+    x, w, _ = _rule_1d([], 8.0, nodes)
     assert len(x) == nodes and np.all(w == 16.0 / nodes)
     assert x.dtype == w.dtype == complex
     assert np.max(np.abs(np.diff(x) - 16.0 / nodes)) < 1e-13
@@ -243,13 +273,57 @@ def test_rule_1d_without_poles_is_the_trapezoid_rule(nodes):
         assert abs(w @ (x ** k * np.exp(-x * x)) - exact) < 1e-13
 
 
+def test_rule_1d_even_nodes_are_the_rule_of_half_the_nodes():
+    # the coarse weights are the rule of step 2h whose nodes are the even ones
+    poles = [(0.4, -1), (-0.7, 1)]
+    x, _, wc = _rule_1d(poles, 8.0, 48, offset=0.3)
+    xh, wh, _ = _rule_1d(poles, 8.0, 24, offset=0.15)
+    assert np.max(np.abs(x[:48:2] - xh[:24])) < 1e-13
+    assert np.array_equal(x[48:], xh[24:])
+    assert np.all(wc[1:48:2] == 0.0)
+    assert np.max(np.abs(np.delete(wc, np.s_[1:48:2]) - wh)) < 1e-12
+    assert _rule_1d(poles, 8.0, 49)[2] is None
+
+
+def _regulated_pairing(kern, alphas, op, eps, L=8.0):
+    """A kernel of one beta (m = 1) paired with gauss_test at a finite
+    regulator: every +-i pi shift is +-i(pi - eps), which moves each
+    kinematic pole a distance eps off the real axis, and the free beta
+    integral is a plain trapezoid rule of step eps/6 over [-L, L]."""
+    assert kern.m == 1
+    intervals = round(2.0 * L / (eps / 6.0))
+    x = np.linspace(-L, L, intervals + 1)
+    w = np.full(intervals + 1, 2.0 * L / intervals)
+    w[[0, -1]] /= 2.0
+    beta, total = Slot("b", 0), 0.0 + 0.0j
+    for term in kern.terms:
+        vals = {Slot("a", i): complex(al) for i, al in enumerate(alphas)}
+        vals.update({b: vals[a] for a, b in term.dirac_pairs})
+        free = beta not in vals
+        if free:
+            vals[beta] = x
+        f = op.provider.evaluate([vals[s.base()] + s.shift * 1j * (np.pi - eps)
+                                  for s in term.ff_word])
+        g = f * gauss_test([vals[beta]])
+        total += term.sign * np.exp(-2j * np.pi * op.omega) ** term.phase_power \
+            * (w @ g / (2.0 * np.pi) if free else g)
+    return total
+
+
 def test_limit_matches_finite_regulator_extrapolation():
+    # the finite-regulator values, extrapolated to eps = 0 by iterated
+    # first-order Richardson over halving regulators, meet the exact limit
     al = [0.4]
-    exact = pair_numeric(expand_direct(1, 1), al, gauss_test, KT_OP, P,
-                         eps_seq=(0.0,), nodes=48)
-    extrap, tail = pair_numeric_with_tail(expand_direct(1, 1), al, gauss_test,
-                                          KT_OP, P, eps_seq=EPS_SEQUENCE, nodes=48)
-    assert abs(exact - extrap) < 1e-5 * max(1.0, abs(exact))
+    exact = pair_numeric(expand_direct(1, 1), al, gauss_test, KT_OP, P, nodes=48)
+    level = [_regulated_pairing(expand_direct(1, 1), al, KT_OP, eps)
+             for eps in (1e-2, 5e-3, 2.5e-3)]
+    tail = abs(level[-1] - level[-2])
+    order = 1
+    while len(level) > 1:
+        fac = 2.0 ** order
+        level = [(fac * level[i + 1] - level[i]) / (fac - 1.0) for i in range(len(level) - 1)]
+        order += 1
+    assert abs(exact - level[0]) < 1e-5 * max(1.0, abs(exact))
     assert tail < 1e-2  # coarse error indicator only
 
 
@@ -275,11 +349,17 @@ def test_pairing_rejects_wrong_alpha_count():
     (dict(L=-8.0), "L must be positive, got -8.0"),
     # nan+nanj with a numpy warning before
     (dict(L=float("inf")), "L must be finite, got inf"),
-    (dict(eps_seq=()), "eps_seq must hold at least one regulator"),
 ])
 def test_pairing_rejects_bad_grid(kw, message):
     with pytest.raises(ValueError, match=message):
         pair_numeric(expand_direct(1, 2), [0.4], gauss_test, FIX_OP, P, **kw)
+
+
+# "cannot convert float NaN to integer" from min_form_factor, after numpy warnings
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+def test_pairing_rejects_non_finite_alphas(alpha):
+    with pytest.raises(ValueError, match="alphas must be finite"):
+        pair_numeric(expand_direct(1, 2), [alpha], gauss_test, KT_OP, P)
 
 
 # ---------------------------------------------------------------------------

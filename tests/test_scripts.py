@@ -20,6 +20,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ["two_point_bessel.py", "--nodes", "32", "--rho", "1.0"],
     ["min_ff_profile.py", "--n", "5"],
     ["blas_stall.py", "--repeats", "2"],
+    ["src_lines.py"],
 ], ids=lambda argv: argv[0])
 def test_script_runs(argv, tmp_path):
     src = str(Path(shgff.__file__).resolve().parents[1])
