@@ -64,7 +64,10 @@ def check_region(points: Sequence[SpacetimePoint]) -> bool:
 
 
 def _check_grid(nodes: int, L: float) -> None:
-    """ValueError unless nodes >= 1 and the window [-L, L] is finite and not empty."""
+    """ValueError unless nodes is an integer (not a bool) >= 1 and the window
+    [-L, L] is finite and not empty."""
+    if not isinstance(nodes, numbers.Integral) or isinstance(nodes, bool):
+        raise ValueError(f"nodes must be an integer, got {nodes}")
     if nodes < 1:
         raise ValueError(f"nodes must be at least 1, got {nodes}")
     if not L > 0.0:
@@ -367,8 +370,10 @@ def _contract(multi, weights, keep=None):
     from _along), with weights[ax] along each axis ax; with `keep`, the
     vector along that axis of the sums over every other axis, its own
     weights left out. An axis that no factor touches is summed alone. A lone
-    factor is reduced by matrix-vector products, one axis at a time in
-    axis order; two or more meet in one np.einsum in a greedy order."""
+    factor, any pair from _along (of zero, one or more axes), is reduced by
+    matrix-vector products, one axis at a time in axis order; two or more
+    meet in one np.einsum in a greedy order. kernelalg._pair reduces each
+    slab of a pairing's mesh here too."""
     linked = {ax for _, along in multi for ax in along}
     alone = math.prod(np.sum(wa) for ax, wa in enumerate(weights) if ax not in linked | {keep})
     if len(multi) == 1:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .combin import Slot, concat, iter_partitions, reverse_word, s_product
-from .correlator import _check_grid
+from .correlator import _along, _check_grid, _contract
 from .formfactor import OperatorSpec
 from .specfun import ModelParams, s_matrix
 
@@ -215,10 +215,13 @@ def _pair(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
     term's integrand runs once on the open mesh of its whole tensor rule,
     each axis its uniform nodes and then its probe points (once per slab of
     at most _PAIR_CHUNK points, cut along the first axis): one provider
-    evaluation, one s_product per side and one test call a slab, which is
-    then contracted with each set of weights. The reduction runs slab by
-    slab because F and the test function each span every free axis, so no
-    contraction order keeps a whole term's mesh from being materialised."""
+    evaluation, one s_product per side and one test call a slab. The slab
+    is one factor for correlator._contract, which reduces it once for each
+    set of weights, an axis along which it is constant summed alone; the
+    term's coefficient then carries each slab sum into the totals. The
+    reduction runs slab by slab because F and the test function each span
+    every free axis, so no contraction order keeps a whole term's mesh from
+    being materialised."""
     n, m = kernel.n, kernel.m
     if len(alphas) != n:
         raise ValueError("alpha count does not match the kernel")
@@ -254,22 +257,16 @@ def _pair(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
         # so that no two axes share a point
         rules = [_rule_1d(poles, L, nodes, _PROBE_DELTA * (1.0 + 0.618 * k),
                           (k + 1) * _GOLDEN % 1.0) for k in range(len(free))]
+        coef = term.sign * phase ** term.phase_power / (2.0 * np.pi) ** len(free)
         step = max(1, _PAIR_CHUNK // math.prod(len(x) for x, _, _ in rules[1:]))
-        values = [0.0 + 0.0j] * len(totals)
         for lo in range(0, len(rules[0][0]) if rules else 1, step):
             cut = [slice(lo, lo + step)] + [slice(None)] * len(rules[1:])
-            axes = [x[c] for (x, _, _), c in zip(rules, cut)]
-            mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-            vals = np.broadcast_to(integrand({**fixed, **dict(zip(free, mesh))}),
-                                   tuple(len(x) for x in axes))
+            mesh = np.meshgrid(*(x[c] for (x, _, _), c in zip(rules, cut)),
+                               indexing="ij", sparse=True)
+            slab = [_along(integrand({**fixed, **dict(zip(free, mesh))}), len(rules))]
             for k in range(len(totals)):  # the rule's weights, then its even-node ones
-                v = vals
-                for rule, c in reversed(list(zip(rules, cut))):
-                    v = v @ rule[1 + k][c]
-                values[k] += complex(v)
-        for k, value in enumerate(values):
-            totals[k] += term.sign * phase ** term.phase_power * value \
-                / (2.0 * np.pi) ** len(free)
+                totals[k] += coef * complex(
+                    _contract(slab, [rule[1 + k][c] for rule, c in zip(rules, cut)]))
     return totals
 
 

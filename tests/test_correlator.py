@@ -405,6 +405,28 @@ def test_k_transform_four_point_function_agrees_in_every_form_and_frame():
         assert abs(res.value - plain.value) <= 1e-12 * abs(plain.value)
 
 
+def test_k_transform_four_point_r121_t_form_agrees_with_the_plain_form():
+    # the bootstrap identity on r = (1, 2, 1), whose composition (2, 0, 2)
+    # contracts four variables in one einsum: plain W = 2.140837442847e-4,
+    # error 2.4e-10; the t = 2 form lands 3.3e-15 away and claims 1.1e-8
+    req = _req(X4, (1, 2, 1), ops=[KT] * 4, L=5.0, nodes=32, max_nodes=64, tol=1e-8)
+    plain = compute_W_r(req)
+    assert plain.converged is True
+    mixed = compute_W_r_mixed(req, 2)
+    assert abs(mixed.value - plain.value) <= plain.error + mixed.error
+
+
+def test_k_transform_three_point_r22_t_forms_agree_with_the_plain_form():
+    # on r = (2, 2) the outer t-forms share the plain form's integrands (they
+    # print its bits); the middle one lands 2.3e-7 away and claims 2.8e-4
+    req = _req(X3, (2, 2), ops=[KT] * 3, L=5.0, nodes=16, max_nodes=32, tol=1e-8)
+    plain = compute_W_r(req)
+    for t in (1, 3):
+        assert abs(compute_W_r_mixed(req, t).value - plain.value) <= 1e-13 * abs(plain.value)
+    mixed = compute_W_r_mixed(req, 2)
+    assert abs(mixed.value - plain.value) <= plain.error + mixed.error
+
+
 def test_four_point_unit_correlator_converges():
     req = _req(X4, (1, 1, 1), nodes=48, max_nodes=768, tol=1e-9)
     res = compute_W_r(req)
@@ -686,6 +708,15 @@ def test_max_nodes_below_the_second_level_is_rejected():
     with pytest.raises(ValueError, match="max_nodes"):
         _req([(0.0, 1.0), (0.0, 0.0)], (1,), nodes=96, max_nodes=64)
     _req([(0.0, 1.0), (0.0, 0.0)], (1,), nodes=96, max_nodes=192)
+
+
+@pytest.mark.parametrize("nodes", [96.0, 32.5, True])
+def test_request_refuses_a_non_integer_node_count_when_built(nodes):
+    # 96.0 and 32.5 were accepted and raised TypeError in the quadrature;
+    # True ran as nodes = 1
+    with pytest.raises(ValueError, match=f"nodes must be an integer, got {nodes}"):
+        _req(X3[:2], (1,), nodes=nodes)
+    _req(X3[:2], (1,), nodes=np.int64(96))
 
 
 def test_nodes_override_beyond_max_nodes_is_rejected():

@@ -16,6 +16,7 @@ from shgff.kernelalg import (
     expand_mixed, jump_terms, pair_numeric, pair_numeric_with_tail, term_count,
 )
 import shgff.formfactor
+import shgff.kernelalg
 from shgff.combin import Slot
 from shgff.specfun import ModelParams, SpecialFunctionError, s_matrix
 
@@ -138,6 +139,21 @@ def test_pairing_memory_is_bounded_by_the_slab():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_slab_cut_leaves_the_pairing_unchanged(monkeypatch):
+    # with 700 points a slab, (1,2) at 32 nodes is cut into two uneven slabs
+    # and direct (1,3) at 16 nodes into 20; two of direct (2,1)'s three terms
+    # have no free axis, so their slab is a scalar
+    cases = [(expand_direct(1, 2), [0.4], 32), (expand_dual(1, 2), [0.4], 32),
+             (expand_direct(1, 3), [0.4], 16), (expand_direct(2, 1), [0.4, -0.1], 48)]
+    want = [pair_numeric_with_tail(kern, al, gauss_test, KT_OP, P, nodes=nodes)
+            for kern, al, nodes in cases]
+    monkeypatch.setattr(shgff.kernelalg, "_PAIR_CHUNK", 700)
+    for (kern, al, nodes), (val, term) in zip(cases, want):
+        got, got_term = pair_numeric_with_tail(kern, al, gauss_test, KT_OP, P, nodes=nodes)
+        assert abs(got - val) <= 1e-14 * abs(val), (kern.flavor, kern.n, kern.m)
+        assert abs(got_term - term) <= 1e-14 * abs(val), (kern.flavor, kern.n, kern.m)
 
 
 def test_odd_node_count_pairs_interacting_kernel():
@@ -345,6 +361,10 @@ def test_pairing_rejects_wrong_alpha_count():
 @pytest.mark.parametrize("kw, message", [
     (dict(nodes=0), "nodes must be at least 1, got 0"),
     (dict(nodes=-4), "nodes must be at least 1, got -4"),
+    # both raised TypeError in the rule: "can't multiply sequence by non-int"
+    # and "expected a sequence of integers or a single integer, got 'True'"
+    (dict(nodes=48.0), "nodes must be an integer, got 48.0"),
+    (dict(nodes=True), "nodes must be an integer, got True"),
     (dict(L=0.0), "L must be positive, got 0.0"),
     (dict(L=-8.0), "L must be positive, got -8.0"),
     # nan+nanj with a numpy warning before
