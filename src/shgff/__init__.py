@@ -5,7 +5,7 @@ shifted-contour multidimensional quadrature."""
 from .combin import (
     CompositionVector, PoleChain, Slot, blocks, cauchy_decomposition,
     chain_decomposition, concat, enumerate_compositions, inverted_pairs,
-    iter_partitions, omega_ba, omega_ba_t, reverse_word, s_product, signature,
+    iter_partitions, omega_ba_t, reverse_word, s_product, signature,
 )
 from .correlator import (
     CorrelatorRequest, CorrelatorResult, GaussianSmearing, SpacetimePoint, check_region,
@@ -14,8 +14,7 @@ from .correlator import (
 from .formfactor import (
     AxiomReport, ExponentialPn, FixtureExponentialLikeProvider,
     FixtureUnitProvider, FormFactorProvider, KTransformProvider, OperatorSpec,
-    factorize_regular, k_transform, load_operator, numerical_residue,
-    verify_axioms,
+    k_transform, load_operator, numerical_residue, verify_axioms,
 )
 from .kernelalg import (
     FormalKernelSum, FormalTerm, expand_direct, expand_dual, expand_mixed,
@@ -23,8 +22,8 @@ from .kernelalg import (
 )
 from .ladder import ContourLadder, default_ladder, eta_max
 from .specfun import (
-    ModelParams, SpecialFunctionError, log_barnes_g, log_gamma,
-    min_form_factor, minkowski_dot, momentum, s_matrix, varpi,
+    ModelParams, SpecialFunctionError, log_barnes_g, min_form_factor,
+    minkowski_dot, momentum, s_matrix, varpi,
 )
 
 __version__ = "0.1.0"
@@ -39,11 +38,10 @@ __all__ = [
     "cauchy_decomposition", "chain_decomposition", "check_region",
     "compute_I_n", "compute_W_r", "compute_W_r_mixed", "concat",
     "default_ladder", "enumerate_compositions", "eta_max", "expand_direct",
-    "expand_dual", "expand_mixed", "factorize_regular", "inverted_pairs",
-    "iter_partitions", "jump_terms", "k_transform", "load_operator",
-    "log_barnes_g", "log_gamma", "min_form_factor", "minkowski_dot",
-    "momentum", "numerical_residue", "omega_ba", "omega_ba_t", "pair_numeric",
-    "pair_numeric_with_tail", "reverse_word", "s_matrix", "s_product",
-    "signature", "smeared_correlator", "term_count", "varpi",
-    "verify_axioms",
+    "expand_dual", "expand_mixed", "inverted_pairs", "iter_partitions",
+    "jump_terms", "k_transform", "load_operator", "log_barnes_g",
+    "min_form_factor", "minkowski_dot", "momentum", "numerical_residue",
+    "omega_ba_t", "pair_numeric", "pair_numeric_with_tail", "reverse_word",
+    "s_matrix", "s_product", "signature", "smeared_correlator", "term_count",
+    "varpi", "verify_axioms",
 ]

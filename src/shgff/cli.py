@@ -85,7 +85,7 @@ def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L,
                   mixed_t=None, smeared=False) -> CorrelatorRequest:
     try:
         r = cfg["request"]
-        ranks = tuple(int(x) for x in r["r"])  # before r.get: refuses a non-object section
+        ranks = tuple(r["r"])  # before r.get: refuses a non-object section
         points = [SpacetimePoint(float(p[0]), float(p[1])) for p in r.get("points", ())]
         ladder = None
         if "ladder" in r:
@@ -94,11 +94,13 @@ def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L,
             ladder = ContourLadder(len(operators),
                                    {tuple(map(int, k.split(","))): float(v)
                                     for k, v in r["ladder"].items()})
-        # a flag overrides the config; what neither gives keeps the request's default
-        given = {key: kind(r[key] if flag is None else flag)
-                 for key, kind, flag in (("nodes", int, nodes), ("L", float, L),
-                                         ("max_nodes", int, None), ("tol", float, tol))
+        # a flag overrides the config; what neither gives keeps the request's default.
+        # The ranks, nodes and max_nodes pass as given, so that the request refuses a
+        # non-integer
+        given = {key: r[key] if flag is None else flag
+                 for key, flag in (("nodes", nodes), ("L", L), ("max_nodes", None), ("tol", tol))
                  if flag is not None or key in r}
+        given.update((key, float(given[key])) for key in ("L", "tol") if key in given)
         smearings = ([GaussianSmearing(tuple(s["center"]), tuple(s["width"]))
                       for s in r["smearings"]] if smeared else None)
     except (KeyError, TypeError, ValueError) as exc:

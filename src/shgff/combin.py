@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 from typing import Callable, Hashable, Iterator, Sequence
 
 DISTINCT_TOL = 1e-9
@@ -176,15 +177,28 @@ class CompositionVector:
         return out
 
 
+def _is_integer(x) -> bool:
+    """True for an integer (numpy's included) that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_ranks(k: int, r: Sequence[int]) -> None:
+    """ValueError unless r holds k - 1 truncation ranks, each an integer (not
+    a bool) >= 0."""
+    if len(r) != k - 1:
+        raise ValueError(f"r must have length k-1 = {k - 1}, got {tuple(r)}")
+    if not all(map(_is_integer, r)):
+        raise ValueError(f"truncation ranks must be integers, got {tuple(r)}")
+    if any(x < 0 for x in r):
+        raise ValueError(f"truncation ranks must be non-negative, got {tuple(r)}")
+
+
 def enumerate_compositions(k: int, r: Sequence[int]) -> list[CompositionVector]:
     """All composition vectors n with crossing ranks equal to r (length k-1).
 
     Output is sorted lexicographically in the canonical block order.
     """
-    if len(r) != k - 1:
-        raise ValueError("r must have length k-1")
-    if any(x < 0 for x in r):
-        raise ValueError(f"truncation ranks must be non-negative, got {tuple(r)}")
+    _check_ranks(k, r)
     blks = blocks(k)
     out: list[CompositionVector] = []
 
@@ -205,17 +219,12 @@ def enumerate_compositions(k: int, r: Sequence[int]) -> list[CompositionVector]:
     return out
 
 
-def omega_ba(b: int, a: int, omegas: Sequence[float]) -> float:
-    """Accumulated mutual-locality index: sum of omega_l for a < l <= b.
+def omega_ba_t(b: int, a: int, t: int | None, omegas: Sequence[float]) -> float:
+    """Accumulated mutual-locality index: the sum of omega_l for a < l <= b,
+    skipping the distinguished operator t (nothing is skipped when t = None).
 
     omegas is indexed by operator position (1-based: omegas[l-1]).
     """
-    return float(sum(omegas[ell - 1] for ell in range(a + 1, b + 1)))
-
-
-def omega_ba_t(b: int, a: int, t: int | None, omegas: Sequence[float]) -> float:
-    """Same as omega_ba but skipping the distinguished operator t; with
-    t = None it sums the same terms in the same order as omega_ba."""
     return float(sum(omegas[ell - 1] for ell in range(a + 1, b + 1) if ell != t))
 
 

@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .combin import (
-    CompositionVector, _operator_word, _scattering_pairs, blocks, enumerate_compositions,
-    omega_ba_t,
+    CompositionVector, _check_ranks, _is_integer, _operator_word, _scattering_pairs, blocks,
+    enumerate_compositions, omega_ba_t,
 )
 from .formfactor import OperatorSpec, _pairwise
 # default_ladder and eta_max stay importable from here
@@ -66,7 +66,7 @@ def check_region(points: Sequence[SpacetimePoint]) -> bool:
 def _check_grid(nodes: int, L: float) -> None:
     """ValueError unless nodes is an integer (not a bool) >= 1 and the window
     [-L, L] is finite and not empty."""
-    if not isinstance(nodes, numbers.Integral) or isinstance(nodes, bool):
+    if not _is_integer(nodes):
         raise ValueError(f"nodes must be an integer, got {nodes}")
     if nodes < 1:
         raise ValueError(f"nodes must be at least 1, got {nodes}")
@@ -126,7 +126,10 @@ class CorrelatorRequest:
     smearings: Sequence[GaussianSmearing] | None = None
 
     def __post_init__(self):
+        _check_ranks(self.k, self.r)
         _check_grid(self.nodes, self.L)
+        if not _is_integer(self.max_nodes):
+            raise ValueError(f"max_nodes must be an integer, got {self.max_nodes}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_nodes < 2 * self.nodes:

@@ -1,8 +1,5 @@
-"""Form factor providers: K-transform construction, fixtures, axiom checks,
-and a pole/regular factorization of F (a public helper; the kernel pairing
-subtracts its poles in its own 1-D rules and the correlator avoids them on
-shifted contours).
-"""
+"""Form factor providers: K-transform construction, fixtures, operator
+documents and axiom checks."""
 from __future__ import annotations
 
 import dataclasses
@@ -14,7 +11,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .combin import _vandermonde
 from .specfun import POLE_TOL, ModelParams, SpecialFunctionError, min_form_factor, s_matrix
 
 
@@ -172,15 +168,33 @@ def _k_factors(d, params: ModelParams):
     return 1.0 - q, 1.0 + q
 
 
+def _pair_tables(betas, f):
+    """{(k, s): f(beta_k - beta_s)} over the pairs k < s, for an f returning a
+    tuple of arrays. Each pair's difference table is planned once (see
+    _difference_lattice), f runs once on all the tables together, since on
+    small tables its per-call cost dominates, and each of its results is
+    gathered back onto the pair's axes."""
+    pairs = list(itertools.combinations(range(len(betas)), 2))
+    if not pairs:
+        return {}
+    plans = [_difference_lattice(betas[k], betas[s]) for k, s in pairs]
+    diffs = [np.asarray(u - v) for (u, v), _ in plans]
+    cuts = np.cumsum([d.size for d in diffs])[:-1]
+    tables = zip(*(np.split(t, cuts) for t in f(np.concatenate([d.ravel() for d in diffs]))))
+    return {ks: [gather(t.reshape(d.shape)) for t in ts]
+            for ks, d, (_, gather), ts in zip(pairs, diffs, plans, tables)}
+
+
 def _label_sum(p: PnSolution, betas, pair):
     """sum over ell in {0,1}^n of (-1)^{|ell|} p(beta|ell) times the product,
-    over the pairs k < s with ell_k != ell_s, of pair[k, s][ell_k - ell_s].
-    Each term multiplies the scalar (-1)^{|ell|} p(beta|ell) into the product
-    of its pair factors, which starts from the first of them."""
+    over the pairs k < s with ell_k != ell_s, of pair[k, s][ell_s]: the
+    pair's factor 1 - q or 1 + q of _k_factors. Each term multiplies the
+    scalar (-1)^{|ell|} p(beta|ell) into the product of its pair factors,
+    which starts from the first of them."""
     total = 0.0 + 0.0j
     for ells in itertools.product((0, 1), repeat=len(betas)):
         term = (-1.0) ** sum(ells) * p.evaluate(betas, ells)
-        facs = [f[ells[k] - ells[s]] for (k, s), f in pair.items() if ells[k] != ells[s]]
+        facs = [f[ells[s]] for (k, s), f in pair.items() if ells[k] != ells[s]]
         total = total + (functools.reduce(operator.mul, facs) * term if facs else term)
     return total
 
@@ -188,12 +202,11 @@ def _label_sum(p: PnSolution, betas, pair):
 def k_transform(p: PnSolution, betas: Sequence[complex], params: ModelParams) -> complex:
     """K_n[p](beta) = sum over ell in {0,1}^n of (-1)^{|ell|} *
     prod_{k<s} (1 - i (ell_k - ell_s) sin(2 pi b)/sinh(beta_k - beta_s)) * p(beta|ell).
-    Each pair's factors are evaluated on its table of differences (see _pairwise).
+    The pair factors are evaluated on the pairs' tables of differences (see
+    _pair_tables), as KTransformProvider evaluates them.
     """
     betas = [np.asarray(b, dtype=complex) for b in betas]
-    pair = {(k, s): dict(zip((1, -1), _pairwise(lambda d: _k_factors(d, params), x, y)))
-            for (k, x), (s, y) in itertools.combinations(enumerate(betas), 2)}
-    return _label_sum(p, betas, pair)
+    return _label_sum(p, betas, _pair_tables(betas, functools.partial(_k_factors, params=params)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,23 +292,11 @@ class KTransformProvider(FormFactorProvider):
 
     def _evaluate(self, *betas):
         betas = [np.asarray(b, dtype=complex) for b in betas]
-        # each pair's difference table, planned once; F_min and the K-transform
-        # pair factors run on all the tables together, one call each, since on
-        # small tables their per-call cost dominates
-        pairs = list(itertools.combinations(range(len(betas)), 2))
-        if not pairs:
-            return _label_sum(self.pn, betas, {})
-        plans = [_difference_lattice(betas[k], betas[s]) for k, s in pairs]
-        diffs = [np.asarray(u - v) for (u, v), _ in plans]
-        flat = np.concatenate([d.ravel() for d in diffs])
-        cuts = np.cumsum([d.size for d in diffs])[:-1]
-        tables = zip(*(np.split(t, cuts) for t in (min_form_factor(flat, self.params),
-                                                      *_k_factors(flat, self.params))))
-        fmin, pair = [], {}
-        for ks, d, (_, gather), (f, minus, plus) in zip(pairs, diffs, plans, tables):
-            fmin.append(gather(f.reshape(d.shape)))
-            pair[ks] = {1: gather(minus.reshape(d.shape)), -1: gather(plus.reshape(d.shape))}
-        return functools.reduce(operator.mul, fmin) * _label_sum(self.pn, betas, pair)
+        # F_min and the K-transform pair factors of every pair in one call
+        tables = _pair_tables(betas, lambda d: (min_form_factor(d, self.params),
+                                                *_k_factors(d, self.params)))
+        k_part = _label_sum(self.pn, betas, {ks: t[1:] for ks, t in tables.items()})
+        return functools.reduce(operator.mul, [t[0] for t in tables.values()] + [k_part])
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +312,9 @@ def load_operator(doc, params: ModelParams) -> OperatorSpec:
     kind-specific keys:
       exponential-like: "coefficients": [c0, c1, ...], optional "slope"
       k-transform: optional "t" (default -1), "c1" (default 1)
+    A document without a provider is the unit operator. ValueError on any
+    other key, on a provider that has keys but no "kind", and on a number
+    (omega, spin, growth, t, c1, slope or a coefficient) that is not finite.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -319,18 +323,32 @@ def load_operator(doc, params: ModelParams) -> OperatorSpec:
     pdoc = doc.get("provider", {"kind": "unit"})
     if not isinstance(pdoc, dict):
         raise ValueError(f"provider must be a mapping, got {pdoc!r}")
+    if pdoc and "kind" not in pdoc:
+        raise ValueError(f"provider has no kind: {pdoc!r}")
     kind = pdoc.get("kind", "unit")
+    takes = {"unit": (), "exponential-like": ("coefficients", "slope"),
+             "k-transform": ("t", "c1")}
+    if not isinstance(kind, str) or kind not in takes:
+        raise ValueError(f"unknown provider kind {kind!r}")
+    for section, known in ((doc, {"name", "omega", "spin", "growth", "provider"}),
+                           (pdoc, {"kind", *takes[kind]})):
+        if section.keys() - known:
+            raise ValueError(f"unknown keys {sorted(section.keys() - known)} in {section!r}")
+    values = [(key, section[key]) for section, keys in (
+        (doc, ("omega", "spin", "growth")), (pdoc, ("t", "c1", "slope")))
+        for key in keys if key in section]
+    for key, value in values + [("coefficient", c) for c in pdoc.get("coefficients", ())]:
+        if not np.isfinite(complex(value)):
+            raise ValueError(f"{key} must be finite, got {value!r}")
     if kind == "unit":
         provider: FormFactorProvider = FixtureUnitProvider()
     elif kind == "exponential-like":
         provider = FixtureExponentialLikeProvider(
             pdoc["coefficients"], pdoc.get("slope", 0.0))
-    elif kind == "k-transform":
+    else:
         provider = KTransformProvider(
             ExponentialPn(params, t=pdoc.get("t", -1.0), c1=pdoc.get("c1", 1.0)),
             params)
-    else:
-        raise ValueError(f"unknown provider kind {kind!r}")
     return OperatorSpec(
         name=doc.get("name", kind),
         omega=float(doc.get("omega", 0.0)),
@@ -415,32 +433,3 @@ def verify_axioms(op: OperatorSpec, params: ModelParams, n: int,
         rhs = np.exp(theta * op.spin) * base
         boost = max(boost, abs(lhs - rhs) / scale)
     return AxiomReport(ex, per, res, boost)
-
-
-# ---------------------------------------------------------------------------
-# pole/regular factorization
-# ---------------------------------------------------------------------------
-
-def factorize_regular(op: OperatorSpec, alphas: Sequence[complex],
-                      thetas: Sequence[complex], eps: float, params: ModelParams
-                      ) -> tuple[complex, complex]:
-    """Split F^{(O)}(alpha + i(pi - eps) e, theta) into pole prefactor x regular part.
-
-    prefactor = prod_{r>l}(alpha_r - alpha_l) prod_{r<l}(theta_r - theta_l)
-                / prod_{r,l}(alpha_r - theta_l - i eps);
-    returns (prefactor, h) with h = F / prefactor, smooth in a strip around
-    real alpha, theta.
-    """
-    alphas = [complex(a) for a in alphas]
-    thetas = [complex(t) for t in thetas]
-    num = _vandermonde(alphas[::-1]) * _vandermonde(thetas)
-    den = 1.0 + 0.0j
-    for a in alphas:
-        for t in thetas:
-            den *= a - t - 1j * eps
-    if abs(den) < POLE_TOL or abs(num) < POLE_TOL and (alphas and thetas):
-        raise ValueError("factorize_regular: degenerate configuration")
-    pref = num / den
-    args = [a + 1j * (np.pi - eps) for a in alphas] + thetas
-    val = op.provider.evaluate(args)
-    return pref, val / pref

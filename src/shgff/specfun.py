@@ -126,23 +126,6 @@ def _log_rising(z, n, weight):
     return 0.5 * re + 1j * im
 
 
-def _log_gamma_flat(z):
-    """log Gamma(z) on a 1-D array that has no pole of Gamma."""
-    left = z.real < 0.0
-    v = np.where(left, 1.0 - z, z)
-    n, _, _, _, lgam = _shift(v)
-    out = lgam - _log_rising(v, n, lambda i: 1.0)
-    if left.any():
-        # log pi - log sin(pi z) - log Gamma(1-z), where the branch log sin(pi z) =
-        # -i s pi (z - 1/2) - log 2 + log(1 - e^(2 i s pi z)), s = sign(Im z), does not
-        # overflow, is continuous on each closed half-plane and is 0 at z = 1/2
-        zl = z[left]
-        s = 1j * np.pi * np.copysign(1.0, zl.imag)
-        out[left] = (2.0 * LOG_SQRT_TWO_PI + s * (zl - 0.5) - out[left]
-                     - np.log(-np.expm1(2.0 * s * (zl - np.round(zl.real)))))
-    return out
-
-
 def _log_barnes_flat(z):
     """log G(z) on a 1-D array that has no zero of G."""
     n, w, lw, u, lgam = _shift(z)
@@ -151,30 +134,6 @@ def _log_barnes_flat(z):
     out = (w2 * (0.5 * lw - 0.75) + w * LOG_SQRT_TWO_PI - lw / 12.0
            + ZETA_PRIME_MINUS_ONE + u * _horner(_BARNES_TAIL, u) - n * lgam)
     return out + _log_rising(z, n, lambda i: i + 1.0)
-
-
-def _elementwise(flat_fn, z, message: str):
-    """flat_fn on the elements of z, chunk by chunk; raises
-    SpecialFunctionError(message) if one is within POLE_TOL of 0, -1, -2, ..."""
-    arr, scalar = _as_array(z)
-    k = np.round(arr.real)
-    if np.any((np.abs(arr - k) < POLE_TOL) & (k <= 0)):
-        raise SpecialFunctionError(message)
-    flat = arr.ravel()
-    out = np.empty_like(flat)
-    for s in range(0, flat.size, _CHUNK):
-        out[s:s + _CHUNK] = flat_fn(flat[s:s + _CHUNK])
-    return complex(out[0]) if scalar else out.reshape(arr.shape)
-
-
-def log_gamma(z):
-    """Principal branch of log Gamma; errors out at the poles (z = 0, -1, ...).
-
-    log Gamma(1+w) - sum_{i<n} log(z+i) with log_barnes_g's shift and series;
-    at Re z < 0, reflected from 1 - z (Hare, J. Algorithms 25 (1997) 221). On
-    the negative real axis the sign of a zero Im z picks the side.
-    """
-    return _elementwise(_log_gamma_flat, z, "log_gamma evaluated at a non-positive integer")
 
 
 def log_barnes_g(z):
@@ -186,10 +145,18 @@ def log_barnes_g(z):
     exact on the principal branches, and log G(conj z) = conj log G(z)
     exactly. Both series at w have ten Bernoulli terms (B_2..B_22). Each
     element is shifted by its own n, so its value does not depend on the rest
-    of the array. Errors out at the zeros z = 0, -1, -2, ...
+    of the array, and the elements are evaluated _CHUNK at a time. Raises
+    SpecialFunctionError within POLE_TOL of a zero z = 0, -1, -2, ...
     """
-    return _elementwise(_log_barnes_flat, z,
-                        "log_barnes_g evaluated at a zero of G (z <= 0 integer)")
+    arr, scalar = _as_array(z)
+    k = np.round(arr.real)
+    if np.any((np.abs(arr - k) < POLE_TOL) & (k <= 0)):
+        raise SpecialFunctionError("log_barnes_g evaluated at a zero of G (z <= 0 integer)")
+    flat = arr.ravel()
+    out = np.empty_like(flat)
+    for s in range(0, flat.size, _CHUNK):
+        out[s:s + _CHUNK] = _log_barnes_flat(flat[s:s + _CHUNK])
+    return complex(out[0]) if scalar else out.reshape(arr.shape)
 
 
 def s_matrix(beta, params: ModelParams):

@@ -477,6 +477,33 @@ EXIT_TABLE = [
                    None, EXIT_CONFIG, "config error: bad model section: mass must be finite "
                    f"and positive, got {mass}", id=f"correlator-mass-{mass}")
       for mass in (float("nan"), float("inf"))),
+    # a misspelt kind was the unit operator: "kt F_2 = 1.0 0.0" and exit 0; a
+    # misspelt omega was 0; a NaN t printed "F_2 = nan nan" and exited 0
+    *(pytest.param(["eval-ff", "--config", "CFG", "--betas", "0.3,-0.2"],
+                   dict(KT_CFG, operators=[doc]), None, EXIT_CONFIG,
+                   f"config error: bad operators section: {message}", id=f"eval-ff-{name}")
+      for name, doc, message in (
+          ("no-kind", {"provider": {"kidn": "k-transform", "t": 0.3}}, "provider has no kind"),
+          ("unknown-key", {"omgea": 0.5, "provider": KT_CFG["operators"][0]["provider"]},
+           "unknown keys ['omgea']"),
+          ("nan-t", {"provider": {"kind": "k-transform", "t": float("nan")}},
+           "t must be finite, got nan"))),
+    # total,nan,... and exit 4 before
+    pytest.param(["correlator", "--config", "CFG"],
+                 dict(UNIT_CFG, operators=[UNIT_CFG["operators"][0],
+                                           dict(UNIT_CFG["operators"][1], omega=float("nan"))]),
+                 None, EXIT_CONFIG, "config error: bad operators section: omega must be finite",
+                 id="correlator-nan-omega"),
+    # int() ran r = (1,), 24 nodes and r = (1,) with exit 0
+    *(pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", **entries),
+                   None, EXIT_CONFIG, f"config error: {message}", id=f"correlator-{name}")
+      for name, entries, message in (
+          ("fractional-rank", {"r": [1.5]}, "truncation ranks must be integers, got (1.5,)"),
+          ("bool-rank", {"r": [True]}, "truncation ranks must be integers, got (True,)"),
+          ("ranks-too-many", {"r": [1, 1]}, "r must have length k-1 = 1, got (1, 1)"),
+          ("fractional-nodes", {"nodes": 24.7}, "nodes must be an integer, got 24.7"),
+          ("fractional-max-nodes", {"max_nodes": 400.5},
+           "max_nodes must be an integer, got 400.5"))),
     pytest.param(["correlator", "--config", "CFG"], UNCONVERGED_CFG, None, EXIT_NONCONVERGED,
                  "non-convergence: error estimate", id="correlator-unconverged"),
     pytest.param(["correlator", "--config", "CFG"], UNIT_CFG, "compute_W_r", EXIT_INTERNAL,

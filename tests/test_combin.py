@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from shgff.combin import (
     CompositionVector, Slot, blocks, cauchy_decomposition, chain_decomposition,
-    concat, enumerate_compositions, inverted_pairs, iter_partitions, omega_ba,
+    concat, enumerate_compositions, inverted_pairs, iter_partitions,
     omega_ba_t, reverse_word, s_product, signature,
 )
 
@@ -213,6 +213,11 @@ def test_enumerate_compositions_k5_matches_incidence_brute_force():
 def test_enumerate_compositions_rejects_bad_r():
     with pytest.raises(ValueError):
         enumerate_compositions(3, (1,))
+    # a float rank raised TypeError in range(); True ran as r = (1,)
+    for r in ((1.5,), (True,), (1.0,)):
+        with pytest.raises(ValueError, match="truncation ranks must be integers"):
+            enumerate_compositions(2, r)
+    assert [c.counts for c in enumerate_compositions(2, (np.int64(2),))] == [(2,)]
 
 
 def test_enumerate_compositions_rejects_negative_ranks():
@@ -225,8 +230,8 @@ def test_enumerate_compositions_rejects_negative_ranks():
 
 def test_omega_accumulation():
     om = [0.1, 0.2, 0.4, 0.8]
-    assert omega_ba(3, 1, om) == pytest.approx(0.6)
-    assert omega_ba(4, 2, om) == pytest.approx(1.2)
+    assert omega_ba_t(3, 1, None, om) == pytest.approx(0.6)
+    assert omega_ba_t(4, 2, None, om) == pytest.approx(1.2)
     assert omega_ba_t(4, 2, 3, om) == pytest.approx(0.8)
     assert omega_ba_t(3, 1, 1, om) == pytest.approx(0.6)
 

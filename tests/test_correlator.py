@@ -719,12 +719,89 @@ def test_request_refuses_a_non_integer_node_count_when_built(nodes):
     _req(X3[:2], (1,), nodes=np.int64(96))
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"r": (1.5,)}, r"truncation ranks must be integers, got \(1.5,\)"),
+    ({"r": (True,)}, r"truncation ranks must be integers, got \(True,\)"),
+    ({"r": (1, 1)}, r"r must have length k-1 = 1, got \(1, 1\)"),
+    ({"r": ()}, r"r must have length k-1 = 1, got \(\)"),
+    ({"r": (-1,)}, r"truncation ranks must be non-negative, got \(-1,\)"),
+    ({"max_nodes": 400.0}, "max_nodes must be an integer, got 400.0"),
+    ({"max_nodes": True}, "max_nodes must be an integer, got True"),
+])
+def test_request_refuses_bad_ranks_and_max_nodes_when_built(kw, message):
+    # r=(1.5,) built and raised TypeError in compute_W_r; a rank list of the
+    # wrong length or with a negative entry was refused only at compute time
+    with pytest.raises(ValueError, match=message):
+        _req(X3[:2], **{"r": (1,), **kw})
+    _req(X3[:2], (np.int64(1),), max_nodes=np.int64(192))
+
+
 def test_nodes_override_beyond_max_nodes_is_rejected():
     req = _req([(0.0, 1.0), (0.0, 0.0)], (1,), nodes=32, max_nodes=128)
     comp = CompositionVector(2, (1,))
     compute_I_n(dataclasses.replace(req, nodes=64), comp)
     with pytest.raises(ValueError, match="max_nodes"):
         dataclasses.replace(req, nodes=96)
+
+
+# ---------------------------------------------------------------------------
+# free-point closed form at every k
+# ---------------------------------------------------------------------------
+
+FREE_OMEGAS = (0.13, -0.21, 0.37, 0.05)
+FREE_COEFFICIENTS = (1.0, 0.7, 1.3, 0.9, 1.1, 0.8, 1.2, 0.6, 1.05)
+
+
+def _free_point_closed_form(points, r, omegas, coefficients):
+    """W_r at b = 0 for operators of constant F_n = coefficients[n]: the sum,
+    over the occupations n_ba of the blocks 1 <= a < b <= k whose crossing
+    ranks are r, of exp(-2 pi i sum n_ba omega_ba) prod_p c_{n_p}
+    prod (K0(rho_ba) / pi)^{n_ba} / n_ba!, with omega_ba the sum of omega_l
+    for a < l <= b and n_p the number of variables of the blocks at p."""
+    k = len(points)
+    pairs = [(b, a) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
+    total = 0.0
+    for counts in itertools.product(range(max(r) + 1), repeat=len(pairs)):
+        n = dict(zip(pairs, counts))
+        if any(sum(c for (b, a), c in n.items() if a <= p < b) != r[p - 1]
+               for p in range(1, k)):
+            continue
+        term = np.exp(-2j * np.pi * sum(c * sum(omegas[a:b]) for (b, a), c in n.items()))
+        for p in range(1, k + 1):
+            term *= coefficients[sum(c for blk, c in n.items() if p in blk)]
+        for (b, a), c in n.items():
+            (xb, yb), (xa, ya) = points[b - 1], points[a - 1]
+            term *= (k0(np.sqrt((yb - ya) ** 2 - (xb - xa) ** 2)) / np.pi) ** c
+            term /= np.prod(range(1, c + 1))
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("fixture", ["unit", "omega", "exponential-like"])
+@pytest.mark.parametrize("points, r", [
+    *((X3[:2], (r,)) for r in range(1, 5)),
+    *((X3, r) for r in ((1, 1), (2, 1), (1, 2), (2, 2))),
+    *((X4, r) for r in ((1, 1, 1), (1, 2, 1))),
+])
+def test_free_point_matches_its_closed_form(fixture, points, r):
+    # at b = 0 every S-factor is 1 and each variable's integral a K0, so W_r
+    # is closed: a check of the compositions, phases, factorial weights and
+    # ladders that shares no formula with the code
+    k = len(points)
+    omegas = FREE_OMEGAS[:k] if fixture == "omega" else (0.0,) * k
+    coefficients = FREE_COEFFICIENTS if fixture == "exponential-like" else (1.0,) * 9
+    provider = ({"kind": "exponential-like", "coefficients": list(FREE_COEFFICIENTS)}
+                if fixture == "exponential-like" else {"kind": "unit"})
+    p0 = ModelParams(b=0.0)
+    ops = [load_operator({"omega": w, "provider": provider}, p0) for w in omegas]
+    nodes = 16 if k == 4 else 32
+    res = compute_W_r(CorrelatorRequest(
+        params=p0, operators=ops, points=[SpacetimePoint(*xy) for xy in points], r=r,
+        L=8.0, nodes=nodes, max_nodes=8 * nodes, tol=1e-10))
+    closed = _free_point_closed_form(points, r, omegas, coefficients)
+    assert res.converged is True
+    assert abs(res.value - closed) <= res.error + 1e-15 * abs(closed)
+    assert abs(res.value - closed) <= 1e-14 * abs(closed)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def test_tracing_boundaries_resolve():
     assert checked > 0
 
 
-# Blocks scipy, then runs log Gamma, a small interacting pairing and the
+# Blocks scipy, then runs log G, a small interacting pairing and the
 # specfun command; prints the scipy modules that got loaded anyway
 NO_SCIPY = """
 import sys
@@ -49,7 +49,7 @@ from shgff.formfactor import ExponentialPn, KTransformProvider, OperatorSpec
 from shgff.kernelalg import expand_direct, pair_numeric
 p = shgff.ModelParams(b=0.25)
 op = OperatorSpec("kt", 0.0, 0.0, 0.0, KTransformProvider(ExponentialPn(p, t=0.3), p))
-assert np.isfinite(shgff.log_gamma(-2.5 + 0.5j))
+assert np.isfinite(shgff.log_barnes_g(-2.5 + 0.5j))
 assert np.isfinite(pair_numeric(expand_direct(1, 2), [0.4],
                                 lambda bs: np.exp(-sum(b * b for b in bs)), op, p, nodes=16))
 try:

@@ -1,5 +1,7 @@
-"""K-transform form factors, fixtures, axiom checks, residues, factorization."""
+"""K-transform form factors, fixtures, operator documents, axiom checks, residues."""
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from scipy.special import roots_legendre
 from shgff.formfactor import (
     ExponentialPn, FixtureExponentialLikeProvider, FixtureUnitProvider,
     KTransformProvider, OperatorSpec, _difference_lattice, _lattice, _pairwise,
-    factorize_regular, k_transform, load_operator, numerical_residue, verify_axioms,
+    k_transform, load_operator, numerical_residue, verify_axioms,
 )
 import shgff.formfactor
 from shgff.specfun import ModelParams, SpecialFunctionError, min_form_factor, s_matrix
@@ -89,6 +91,35 @@ def test_k_transform_keeps_the_bits_of_the_written_out_label_sum(n):
                       (k_transform(pn, np.broadcast_arrays(*betas), P),
                        _k_transform_loop(pn, betas, P))):
         assert np.array_equal(np.atleast_1d(got).view(np.uint64), np.atleast_1d(want).view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_k_transform_is_the_providers_k_part(n):
+    # F_n = prod_{k<s} F_min(beta_k - beta_s) * K_n[p](beta), the product in
+    # the provider's order: bit for bit on broadcast inputs. On open-mesh axes
+    # the provider goes through the lattice of differences to the last
+    # rapidity; the axes are binary fractions, so that every difference is
+    # exact and the lattice and the mesh see the same arguments (on linspace
+    # axes the rounding of the differences moves K_4 by up to 1e-13, where the
+    # label sum cancels)
+    op = _kt_op(P)
+    pn = op.provider.pn
+
+    def product(betas):
+        fmin = [min_form_factor(x - y, P) for x, y in itertools.combinations(betas, 2)]
+        return functools.reduce(operator.mul, fmin + [k_transform(pn, betas, P)])
+
+    rng = np.random.default_rng(n)
+    betas = [rng.uniform(-2.0, 2.0, 7) + 1j * rng.uniform(0.0, 3.0, 7) for _ in range(n)]
+    assert np.array_equal(np.atleast_1d(op.provider.evaluate(betas)).view(np.uint64),
+                          np.atleast_1d(product(betas)).view(np.uint64))
+    axes = _uniform_axes([(j / 4, 0.25 * (j + 1)) for j in range(n)], nodes=12, L=1.5)
+    assert _difference_lattice(*axes)[0][-1] == 0.0
+    got, want = op.provider.evaluate(axes), product(axes)
+    assert np.shape(got) == np.shape(want)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+    loop = _k_transform_loop(pn, axes, P)
+    assert np.max(np.abs(k_transform(pn, axes, P) - loop) / np.abs(loop)) <= 1e-14
 
 
 def test_k_transform_pole_guard():
@@ -347,6 +378,37 @@ def test_load_operator_kinds():
     assert isinstance(op.provider, KTransformProvider)
     with pytest.raises(ValueError):
         load_operator({"provider": {"kind": "bogus"}}, P)
+    # all but a list kind loaded before: a misspelt or misplaced key was
+    # dropped (a provider without a kind was the unit operator, "omgea" gave
+    # omega = 0), and a NaN went into F or the phases
+    el = {"kind": "exponential-like", "coefficients": [1.0, 2.0]}
+    kt = {"kind": "k-transform", "t": 0.3}
+    nan = float("nan")
+    for doc, message in (
+            ({"provider": {"kidn": "k-transform", "t": 0.3}}, "provider has no kind"),
+            ({"provider": {"kind": ["unit"]}}, "unknown provider kind"),
+            ({"provider": {"provider": kt}}, "provider has no kind"),
+            ({"omgea": 0.5}, r"unknown keys \['omgea'\]"),
+            ({"provider": {"kind": "unit", "t": 0.3}}, r"unknown keys \['t'\]"),
+            ({"provider": {**el, "t": 0.3}}, r"unknown keys \['t'\]"),
+            ({"provider": {**kt, "slope": 0.1}}, r"unknown keys \['slope'\]"),
+            ({"provider": {**kt, "coefficients": [1.0]}}, r"unknown keys \['coefficients'\]"),
+            ({"omega": nan}, "omega must be finite"),
+            ({"spin": float("inf")}, "spin must be finite"),
+            ({"growth": nan}, "growth must be finite"),
+            ({"provider": {**kt, "t": nan}}, "t must be finite"),
+            ({"provider": {**kt, "c1": float("-inf")}}, "c1 must be finite"),
+            ({"provider": {**el, "slope": nan}}, "slope must be finite"),
+            ({"provider": {**el, "coefficients": [1.0, complex(1.0, nan)]}},
+             "coefficient must be finite")):
+        with pytest.raises(ValueError, match=message):
+            load_operator(doc, P)
+    # an empty provider is the unit one; every documented key loads
+    assert isinstance(load_operator({"provider": {}}, P).provider, FixtureUnitProvider)
+    op = load_operator({"name": "k", "omega": 0.1, "spin": 0.0, "growth": 0.0,
+                        "provider": {**kt, "c1": 0.8}}, P)
+    assert (op.omega, op.provider.pn.t, op.provider.pn.c1) == (0.1, 0.3, 0.8)
+    assert load_operator({"provider": {**el, "slope": 0.1}}, P).provider.slope == 0.1
 
 
 def test_exponential_like_provider():
@@ -420,28 +482,3 @@ def test_axioms_detect_violation():
     op = OperatorSpec("bad", 0.0, 0.0, 0.0, FixtureUnitProvider())
     rep = verify_axioms(op, P, 2, samples=2, seed=1)
     assert rep.exchange > 1e-2
-
-
-# ---------------------------------------------------------------------------
-# pole/regular factorization
-# ---------------------------------------------------------------------------
-
-def test_factorize_regular_reconstructs_value():
-    op = _kt_op(P, t=0.3)
-    alphas, thetas = [0.4], [0.1]
-    eps = 1e-3
-    pref, h = factorize_regular(op, alphas, thetas, eps, P)
-    val = op.provider.evaluate([alphas[0] + 1j * (np.pi - eps), thetas[0]])
-    assert pref * h == pytest.approx(val, rel=1e-12)
-
-
-def test_factorize_regular_is_smooth_at_coincidence():
-    # h stays bounded and convergent as alpha -> theta_1 while F itself
-    # develops the kinematic pole divided out by the prefactor
-    op = _kt_op(P, t=0.3)
-    hs = []
-    for eps in (1e-2, 1e-3, 1e-4):
-        _, h = factorize_regular(op, [0.4], [0.4 + eps / 3, -0.6], eps, P)
-        hs.append(h)
-    assert abs(hs[-1] - hs[-2]) < 1e-2 * abs(hs[-1])
-    assert abs(hs[-1]) > 0.1

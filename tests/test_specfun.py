@@ -1,5 +1,4 @@
 """S-matrix, Barnes G, and minimal form factor: identities and mpmath oracle."""
-import time
 import warnings
 
 import mpmath
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import loggamma
 
 from shgff.specfun import (
-    ModelParams, SpecialFunctionError, log_barnes_g, log_gamma,
+    ModelParams, SpecialFunctionError, log_barnes_g,
     min_form_factor, minkowski_dot, momentum, s_matrix, varpi,
 )
 
@@ -136,81 +135,8 @@ def test_s_matrix_unchanged_up_to_700():
 
 
 # ---------------------------------------------------------------------------
-# log Gamma / Barnes G
+# Barnes G
 # ---------------------------------------------------------------------------
-
-def test_log_gamma_pole_guard():
-    with pytest.raises(SpecialFunctionError):
-        log_gamma(0.0)
-    with pytest.raises(SpecialFunctionError):
-        log_gamma(-3.0)
-    assert abs(np.exp(log_gamma(5.0)) - 24.0) < 1e-12
-
-
-def _log_gamma_rel_err(z):
-    # relative to max(1, |log Gamma|), against mpmath at 30 digits
-    mpmath.mp.dps = 30
-    want = np.array([complex(mpmath.loggamma(mpmath.mpc(v.real, v.imag))) for v in z])
-    return np.max(np.abs(log_gamma(z) - want) / np.maximum(np.abs(want), 1.0))
-
-
-def _band(rng, re, im, size):
-    return rng.uniform(*re, size) + 1j * rng.uniform(*im, size)
-
-
-@pytest.mark.parametrize("z", [
-    # the bands of the Barnes tests: form factor arguments, far left, the
-    # functional-equation grid, a mixed array, and a wider right half-plane
-    _band(np.random.default_rng(11), (0.2, 2.0), (-3.0, 3.0), 300),
-    _band(np.random.default_rng(12), (-60.0, -5.0), (0.3, 5.0), 200),
-    np.outer(np.geomspace(0.5, 40.0, 25), np.exp(1j * np.linspace(-2.8, 2.8, 17))).ravel(),
-    _band(np.random.default_rng(13), (-60.0, 40.0), (-5.0, 5.0), 300),
-    _band(np.random.default_rng(14), (0.0, 1e3), (-1e3, 1e3), 200),
-], ids=["form-factor-band", "far-left", "functional-grid", "mixed", "right-half-plane"])
-def test_log_gamma_mpmath_bands(z):
-    assert _log_gamma_rel_err(z) < 1e-14
-
-
-def test_log_gamma_mpmath_left_half_plane():
-    # Re z in [-1e5, 0), |Im z| <= 1e3, both log-uniform: the reflection
-    rng = np.random.default_rng(15)
-    z = -np.exp(rng.uniform(np.log(1e-3), np.log(1e5), 700)) \
-        + 1j * rng.choice([-1.0, 1.0], 700) * np.exp(rng.uniform(np.log(1e-6), np.log(1e3), 700))
-    assert _log_gamma_rel_err(z) < 1e-14
-
-
-def test_log_gamma_negative_axis_sides():
-    # on the negative real axis the sign of a zero imaginary part picks the
-    # side: log Gamma(x +- 0i) = log|Gamma(x)| -+ i pi ceil(-x)
-    x = np.array([-0.5, -1.5, -2.5, -10.5, -100.5, -99999.5])
-    mpmath.mp.dps = 30
-    for sign in (1.0, -1.0):
-        z = np.array([complex(v, np.copysign(0.0, sign)) for v in x])
-        want = np.array([complex(mpmath.loggamma(mpmath.mpc(v, sign * 1e-40))) for v in x])
-        got = log_gamma(z)
-        assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) < 1e-14
-        assert np.allclose(got.imag, -sign * np.pi * np.ceil(-x), rtol=1e-15, atol=0.0)
-
-
-def test_log_gamma_near_the_pole_guard():
-    # 1e-13 from a pole, just outside the guard, the value is still accurate
-    z = np.array([1e-13, -1.0 + 1e-13, -3.0 - 1e-13, -7.0 + 1e-13j, -1e4 + 1e-13j])
-    assert _log_gamma_rel_err(z) < 1e-14
-    for pole in (0.0, -1.0, -1e4, -2.0 + 1e-15j):
-        with pytest.raises(SpecialFunctionError):
-            log_gamma(np.array([0.5, pole]))
-
-
-def test_log_gamma_far_left_cost_is_flat():
-    # reflection, not 1e6 shifts
-    log_gamma(-3.7 + 0.3j)
-    start = time.perf_counter()
-    value = log_gamma(-1e6 + 0.3j)
-    assert time.perf_counter() - start < 0.01
-    mpmath.mp.dps = 30
-    want = complex(mpmath.loggamma(mpmath.mpc(-1e6, 0.3)))
-    assert abs(value - want) < 1e-14 * abs(want)
-
 
 def test_barnes_special_values():
     assert abs(np.exp(log_barnes_g(1.0)) - 1.0) < 1e-12
@@ -221,7 +147,7 @@ def test_barnes_special_values():
 
 def test_barnes_functional_equation_grid():
     # G(z+1) = Gamma(z) G(z), relative residual on |z| in [0.5, 40]; log Gamma
-    # comes from scipy, since log_gamma shares log_barnes_g's shift and series
+    # comes from scipy, which shares no formula with log_barnes_g
     radii = np.geomspace(0.5, 40.0, 25)
     phases = np.exp(1j * np.linspace(-2.8, 2.8, 17))
     z = np.outer(radii, phases).ravel()
