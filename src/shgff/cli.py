@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
 
 import click
 
@@ -86,21 +87,20 @@ def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L,
     try:
         r = cfg["request"]
         ranks = tuple(r["r"])  # before r.get: refuses a non-object section
-        points = [SpacetimePoint(float(p[0]), float(p[1])) for p in r.get("points", ())]
+        points = [SpacetimePoint(*p) for p in r.get("points", ())]
         ladder = None
         if "ladder" in r:
             if not isinstance(r["ladder"], dict):
                 raise ValueError(f"ladder must be a mapping, got {r['ladder']!r}")
             ladder = ContourLadder(len(operators),
-                                   {tuple(map(int, k.split(","))): float(v)
+                                   {tuple(map(int, k.split(","))): v
                                     for k, v in r["ladder"].items()})
         # a flag overrides the config; what neither gives keeps the request's default.
-        # The ranks, nodes and max_nodes pass as given, so that the request refuses a
-        # non-integer
+        # Every number passes as given, so that the request (or the ladder) refuses one
+        # of the wrong type
         given = {key: r[key] if flag is None else flag
                  for key, flag in (("nodes", nodes), ("L", L), ("max_nodes", None), ("tol", tol))
                  if flag is not None or key in r}
-        given.update((key, float(given[key])) for key in ("L", "tol") if key in given)
         smearings = ([GaussianSmearing(tuple(s["center"]), tuple(s["width"]))
                       for s in r["smearings"]] if smeared else None)
     except (KeyError, TypeError, ValueError) as exc:
@@ -146,6 +146,9 @@ def specfun_cmd(b, mass, betas):
 @click.option("--tol", type=float, default=1e-6)
 def verify_cmd(config_path, n_max, tol):
     """Check the bootstrap axioms for every configured operator."""
+    # worst > nan is never true, so a NaN tol would pass every residual
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     cfg = _load_config(config_path)
     params = _model_from(cfg)
     worst = 0.0

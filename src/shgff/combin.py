@@ -182,6 +182,11 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    """True for a real number (numpy's and integers included) that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _check_ranks(k: int, r: Sequence[int]) -> None:
     """ValueError unless r holds k - 1 truncation ranks, each an integer (not
     a bool) >= 0."""

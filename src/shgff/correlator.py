@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
-import numbers
 import operator
 from typing import Sequence
 
 import numpy as np
 
 from .combin import (
-    CompositionVector, _check_ranks, _is_integer, _operator_word, _scattering_pairs, blocks,
-    enumerate_compositions, omega_ba_t,
+    CompositionVector, _check_ranks, _is_integer, _is_real, _operator_word, _scattering_pairs,
+    blocks, enumerate_compositions, omega_ba_t,
 )
 from .formfactor import OperatorSpec, _pairwise
 # default_ladder and eta_max stay importable from here
@@ -38,9 +36,6 @@ _LOG_MAX = math.log(np.finfo(float).max)
 class SpacetimePoint:
     x0: float
     x1: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x0, self.x1], dtype=float)
 
 
 class RegionError(ValueError):
@@ -64,12 +59,14 @@ def check_region(points: Sequence[SpacetimePoint]) -> bool:
 
 
 def _check_grid(nodes: int, L: float) -> None:
-    """ValueError unless nodes is an integer (not a bool) >= 1 and the window
-    [-L, L] is finite and not empty."""
+    """ValueError unless nodes is an integer (not a bool) >= 1 and L is a
+    real number (not a bool) whose window [-L, L] is finite and not empty."""
     if not _is_integer(nodes):
         raise ValueError(f"nodes must be an integer, got {nodes}")
     if nodes < 1:
         raise ValueError(f"nodes must be at least 1, got {nodes}")
+    if not _is_real(L):
+        raise ValueError(f"L must be a real number, got {L!r}")
     if not L > 0.0:
         raise ValueError(f"L must be positive, got {L}")
     if not math.isfinite(L):
@@ -92,7 +89,9 @@ class CorrelatorRequest:
     with `smearings` when that reach plus log(max(r) * m * max(1, widths))
     would pass 709.78 / 2, where a Gaussian's squared momentum overflows.
     `tol` is thus each composition's refinement target; the result is
-    `converged` when W's error estimate is at most `tol`.
+    `converged` when W's error estimate is at most `tol`. `L` and `tol` are
+    real numbers, not bools, and `tol` is finite and positive (ValueError
+    otherwise).
     Without a `ladder`, each composition is integrated on its own equally
     spaced ladder, placed as far from the singularities of its integrand as
     its factors allow (see ladder._spread_ladder); for the three-point
@@ -109,8 +108,9 @@ class CorrelatorRequest:
     like exp(c e^{2 |Re gamma|}) (w = 0.3, b = 1/4, default ladder: exponent
     +1.06 at Re gamma = 4, +3160 at 8). A smeared request reads neither
     `points` (they may be empty) nor `ladder`, and it refuses `mixed_t`. A
-    point request needs one point per operator, with finite coordinates
-    (ValueError otherwise), in check_region's region (RegionError otherwise).
+    point request needs one point per operator, with finite real coordinates
+    that are not bools (ValueError otherwise), in check_region's region
+    (RegionError otherwise).
     Each refusal is raised when the request is built."""
 
     params: ModelParams
@@ -130,8 +130,12 @@ class CorrelatorRequest:
         _check_grid(self.nodes, self.L)
         if not _is_integer(self.max_nodes):
             raise ValueError(f"max_nodes must be an integer, got {self.max_nodes}")
+        if not _is_real(self.tol):
+            raise ValueError(f"tol must be a real number, got {self.tol!r}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if not math.isfinite(self.tol):
+            raise ValueError(f"tol must be finite, got {self.tol}")
         if self.max_nodes < 2 * self.nodes:
             raise ValueError(f"max_nodes must be at least 2 * nodes = {2 * self.nodes}, "
                              f"got {self.max_nodes}")
@@ -145,14 +149,17 @@ class CorrelatorRequest:
                                  f"{len(self.points)} points")
             # check_region's comparisons are all False on NaN, so it would pass them
             for pt in self.points:
+                if not (_is_real(pt.x0) and _is_real(pt.x1)):
+                    raise ValueError(f"point coordinates must be real numbers, "
+                                     f"got ({pt.x0!r}, {pt.x1!r})")
                 if not (math.isfinite(pt.x0) and math.isfinite(pt.x1)):
                     raise ValueError(f"point coordinates must be finite, got ({pt.x0}, {pt.x1})")
             if not check_region(self.points):
                 raise RegionError("points must be space-like separated with decreasing "
                                   "spatial coordinates along the operator list")
-            # each block's contour is centred at its theta_ba (see _PointLegs.contours)
-            reach += max((abs(math.atanh((b.x0 - a.x0) / (b.x1 - a.x1)))
-                          for a, b in itertools.combinations(self.points, 2)), default=0.0)
+            # each block's contour is centred at its theta_ba (see _contours)
+            reach += max((abs(_theta(self.points, b, a)) for b, a in blocks(self.k)),
+                         default=0.0)
         else:
             if len(self.smearings) != self.k:
                 raise ValueError("one smearing per operator required")
@@ -188,82 +195,68 @@ def _form_factors(request: CorrelatorRequest, gamma: dict) -> list:
     return out
 
 
-class _PointLegs:
-    """Operators at spacetime points. The leg factor of operator s is the
-    plane wave exp(i q_s.x_s); their product is exp(i pbar(gamma).x_ba) per
-    variable of block (b, a), evaluated in light-cone form,
-    p.x = m (e^gamma (x0 - x1) + e^-gamma (x0 + x1)) / 2, whose two terms do
-    not cancel near the light cone as m cosh(gamma) x0 and m sinh(gamma) x1
-    do. Contours follow request.ladder, or else the composition's own
-    ladder (ladder._spread_ladder), which keeps each contour at the largest
+def _theta(points: Sequence[SpacetimePoint], b: int, a: int) -> float:
+    """The separation rapidity theta_ba = artanh(dx0 / dx1) of x_b - x_a,
+    where the plane waves of block (b, a) peak."""
+    xb, xa = points[b - 1], points[a - 1]
+    return math.atanh((xb.x0 - xa.x0) / (xb.x1 - xa.x1))
+
+
+def _contours(request: CorrelatorRequest, comp: CompositionVector) -> dict:
+    """The contour of each block (b, a), as the complex offset of R. A smeared
+    request integrates on the real line, where every q_s is real. A point
+    request follows request.ladder, or else the composition's own ladder
+    (ladder._spread_ladder), which keeps each contour at the largest
     distance d from the integrand's singularities that equal spacing allows,
     with every eta in the plane waves' strip of decay 0 < eta < pi. Each
-    block is centred at the separation rapidity theta_ba = artanh(dx0/dx1)
-    of x_b - x_a, where its plane waves peak; a real shift of a full-line
-    integral is exact. The request has checked the points' region."""
-
-    def __init__(self, points: Sequence[SpacetimePoint]):
-        self.xs = [pt.as_array() for pt in points]
-
-    def contours(self, request: CorrelatorRequest, comp: CompositionVector) -> dict:
-        ladder = request.ladder or _spread_ladder(request, comp)
-        ladder.validate(comp)
-        out = {}
-        for (b, a), cnt in comp.as_dict().items():
-            if cnt:
-                d0, d1 = self.xs[b - 1] - self.xs[a - 1]
-                out[(b, a)] = math.atanh(d0 / d1) + 1j * ladder.eta[(b, a)]
-        return out
-
-    def factors(self, params: ModelParams, gamma: dict) -> list:
-        out = []
-        for (b, a), vs in gamma.items():
-            d0, d1 = self.xs[b - 1] - self.xs[a - 1]
-            for v in vs:
-                ev = np.exp(v)
-                out.append(np.exp(0.5j * params.mass * (ev * (d0 - d1) + (d0 + d1) / ev)))
-        return out
-
-
-class _SmearedLegs:
-    """Operators paired with Gaussian test functions (CorrelatorRequest's
-    smearings). Contours stay on the real line, where every q_s is real."""
-
-    def __init__(self, smearings: Sequence[GaussianSmearing]):
-        self.smearings = smearings
-
-    def contours(self, request: CorrelatorRequest, comp: CompositionVector) -> dict:
+    block is centred at its _theta; a real shift of a full-line integral is
+    exact. The request has checked the points' region."""
+    if request.smearings is not None:
         return dict.fromkeys(blocks(comp.k), 0j)
+    ladder = request.ladder or _spread_ladder(request, comp)
+    ladder.validate(comp)
+    return {(b, a): _theta(request.points, b, a) + 1j * ladder.eta[(b, a)]
+            for (b, a), cnt in comp.as_dict().items() if cnt}
 
-    def factors(self, params: ModelParams, gamma: dict) -> list:
-        q = [np.zeros(2, dtype=complex) for _ in range(len(self.smearings) + 1)]
+
+def _leg_factors(request: CorrelatorRequest, gamma: dict) -> list:
+    """The external legs. With smearings, the leg of operator s is its
+    Gaussian's Fourier transform at q_s (see CorrelatorRequest). Otherwise
+    the legs are plane waves exp(i q_s.x_s), whose product is
+    exp(i pbar(gamma).x_ba) per variable of block (b, a), evaluated in
+    light-cone form, p.x = m (e^gamma (x0 - x1) + e^-gamma (x0 + x1)) / 2,
+    whose two terms do not cancel near the light cone as m cosh(gamma) x0
+    and m sinh(gamma) x1 do."""
+    params = request.params
+    if request.smearings is not None:
+        q = [np.zeros(2, dtype=complex) for _ in range(request.k + 1)]
         for (b, a), vs in gamma.items():
             for v in vs:
                 pv = momentum(v, params)
                 q[b] = q[b] + pv
                 q[a] = q[a] - pv
-        return [g.fourier(qs[..., 0], qs[..., 1]) for g, qs in zip(self.smearings, q[1:])]
+        return [g.fourier(qs[..., 0], qs[..., 1]) for g, qs in zip(request.smearings, q[1:])]
+    out = []
+    for (b, a), vs in gamma.items():
+        xb, xa = request.points[b - 1], request.points[a - 1]
+        d0, d1 = xb.x0 - xa.x0, xb.x1 - xa.x1
+        for v in vs:
+            ev = np.exp(v)
+            out.append(np.exp(0.5j * params.mass * (ev * (d0 - d1) + (d0 + d1) / ev)))
+    return out
 
 
-def _legs(request: CorrelatorRequest):
-    """The request's legs: Gaussian transforms with its smearings, if it has
-    them, or else plane waves at its points."""
-    if request.smearings is not None:
-        return _SmearedLegs(request.smearings)
-    return _PointLegs(request.points)
-
-
-def _factors(request: CorrelatorRequest, gamma: dict, legs) -> list:
+def _factors(request: CorrelatorRequest, gamma: dict) -> list:
     """The factors whose product is the integrand: the S-factor of each pair of
-    variables in scattering blocks, the legs' factors (a plane wave per
-    variable, or a Gaussian transform per operator) and the form factor of
-    each operator. Each is a scalar or an array that broadcasts against the
-    contour points."""
+    variables in scattering blocks, the legs' factors (_leg_factors: a plane
+    wave per variable, or a Gaussian transform per operator) and the form
+    factor of each operator. Each is a scalar or an array that broadcasts
+    against the contour points."""
     params = request.params
     return ([_pairwise(lambda d: s_matrix(d, params), u, v)
              for blk1, blk2 in _scattering_pairs(request.k, request.mixed_t)
              for u in gamma.get(blk1, ()) for v in gamma.get(blk2, ())]
-            + legs.factors(params, gamma) + _form_factors(request, gamma))
+            + _leg_factors(request, gamma) + _form_factors(request, gamma))
 
 
 def integrand(request: CorrelatorRequest, comp: CompositionVector, gamma: dict):
@@ -271,7 +264,7 @@ def integrand(request: CorrelatorRequest, comp: CompositionVector, gamma: dict):
     contour points (each gamma[blk] a list of complex arrays, broadcastable).
     The legs are plane waves at request.points, or the Gaussian transforms
     of request.smearings."""
-    return functools.reduce(operator.mul, _factors(request, gamma, _legs(request)), 1.0 + 0.0j)
+    return functools.reduce(operator.mul, _factors(request, gamma), 1.0 + 0.0j)
 
 
 def _composition_phase(comp: CompositionVector, request: CorrelatorRequest) -> complex:
@@ -286,10 +279,11 @@ def _composition_phase(comp: CompositionVector, request: CorrelatorRequest) -> c
 def compute_I_n(request: CorrelatorRequest, comp: CompositionVector) -> tuple[complex, float]:
     """The multidimensional contour integral of one composition with the
     request's legs (plane waves at request.points, or the Gaussian transforms
-    of request.smearings), and an error estimate. The ladder, the first grid
-    and the representation are the request's; evaluate another with
-    dataclasses.replace(request, ladder=..., nodes=...).
-    Trapezoid rule on the legs' contours over [-L, L], first with
+    of request.smearings; see _leg_factors), and an error estimate. The
+    contours, the first grid and the representation are the request's (see
+    _contours); evaluate another with dataclasses.replace(request,
+    ladder=..., nodes=...).
+    Trapezoid rule on those contours over [-L, L], first with
     2 * request.nodes intervals per axis. Each grid is compared with the rule
     on its own even points, which the same evaluation of the integrand's
     factors gives (see _quad_tensor); the step is halved until the two agree
@@ -299,15 +293,14 @@ def compute_I_n(request: CorrelatorRequest, comp: CompositionVector) -> tuple[co
     step shrinks neither. Deterministic: the integrand's factors are split
     and contracted in an order fixed by which axes each varies along (see
     _contract), so a composition gives the same bits on every call."""
-    legs = _legs(request)
-    quad = functools.partial(_quad_tensor, request, comp, legs.contours(request, comp), legs)
+    quad = functools.partial(_quad_tensor, request, comp, _contours(request, comp))
     value, tail, floor, coarse = quad(nodes := 2 * request.nodes)
     while abs(value - coarse) > request.tol and 2 * nodes <= request.max_nodes:
         value, tail, floor, coarse = quad(nodes := 2 * nodes)
     return value, abs(value - coarse) + tail + floor
 
 
-def _quad_tensor(request, comp, contours, legs, nodes) -> tuple[complex, float, float, complex]:
+def _quad_tensor(request, comp, contours, nodes) -> tuple[complex, float, float, complex]:
     """Tensor trapezoid rule, `nodes` intervals of step h per axis over
     [-L, L] shifted to each variable's contour, on an open mesh.
     The j-th of the c variables of one block is further shifted by j h / c,
@@ -338,7 +331,7 @@ def _quad_tensor(request, comp, contours, legs, nodes) -> tuple[complex, float, 
     for blk, grid in zip(block_of, np.meshgrid(*axes, indexing="ij", sparse=True)):
         gamma[blk].append(grid)
     d = len(block_of)
-    factors = [_along(f, d) for f in _factors(request, gamma, legs)]
+    factors = [_along(f, d) for f in _factors(request, gamma)]
     scale = math.prod(f for f, along in factors if not along)
     folds = [math.prod((f for f, along in factors if along == (ax,)), start=np.ones(nodes + 1))
              for ax in range(d)]
@@ -471,7 +464,9 @@ def compute_W_r_mixed(request: CorrelatorRequest, t: int) -> CorrelatorResult:
 @dataclasses.dataclass(frozen=True)
 class GaussianSmearing:
     """Separable Gaussian test function per operator:
-    g(x) = exp(-(x0-c0)^2/(2 w0^2) - (x1-c1)^2/(2 w1^2))."""
+    g(x) = exp(-(x0-c0)^2/(2 w0^2) - (x1-c1)^2/(2 w1^2)). The centre and the
+    widths are two finite real numbers each, not bools, and the widths are
+    positive (ValueError otherwise)."""
 
     center: tuple
     width: tuple
@@ -479,7 +474,7 @@ class GaussianSmearing:
     def __post_init__(self):
         for name, pair in (("center", self.center), ("width", self.width)):
             if np.shape(pair) != (2,) or not all(
-                    isinstance(v, numbers.Real) and math.isfinite(v) for v in pair):
+                    _is_real(v) and math.isfinite(v) for v in pair):
                 raise ValueError(f"{name} must be two finite numbers, got {pair!r}")
         if not min(self.width) > 0.0:
             raise ValueError(f"widths must be positive, got {self.width!r}")

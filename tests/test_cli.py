@@ -351,6 +351,11 @@ EXIT_TABLE = [
                  "Error: Invalid value for '--n-max'", id="verify-negative-n-max"),
     pytest.param(["verify", "--config", "missing.json"], None, None, EXIT_CONFIG,
                  "config error: [Errno 2]", id="verify-missing-config"),
+    # worst > nan is never true: "OK worst residual" and exit 0 whatever the residuals
+    *(pytest.param(["verify", "--config", "CFG", "--n-max", "2", "--tol", tol], UNIT_CFG, None,
+                   EXIT_CONFIG, f"config error: tol must be finite and positive, got {tol}",
+                   id=f"verify-tol-{tol}")
+      for tol in ("nan", "inf", "0.0")),
     pytest.param(["enumerate", "--k", "3", "--r", "1,1"], None, None, EXIT_OK, None,
                  id="enumerate-ok"),
     pytest.param(["enumerate", "--k", "3", "--r", "1,x"], None, None, EXIT_CONFIG,
@@ -504,6 +509,22 @@ EXIT_TABLE = [
           ("fractional-nodes", {"nodes": 24.7}, "nodes must be an integer, got 24.7"),
           ("fractional-max-nodes", {"max_nodes": 400.5},
            "max_nodes must be an integer, got 400.5"))),
+    # each ran with exit 0: tol = 1, float() of each string, and eta = 1
+    *(pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", **entries),
+                   None, EXIT_CONFIG, f"config error: {message}", id=f"correlator-{name}")
+      for name, entries, message in (
+          ("bool-tol", {"tol": True}, "tol must be a real number, got True"),
+          ("string-L", {"L": "6"}, "L must be a real number, got '6'"),
+          ("string-point", {"points": [["0", "1"], [0, 0]]},
+           "point coordinates must be real numbers, got ('0', '1')"),
+          ("bool-shift", {"ladder": {"2,1": True}},
+           "bad request section: ladder shift of block (2, 1) must be a real number, got True"),
+          ("string-shift", {"ladder": {"2,1": "0.3"}},
+           "bad request section: ladder shift of block (2, 1) must be a real number, "
+           "got '0.3'"))),
+    # an error of 4.1e-2 was reported as converged
+    pytest.param(["correlator", "--config", "CFG", "--tol", "inf"], UNIT_CFG, None, EXIT_CONFIG,
+                 "config error: tol must be finite, got inf", id="correlator-infinite-tol"),
     pytest.param(["correlator", "--config", "CFG"], UNCONVERGED_CFG, None, EXIT_NONCONVERGED,
                  "non-convergence: error estimate", id="correlator-unconverged"),
     pytest.param(["correlator", "--config", "CFG"], UNIT_CFG, "compute_W_r", EXIT_INTERNAL,

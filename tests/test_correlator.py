@@ -1,12 +1,13 @@
 """Truncated correlators: Bessel oracle, contour invariance, symmetries."""
 import dataclasses
 import itertools
+import math
 import re
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 from scipy.special import k0
 
 import shgff.correlator
@@ -15,8 +16,8 @@ from shgff.combin import (
     CompositionVector, _operator_word, _scattering_pairs, blocks, enumerate_compositions,
 )
 from shgff.correlator import (
-    ContourLadder, CorrelatorRequest, GaussianSmearing, RegionError, SpacetimePoint, _legs,
-    _PointLegs, _quad_tensor, check_region, compute_I_n, compute_W_r, compute_W_r_mixed,
+    ContourLadder, CorrelatorRequest, GaussianSmearing, RegionError, SpacetimePoint, _contours,
+    _quad_tensor, check_region, compute_I_n, compute_W_r, compute_W_r_mixed,
     default_ladder, eta_max, integrand, smeared_correlator,
 )
 from shgff.formfactor import (
@@ -532,11 +533,10 @@ def test_coarse_level_is_the_rule_on_the_even_points():
     # grid are the N grid, and the coarse value is the N-interval rule
     req = _req(X3, (1, 1), ops=[KT] * 3, tol=1e-7)
     comp = CompositionVector(3, (1, 0, 1))
-    legs = _legs(req)
-    contours = legs.contours(req, comp)
-    value, _, _, coarse = _quad_tensor(req, comp, contours, legs, 2 * req.nodes)
+    contours = _contours(req, comp)
+    value, _, _, coarse = _quad_tensor(req, comp, contours, 2 * req.nodes)
     assert compute_I_n(req, comp)[0] == value
-    want = _quad_tensor(req, comp, contours, legs, req.nodes)[0]
+    want = _quad_tensor(req, comp, contours, req.nodes)[0]
     assert abs(coarse - want) <= 1e-14 * abs(want)
 
 
@@ -621,14 +621,13 @@ def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
         req, counts = _req(X3[:2], (2,), L=3.0, smearings=[
             GaussianSmearing(xy, (0.3, 0.3)) for xy in X3[:2]]), (2,)
     comp = CompositionVector(req.k, counts)
-    legs = _legs(req)
     seen = []
     factors = shgff.correlator._factors
     monkeypatch.setattr(shgff.correlator, "_factors",
-                        lambda r, gamma, *a: seen.append(gamma) or factors(r, gamma, *a))
+                        lambda r, gamma: seen.append(gamma) or factors(r, gamma))
     for nodes in (48, 96):
         seen.clear()
-        got = _quad_tensor(req, comp, legs.contours(req, comp), legs, nodes)
+        got = _quad_tensor(req, comp, _contours(req, comp), nodes)
         want = _dense_quad(req, comp, nodes, seen[0])
         assert abs(got[0] - want[0]) <= 1e-13 * abs(want[0])
         if case == "el_slope10":
@@ -641,7 +640,7 @@ def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
         coarse = _dense_quad(req, comp, nodes // 2, even)[0]
         assert abs(got[3] - coarse) <= 1e-13 * abs(coarse)
         # a provider's rounding counts for each operator whose F_n has n >= 2
-        floor = ((len(factors(req, seen[0], legs)) + comp.total) * np.finfo(float).eps
+        floor = ((len(factors(req, seen[0])) + comp.total) * np.finfo(float).eps
                  + sum(op.provider.rounding for p, op in enumerate(req.operators, start=1)
                        if sum(comp.as_dict()[blk]
                               for blk, _ in _operator_word(req.k, p, req.mixed_t)) >= 2))
@@ -659,8 +658,7 @@ def test_error_estimate_covers_the_true_error():
             req_l = dataclasses.replace(req, ladder=ContourLadder(
                 3, {blk: em * f for blk, f in zip(blocks(3), fr)}))
             val, err = compute_I_n(req_l, comp)
-            legs = _PointLegs(req.points)
-            ref = _quad_tensor(req_l, comp, legs.contours(req_l, comp), legs, 3072)[0]
+            ref = _quad_tensor(req_l, comp, _contours(req_l, comp), 3072)[0]
             assert abs(val - ref) <= err + 1e-14 * max(1.0, abs(ref))
 
 
@@ -685,6 +683,35 @@ def test_request_refuses_non_finite_points():
             _req([bad, (0.0, 0.0)], (1,))
         with pytest.raises(ValueError, match="point coordinates must be finite"):
             _req([(0.0, 1.0), bad], (1,))
+
+
+@pytest.mark.parametrize("kw, message", [
+    # True ran with tol = 1 and L = 1, and tol = inf called any error converged
+    ({"tol": True}, "tol must be a real number, got True"),
+    ({"tol": "1e-9"}, "tol must be a real number, got '1e-9'"),
+    ({"tol": np.inf}, "tol must be finite, got inf"),
+    ({"tol": np.nan}, "tol must be positive, got nan"),
+    ({"L": True}, "L must be a real number, got True"),
+    ({"L": "6"}, "L must be a real number, got '6'"),
+    ({"points": [("0", 1.0), (0.0, 0.0)]},
+     "point coordinates must be real numbers, got ('0', 1.0)"),
+    ({"points": [(0.0, 1.0), (False, 0.0)]},
+     "point coordinates must be real numbers, got (False, 0.0)"),
+])
+def test_request_refuses_a_number_that_is_not_real_when_built(kw, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _req(**{"points": X3[:2], "r": (1,), **kw})
+    # integers and numpy's numbers are real numbers
+    _req([(0, 1), (np.float64(0.0), np.int64(0))], (1,), tol=1, L=np.float64(6.0))
+
+
+@pytest.mark.parametrize("eta", [True, "0.3", None, 0.3j])
+def test_ladder_refuses_a_shift_that_is_not_real_when_built(eta):
+    # True ran as eta = 1, and the CLI's float() turned "0.3" into 0.3
+    with pytest.raises(ValueError, match=re.escape(
+            f"ladder shift of block (2, 1) must be a real number, got {eta!r}")):
+        ContourLadder(2, {(2, 1): eta})
+    ContourLadder(3, {(2, 1): 1, (3, 1): np.float64(1.5), (3, 2): 0.0})
 
 
 def test_request_refuses_an_L_whose_contours_overflow_exp():
@@ -872,6 +899,37 @@ def test_gaussian_fourier_against_quadrature():
     assert abs(g.fourier(q0, q1) - (re + 1j * im)) < 1e-9
 
 
+@pytest.mark.parametrize("r", [1, 2])
+def test_smeared_two_point_matches_direct_quadrature(r):
+    # the unit fixture has no S-factors and F = 1, so for k = 2 the smeared
+    # correlator is W = int d^r gamma g1^(-P) g2^(P) / (r! (2 pi)^r), with
+    # P = sum_j m (cosh gamma_j, sinh gamma_j) and g^ the Gaussian's transform
+    # written out here; off-axis centres give W an imaginary part, so that
+    # neither part integrates to zero. Beyond |gamma| = 4 the integrand is
+    # below e^-70 of its peak
+    centers, w = [(0.2, 1.0), (-0.1, 0.0)], 0.3
+    req = _req(X3[:2], (r,), nodes=96, tol=1e-10)
+    res = smeared_correlator(req, [GaussianSmearing(c, (w, w)) for c in centers])
+
+    def legs(*gammas):
+        p0 = P.mass * sum(np.cosh(g) for g in gammas)
+        p1 = P.mass * sum(np.sinh(g) for g in gammas)
+        return math.prod(2.0 * np.pi * w * w * np.exp(
+            1j * sign * (p0 * c0 - p1 * c1) - 0.5 * w * w * (p0 * p0 + p1 * p1))
+            for sign, (c0, c1) in zip((-1.0, 1.0), centers))
+
+    if r == 1:
+        parts = [quad(lambda g: f(legs(g)), -4.0, 4.0, epsabs=0.0, epsrel=1e-10)[0]
+                 for f in (np.real, np.imag)]
+    else:
+        parts = [dblquad(lambda g2, g1: f(legs(g1, g2)), -4.0, 4.0, -4.0, 4.0,
+                         epsabs=0.0, epsrel=1e-10)[0] for f in (np.real, np.imag)]
+    want = complex(*parts) / (math.factorial(r) * (2.0 * np.pi) ** r)
+    assert abs(want.imag) > 1e-3 * abs(want)
+    assert res.converged
+    assert abs(res.value - want) <= 1e-12 * abs(want)
+
+
 def test_smeared_narrow_width_approaches_point_value():
     req = _req([(0.0, 1.0), (0.0, 0.0)], (1,), nodes=96, tol=1e-10)
     point = compute_W_r(req).value
@@ -892,6 +950,8 @@ def test_smeared_narrow_width_approaches_point_value():
     (("a", 1.0), (0.3, 0.3), "center must be two finite numbers"),
     ((0.0,), (0.3, 0.3), "center must be two finite numbers"),
     ((0.0, np.nan), (0.3, 0.3), "center must be two finite numbers"),
+    # True ran as 1.0
+    ((True, 0.0), (0.3, 0.3), "center must be two finite numbers"),
     ((0.0, 0.0), (0.3, np.inf), "width must be two finite numbers"),
     ((0.0, 0.0), 0.3, "width must be two finite numbers"),
     # a zero width gave W = 0, converged

@@ -369,6 +369,9 @@ def test_pairing_rejects_wrong_alpha_count():
     (dict(L=-8.0), "L must be positive, got -8.0"),
     # nan+nanj with a numpy warning before
     (dict(L=float("inf")), "L must be finite, got inf"),
+    # a string raised TypeError in the rule, and True ran as L = 1
+    (dict(L="8"), "L must be a real number, got '8'"),
+    (dict(L=True), "L must be a real number, got True"),
 ])
 def test_pairing_rejects_bad_grid(kw, message):
     with pytest.raises(ValueError, match=message):
