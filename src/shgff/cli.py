@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-import math
 
 import click
 
-from .combin import blocks, enumerate_compositions
+from .combin import _is_finite, blocks, enumerate_compositions
 from .correlator import (
     ContourLadder, CorrelatorRequest, GaussianSmearing, RegionError, SpacetimePoint,
     compute_W_r, _sum_compositions,
 )
-from .formfactor import load_operator, verify_axioms
+from .formfactor import _check_keys, load_operator, verify_axioms
 from .specfun import ModelParams, min_form_factor, s_matrix
 
 EXIT_OK = 0
@@ -68,9 +67,7 @@ def _load_config(path: str) -> dict:
 
 def _model_from(cfg: dict) -> ModelParams:
     try:
-        m = cfg["model"]
-        return ModelParams(b=float(m["b"]), mass=float(m.get("mass", 1.0)),
-                           b_hat=m.get("b_hat"))
+        return ModelParams(**cfg["model"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad model section: {exc}") from exc
 
@@ -86,7 +83,9 @@ def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L,
                   mixed_t=None, smeared=False) -> CorrelatorRequest:
     try:
         r = cfg["request"]
-        ranks = tuple(r["r"])  # before r.get: refuses a non-object section
+        _check_keys(r, ("r", "points", "ladder", "nodes", "L", "max_nodes", "tol", "smearings"),
+                    "request")
+        ranks = tuple(r["r"])
         points = [SpacetimePoint(*p) for p in r.get("points", ())]
         ladder = None
         if "ladder" in r:
@@ -101,8 +100,12 @@ def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L,
         given = {key: r[key] if flag is None else flag
                  for key, flag in (("nodes", nodes), ("L", L), ("max_nodes", None), ("tol", tol))
                  if flag is not None or key in r}
-        smearings = ([GaussianSmearing(tuple(s["center"]), tuple(s["width"]))
-                      for s in r["smearings"]] if smeared else None)
+        smearings = None
+        if smeared:
+            for s in r["smearings"]:
+                _check_keys(s, ("center", "width"), "a smearing")
+            smearings = [GaussianSmearing(tuple(s["center"]), tuple(s["width"]))
+                         for s in r["smearings"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad request section: {exc}") from exc
     return CorrelatorRequest(params=params, operators=operators, points=points,
@@ -113,10 +116,10 @@ def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L,
 def _doc_from(cfg: dict) -> str | None:
     """The path of the report that the output section asks for, if any."""
     out = cfg.get("output", {})
-    doc = out.get("doc") if isinstance(out, dict) else None
-    if not isinstance(out, dict) or not isinstance(doc, (str, type(None))):
+    if not (isinstance(out, dict) and out.keys() <= {"doc"}
+            and isinstance(out.get("doc"), (str, type(None)))):
         raise ValueError(f"bad output section: expected {{\"doc\": path}}, got {out!r}")
-    return doc
+    return out.get("doc")
 
 
 @click.group(cls=Main)
@@ -147,8 +150,8 @@ def specfun_cmd(b, mass, betas):
 def verify_cmd(config_path, n_max, tol):
     """Check the bootstrap axioms for every configured operator."""
     # worst > nan is never true, so a NaN tol would pass every residual
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not (_is_finite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     cfg = _load_config(config_path)
     params = _model_from(cfg)
     worst = 0.0

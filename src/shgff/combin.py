@@ -23,6 +23,7 @@ collapse into a single source -> target product.
 """
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import itertools
 import math
@@ -182,9 +183,14 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _is_real(x) -> bool:
-    """True for a real number (numpy's and integers included) that is not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+def _is_finite(x, kind=numbers.Real) -> bool:
+    """True for a finite number of the given kind (numpy's and integers
+    included) that is not a bool; False for an integer too large for a float.
+    The one test of every number that a config or a caller passes in."""
+    try:
+        return isinstance(x, kind) and not isinstance(x, bool) and cmath.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _check_ranks(k: int, r: Sequence[int]) -> None:
@@ -192,10 +198,8 @@ def _check_ranks(k: int, r: Sequence[int]) -> None:
     a bool) >= 0."""
     if len(r) != k - 1:
         raise ValueError(f"r must have length k-1 = {k - 1}, got {tuple(r)}")
-    if not all(map(_is_integer, r)):
-        raise ValueError(f"truncation ranks must be integers, got {tuple(r)}")
-    if any(x < 0 for x in r):
-        raise ValueError(f"truncation ranks must be non-negative, got {tuple(r)}")
+    if not all(_is_integer(x) and x >= 0 for x in r):
+        raise ValueError(f"truncation ranks must be non-negative integers, got {tuple(r)}")
 
 
 def enumerate_compositions(k: int, r: Sequence[int]) -> list[CompositionVector]:

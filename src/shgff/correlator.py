@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .combin import (
-    CompositionVector, _check_ranks, _is_integer, _is_real, _operator_word, _scattering_pairs,
+    CompositionVector, _check_ranks, _is_finite, _is_integer, _operator_word, _scattering_pairs,
     blocks, enumerate_compositions, omega_ba_t,
 )
 from .formfactor import OperatorSpec, _pairwise
@@ -59,18 +59,12 @@ def check_region(points: Sequence[SpacetimePoint]) -> bool:
 
 
 def _check_grid(nodes: int, L: float) -> None:
-    """ValueError unless nodes is an integer (not a bool) >= 1 and L is a
-    real number (not a bool) whose window [-L, L] is finite and not empty."""
-    if not _is_integer(nodes):
-        raise ValueError(f"nodes must be an integer, got {nodes}")
-    if nodes < 1:
-        raise ValueError(f"nodes must be at least 1, got {nodes}")
-    if not _is_real(L):
-        raise ValueError(f"L must be a real number, got {L!r}")
-    if not L > 0.0:
-        raise ValueError(f"L must be positive, got {L}")
-    if not math.isfinite(L):
-        raise ValueError(f"L must be finite, got {L}")
+    """ValueError unless nodes is an integer (not a bool) >= 1 and L a
+    finite positive number (see combin._is_finite)."""
+    if not (_is_integer(nodes) and nodes >= 1):
+        raise ValueError(f"nodes must be a positive integer, got {nodes!r}")
+    if not (_is_finite(L) and L > 0.0):
+        raise ValueError(f"L must be a finite positive number, got {L!r}")
 
 
 @dataclasses.dataclass
@@ -90,8 +84,7 @@ class CorrelatorRequest:
     would pass 709.78 / 2, where a Gaussian's squared momentum overflows.
     `tol` is thus each composition's refinement target; the result is
     `converged` when W's error estimate is at most `tol`. `L` and `tol` are
-    real numbers, not bools, and `tol` is finite and positive (ValueError
-    otherwise).
+    finite positive numbers (combin._is_finite; ValueError otherwise).
     Without a `ladder`, each composition is integrated on its own equally
     spaced ladder, placed as far from the singularities of its integrand as
     its factors allow (see ladder._spread_ladder); for the three-point
@@ -109,7 +102,7 @@ class CorrelatorRequest:
     +1.06 at Re gamma = 4, +3160 at 8). A smeared request reads neither
     `points` (they may be empty) nor `ladder`, and it refuses `mixed_t`. A
     point request needs one point per operator, with finite real coordinates
-    that are not bools (ValueError otherwise), in check_region's region
+    (combin._is_finite; ValueError otherwise), in check_region's region
     (RegionError otherwise).
     Each refusal is raised when the request is built."""
 
@@ -130,17 +123,14 @@ class CorrelatorRequest:
         _check_grid(self.nodes, self.L)
         if not _is_integer(self.max_nodes):
             raise ValueError(f"max_nodes must be an integer, got {self.max_nodes}")
-        if not _is_real(self.tol):
-            raise ValueError(f"tol must be a real number, got {self.tol!r}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if not math.isfinite(self.tol):
-            raise ValueError(f"tol must be finite, got {self.tol}")
+        if not (_is_finite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be a finite positive number, got {self.tol!r}")
         if self.max_nodes < 2 * self.nodes:
             raise ValueError(f"max_nodes must be at least 2 * nodes = {2 * self.nodes}, "
                              f"got {self.max_nodes}")
-        if self.mixed_t is not None and not 1 <= self.mixed_t <= self.k:
-            raise ValueError(f"mixed_t must be in 1..{self.k}")
+        if self.mixed_t is not None and not (_is_integer(self.mixed_t)
+                                             and 1 <= self.mixed_t <= self.k):
+            raise ValueError(f"mixed_t must be an integer in 1..{self.k}, got {self.mixed_t!r}")
         # grid points lie within L + one first-grid step L / nodes of their contour's centre
         reach = self.L * (1.0 + 1.0 / self.nodes)
         if self.smearings is None:
@@ -149,11 +139,9 @@ class CorrelatorRequest:
                                  f"{len(self.points)} points")
             # check_region's comparisons are all False on NaN, so it would pass them
             for pt in self.points:
-                if not (_is_real(pt.x0) and _is_real(pt.x1)):
-                    raise ValueError(f"point coordinates must be real numbers, "
+                if not (_is_finite(pt.x0) and _is_finite(pt.x1)):
+                    raise ValueError(f"point coordinates must be finite real numbers, "
                                      f"got ({pt.x0!r}, {pt.x1!r})")
-                if not (math.isfinite(pt.x0) and math.isfinite(pt.x1)):
-                    raise ValueError(f"point coordinates must be finite, got ({pt.x0}, {pt.x1})")
             if not check_region(self.points):
                 raise RegionError("points must be space-like separated with decreasing "
                                   "spatial coordinates along the operator list")
@@ -465,16 +453,15 @@ def compute_W_r_mixed(request: CorrelatorRequest, t: int) -> CorrelatorResult:
 class GaussianSmearing:
     """Separable Gaussian test function per operator:
     g(x) = exp(-(x0-c0)^2/(2 w0^2) - (x1-c1)^2/(2 w1^2)). The centre and the
-    widths are two finite real numbers each, not bools, and the widths are
-    positive (ValueError otherwise)."""
+    widths are two finite real numbers each (combin._is_finite), and the
+    widths are positive (ValueError otherwise)."""
 
     center: tuple
     width: tuple
 
     def __post_init__(self):
         for name, pair in (("center", self.center), ("width", self.width)):
-            if np.shape(pair) != (2,) or not all(
-                    _is_real(v) and math.isfinite(v) for v in pair):
+            if np.shape(pair) != (2,) or not all(map(_is_finite, pair)):
                 raise ValueError(f"{name} must be two finite numbers, got {pair!r}")
         if not min(self.width) > 0.0:
             raise ValueError(f"widths must be positive, got {self.width!r}")

@@ -6,11 +6,13 @@ import dataclasses
 import functools
 import itertools
 import json
+import numbers
 import operator
 from typing import Sequence
 
 import numpy as np
 
+from .combin import _is_finite
 from .specfun import POLE_TOL, ModelParams, SpecialFunctionError, min_form_factor, s_matrix
 
 
@@ -303,6 +305,15 @@ class KTransformProvider(FormFactorProvider):
 # provider-definition documents
 # ---------------------------------------------------------------------------
 
+def _check_keys(section, known, what: str) -> None:
+    """ValueError unless a config section (`what`, for the message) is a
+    mapping whose keys are all in `known`."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{what} must be a mapping, got {section!r}")
+    if section.keys() - set(known):
+        raise ValueError(f"unknown keys {sorted(section.keys() - set(known))} in {section!r}")
+
+
 def load_operator(doc, params: ModelParams) -> OperatorSpec:
     """Build an OperatorSpec from a definition document (dict or JSON text).
 
@@ -314,12 +325,12 @@ def load_operator(doc, params: ModelParams) -> OperatorSpec:
       k-transform: optional "t" (default -1), "c1" (default 1)
     A document without a provider is the unit operator. ValueError on any
     other key, on a provider that has keys but no "kind", and on a number
-    (omega, spin, growth, t, c1, slope or a coefficient) that is not finite.
+    that fails combin._is_finite: omega, spin, growth, t and c1 must be
+    finite real numbers, slope and each coefficient finite complex ones.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    if not isinstance(doc, dict):
-        raise ValueError(f"an operator must be a mapping, got {doc!r}")
+    _check_keys(doc, ("name", "omega", "spin", "growth", "provider"), "an operator")
     pdoc = doc.get("provider", {"kind": "unit"})
     if not isinstance(pdoc, dict):
         raise ValueError(f"provider must be a mapping, got {pdoc!r}")
@@ -330,16 +341,15 @@ def load_operator(doc, params: ModelParams) -> OperatorSpec:
              "k-transform": ("t", "c1")}
     if not isinstance(kind, str) or kind not in takes:
         raise ValueError(f"unknown provider kind {kind!r}")
-    for section, known in ((doc, {"name", "omega", "spin", "growth", "provider"}),
-                           (pdoc, {"kind", *takes[kind]})):
-        if section.keys() - known:
-            raise ValueError(f"unknown keys {sorted(section.keys() - known)} in {section!r}")
-    values = [(key, section[key]) for section, keys in (
-        (doc, ("omega", "spin", "growth")), (pdoc, ("t", "c1", "slope")))
-        for key in keys if key in section]
-    for key, value in values + [("coefficient", c) for c in pdoc.get("coefficients", ())]:
-        if not np.isfinite(complex(value)):
-            raise ValueError(f"{key} must be finite, got {value!r}")
+    _check_keys(pdoc, ("kind", *takes[kind]), "provider")
+    values = [(key, value, numbers.Complex if key == "slope" else numbers.Real)
+              for section in (doc, pdoc) for key, value in section.items()
+              if key in ("omega", "spin", "growth", "t", "c1", "slope")]
+    values += [("coefficient", c, numbers.Complex) for c in pdoc.get("coefficients", ())]
+    for key, value, number in values:
+        if not _is_finite(value, number):
+            raise ValueError(f"{key} must be a finite {number.__name__.lower()} number, "
+                             f"got {value!r}")
     if kind == "unit":
         provider: FormFactorProvider = FixtureUnitProvider()
     elif kind == "exponential-like":
@@ -351,9 +361,9 @@ def load_operator(doc, params: ModelParams) -> OperatorSpec:
             params)
     return OperatorSpec(
         name=doc.get("name", kind),
-        omega=float(doc.get("omega", 0.0)),
-        spin=float(doc.get("spin", 0.0)),
-        growth=float(doc.get("growth", 0.0)),
+        omega=doc.get("omega", 0.0),
+        spin=doc.get("spin", 0.0),
+        growth=doc.get("growth", 0.0),
         provider=provider,
     )
 

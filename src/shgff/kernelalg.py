@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .combin import Slot, concat, iter_partitions, reverse_word, s_product
+from .combin import Slot, _is_finite, concat, iter_partitions, reverse_word, s_product
 from .correlator import _along, _check_grid, _contract
 from .formfactor import OperatorSpec
 from .specfun import ModelParams, s_matrix
@@ -225,8 +225,8 @@ def _pair(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
     n, m = kernel.n, kernel.m
     if len(alphas) != n:
         raise ValueError("alpha count does not match the kernel")
-    if not np.all(np.isfinite(alphas)):
-        raise ValueError("alphas must be finite")
+    if not all(map(_is_finite, alphas)):
+        raise ValueError(f"alphas must be finite real numbers, got {list(alphas)!r}")
     A, B = _word("a", n), _word("b", m)
     aval = {A[i]: complex(alphas[i]) for i in range(n)}
     phase = np.exp(-2j * np.pi * op.omega)

@@ -13,7 +13,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING
 
-from .combin import CompositionVector, _is_real, _operator_word, _scattering_pairs, blocks
+from .combin import CompositionVector, _is_finite, _operator_word, _scattering_pairs, blocks
 from .specfun import ModelParams
 
 if TYPE_CHECKING:
@@ -35,16 +35,17 @@ class ContourLadder:
     """Imaginary shifts eta^(ba) per block, strictly increasing in the
     canonical block order (2,1) < (3,1) < (3,2) < (4,1) < ... on the blocks
     that carry variables, and below pi, where the plane waves leave their
-    strip of decay. Each shift is a real number (not a bool; ValueError
-    otherwise, when the ladder is built)."""
+    strip of decay. Each shift is a finite real number (combin._is_finite;
+    ValueError otherwise, when the ladder is built)."""
 
     k: int
     eta: dict
 
     def __post_init__(self):
         for blk, e in self.eta.items():
-            if not _is_real(e):
-                raise ValueError(f"ladder shift of block {blk} must be a real number, got {e!r}")
+            if not _is_finite(e):
+                raise ValueError(f"ladder shift of block {blk} must be a finite real number, "
+                                 f"got {e!r}")
 
     def validate(self, comp: CompositionVector) -> None:
         prev = 0.0

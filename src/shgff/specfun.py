@@ -6,10 +6,10 @@ come back as python complex.
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 
 import numpy as np
+
+from .combin import _is_finite
 
 # zeta'(-1), 20 digits
 ZETA_PRIME_MINUS_ONE = -0.16542114370045092921
@@ -50,7 +50,7 @@ class ModelParams:
     """Coupling and mass of the model.
 
     b is the dimensionless coupling in [0, 1/2] and mass a finite positive
-    number (ValueError otherwise); b_hat is the dual exponent
+    number (combin._is_finite; ValueError otherwise); b_hat is the dual exponent
     entering the Barnes-G representation of the minimal form factor and
     defaults to 1/2 - b (the Watson-compatible choice; 1/2 - b = b at the
     self-dual point b = 1/4). A given b_hat must be a finite real number
@@ -62,14 +62,13 @@ class ModelParams:
     b_hat: float | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.b <= 0.5):
-            raise ValueError(f"coupling b must lie in [0, 1/2], got {self.b}")
-        # False on NaN too, which slips past a check of mass <= 0
-        if not 0.0 < self.mass < math.inf:
-            raise ValueError(f"mass must be finite and positive, got {self.mass}")
+        if not (_is_finite(self.b) and 0.0 <= self.b <= 0.5):
+            raise ValueError(f"coupling b must be a number in [0, 1/2], got {self.b!r}")
+        if not (_is_finite(self.mass) and self.mass > 0.0):
+            raise ValueError(f"mass must be a finite positive number, got {self.mass!r}")
         if self.b_hat is None:
             object.__setattr__(self, "b_hat", 0.5 - self.b)
-        elif not (isinstance(self.b_hat, numbers.Real) and math.isfinite(self.b_hat)):
+        elif not _is_finite(self.b_hat):
             raise ValueError(f"b_hat must be a finite real number, got {self.b_hat!r}")
 
     @property

@@ -336,7 +336,7 @@ EXIT_TABLE = [
     pytest.param(["specfun", "--b", "0.7", "--beta", "1"], None, None, EXIT_CONFIG,
                  "config error: coupling b", id="specfun-bad-coupling"),
     pytest.param(["specfun", "--b", "0.25", "--mass", "nan", "--beta", "1"], None, None,
-                 EXIT_CONFIG, "config error: mass must be finite and positive",
+                 EXIT_CONFIG, "config error: mass must be a finite positive number, got nan",
                  id="specfun-nan-mass"),
     pytest.param(["specfun", "--b", "0.25", "--beta", "1"], None, "s_matrix", EXIT_INTERNAL,
                  "internal error: boom", id="specfun-internal"),
@@ -353,7 +353,7 @@ EXIT_TABLE = [
                  "config error: [Errno 2]", id="verify-missing-config"),
     # worst > nan is never true: "OK worst residual" and exit 0 whatever the residuals
     *(pytest.param(["verify", "--config", "CFG", "--n-max", "2", "--tol", tol], UNIT_CFG, None,
-                   EXIT_CONFIG, f"config error: tol must be finite and positive, got {tol}",
+                   EXIT_CONFIG, f"config error: tol must be a finite positive number, got {float(tol)!r}",
                    id=f"verify-tol-{tol}")
       for tol in ("nan", "inf", "0.0")),
     pytest.param(["enumerate", "--k", "3", "--r", "1,1"], None, None, EXIT_OK, None,
@@ -398,7 +398,8 @@ EXIT_TABLE = [
     pytest.param(["correlator", "--config", "CFG", "--mixed", "2"], UNIT_CFG, None, EXIT_OK,
                  None, id="correlator-mixed"),
     pytest.param(["correlator", "--config", "CFG", "--mixed", "5"], UNIT_CFG, None,
-                 EXIT_CONFIG, "config error: mixed_t must be in 1..2", id="correlator-bad-mixed"),
+                 EXIT_CONFIG, "config error: mixed_t must be an integer in 1..2, got 5",
+                 id="correlator-bad-mixed"),
     pytest.param(["correlator", "--config", "CFG", "--smeared", "--mixed", "2"], SMEARED_CFG,
                  None, EXIT_CONFIG,
                  "config error: smeared correlators have no t-distinguished form",
@@ -437,13 +438,14 @@ EXIT_TABLE = [
                  "config error: one point per operator required: 2 operators, 3 points",
                  id="correlator-two-operators-three-points"),
     pytest.param(["correlator", "--config", "CFG", "--L", "inf"], UNIT_CFG, None, EXIT_CONFIG,
-                 "config error: L must be finite, got inf", id="correlator-infinite-L"),
+                 "config error: L must be a finite positive number, got inf",
+                 id="correlator-infinite-L"),
     # check_region passed both: "L = 8.0 is too large" for NaN, NaN rows and exit 4 for inf
     pytest.param(["correlator", "--config", "CFG"], NAN_POINT_CFG, None, EXIT_CONFIG,
-                 "config error: point coordinates must be finite, got (nan, 1.0)",
+                 "config error: point coordinates must be finite real numbers, got (nan, 1.0)",
                  id="correlator-nan-point"),
     pytest.param(["correlator", "--config", "CFG"], INFINITE_POINT_CFG, None, EXIT_CONFIG,
-                 "config error: point coordinates must be finite, got (0.0, inf)",
+                 "config error: point coordinates must be finite real numbers, got (0.0, inf)",
                  id="correlator-infinite-point"),
     # exp(gamma) in the plane waves overflowed (internal error) at 1000; 1e308 gave NaN rows
     pytest.param(["correlator", "--config", "CFG", "--L", "1000"], UNIT_CFG, None, EXIT_CONFIG,
@@ -470,7 +472,8 @@ EXIT_TABLE = [
                  EXIT_CONFIG, "config error: max_nodes must be at least 2 * nodes = 4000",
                  id="correlator-nodes-flag-beyond-max-nodes"),
     pytest.param(["correlator", "--config", "CFG", "--tol", "-1"], UNIT_CFG, None,
-                 EXIT_CONFIG, "config error: tol must be positive", id="correlator-negative-tol"),
+                 EXIT_CONFIG, "config error: tol must be a finite positive number, got -1.0",
+                 id="correlator-negative-tol"),
     # "bad operators section: cannot convert float NaN to integer", "can only concatenate
     # str ..." and the like, once ExponentialPn evaluated F(i pi) with the bad b_hat
     *(pytest.param(["correlator", "--config", "CFG"], _variant(KT2_CFG, "model", b_hat=b_hat),
@@ -479,8 +482,8 @@ EXIT_TABLE = [
       for b_hat in (float("nan"), float("inf"), "0.3")),
     # mass <= 0 was False on NaN: total,nan,... and non-convergence (exit 4)
     *(pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "model", mass=mass),
-                   None, EXIT_CONFIG, "config error: bad model section: mass must be finite "
-                   f"and positive, got {mass}", id=f"correlator-mass-{mass}")
+                   None, EXIT_CONFIG, "config error: bad model section: mass must be a finite "
+                   f"positive number, got {mass}", id=f"correlator-mass-{mass}")
       for mass in (float("nan"), float("inf"))),
     # a misspelt kind was the unit operator: "kt F_2 = 1.0 0.0" and exit 0; a
     # misspelt omega was 0; a NaN t printed "F_2 = nan nan" and exited 0
@@ -492,39 +495,43 @@ EXIT_TABLE = [
           ("unknown-key", {"omgea": 0.5, "provider": KT_CFG["operators"][0]["provider"]},
            "unknown keys ['omgea']"),
           ("nan-t", {"provider": {"kind": "k-transform", "t": float("nan")}},
-           "t must be finite, got nan"))),
+           "t must be a finite real number, got nan"))),
     # total,nan,... and exit 4 before
     pytest.param(["correlator", "--config", "CFG"],
                  dict(UNIT_CFG, operators=[UNIT_CFG["operators"][0],
                                            dict(UNIT_CFG["operators"][1], omega=float("nan"))]),
-                 None, EXIT_CONFIG, "config error: bad operators section: omega must be finite",
+                 None, EXIT_CONFIG, "config error: bad operators section: omega must be a finite real number, got nan",
                  id="correlator-nan-omega"),
     # int() ran r = (1,), 24 nodes and r = (1,) with exit 0
     *(pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", **entries),
                    None, EXIT_CONFIG, f"config error: {message}", id=f"correlator-{name}")
       for name, entries, message in (
-          ("fractional-rank", {"r": [1.5]}, "truncation ranks must be integers, got (1.5,)"),
-          ("bool-rank", {"r": [True]}, "truncation ranks must be integers, got (True,)"),
+          ("fractional-rank", {"r": [1.5]},
+           "truncation ranks must be non-negative integers, got (1.5,)"),
+          ("bool-rank", {"r": [True]},
+           "truncation ranks must be non-negative integers, got (True,)"),
           ("ranks-too-many", {"r": [1, 1]}, "r must have length k-1 = 1, got (1, 1)"),
-          ("fractional-nodes", {"nodes": 24.7}, "nodes must be an integer, got 24.7"),
+          ("fractional-nodes", {"nodes": 24.7}, "nodes must be a positive integer, got 24.7"),
           ("fractional-max-nodes", {"max_nodes": 400.5},
            "max_nodes must be an integer, got 400.5"))),
     # each ran with exit 0: tol = 1, float() of each string, and eta = 1
     *(pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", **entries),
                    None, EXIT_CONFIG, f"config error: {message}", id=f"correlator-{name}")
       for name, entries, message in (
-          ("bool-tol", {"tol": True}, "tol must be a real number, got True"),
-          ("string-L", {"L": "6"}, "L must be a real number, got '6'"),
+          ("bool-tol", {"tol": True}, "tol must be a finite positive number, got True"),
+          ("string-L", {"L": "6"}, "L must be a finite positive number, got '6'"),
           ("string-point", {"points": [["0", "1"], [0, 0]]},
-           "point coordinates must be real numbers, got ('0', '1')"),
+           "point coordinates must be finite real numbers, got ('0', '1')"),
           ("bool-shift", {"ladder": {"2,1": True}},
-           "bad request section: ladder shift of block (2, 1) must be a real number, got True"),
+           "bad request section: ladder shift of block (2, 1) must be a finite real number, "
+           "got True"),
           ("string-shift", {"ladder": {"2,1": "0.3"}},
-           "bad request section: ladder shift of block (2, 1) must be a real number, "
+           "bad request section: ladder shift of block (2, 1) must be a finite real number, "
            "got '0.3'"))),
     # an error of 4.1e-2 was reported as converged
     pytest.param(["correlator", "--config", "CFG", "--tol", "inf"], UNIT_CFG, None, EXIT_CONFIG,
-                 "config error: tol must be finite, got inf", id="correlator-infinite-tol"),
+                 "config error: tol must be a finite positive number, got inf",
+                 id="correlator-infinite-tol"),
     pytest.param(["correlator", "--config", "CFG"], UNCONVERGED_CFG, None, EXIT_NONCONVERGED,
                  "non-convergence: error estimate", id="correlator-unconverged"),
     pytest.param(["correlator", "--config", "CFG"], UNIT_CFG, "compute_W_r", EXIT_INTERNAL,
@@ -544,3 +551,79 @@ def test_exit_codes(runner, tmp_path, monkeypatch, argv, cfg, broken, code, mess
     assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
     if message is not None:
         assert any(line.startswith(message) for line in res.output.splitlines()), res.output
+
+
+def _operator_variant(doc):
+    """UNIT_CFG with its first operator replaced by `doc`."""
+    return dict(UNIT_CFG, operators=[doc, UNIT_CFG["operators"][1]])
+
+
+# (config with the value v at one number key, extra argv, what the refusal names)
+NUMBER_KEYS = {
+    "b": (lambda v: _variant(UNIT_CFG, "model", b=v), [], "coupling b must be a number"),
+    "mass": (lambda v: _variant(UNIT_CFG, "model", mass=v), [],
+             "mass must be a finite positive number"),
+    "b_hat": (lambda v: _variant(UNIT_CFG, "model", b_hat=v), [],
+              "b_hat must be a finite real number"),
+    **{key: (lambda v, key=key: _operator_variant(dict(UNIT_CFG["operators"][0], **{key: v})),
+             [], f"{key} must be a finite real number") for key in ("omega", "spin", "growth")},
+    **{key: (lambda v, key=key: _operator_variant(
+        {"provider": {"kind": "k-transform", "t": 0.3, key: v}}), [],
+        f"{key} must be a finite real number") for key in ("t", "c1")},
+    "slope": (lambda v: _operator_variant({"provider": {
+        "kind": "exponential-like", "coefficients": [1.0, 1.0, 1.0], "slope": v}}), [],
+        "slope must be a finite complex number"),
+    "coefficient": (lambda v: _operator_variant({"provider": {
+        "kind": "exponential-like", "coefficients": [1.0, v, 1.0]}}), [],
+        "coefficient must be a finite complex number"),
+    "L": (lambda v: _variant(UNIT_CFG, "request", L=v), [], "L must be a finite positive number"),
+    "tol": (lambda v: _variant(UNIT_CFG, "request", tol=v), [],
+            "tol must be a finite positive number"),
+    "point": (lambda v: _variant(UNIT_CFG, "request", points=[[v, 1.0], [0.0, 0.0]]), [],
+              "point coordinates must be finite real numbers"),
+    "ladder-shift": (lambda v: _variant(UNIT_CFG, "request", ladder={"2,1": v}), [],
+                     "ladder shift of block (2, 1) must be a finite real number"),
+    "smearing-center": (lambda v: _variant(SMEARED_CFG, "request", smearings=[
+        {"center": [0.0, v], "width": [0.05, 0.05]}, SMEARED_CFG["request"]["smearings"][1]]),
+        ["--smeared"], "center must be two finite numbers"),
+    "smearing-width": (lambda v: _variant(SMEARED_CFG, "request", smearings=[
+        {"center": [0.0, 1.0], "width": [v, 0.05]}, SMEARED_CFG["request"]["smearings"][1]]),
+        ["--smeared"], "width must be two finite numbers"),
+}
+
+
+# a string ran through float() (or complex()), a bool as 0 or 1, both with exit 0 where a key
+# had no check of its own; an integer beyond float range ended in "internal error: int too
+# large to convert to float" (exit 5)
+@pytest.mark.parametrize("value", ["0.5", True, 10 ** 400, float("nan")],
+                         ids=["string", "bool", "huge-int", "nan"])
+@pytest.mark.parametrize("key", NUMBER_KEYS)
+def test_every_config_number_is_a_finite_number(runner, tmp_path, key, value):
+    cfg, argv, names = NUMBER_KEYS[key]
+    # the same config with a good number runs
+    good = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg(0.25)), *argv])
+    assert good.exit_code in (EXIT_OK, EXIT_NONCONVERGED), good.output
+    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg(value)), *argv])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert "internal error" not in res.output
+    assert any(line.startswith("config error:") and names in line
+               for line in res.output.splitlines()), res.output
+
+
+# each ran with exit 0, as if the key were absent; a smearing of 5 exited 2 with
+# "'int' object is not subscriptable"
+@pytest.mark.parametrize("cfg, argv, section, message", [
+    (_variant(UNIT_CFG, "model", mas=7.0), [], "model", "unexpected keyword argument 'mas'"),
+    (_variant(UNIT_CFG, "request", nodse=8), [], "request", "unknown keys ['nodse']"),
+    (_variant(SMEARED_CFG, "request", smearings=[
+        {"center": [0.0, 1.0], "widht": [0.05, 0.05]}, SMEARED_CFG["request"]["smearings"][1]]),
+     ["--smeared"], "request", "unknown keys ['widht']"),
+    (_variant(SMEARED_CFG, "request", smearings=[5, SMEARED_CFG["request"]["smearings"][1]]),
+     ["--smeared"], "request", "a smearing must be a mapping, got 5"),
+    (_variant(UNIT_CFG, "output", dco="report.txt"), [], "output", "'dco': 'report.txt'"),
+], ids=["model", "request", "smearing", "smearing-number", "output"])
+def test_config_sections_refuse_unknown_keys(runner, tmp_path, cfg, argv, section, message):
+    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg), *argv])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert res.output.startswith(f"config error: bad {section} section: "), res.output
+    assert message in res.output

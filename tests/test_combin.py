@@ -1,6 +1,7 @@
 """Words, S-products, compositions, Cauchy decomposition, pole chains."""
 import itertools
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shgff.combin import (
-    CompositionVector, Slot, blocks, cauchy_decomposition, chain_decomposition,
+    CompositionVector, Slot, _is_finite, blocks, cauchy_decomposition, chain_decomposition,
     concat, enumerate_compositions, inverted_pairs, iter_partitions,
     omega_ba_t, reverse_word, s_product, signature,
 )
@@ -215,7 +216,7 @@ def test_enumerate_compositions_rejects_bad_r():
         enumerate_compositions(3, (1,))
     # a float rank raised TypeError in range(); True ran as r = (1,)
     for r in ((1.5,), (True,), (1.0,)):
-        with pytest.raises(ValueError, match="truncation ranks must be integers"):
+        with pytest.raises(ValueError, match="truncation ranks must be non-negative integers"):
             enumerate_compositions(2, r)
     assert [c.counts for c in enumerate_compositions(2, (np.int64(2),))] == [(2,)]
 
@@ -223,7 +224,7 @@ def test_enumerate_compositions_rejects_bad_r():
 def test_enumerate_compositions_rejects_negative_ranks():
     # r = (-1,) gave no composition, so W = 0 and converged; r = 0 stays valid
     for k, r in ((2, (-1,)), (3, (1, -1)), (3, (-2, 0))):
-        with pytest.raises(ValueError, match="truncation ranks must be non-negative"):
+        with pytest.raises(ValueError, match="truncation ranks must be non-negative integers"):
             enumerate_compositions(k, r)
     assert [c.counts for c in enumerate_compositions(2, (0,))] == [(0,)]
 
@@ -334,3 +335,25 @@ def test_chain_decomposition_exhaustive(k):
             assert len(seen) == len(set(seen))
             checked += 1
         assert checked >= 1
+
+
+@pytest.mark.parametrize("x, real, complex_", [
+    (np.float64(0.25), True, True),
+    (np.int64(3), True, True),
+    (-2, True, True),
+    (np.bool_(True), False, False),
+    (True, False, False),
+    ("1", False, False),
+    # math.isfinite raised OverflowError on it
+    (10 ** 400, False, False),
+    (-10 ** 400, False, False),
+    (float("nan"), False, False),
+    (float("inf"), False, False),
+    (None, False, False),
+    (1 + 2j, False, True),
+    (np.complex128(1 - 1j), False, True),
+    (complex(1.0, float("nan")), False, False),
+])
+def test_is_finite(x, real, complex_):
+    assert _is_finite(x) is real
+    assert _is_finite(x, numbers.Complex) is complex_

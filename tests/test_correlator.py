@@ -671,7 +671,7 @@ def test_request_refuses_a_point_per_operator_mismatch_and_an_infinite_L():
     with pytest.raises(ValueError, match="one point per operator required: "
                                          "2 operators, 3 points"):
         _req(X3, (1,), ops=_unit_ops(2))
-    with pytest.raises(ValueError, match="L must be finite, got inf"):
+    with pytest.raises(ValueError, match="L must be a finite positive number, got inf"):
         _req(X3[:2], (1,), L=np.inf)
 
 
@@ -679,24 +679,24 @@ def test_request_refuses_non_finite_points():
     # every comparison of check_region is False on NaN, so a NaN point was
     # refused as an overflowing L, and an infinite one gave W = nan
     for bad in ((np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)):
-        with pytest.raises(ValueError, match="point coordinates must be finite"):
+        with pytest.raises(ValueError, match="point coordinates must be finite real numbers"):
             _req([bad, (0.0, 0.0)], (1,))
-        with pytest.raises(ValueError, match="point coordinates must be finite"):
+        with pytest.raises(ValueError, match="point coordinates must be finite real numbers"):
             _req([(0.0, 1.0), bad], (1,))
 
 
 @pytest.mark.parametrize("kw, message", [
     # True ran with tol = 1 and L = 1, and tol = inf called any error converged
-    ({"tol": True}, "tol must be a real number, got True"),
-    ({"tol": "1e-9"}, "tol must be a real number, got '1e-9'"),
-    ({"tol": np.inf}, "tol must be finite, got inf"),
-    ({"tol": np.nan}, "tol must be positive, got nan"),
-    ({"L": True}, "L must be a real number, got True"),
-    ({"L": "6"}, "L must be a real number, got '6'"),
+    ({"tol": True}, "tol must be a finite positive number, got True"),
+    ({"tol": "1e-9"}, "tol must be a finite positive number, got '1e-9'"),
+    ({"tol": np.inf}, "tol must be a finite positive number, got inf"),
+    ({"tol": np.nan}, "tol must be a finite positive number, got nan"),
+    ({"L": True}, "L must be a finite positive number, got True"),
+    ({"L": "6"}, "L must be a finite positive number, got '6'"),
     ({"points": [("0", 1.0), (0.0, 0.0)]},
-     "point coordinates must be real numbers, got ('0', 1.0)"),
+     "point coordinates must be finite real numbers, got ('0', 1.0)"),
     ({"points": [(0.0, 1.0), (False, 0.0)]},
-     "point coordinates must be real numbers, got (False, 0.0)"),
+     "point coordinates must be finite real numbers, got (False, 0.0)"),
 ])
 def test_request_refuses_a_number_that_is_not_real_when_built(kw, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -709,7 +709,7 @@ def test_request_refuses_a_number_that_is_not_real_when_built(kw, message):
 def test_ladder_refuses_a_shift_that_is_not_real_when_built(eta):
     # True ran as eta = 1, and the CLI's float() turned "0.3" into 0.3
     with pytest.raises(ValueError, match=re.escape(
-            f"ladder shift of block (2, 1) must be a real number, got {eta!r}")):
+            f"ladder shift of block (2, 1) must be a finite real number, got {eta!r}")):
         ContourLadder(2, {(2, 1): eta})
     ContourLadder(3, {(2, 1): 1, (3, 1): np.float64(1.5), (3, 2): 0.0})
 
@@ -741,17 +741,17 @@ def test_max_nodes_below_the_second_level_is_rejected():
 def test_request_refuses_a_non_integer_node_count_when_built(nodes):
     # 96.0 and 32.5 were accepted and raised TypeError in the quadrature;
     # True ran as nodes = 1
-    with pytest.raises(ValueError, match=f"nodes must be an integer, got {nodes}"):
+    with pytest.raises(ValueError, match=f"nodes must be a positive integer, got {nodes}"):
         _req(X3[:2], (1,), nodes=nodes)
     _req(X3[:2], (1,), nodes=np.int64(96))
 
 
 @pytest.mark.parametrize("kw, message", [
-    ({"r": (1.5,)}, r"truncation ranks must be integers, got \(1.5,\)"),
-    ({"r": (True,)}, r"truncation ranks must be integers, got \(True,\)"),
+    ({"r": (1.5,)}, r"truncation ranks must be non-negative integers, got \(1.5,\)"),
+    ({"r": (True,)}, r"truncation ranks must be non-negative integers, got \(True,\)"),
     ({"r": (1, 1)}, r"r must have length k-1 = 1, got \(1, 1\)"),
     ({"r": ()}, r"r must have length k-1 = 1, got \(\)"),
-    ({"r": (-1,)}, r"truncation ranks must be non-negative, got \(-1,\)"),
+    ({"r": (-1,)}, r"truncation ranks must be non-negative integers, got \(-1,\)"),
     ({"max_nodes": 400.0}, "max_nodes must be an integer, got 400.0"),
     ({"max_nodes": True}, "max_nodes must be an integer, got True"),
 ])
@@ -872,9 +872,9 @@ def test_mixed_rejects_bad_t(monkeypatch):
     monkeypatch.setattr(shgff.correlator, "_quad_tensor", None)
     req = _req([(0.0, 1.0), (0.0, 0.0)], (1,))
     for t in (0, 3, 5):
-        with pytest.raises(ValueError, match="mixed_t must be in 1..2"):
+        with pytest.raises(ValueError, match=f"mixed_t must be an integer in 1..2, got {t}"):
             _req([(0.0, 1.0), (0.0, 0.0)], (1,), mixed_t=t)
-        with pytest.raises(ValueError, match="mixed_t must be in 1..2"):
+        with pytest.raises(ValueError, match=f"mixed_t must be an integer in 1..2, got {t}"):
             compute_W_r_mixed(req, t)
 
 

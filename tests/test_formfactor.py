@@ -393,14 +393,14 @@ def test_load_operator_kinds():
             ({"provider": {**el, "t": 0.3}}, r"unknown keys \['t'\]"),
             ({"provider": {**kt, "slope": 0.1}}, r"unknown keys \['slope'\]"),
             ({"provider": {**kt, "coefficients": [1.0]}}, r"unknown keys \['coefficients'\]"),
-            ({"omega": nan}, "omega must be finite"),
-            ({"spin": float("inf")}, "spin must be finite"),
-            ({"growth": nan}, "growth must be finite"),
-            ({"provider": {**kt, "t": nan}}, "t must be finite"),
-            ({"provider": {**kt, "c1": float("-inf")}}, "c1 must be finite"),
-            ({"provider": {**el, "slope": nan}}, "slope must be finite"),
+            ({"omega": nan}, "omega must be a finite real number, got nan"),
+            ({"spin": float("inf")}, "spin must be a finite real number, got inf"),
+            ({"growth": nan}, "growth must be a finite real number, got nan"),
+            ({"provider": {**kt, "t": nan}}, "t must be a finite real number, got nan"),
+            ({"provider": {**kt, "c1": float("-inf")}}, "c1 must be a finite real number, got -inf"),
+            ({"provider": {**el, "slope": nan}}, "slope must be a finite complex number, got nan"),
             ({"provider": {**el, "coefficients": [1.0, complex(1.0, nan)]}},
-             "coefficient must be finite")):
+             r"coefficient must be a finite complex number, got \(1\+nanj\)")):
         with pytest.raises(ValueError, match=message):
             load_operator(doc, P)
     # an empty provider is the unit one; every documented key loads

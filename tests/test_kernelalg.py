@@ -1,6 +1,7 @@
 """Kernel partition sums: structure, pairing equivalences, jump identity."""
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -359,19 +360,19 @@ def test_pairing_rejects_wrong_alpha_count():
 
 
 @pytest.mark.parametrize("kw, message", [
-    (dict(nodes=0), "nodes must be at least 1, got 0"),
-    (dict(nodes=-4), "nodes must be at least 1, got -4"),
+    (dict(nodes=0), "nodes must be a positive integer, got 0"),
+    (dict(nodes=-4), "nodes must be a positive integer, got -4"),
     # both raised TypeError in the rule: "can't multiply sequence by non-int"
     # and "expected a sequence of integers or a single integer, got 'True'"
-    (dict(nodes=48.0), "nodes must be an integer, got 48.0"),
-    (dict(nodes=True), "nodes must be an integer, got True"),
-    (dict(L=0.0), "L must be positive, got 0.0"),
-    (dict(L=-8.0), "L must be positive, got -8.0"),
+    (dict(nodes=48.0), "nodes must be a positive integer, got 48.0"),
+    (dict(nodes=True), "nodes must be a positive integer, got True"),
+    (dict(L=0.0), "L must be a finite positive number, got 0.0"),
+    (dict(L=-8.0), "L must be a finite positive number, got -8.0"),
     # nan+nanj with a numpy warning before
-    (dict(L=float("inf")), "L must be finite, got inf"),
+    (dict(L=float("inf")), "L must be a finite positive number, got inf"),
     # a string raised TypeError in the rule, and True ran as L = 1
-    (dict(L="8"), "L must be a real number, got '8'"),
-    (dict(L=True), "L must be a real number, got True"),
+    (dict(L="8"), "L must be a finite positive number, got '8'"),
+    (dict(L=True), "L must be a finite positive number, got True"),
 ])
 def test_pairing_rejects_bad_grid(kw, message):
     with pytest.raises(ValueError, match=message):
@@ -379,9 +380,12 @@ def test_pairing_rejects_bad_grid(kw, message):
 
 
 # "cannot convert float NaN to integer" from min_form_factor, after numpy warnings
-@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+# np.isfinite raised TypeError on a huge integer or a string, and True ran as alpha = 1
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), 10 ** 400, "0.4",
+                                   True])
 def test_pairing_rejects_non_finite_alphas(alpha):
-    with pytest.raises(ValueError, match="alphas must be finite"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"alphas must be finite real numbers, got {[alpha]!r}")):
         pair_numeric(expand_direct(1, 2), [alpha], gauss_test, KT_OP, P)
 
 

@@ -33,8 +33,21 @@ def test_params_validation():
 @pytest.mark.parametrize("mass", [float("nan"), float("inf"), -float("inf")])
 def test_params_refuse_a_mass_that_is_not_finite(mass):
     # mass <= 0 is False on NaN: a NaN or infinite mass gave NaN correlators
-    with pytest.raises(ValueError, match="mass must be finite and positive"):
+    with pytest.raises(ValueError, match=f"mass must be a finite positive number, got {mass}"):
         ModelParams(b=0.25, mass=mass)
+
+
+@pytest.mark.parametrize("value", ["0.25", True, 10 ** 400])
+@pytest.mark.parametrize("key, message", [
+    ("b", "coupling b must be a number in"), ("mass", "mass must be a finite positive number"),
+    ("b_hat", "b_hat must be a finite real number")])
+def test_params_refuse_a_value_that_is_not_a_finite_number(key, message, value):
+    # a string compared with 0.0 raised TypeError and a bool ran as 0 or 1; an integer
+    # beyond float range raised OverflowError in math.isfinite
+    with pytest.raises(ValueError, match=message):
+        ModelParams(**{"b": 0.25, key: value})
+    # numpy's numbers and integers keep their value
+    assert ModelParams(b=np.float64(0.25), mass=np.int64(2), b_hat=0).mass == 2
 
 
 def test_params_dual_exponent_default():
