@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from shgff import ModelParams, eta_max, min_form_factor, s_matrix
-from shgff.formfactor import _pairwise
+from shgff.formfactor import _pair_tables
 
 
 def _seconds(f, repeats=3):
@@ -44,7 +44,7 @@ def time_grid(params: ModelParams, nodes: int = 768) -> None:
         cost = _seconds(lambda: min_form_factor(part, params)) / size
         print(f"min_form_factor, {size}-point call: {1e6 * cost:.3f} us/point")
     dense = _seconds(lambda: min_form_factor(beta, params))
-    table = _seconds(lambda: _pairwise(lambda d: min_form_factor(d, params), g21, g32))
+    table = _seconds(lambda: _pair_tables([(g21, g32)], lambda d: (min_form_factor(d, params),)))
     print(f"min_form_factor, dense mesh: {1e3 * dense:.2f} ms "
           f"({1e6 * dense / beta.size:.3f} us/point)")
     print(f"min_form_factor, difference table ({2 * nodes + 1} points): "

@@ -4,8 +4,8 @@ shifted-contour multidimensional quadrature."""
 
 from .combin import (
     CompositionVector, PoleChain, Slot, blocks, cauchy_decomposition,
-    chain_decomposition, concat, enumerate_compositions, inverted_pairs,
-    iter_partitions, omega_ba_t, reverse_word, s_product, signature,
+    chain_decomposition, enumerate_compositions, inverted_pairs,
+    iter_partitions, omega_ba_t, s_product, signature,
 )
 from .correlator import (
     CorrelatorRequest, CorrelatorResult, GaussianSmearing, SpacetimePoint, check_region,
@@ -36,12 +36,12 @@ __all__ = [
     "OperatorSpec", "PoleChain", "Slot", "SpacetimePoint",
     "SpecialFunctionError", "blocks",
     "cauchy_decomposition", "chain_decomposition", "check_region",
-    "compute_I_n", "compute_W_r", "compute_W_r_mixed", "concat",
+    "compute_I_n", "compute_W_r", "compute_W_r_mixed",
     "default_ladder", "enumerate_compositions", "eta_max", "expand_direct",
     "expand_dual", "expand_mixed", "inverted_pairs", "iter_partitions",
     "jump_terms", "k_transform", "load_operator", "log_barnes_g",
     "min_form_factor", "minkowski_dot", "momentum", "numerical_residue",
-    "omega_ba_t", "pair_numeric", "pair_numeric_with_tail", "reverse_word",
+    "omega_ba_t", "pair_numeric", "pair_numeric_with_tail",
     "s_matrix", "s_product", "signature", "smeared_correlator", "term_count",
     "varpi", "verify_axioms",
 ]

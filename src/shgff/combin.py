@@ -7,8 +7,9 @@ Conventions
 A *word* is a tuple of hashable slots (rapidity labels). Ordered partitions
 split a word into subsequences; "index-ordered" parts preserve the parent
 order, "unordered" parts range over all ordered selections (they carry the
-permutation). Reversal of a word is written <-W; the reversal of a
-concatenation is the reversed concatenation of reversed parts.
+permutation). Words are plain tuples: concatenation is tuple `+` and the
+reversal <-W is W[::-1]; the reversal of a concatenation is the reversed
+concatenation of reversed parts.
 
 Scalar S-products between two orderings of the same word are products of
 two-body factors over order-inverted pairs, equivalent to accumulating one
@@ -39,31 +40,19 @@ class Slot:
 
     family: 'a' (left/alpha-type) or 'b' (right/beta-type) for kernel words,
     or a block tag like (3, 1) for correlator blocks. shift counts units of
-    +i*pi added at evaluation time; tag records the boundary-value side
-    ('-', '0', '+', or '').
+    +i*pi added at evaluation time; its sign also fixes the boundary-value
+    side of a kernel's form-factor slot (see kernelalg.FormalKernelSum.describe).
     """
 
     family: Hashable
     index: int
     shift: int = 0
-    tag: str = ""
 
-    def shifted(self, shift: int, tag: str = "") -> "Slot":
-        return Slot(self.family, self.index, shift, tag)
+    def shifted(self, shift: int) -> "Slot":
+        return Slot(self.family, self.index, shift)
 
     def base(self) -> "Slot":
         return Slot(self.family, self.index)
-
-
-def reverse_word(word: Sequence) -> tuple:
-    return tuple(reversed(word))
-
-
-def concat(*words: Sequence) -> tuple:
-    out: list = []
-    for w in words:
-        out.extend(w)
-    return tuple(out)
 
 
 def inverted_pairs(word_from: Sequence, word_to: Sequence) -> list[tuple]:

@@ -22,7 +22,7 @@ from .combin import (
     CompositionVector, _check_ranks, _is_finite, _is_integer, _operator_word, _scattering_pairs,
     blocks, enumerate_compositions, omega_ba_t,
 )
-from .formfactor import OperatorSpec, _pairwise
+from .formfactor import OperatorSpec, _pair_tables
 # default_ladder and eta_max stay importable from here
 from .ladder import ContourLadder, _spread_ladder, default_ladder, eta_max  # noqa: F401
 # perfbench/tracing.py wraps correlator.minkowski_dot by name
@@ -30,6 +30,9 @@ from .specfun import ModelParams, minkowski_dot, momentum, s_matrix  # noqa: F40
 
 # log of the largest double: exp and cosh overflow beyond it
 _LOG_MAX = math.log(np.finfo(float).max)
+# the largest truncation rank: a composition has at least max(r) integration
+# variables, each a mesh axis, and a numpy array has at most 64 axes
+_MAX_RANK = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,7 +86,9 @@ class CorrelatorRequest:
     with `smearings` when that reach plus log(max(r) * m * max(1, widths))
     would pass 709.78 / 2, where a Gaussian's squared momentum overflows.
     `tol` is thus each composition's refinement target; the result is
-    `converged` when W's error estimate is at most `tol`. `L` and `tol` are
+    `converged` when W's error estimate is at most `tol`. Each rank in `r`
+    is at most 64, since a composition has at least max(r) integration
+    variables, one mesh axis each (ValueError otherwise). `L` and `tol` are
     finite positive numbers (combin._is_finite; ValueError otherwise).
     Without a `ladder`, each composition is integrated on its own equally
     spaced ladder, placed as far from the singularities of its integrand as
@@ -120,6 +125,9 @@ class CorrelatorRequest:
 
     def __post_init__(self):
         _check_ranks(self.k, self.r)
+        if max(self.r, default=0) > _MAX_RANK:
+            raise ValueError(f"truncation ranks must be at most {_MAX_RANK}, one mesh axis "
+                             f"per integration variable")
         _check_grid(self.nodes, self.L)
         if not _is_integer(self.max_nodes):
             raise ValueError(f"max_nodes must be an integer, got {self.max_nodes}")
@@ -236,15 +244,15 @@ def _leg_factors(request: CorrelatorRequest, gamma: dict) -> list:
 
 def _factors(request: CorrelatorRequest, gamma: dict) -> list:
     """The factors whose product is the integrand: the S-factor of each pair of
-    variables in scattering blocks, the legs' factors (_leg_factors: a plane
-    wave per variable, or a Gaussian transform per operator) and the form
-    factor of each operator. Each is a scalar or an array that broadcasts
-    against the contour points."""
-    params = request.params
-    return ([_pairwise(lambda d: s_matrix(d, params), u, v)
-             for blk1, blk2 in _scattering_pairs(request.k, request.mixed_t)
+    variables in scattering blocks, all of them from one s_matrix call (see
+    formfactor._pair_tables), the legs' factors (_leg_factors: a plane wave
+    per variable, or a Gaussian transform per operator) and the form factor
+    of each operator. Each is a scalar or an array that broadcasts against
+    the contour points."""
+    pairs = [(u, v) for blk1, blk2 in _scattering_pairs(request.k, request.mixed_t)
              for u in gamma.get(blk1, ()) for v in gamma.get(blk2, ())]
-            + _leg_factors(request, gamma) + _form_factors(request, gamma))
+    s_factors = _pair_tables(pairs, lambda d: (s_matrix(d, request.params),))
+    return [s for s, in s_factors] + _leg_factors(request, gamma) + _form_factors(request, gamma)
 
 
 def integrand(request: CorrelatorRequest, comp: CompositionVector, gamma: dict):
@@ -356,8 +364,8 @@ def _contract(multi, weights, keep=None):
     weights left out. An axis that no factor touches is summed alone. A lone
     factor, any pair from _along (of zero, one or more axes), is reduced by
     matrix-vector products, one axis at a time in axis order; two or more
-    meet in one np.einsum in a greedy order. kernelalg._pair reduces each
-    slab of a pairing's mesh here too."""
+    meet in one np.einsum in a greedy order. kernelalg.pair_numeric_with_tail
+    reduces each slab of a pairing's mesh here too."""
     linked = {ax for _, along in multi for ax in along}
     alone = math.prod(np.sum(wa) for ax, wa in enumerate(weights) if ax not in linked | {keep})
     if len(multi) == 1:

@@ -20,29 +20,22 @@ from .specfun import POLE_TOL, ModelParams, SpecialFunctionError, min_form_facto
 # K-transform
 # ---------------------------------------------------------------------------
 
-class PnSolution:
-    """Symmetric seed function p_n(beta | ell) feeding the K-transform.
-
-    Subclasses implement evaluate(betas, ells) -> complex. p_n must be
-    invariant under a common shift of all rapidities, beta_a -> beta_a + c:
-    KTransformProvider evaluates F_n on rapidity differences only.
-    """
-
-    def evaluate(self, betas: Sequence[complex], ells: Sequence[int]) -> complex:
-        raise NotImplementedError
-
-
-class ExponentialPn(PnSolution):
-    """p_n(beta | ell) = c_n * t^{sum(ell)}, rapidity independent.
+class ExponentialPn:
+    """The seed p_n(beta | ell) = c_n * t^{sum(ell)} feeding the K-transform;
+    rapidity independent, so invariant under a common shift of all
+    rapidities, as KTransformProvider needs.
 
     The residue coupling fixes c_n * t = g * c_{n-2} with
     g = -1/(sin(2 pi b) F(i pi)); c_0 = 1, c_1 free. Requires t != 1
-    (at t = 1 the K-transform of an ell-independent seed vanishes).
+    (at t = 1 the K-transform of an ell-independent seed vanishes) and
+    t != 0 (c_n divides by t); ValueError otherwise.
     """
 
     def __init__(self, params: ModelParams, t: float = -1.0, c1: float = 1.0):
         if abs(t - 1.0) < 1e-12:
             raise ValueError("ExponentialPn needs t != 1")
+        if t == 0:
+            raise ValueError("ExponentialPn needs t != 0")
         if abs(params.sin2pib) < 1e-12:
             raise ValueError("ExponentialPn is singular where sin(2 pi b) = 0 "
                              "(b = 0 or b = 1/2)")
@@ -145,21 +138,6 @@ def _difference_lattice(*axes):
     return (diffs[0], 0.0), lambda t: np.broadcast_to(t, diffs[0].shape)[idx]
 
 
-def _lattice(f, *axes):
-    """f(*axes) for a shift-invariant f (see _difference_lattice) returning an
-    array or a tuple of arrays, evaluated on the lattice where there is one."""
-    args, gather = _difference_lattice(*axes)
-    table = f(*args)
-    return tuple(map(gather, table)) if isinstance(table, tuple) else gather(table)
-
-
-def _pairwise(f, x, y):
-    """f(x - y), where f returns an array or a tuple of arrays; on two
-    open-mesh axes of one uniform step f runs on the 1-D table of their
-    differences (see _lattice)."""
-    return _lattice(lambda u, v: f(u - v), x, y)
-
-
 def _k_factors(d, params: ModelParams):
     """The K-transform's pair factors 1 - q and 1 + q, q = i sin(2 pi b)/sinh(d),
     of a pair with ell_k - ell_s = +1 and -1, at rapidity differences d."""
@@ -170,45 +148,48 @@ def _k_factors(d, params: ModelParams):
     return 1.0 - q, 1.0 + q
 
 
-def _pair_tables(betas, f):
-    """{(k, s): f(beta_k - beta_s)} over the pairs k < s, for an f returning a
-    tuple of arrays. Each pair's difference table is planned once (see
-    _difference_lattice), f runs once on all the tables together, since on
-    small tables its per-call cost dominates, and each of its results is
-    gathered back onto the pair's axes."""
-    pairs = list(itertools.combinations(range(len(betas)), 2))
+def _pair_tables(pairs, f):
+    """[f(x - y) for (x, y) in pairs], for an f returning a tuple of arrays:
+    the one route for a function of a rapidity difference. Each pair's
+    difference table is planned once (see _difference_lattice), f runs once
+    on all the tables together, since on small tables its per-call cost
+    dominates, and each of its results is gathered back onto the pair's
+    axes."""
     if not pairs:
-        return {}
-    plans = [_difference_lattice(betas[k], betas[s]) for k, s in pairs]
+        return []
+    plans = [_difference_lattice(x, y) for x, y in pairs]
     diffs = [np.asarray(u - v) for (u, v), _ in plans]
     cuts = np.cumsum([d.size for d in diffs])[:-1]
     tables = zip(*(np.split(t, cuts) for t in f(np.concatenate([d.ravel() for d in diffs]))))
-    return {ks: [gather(t.reshape(d.shape)) for t in ts]
-            for ks, d, (_, gather), ts in zip(pairs, diffs, plans, tables)}
+    return [[gather(t.reshape(d.shape)) for t in ts]
+            for d, (_, gather), ts in zip(diffs, plans, tables)]
 
 
-def _label_sum(p: PnSolution, betas, pair):
+def _label_sum(p: ExponentialPn, betas, tables):
     """sum over ell in {0,1}^n of (-1)^{|ell|} p(beta|ell) times the product,
-    over the pairs k < s with ell_k != ell_s, of pair[k, s][ell_s]: the
-    pair's factor 1 - q or 1 + q of _k_factors. Each term multiplies the
-    scalar (-1)^{|ell|} p(beta|ell) into the product of its pair factors,
-    which starts from the first of them."""
+    over the pairs k < s with ell_k != ell_s, of their table's [ell_s]: the
+    pair's factor 1 - q or 1 + q of _k_factors, with tables in the order of
+    itertools.combinations. Each term multiplies the scalar
+    (-1)^{|ell|} p(beta|ell) into the product of its pair factors, which
+    starts from the first of them."""
+    pairs = list(zip(itertools.combinations(range(len(betas)), 2), tables))
     total = 0.0 + 0.0j
     for ells in itertools.product((0, 1), repeat=len(betas)):
         term = (-1.0) ** sum(ells) * p.evaluate(betas, ells)
-        facs = [f[ells[s]] for (k, s), f in pair.items() if ells[k] != ells[s]]
+        facs = [f[ells[s]] for (k, s), f in pairs if ells[k] != ells[s]]
         total = total + (functools.reduce(operator.mul, facs) * term if facs else term)
     return total
 
 
-def k_transform(p: PnSolution, betas: Sequence[complex], params: ModelParams) -> complex:
+def k_transform(p: ExponentialPn, betas: Sequence[complex], params: ModelParams) -> complex:
     """K_n[p](beta) = sum over ell in {0,1}^n of (-1)^{|ell|} *
     prod_{k<s} (1 - i (ell_k - ell_s) sin(2 pi b)/sinh(beta_k - beta_s)) * p(beta|ell).
     The pair factors are evaluated on the pairs' tables of differences (see
     _pair_tables), as KTransformProvider evaluates them.
     """
     betas = [np.asarray(b, dtype=complex) for b in betas]
-    return _label_sum(p, betas, _pair_tables(betas, functools.partial(_k_factors, params=params)))
+    return _label_sum(p, betas, _pair_tables(list(itertools.combinations(betas, 2)),
+                                             functools.partial(_k_factors, params=params)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +254,11 @@ class FixtureExponentialLikeProvider(FormFactorProvider):
 class KTransformProvider(FormFactorProvider):
     """F_n(beta) = prod_{a<b} F(beta_a - beta_b) * K_n[p_n](beta).
 
-    p_n must be invariant under a common shift of all rapidities (see
-    PnSolution), so F_n depends on their differences only: on open-mesh axes
-    of one uniform step it is evaluated on the lattice of differences to the
-    last rapidity (see _lattice), and any other input directly.
+    p_n must be invariant under a common shift of all rapidities (as
+    ExponentialPn is), so F_n depends on their differences only: on open-mesh
+    axes of one uniform step it is evaluated on the lattice of differences to
+    the last rapidity (see _difference_lattice), and any other input
+    directly.
     """
 
     pole_free = False
@@ -285,20 +267,19 @@ class KTransformProvider(FormFactorProvider):
     # kt3pt's F_2 contour, and 1.04e-14 on Im beta = pi (480001 points each)
     rounding = 1.1e-14
 
-    def __init__(self, pn: PnSolution, params: ModelParams):
+    def __init__(self, pn: ExponentialPn, params: ModelParams):
         self.pn = pn
         self.params = params
 
     def evaluate(self, betas):
-        return _lattice(self._evaluate, *betas)
-
-    def _evaluate(self, *betas):
-        betas = [np.asarray(b, dtype=complex) for b in betas]
+        args, gather = _difference_lattice(*betas)
+        args = [np.asarray(b, dtype=complex) for b in args]
         # F_min and the K-transform pair factors of every pair in one call
-        tables = _pair_tables(betas, lambda d: (min_form_factor(d, self.params),
-                                                *_k_factors(d, self.params)))
-        k_part = _label_sum(self.pn, betas, {ks: t[1:] for ks, t in tables.items()})
-        return functools.reduce(operator.mul, [t[0] for t in tables.values()] + [k_part])
+        tables = _pair_tables(list(itertools.combinations(args, 2)),
+                              lambda d: (min_form_factor(d, self.params),
+                                         *_k_factors(d, self.params)))
+        k_part = _label_sum(self.pn, args, [t[1:] for t in tables])
+        return gather(functools.reduce(operator.mul, [t[0] for t in tables] + [k_part]))
 
 
 # ---------------------------------------------------------------------------

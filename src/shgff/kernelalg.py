@@ -6,9 +6,10 @@ A kernel term is fully determined by
   * a locality-phase power (multiples of e^{-2 i pi omega}),
   * positional Dirac pairings between left (alpha) and right (beta) slots,
   * target orderings of the alpha and beta words (the scalar S-word factors),
-  * the form-factor symbol: a word of slots with +/- i pi shifts and
-    boundary-value tags ('-' for the lower side of +i pi arguments, '+' for
-    the upper side of -i pi arguments, '0' for real arguments).
+  * the form-factor symbol: a word of slots with +/- i pi shifts. describe()
+    tags each slot with its boundary-value side, read off its shift: '-' for
+    the lower side of +i pi arguments, '+' for the upper side of -i pi
+    arguments, '0' for real arguments.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .combin import Slot, _is_finite, concat, iter_partitions, reverse_word, s_product
+from .combin import Slot, _is_finite, iter_partitions, s_product
 from .correlator import _along, _check_grid, _contract
 from .formfactor import OperatorSpec
 from .specfun import ModelParams, s_matrix
@@ -30,8 +31,12 @@ class FormalTerm:
     dirac_pairs: tuple                     # ((alpha_slot, beta_slot), ...)
     alpha_to: tuple                        # target ordering of the alpha word
     beta_to: tuple                         # target ordering of the beta word
-    ff_word: tuple                         # Slot word with shift/tag annotations
+    ff_word: tuple                         # Slot word with shift annotations
     sign: int = 1
+
+
+# describe()'s shift and boundary-value side of a form-factor slot, by its shift
+_SIDES = {1: "+ipi-", 0: "0", -1: "-ipi+"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,10 +50,7 @@ class FormalKernelSum:
         lines = [f"kernel {self.flavor} n={self.n} m={self.m} terms={len(self.terms)}"]
         for t in self.terms:
             pairs = " ".join(f"a{i.index}~b{j.index}" for i, j in t.dirac_pairs)
-            ff = " ".join(
-                f"{s.family}{s.index}"
-                f"{'+ipi' if s.shift > 0 else '-ipi' if s.shift < 0 else ''}{s.tag}"
-                for s in t.ff_word)
+            ff = " ".join(f"{s.family}{s.index}{_SIDES[s.shift]}" for s in t.ff_word)
             sg = "-" if t.sign < 0 else "+"
             lines.append(f"  {sg} phase^{t.phase_power} [{pairs}] F({ff})")
         return "\n".join(lines)
@@ -58,8 +60,8 @@ def _word(family: str, n: int) -> tuple:
     return tuple(Slot(family, i) for i in range(n))
 
 
-def _shifted(word: Sequence, shift: int, tag: str) -> tuple:
-    return tuple(s.shifted(shift, tag) for s in word)
+def _shifted(word: Sequence, shift: int) -> tuple:
+    return tuple(s.shifted(shift) for s in word)
 
 
 def _splits(A1: tuple, A2: tuple, m: int):
@@ -90,9 +92,9 @@ def expand_dual(n: int, m: int) -> FormalKernelSum:
     terms = tuple(
         FormalTerm(phase_power=0,
                    dirac_pairs=tuple(zip(A1, B1)),
-                   alpha_to=concat(reverse_word(A2), reverse_word(A1)),
-                   beta_to=concat(B2, reverse_word(B1)),
-                   ff_word=concat(_shifted(B2, 0, "0"), _shifted(A2, -1, "+")))
+                   alpha_to=A2[::-1] + A1[::-1],
+                   beta_to=B2 + B1[::-1],
+                   ff_word=_shifted(B2, 0) + _shifted(A2, -1))
         for _, _, A1, A2, _, B2, B1 in _splits((), _word("a", n), m))
     return FormalKernelSum("dual", n, m, terms)
 
@@ -113,11 +115,9 @@ def expand_mixed(n: int, m: int, a1_idx: Sequence[int]) -> FormalKernelSum:
     terms = tuple(
         FormalTerm(phase_power=len(A1),
                    dirac_pairs=tuple(zip(C1 + D1, B1 + B3)),
-                   alpha_to=concat(C1, C2, D2, D1),
-                   beta_to=concat(B1, B2, B3),
-                   ff_word=concat(_shifted(reverse_word(C2), +1, "-"),
-                                  _shifted(B2, 0, "0"),
-                                  _shifted(reverse_word(D2), -1, "+")))
+                   alpha_to=C1 + C2 + D2 + D1,
+                   beta_to=B1 + B2 + B3,
+                   ff_word=_shifted(C2[::-1], +1) + _shifted(B2, 0) + _shifted(D2[::-1], -1))
         for C1, C2, D1, D2, B1, B2, B3 in _splits(A1, A2, m))
     return FormalKernelSum("mixed", n, m, terms)
 
@@ -136,18 +136,18 @@ def jump_terms(m: int) -> FormalKernelSum:
     terms = []
     for a in range(m):
         rest = tuple(B[j] for j in range(m) if j != a)
-        ff = _shifted(rest, 0, "0")
+        ff = _shifted(rest, 0)
         terms.append(FormalTerm(
             phase_power=0,
             dirac_pairs=((A[0], B[a]),),
             alpha_to=A,
-            beta_to=concat((B[a],), rest),    # beta_a to the front: S(beta_k - beta_a), k<a
+            beta_to=(B[a],) + rest,    # beta_a to the front: S(beta_k - beta_a), k<a
             ff_word=ff))
         terms.append(FormalTerm(
             phase_power=-1,
             dirac_pairs=((A[0], B[a]),),
             alpha_to=A,
-            beta_to=concat(rest, (B[a],)),    # beta_a to the back: S(beta_a - beta_k), k>a
+            beta_to=rest + (B[a],),    # beta_a to the back: S(beta_a - beta_k), k>a
             ff_word=ff,
             sign=-1))
     return FormalKernelSum("jump", 1, m, tuple(terms))
@@ -208,11 +208,37 @@ def _rule_1d(poles: Sequence[tuple], L: float, nodes: int,
             None if nodes % 2 else np.concatenate([coarse, wprobe[1]]))
 
 
-def _pair(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
-          L: float, nodes: int) -> list:
-    """The pairing on the rule of `nodes` intervals per axis and, for even
-    `nodes`, on the rule of its even nodes: a list of one or two values. A
-    term's integrand runs once on the open mesh of its whole tensor rule,
+def pair_numeric(kernel: FormalKernelSum, alphas: Sequence[float], test: Callable,
+                 op: OperatorSpec, params: ModelParams,
+                 L: float = 8.0, nodes: int = 48) -> complex:
+    """Pair the kernel against a test function:
+
+        P(alpha) = int d^m beta / (2 pi)^m  M_{n;m}(alpha; beta) test(beta).
+
+    Dirac pairings are resolved exactly. The remaining beta integrals of
+    each term are one tensor product of pole-subtracted 1-D rules, one per
+    free variable (uniform nodes, then probe points), with the integrand
+    evaluated once a term on the whole rule (once per slab of the mesh on
+    large ones): test receives the m beta values as mutually broadcastable
+    arrays and returns its values on their broadcast shape (or a scalar);
+    form factors of two free variables run on one table, the lattice of the
+    nodes' differences followed by those that involve a probe point.
+    `nodes` is the number of intervals per axis on [-L, L], the same on
+    every axis (only the node offsets differ). The kinematic poles are taken
+    as boundary values, in the regulator's limit: principal value plus
+    i pi delta, exactly.
+    """
+    val, _ = pair_numeric_with_tail(kernel, alphas, test, op, params, L, nodes)
+    return val
+
+
+def pair_numeric_with_tail(kernel, alphas, test, op, params,
+                           L: float = 8.0, nodes: int = 48):
+    """pair_numeric, and its refinement term |P(h) - P(2h)|: the distance to
+    the same rule on the even nodes, contracted from the same integrand
+    values. It is math.inf for odd `nodes`, which have no even-node rule.
+
+    A term's integrand runs once on the open mesh of its whole tensor rule,
     each axis its uniform nodes and then its probe points (once per slab of
     at most _PAIR_CHUNK points, cut along the first axis): one provider
     evaluation, one s_product per side and one test call a slab. The slab
@@ -222,6 +248,7 @@ def _pair(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
     reduction runs slab by slab because F and the test function each span
     every free axis, so no contraction order keeps a whole term's mesh from
     being materialised."""
+    _check_grid(nodes, L)
     n, m = kernel.n, kernel.m
     if len(alphas) != n:
         raise ValueError("alpha count does not match the kernel")
@@ -267,40 +294,7 @@ def _pair(kernel: FormalKernelSum, alphas, test, op, params: ModelParams,
             for k in range(len(totals)):  # the rule's weights, then its even-node ones
                 totals[k] += coef * complex(
                     _contract(slab, [rule[1 + k][c] for rule, c in zip(rules, cut)]))
-    return totals
-
-
-def pair_numeric(kernel: FormalKernelSum, alphas: Sequence[float], test: Callable,
-                 op: OperatorSpec, params: ModelParams,
-                 L: float = 8.0, nodes: int = 48) -> complex:
-    """Pair the kernel against a test function:
-
-        P(alpha) = int d^m beta / (2 pi)^m  M_{n;m}(alpha; beta) test(beta).
-
-    Dirac pairings are resolved exactly. The remaining beta integrals of
-    each term are one tensor product of pole-subtracted 1-D rules, one per
-    free variable (uniform nodes, then probe points), with the integrand
-    evaluated once a term on the whole rule (once per slab of the mesh on
-    large ones): test receives the m beta values as mutually broadcastable
-    arrays and returns its values on their broadcast shape (or a scalar);
-    form factors of two free variables run on one table, the lattice of the
-    nodes' differences followed by those that involve a probe point.
-    `nodes` is the number of intervals per axis on [-L, L], the same on
-    every axis (only the node offsets differ). The kinematic poles are taken
-    as boundary values, in the regulator's limit: principal value plus
-    i pi delta, exactly.
-    """
-    val, _ = pair_numeric_with_tail(kernel, alphas, test, op, params, L, nodes)
-    return val
-
-
-def pair_numeric_with_tail(kernel, alphas, test, op, params,
-                           L: float = 8.0, nodes: int = 48):
-    """pair_numeric, and its refinement term |P(h) - P(2h)|: the distance to
-    the same rule on the even nodes, contracted from the same integrand
-    values. It is math.inf for odd `nodes`, which have no even-node rule."""
-    _check_grid(nodes, L)
-    fine, *coarse = _pair(kernel, alphas, test, op, params, L, nodes)
+    fine, *coarse = totals
     return fine, abs(fine - coarse[0]) if coarse else math.inf
 
 

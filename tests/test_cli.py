@@ -514,6 +514,20 @@ EXIT_TABLE = [
           ("fractional-nodes", {"nodes": 24.7}, "nodes must be a positive integer, got 24.7"),
           ("fractional-max-nodes", {"max_nodes": 400.5},
            "max_nodes must be an integer, got 400.5"))),
+    # a 400-digit rank enumerated compositions until killed; r = [65] ended in meshgrid's
+    # "maximum supported dimension for an ndarray is currently 64"
+    *(pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", r=[r]),
+                   None, EXIT_CONFIG, "config error: truncation ranks must be at most 64",
+                   id=f"correlator-rank-{name}")
+      for name, r in (("65", 65), ("huge", 10 ** 400))),
+    # ExponentialPn.coeff divided by t: "internal error: complex division by zero" (exit 5)
+    *(pytest.param([command, "--config", "CFG", *args],
+                   dict(KT2_CFG, operators=[{"provider": {"kind": "k-transform", "t": 0}}] * 2),
+                   None, EXIT_CONFIG,
+                   "config error: bad operators section: ExponentialPn needs t != 0",
+                   id=f"{command}-zero-t")
+      for command, args in (("eval-ff", ["--betas", "0.3,-0.2"]), ("verify", []),
+                            ("correlator", []))),
     # each ran with exit 0: tol = 1, float() of each string, and eta = 1
     *(pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", **entries),
                    None, EXIT_CONFIG, f"config error: {message}", id=f"correlator-{name}")

@@ -555,6 +555,22 @@ def test_scattering_factors_on_the_open_mesh_match_the_dense_mesh():
     assert np.max(np.abs(vals[0] - vals[1]) / np.abs(vals[1])) < 1e-13
 
 
+def test_every_s_factor_of_a_grid_comes_from_one_s_matrix_call(monkeypatch):
+    # k = 4 in the t = 2 form, composition (3,1) + (4,2): the pairs S(g42 - g31)
+    # of the plain word and S(g31 - g42) of the compensating one reach s_matrix
+    # together, each as its lattice of 2 * nodes + 1 differences
+    seen = []
+    original = shgff.correlator.s_matrix
+    monkeypatch.setattr(shgff.correlator, "s_matrix",
+                        lambda d, p: seen.append(np.shape(d)) or original(d, p))
+    req = _req(X4, (1, 2, 1), mixed_t=2, nodes=16)
+    comp = CompositionVector(4, (0, 1, 0, 0, 1, 0))
+    for nodes in (32, 64):
+        seen.clear()
+        _quad_tensor(req, comp, _contours(req, comp), nodes)
+        assert seen == [(2 * (2 * nodes + 1),)]
+
+
 def _dense_quad(req, comp, nodes, gamma):
     """The trapezoid value, tail estimate and integral of |integrand| from
     the integrand broadcast to the full (nodes + 1)^d mesh and contracted
@@ -752,6 +768,9 @@ def test_request_refuses_a_non_integer_node_count_when_built(nodes):
     ({"r": (1, 1)}, r"r must have length k-1 = 1, got \(1, 1\)"),
     ({"r": ()}, r"r must have length k-1 = 1, got \(\)"),
     ({"r": (-1,)}, r"truncation ranks must be non-negative integers, got \(-1,\)"),
+    # a 400-digit rank enumerated compositions without end; 65 failed in meshgrid
+    ({"r": (65,)}, "truncation ranks must be at most 64"),
+    ({"r": (10 ** 400,)}, "truncation ranks must be at most 64"),
     ({"max_nodes": 400.0}, "max_nodes must be an integer, got 400.0"),
     ({"max_nodes": True}, "max_nodes must be an integer, got True"),
 ])
@@ -761,6 +780,7 @@ def test_request_refuses_bad_ranks_and_max_nodes_when_built(kw, message):
     with pytest.raises(ValueError, match=message):
         _req(X3[:2], **{"r": (1,), **kw})
     _req(X3[:2], (np.int64(1),), max_nodes=np.int64(192))
+    _req(X3[:2], (64,))
 
 
 def test_nodes_override_beyond_max_nodes_is_rejected():

@@ -9,7 +9,7 @@ from scipy.special import roots_legendre
 
 from shgff.formfactor import (
     ExponentialPn, FixtureExponentialLikeProvider, FixtureUnitProvider,
-    KTransformProvider, OperatorSpec, _difference_lattice, _lattice, _pairwise,
+    KTransformProvider, OperatorSpec, _difference_lattice, _pair_tables,
     k_transform, load_operator, numerical_residue, verify_axioms,
 )
 import shgff.formfactor
@@ -148,12 +148,18 @@ PAIR_FUNCTIONS = [lambda d: min_form_factor(d, P), np.sinh,
                   lambda d: s_matrix(d, P)]
 
 
+def _pair_table(f, x, y):
+    """f(x - y) for an f of one array, through _pair_tables."""
+    (table,), = _pair_tables([(x, y)], lambda d: (f(d),))
+    return table
+
+
 @pytest.mark.parametrize("f", PAIR_FUNCTIONS)
 def test_pairwise_table_matches_direct(f):
     a, b, c = _uniform_axes([(0.0, 0.1 + np.pi), (0.5, 0.2), (0.25, 0.3)])
     for x, y in ((a, b), (c, a), (b + 0.7j, c)):
         seen = []
-        got = _pairwise(lambda d: seen.append(d.shape) or f(d), x, y)
+        got = _pair_table(lambda d: seen.append(d.shape) or f(d), x, y)
         want = f(x - y)
         assert seen == [(2 * 97 - 1,)]
         assert got.shape == want.shape
@@ -168,7 +174,7 @@ def test_pairwise_falls_back_bitwise_off_the_uniform_mesh(f):
     # 49 points of half u's step
     finer = _uniform_axes([(0.0, 0.2), (0.0, 0.2)], nodes=96)[1][:, :49]
     for x, y in ((a, b), (a, v), (u, 0.3 + 0.1j), (u, u + 0.5j), (u, finer)):
-        assert np.array_equal(_pairwise(f, x, y), f(x - y))
+        assert np.array_equal(_pair_table(f, x, y), f(x - y))
 
 
 def _run_and_extras(nodes, offset, shift, extras, L=8.0):
@@ -200,7 +206,7 @@ def test_lattice_with_extra_points_matches_the_dense_mesh(f, order, x_extras, y_
     want_size = run_x + 48 - 1 + x.size * y.size - run_x * 48
     want = f(x - y)
     seen = []
-    got = _pairwise(lambda d: seen.append(np.shape(d)) or f(d), x, y)
+    got = _pair_table(lambda d: seen.append(np.shape(d)) or f(d), x, y)
     assert seen == [(want_size,)]
     assert got.shape == want.shape
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
@@ -263,9 +269,9 @@ def test_lattice_falls_back_bitwise_with_extras_on_three_axes():
     y = _run_and_extras(12, 0.24, 0.1j, [])
     z = _run_and_extras(12, 0.86, 0.2j, [])
     betas = np.meshgrid(x, y, z, indexing="ij", sparse=True)
-    args, _ = _difference_lattice(*betas)
+    args, gather = _difference_lattice(*betas)
     assert len(args) == 3 and all(a is b for a, b in zip(args, betas))
-    assert np.array_equal(_lattice(f, *betas), f(*betas))
+    assert np.array_equal(gather(f(*args)), f(*betas))
 
 
 def test_lattice_needs_a_run_over_most_of_each_axis():
@@ -338,7 +344,8 @@ def test_lattice_falls_back_bitwise_off_the_uniform_mesh():
     # axes of different ndim
     for betas in (gl, (u, v + 0.2j, finer), (u, u + 0.5j, w), (u, 0.3 + 0.1j, w),
                   (u, v, w[0])):
-        assert np.array_equal(_lattice(f, *betas), f(*betas))
+        args, gather = _difference_lattice(*betas)
+        assert np.array_equal(gather(f(*args)), f(*betas))
 
 
 def test_k_transform_provider_guards_coinciding_rapidities_on_the_lattice():
@@ -397,6 +404,9 @@ def test_load_operator_kinds():
             ({"spin": float("inf")}, "spin must be a finite real number, got inf"),
             ({"growth": nan}, "growth must be a finite real number, got nan"),
             ({"provider": {**kt, "t": nan}}, "t must be a finite real number, got nan"),
+            # ExponentialPn.coeff divided by t: ZeroDivisionError
+            ({"provider": {**kt, "t": 0}}, "ExponentialPn needs t != 0"),
+            ({"provider": {**kt, "t": 0.0}}, "ExponentialPn needs t != 0"),
             ({"provider": {**kt, "c1": float("-inf")}}, "c1 must be a finite real number, got -inf"),
             ({"provider": {**el, "slope": nan}}, "slope must be a finite complex number, got nan"),
             ({"provider": {**el, "coefficients": [1.0, complex(1.0, nan)]}},
