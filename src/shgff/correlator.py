@@ -22,7 +22,9 @@ from .combin import (
     CompositionVector, _check_ranks, _is_finite, _is_integer, _operator_word, _scattering_pairs,
     blocks, enumerate_compositions, omega_ba_t,
 )
-from .formfactor import OperatorSpec, _pair_tables
+from .formfactor import (
+    KTransformProvider, OperatorSpec, _difference_lattice, _open_axis, _pair_tables,
+)
 # default_ladder and eta_max stay importable from here
 from .ladder import ContourLadder, _spread_ladder, default_ladder, eta_max  # noqa: F401
 # perfbench/tracing.py wraps correlator.minkowski_dot by name
@@ -179,15 +181,22 @@ class CorrelatorRequest:
 
 
 def _form_factors(request: CorrelatorRequest, gamma: dict) -> list:
-    """F^(O_p) of each operator on its incoming/outgoing rapidity word;
-    gamma maps block -> list of contour points (arrays that broadcast)."""
+    """F^(O_p) of each operator on its incoming/outgoing rapidity word, as
+    (f, gather, pair) triples (see _factors); gamma maps block -> list of
+    contour points (arrays that broadcast). The F_2 of a KTransformProvider
+    depends on the difference of its two rapidities alone: it is evaluated on
+    the args formfactor._difference_lattice plans for them."""
     out = []
     for p, op in enumerate(request.operators, start=1):
         args = []
         for blk, shift in _operator_word(request.k, p, request.mixed_t):
             vs = gamma[blk]
             args.extend([v + 1j * shift for v in reversed(vs)] if shift else vs)
-        out.append(op.provider.evaluate(args))
+        if len(args) == 2 and isinstance(op.provider, KTransformProvider):
+            lattice, gather = _difference_lattice(*args)
+            out.append((op.provider.evaluate(lattice), gather, args))
+        else:
+            out.append((op.provider.evaluate(args), None, None))
     return out
 
 
@@ -247,12 +256,21 @@ def _factors(request: CorrelatorRequest, gamma: dict) -> list:
     variables in scattering blocks, all of them from one s_matrix call (see
     formfactor._pair_tables), the legs' factors (_leg_factors: a plane wave
     per variable, or a Gaussian transform per operator) and the form factor
-    of each operator. Each is a scalar or an array that broadcasts against
-    the contour points."""
+    of each operator (_form_factors). Each is a triple (f, gather, pair): a
+    function of the difference x - y of a pair (x, y) of rapidities, an
+    S-factor or a K-transform F_2, is f on the args
+    formfactor._difference_lattice plans for the pair, which its gather
+    takes onto their axes; every other factor is f itself, with gather and
+    pair None. Each factor, gathered, is a scalar or an array that
+    broadcasts against the contour points."""
     pairs = [(u, v) for blk1, blk2 in _scattering_pairs(request.k, request.mixed_t)
              for u in gamma.get(blk1, ()) for v in gamma.get(blk2, ())]
-    s_factors = _pair_tables(pairs, lambda d: (s_matrix(d, request.params),))
-    return [s for s, in s_factors] + _leg_factors(request, gamma) + _form_factors(request, gamma)
+    plans = [_difference_lattice(u, v) for u, v in pairs]
+    s_factors = _pair_tables([args for args, _ in plans],
+                             lambda d: (s_matrix(d, request.params),))
+    return ([(s, gather, pair) for (s,), (_, gather), pair in zip(s_factors, plans, pairs)]
+            + [(f, None, None) for f in _leg_factors(request, gamma)]
+            + _form_factors(request, gamma))
 
 
 def integrand(request: CorrelatorRequest, comp: CompositionVector, gamma: dict):
@@ -260,7 +278,9 @@ def integrand(request: CorrelatorRequest, comp: CompositionVector, gamma: dict):
     contour points (each gamma[blk] a list of complex arrays, broadcastable).
     The legs are plane waves at request.points, or the Gaussian transforms
     of request.smearings."""
-    return functools.reduce(operator.mul, _factors(request, gamma), 1.0 + 0.0j)
+    return functools.reduce(operator.mul, [gather(f) if gather else f
+                                           for f, gather, _ in _factors(request, gamma)],
+                            1.0 + 0.0j)
 
 
 def _composition_phase(comp: CompositionVector, request: CorrelatorRequest) -> complex:
@@ -305,7 +325,11 @@ def _quad_tensor(request, comp, contours, nodes) -> tuple[complex, float, float,
     never multiplied out on the full mesh: they split once into a scalar,
     one vector per axis (the product of the factors along that axis alone,
     which folds into its trapezoid weights) and the factors of several axes,
-    which _contract reduces against the folded weights.
+    which _contract reduces against the folded weights. On a grid of two
+    variables whose factors of both axes are all functions of their
+    difference (see _factors), those stay on its table and multiply there;
+    from three variables on, and beside a factor of both axes that is not
+    such a function, each factor of several axes is gathered onto them.
     Returns the value, the tail estimate, the rounding floor and the coarse
     value. The coarse value is the same factors' rule of step 2h on the even
     points of each axis (`nodes` even), read through strided views. The
@@ -327,11 +351,21 @@ def _quad_tensor(request, comp, contours, nodes) -> tuple[complex, float, float,
     for blk, grid in zip(block_of, np.meshgrid(*axes, indexing="ij", sparse=True)):
         gamma[blk].append(grid)
     d = len(block_of)
-    factors = [_along(f, d) for f in _factors(request, gamma)]
-    scale = math.prod(f for f, along in factors if not along)
-    folds = [math.prod((f for f, along in factors if along == (ax,)), start=np.ones(nodes + 1))
+    factors = _factors(request, gamma)
+    # each factor still on a difference table, turned to the first axis minus the second
+    tables = [f if _open_axis(pair[0]) < _open_axis(pair[1]) else f[::-1]
+              for f, gather, pair in factors if gather and np.ndim(f) == 1]
+    rest = [_along(f, d) for f, gather, _ in factors if not (gather and np.ndim(f) == 1)]
+    if d == 2 and tables and all(len(along) < 2 for _, along in rest):
+        split = rest + [(math.prod(tables), (0, 1))]
+    elif tables:
+        split = [_along(gather(f) if gather else f, d) for f, gather, _ in factors]
+    else:
+        split = rest
+    scale = math.prod(f for f, along in split if not along)
+    folds = [math.prod((f for f, along in split if along == (ax,)), start=np.ones(nodes + 1))
              for ax in range(d)]
-    multi = [(f, along) for f, along in factors if len(along) > 1]
+    multi = [(f, along) for f, along in split if len(along) > 1]
     value = scale * _contract(multi, [w * f for f in folds])
     coarse = scale * _contract([(f[(np.s_[::2],) * f.ndim], along) for f, along in multi],
                                [2.0 * w[::2] * f[::2] for f in folds])
@@ -363,13 +397,22 @@ def _contract(multi, weights, keep=None):
     vector along that axis of the sums over every other axis, its own
     weights left out. An axis that no factor touches is summed alone. A lone
     factor, any pair from _along (of zero, one or more axes), is reduced by
-    matrix-vector products, one axis at a time in axis order; two or more
-    meet in one np.einsum in a greedy order. kernelalg.pair_numeric_with_tail
-    reduces each slab of a pairing's mesh here too."""
+    matrix-vector products, one axis at a time in axis order; a lone
+    difference table t of two axes (a, b) of one length n, a 1-D array whose
+    element t[i - j + n - 1] is the factor at (i, j), by 1-D convolutions of
+    the weights against it, and two or more factors meet in one np.einsum in
+    a greedy order. kernelalg.pair_numeric_with_tail reduces each slab of a
+    pairing's mesh here too."""
     linked = {ax for _, along in multi for ax in along}
     alone = math.prod(np.sum(wa) for ax, wa in enumerate(weights) if ax not in linked | {keep})
     if len(multi) == 1:
         (f, along), = multi
+        if f.ndim < len(along):
+            a, b = (weights[ax] for ax in along)
+            if keep is None:
+                return alone * (f @ np.convolve(a, b[::-1]))
+            return alone * (np.convolve(f, b, "valid") if keep == along[0]
+                            else np.convolve(f[::-1], a, "valid"))
         if keep in along:
             f = np.moveaxis(f, along.index(keep), -1)
         for ax in along:

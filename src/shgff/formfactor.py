@@ -28,7 +28,9 @@ class ExponentialPn:
     The residue coupling fixes c_n * t = g * c_{n-2} with
     g = -1/(sin(2 pi b) F(i pi)); c_0 = 1, c_1 free. Requires t != 1
     (at t = 1 the K-transform of an ell-independent seed vanishes) and
-    t != 0 (c_n divides by t); ValueError otherwise.
+    t != 0 (c_n divides by t); ValueError otherwise. A p_n that overflows,
+    as c_n does for a tiny t and t^{sum(ell)} for a huge one, is a
+    ValueError naming t and n.
     """
 
     def __init__(self, params: ModelParams, t: float = -1.0, c1: float = 1.0):
@@ -52,7 +54,13 @@ class ExponentialPn:
         return self.c1 * q ** ((n - 1) // 2)
 
     def evaluate(self, betas, ells):
-        return self.coeff(len(betas)) * self.t ** int(sum(ells))
+        try:
+            value = self.coeff(len(betas)) * self.t ** int(sum(ells))
+        except OverflowError:
+            value = np.inf
+        if not np.isfinite(value):
+            raise ValueError(f"ExponentialPn overflows at t = {self.t!r}, n = {len(betas)}")
+        return value
 
 
 def _open_axis(x):

@@ -528,6 +528,23 @@ EXIT_TABLE = [
                    id=f"{command}-zero-t")
       for command, args in (("eval-ff", ["--betas", "0.3,-0.2"]), ("verify", []),
                             ("correlator", []))),
+    # the OverflowErrors of (g / t) ** k in ExponentialPn.coeff ("complex exponentiation")
+    # and of t ** sum(ells) ("Numerical result out of range") ended in internal error (exit 5)
+    *(pytest.param([command, "--config", "CFG", *args],
+                   _variant(dict(KT2_CFG, operators=[
+                       {"provider": {"kind": "k-transform", "t": t}}] * 2), "request",
+                            r=[2], nodes=16),
+                   None, EXIT_CONFIG,
+                   f"config error: ExponentialPn overflows at t = {t!r}, n = ",
+                   id=f"{command}-t-{t}")
+      for t in (1e-320, 1e300)
+      for command, args in (("eval-ff", ["--betas", "0.3,-0.2,0.1"]), ("verify", []),
+                            ("correlator", []))),
+    # its values are near 1e298, but finite
+    pytest.param(["eval-ff", "--config", "CFG", "--betas", "0.3,-0.2,0.1"],
+                 dict(KT_CFG, operators=[{"name": "kt", "provider": {"kind": "k-transform",
+                                                                     "t": 1e-300}}]),
+                 None, EXIT_OK, "kt F_3 = ", id="eval-ff-t-1e-300"),
     # each ran with exit 0: tol = 1, float() of each string, and eta = 1
     *(pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", **entries),
                    None, EXIT_CONFIG, f"config error: {message}", id=f"correlator-{name}")

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -636,7 +637,14 @@ def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
     else:
         req, counts = _req(X3[:2], (2,), L=3.0, smearings=[
             GaussianSmearing(xy, (0.3, 0.3)) for xy in X3[:2]]), (2,)
-    comp = CompositionVector(req.k, counts)
+    _check_against_the_dense_mesh(req, CompositionVector(req.k, counts), monkeypatch, 1e-13,
+                                  infinite_tail=case == "el_slope10")
+
+
+def _check_against_the_dense_mesh(req, comp, monkeypatch, rel, infinite_tail=False):
+    """_quad_tensor's value and coarse value within `rel`, and its tail (finite
+    unless `infinite_tail`) and floor within 1e-13, of those of _dense_quad,
+    at 48 and 96 intervals."""
     seen = []
     factors = shgff.correlator._factors
     monkeypatch.setattr(shgff.correlator, "_factors",
@@ -645,8 +653,8 @@ def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
         seen.clear()
         got = _quad_tensor(req, comp, _contours(req, comp), nodes)
         want = _dense_quad(req, comp, nodes, seen[0])
-        assert abs(got[0] - want[0]) <= 1e-13 * abs(want[0])
-        if case == "el_slope10":
+        assert abs(got[0] - want[0]) <= rel * abs(want[0])
+        if infinite_tail:
             assert got[1] == want[1] == np.inf
         else:
             assert abs(got[1] - want[1]) <= 1e-13 * want[1] < np.inf
@@ -654,13 +662,93 @@ def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
         even = {blk: [g[(np.s_[::2],) * g.ndim] for g in grids]
                 for blk, grids in seen[0].items()}
         coarse = _dense_quad(req, comp, nodes // 2, even)[0]
-        assert abs(got[3] - coarse) <= 1e-13 * abs(coarse)
+        assert abs(got[3] - coarse) <= rel * abs(coarse)
         # a provider's rounding counts for each operator whose F_n has n >= 2
         floor = ((len(factors(req, seen[0])) + comp.total) * np.finfo(float).eps
                  + sum(op.provider.rounding for p, op in enumerate(req.operators, start=1)
                        if sum(comp.as_dict()[blk]
                               for blk, _ in _operator_word(req.k, p, req.mixed_t)) >= 2))
         assert abs(got[2] - floor * want[2]) <= 1e-13 * floor * want[2]
+
+
+def _kt_op(b):
+    params = ModelParams(b=b)
+    return params, OperatorSpec("kt", 0.0, 0.0, 0.0,
+                                KTransformProvider(ExponentialPn(params, t=0.3), params))
+
+
+def _boosted(xy, theta):
+    ch, sh = np.cosh(theta), np.sinh(theta)
+    return [(x0 * ch + x1 * sh, x0 * sh + x1 * ch) for x0, x1 in xy]
+
+
+TWO_VARIABLE_CASES = [
+    *(pytest.param("kt_101", b, theta, mixed_t, id=f"kt_101-b{b}-theta{theta}-t{mixed_t}")
+      for b in (0.05, 0.25, 0.45) for theta in (0.0, 0.17) for mixed_t in (None, 2)),
+    *(pytest.param("kt_r2", b, 0.0, None, id=f"kt_r2-b{b}") for b in (0.05, 0.25, 0.45)),
+    pytest.param("el_slope2", 0.25, 0.0, None, id="el_slope2"),
+]
+
+
+@pytest.mark.parametrize("case, b, theta, mixed_t", TWO_VARIABLE_CASES)
+def test_two_variable_grids_match_the_integrand_summed_on_the_mesh(case, b, theta, mixed_t,
+                                                                    monkeypatch):
+    # an oracle that shares no contraction code with _quad_tensor: the public
+    # integrand on the full (nodes + 1)^2 mesh, summed with trapezoid weights.
+    # kt3pt's (1,0,1) carries one F_2 table (reversed in the t = 2 form), the
+    # two-point r = (2) two F_2 tables on one block's offset axes, one of them
+    # reversed; both contract on the table. The exponential-like F_2 with a
+    # slope depends on the sum of its rapidities, and is gathered
+    params, kt = _kt_op(b)
+    if case == "kt_101":
+        ops, xy, counts = [kt] * 3, X3, (1, 0, 1)
+    elif case == "kt_r2":
+        ops, xy, counts = [kt] * 2, X3[:2], (2,)
+    else:
+        ops, xy, counts = _el_ops(2.0, 2), X3[:2], (2,)
+    req = CorrelatorRequest(params=params, operators=ops, r=(max(counts),) * (len(xy) - 1),
+                            points=[SpacetimePoint(*p) for p in _boosted(xy, theta)],
+                            L=3.0, mixed_t=mixed_t)
+    _check_against_the_dense_mesh(req, CompositionVector(req.k, counts), monkeypatch, 1e-14)
+
+
+def test_only_two_variable_grids_contract_on_the_difference_table(monkeypatch):
+    # a 2049^2 mesh is 64 MiB per complex array: kt3pt's (1,0,1) gathered its
+    # F_2 onto it and took |F_2| there (a tracemalloc peak near 100 MB); on the
+    # table nothing of the mesh's size is built. The three-variable
+    # composition (2,0,1) of K-transform k = 3, r = (2,1) still gathers each
+    # factor of several axes, and gives the same bits as factors that come
+    # gathered; the two-variable one agrees with them to about 1e-16
+    req = _req(X3, (1, 1), ops=[KT] * 3, nodes=1024, max_nodes=2048, tol=1e-7)
+    comp = CompositionVector(3, (1, 0, 1))
+    compute_I_n(req, comp)
+    tracemalloc.start()
+    try:
+        compute_I_n(req, comp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    req = _req(X3, (2, 1), ops=[KT] * 3, L=5.0, nodes=16, max_nodes=32)
+    comps = enumerate_compositions(3, (2, 1))
+    assert [c.counts for c in comps] == [(1, 1, 0), (2, 0, 1)]
+    reduced = []
+    contract = shgff.correlator._contract
+    monkeypatch.setattr(shgff.correlator, "_contract", lambda multi, *args, **kw: reduced.append(
+        [(np.ndim(f), along) for f, along in multi]) or contract(multi, *args, **kw))
+    got = []
+    for comp in comps:
+        reduced.clear()
+        got.append(_quad_tensor(req, comp, _contours(req, comp), 32))
+        assert all(ndims == ([(1, (0, 1))] if comp.total == 2 else
+                             [(len(along), along) for _, along in ndims])
+                   for ndims in reduced), reduced
+    factors = shgff.correlator._factors
+    monkeypatch.setattr(shgff.correlator, "_factors", lambda r, gamma: [
+        (gather(f) if gather else f, None, None) for f, gather, _ in factors(r, gamma)])
+    want = [_quad_tensor(req, comp, _contours(req, comp), 32) for comp in comps]
+    assert got[1] == want[1]
+    assert all(abs(g - w) <= 1e-15 * abs(w) for g, w in zip(got[0], want[0]))
 
 
 def test_error_estimate_covers_the_true_error():
