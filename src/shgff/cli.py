@@ -17,7 +17,7 @@ import click
 from .combin import _is_finite, blocks, enumerate_compositions
 from .correlator import (
     ContourLadder, CorrelatorRequest, GaussianSmearing, RegionError, SpacetimePoint,
-    compute_W_r, _sum_compositions,
+    _sum_compositions,
 )
 from .formfactor import _check_keys, load_operator, verify_axioms
 from .specfun import ModelParams, min_form_factor, s_matrix
@@ -218,11 +218,8 @@ def correlator_cmd(config_path, output_path, mixed_t, smeared, threads, tol, nod
     request = _request_from(cfg, params, _operators_from(cfg, params), tol, nodes, L,
                             mixed_t, smeared)
     doc_path = _doc_from(cfg)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            result = _sum_compositions(request, pool.map)
-    else:
-        result = compute_W_r(request)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        result = _sum_compositions(request, pool.map)
 
     lines = ["composition,re_I,im_I,err,phase_re,phase_im"]
     for comp, val, err, ph in result.breakdown:

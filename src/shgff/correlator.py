@@ -182,10 +182,11 @@ class CorrelatorRequest:
 
 def _form_factors(request: CorrelatorRequest, gamma: dict) -> list:
     """F^(O_p) of each operator on its incoming/outgoing rapidity word, as
-    (f, gather, pair) triples (see _factors); gamma maps block -> list of
-    contour points (arrays that broadcast). The F_2 of a KTransformProvider
-    depends on the difference of its two rapidities alone: it is evaluated on
-    the args formfactor._difference_lattice plans for them."""
+    (f, pair) pairs (see _factors); gamma maps block -> list of contour
+    points (arrays that broadcast). The F_2 of a KTransformProvider depends
+    on the difference of its two rapidities alone: it is evaluated on the
+    args formfactor._difference_lattice plans for them, and pair is those
+    two rapidities."""
     out = []
     for p, op in enumerate(request.operators, start=1):
         args = []
@@ -193,10 +194,9 @@ def _form_factors(request: CorrelatorRequest, gamma: dict) -> list:
             vs = gamma[blk]
             args.extend([v + 1j * shift for v in reversed(vs)] if shift else vs)
         if len(args) == 2 and isinstance(op.provider, KTransformProvider):
-            lattice, gather = _difference_lattice(*args)
-            out.append((op.provider.evaluate(lattice), gather, args))
+            out.append((op.provider.evaluate(_difference_lattice(*args)[0]), args))
         else:
-            out.append((op.provider.evaluate(args), None, None))
+            out.append((op.provider.evaluate(args), None))
     return out
 
 
@@ -256,20 +256,19 @@ def _factors(request: CorrelatorRequest, gamma: dict) -> list:
     variables in scattering blocks, all of them from one s_matrix call (see
     formfactor._pair_tables), the legs' factors (_leg_factors: a plane wave
     per variable, or a Gaussian transform per operator) and the form factor
-    of each operator (_form_factors). Each is a triple (f, gather, pair): a
-    function of the difference x - y of a pair (x, y) of rapidities, an
-    S-factor or a K-transform F_2, is f on the args
-    formfactor._difference_lattice plans for the pair, which its gather
-    takes onto their axes; every other factor is f itself, with gather and
-    pair None. Each factor, gathered, is a scalar or an array that
-    broadcasts against the contour points."""
+    of each operator (_form_factors). Each is a pair (f, pair). A function
+    of the difference x - y of two rapidities, an S-factor or a K-transform
+    F_2, is f on the args formfactor._difference_lattice plans for them, and
+    pair is (x, y): on open-mesh axes of one uniform step, as every grid of
+    _quad_tensor has them, f is the 1-D table of x[i] - y[j], element
+    i - j + n - 1. Every other factor has pair None, and f is a scalar or an
+    array that broadcasts against the contour points."""
     pairs = [(u, v) for blk1, blk2 in _scattering_pairs(request.k, request.mixed_t)
              for u in gamma.get(blk1, ()) for v in gamma.get(blk2, ())]
-    plans = [_difference_lattice(u, v) for u, v in pairs]
-    s_factors = _pair_tables([args for args, _ in plans],
+    s_factors = _pair_tables([_difference_lattice(u, v)[0] for u, v in pairs],
                              lambda d: (s_matrix(d, request.params),))
-    return ([(s, gather, pair) for (s,), (_, gather), pair in zip(s_factors, plans, pairs)]
-            + [(f, None, None) for f in _leg_factors(request, gamma)]
+    return ([(s, pair) for (s,), pair in zip(s_factors, pairs)]
+            + [(f, None) for f in _leg_factors(request, gamma)]
             + _form_factors(request, gamma))
 
 
@@ -277,9 +276,10 @@ def integrand(request: CorrelatorRequest, comp: CompositionVector, gamma: dict):
     """S-factors x external-leg factors x form-factor product at the given
     contour points (each gamma[blk] a list of complex arrays, broadcastable).
     The legs are plane waves at request.points, or the Gaussian transforms
-    of request.smearings."""
-    return functools.reduce(operator.mul, [gather(f) if gather else f
-                                           for f, gather, _ in _factors(request, gamma)],
+    of request.smearings. Each factor of a rapidity difference is gathered
+    from its table onto its pair's axes (formfactor._difference_lattice)."""
+    return functools.reduce(operator.mul, [_difference_lattice(*pair)[1](f) if pair else f
+                                           for f, pair in _factors(request, gamma)],
                             1.0 + 0.0j)
 
 
@@ -308,12 +308,26 @@ def compute_I_n(request: CorrelatorRequest, comp: CompositionVector) -> tuple[co
     +-L and rounding floor; neither drives the refinement, since a smaller
     step shrinks neither. Deterministic: the integrand's factors are split
     and contracted in an order fixed by which axes each varies along (see
-    _contract), so a composition gives the same bits on every call."""
+    _contract), so a composition gives the same bits on every call.
+    ValueError (see _check_finite) if the integral or its error overflows;
+    a finite integral whose tail is infinite is returned with error inf."""
     quad = functools.partial(_quad_tensor, request, comp, _contours(request, comp))
-    value, tail, floor, coarse = quad(nodes := 2 * request.nodes)
-    while abs(value - coarse) > request.tol and 2 * nodes <= request.max_nodes:
-        value, tail, floor, coarse = quad(nodes := 2 * nodes)
-    return value, abs(value - coarse) + tail + floor
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, tail, floor, coarse = quad(nodes := 2 * request.nodes)
+        while abs(value - coarse) > request.tol and 2 * nodes <= request.max_nodes:
+            value, tail, floor, coarse = quad(nodes := 2 * nodes)
+    error = abs(value - coarse) + tail + floor
+    _check_finite("I_n", comp, value, error)
+    return value, error
+
+
+def _check_finite(name: str, comp: CompositionVector, value: complex, error: float) -> None:
+    """ValueError naming comp unless value is finite and error is not NaN: a
+    request whose numbers overflow the double range is refused like an
+    overflowing ExponentialPn, since no finer grid would mend it."""
+    if not np.isfinite(value) or math.isnan(error):
+        raise ValueError(f"{name} = {value} with error {error} at composition {comp.counts}: "
+                         f"the result overflows the double range")
 
 
 def _quad_tensor(request, comp, contours, nodes) -> tuple[complex, float, float, complex]:
@@ -325,19 +339,19 @@ def _quad_tensor(request, comp, contours, nodes) -> tuple[complex, float, float,
     never multiplied out on the full mesh: they split once into a scalar,
     one vector per axis (the product of the factors along that axis alone,
     which folds into its trapezoid weights) and the factors of several axes,
-    which _contract reduces against the folded weights. On a grid of two
-    variables whose factors of both axes are all functions of their
-    difference (see _factors), those stay on its table and multiply there;
-    from three variables on, and beside a factor of both axes that is not
-    such a function, each factor of several axes is gathered onto them.
+    which _contract reduces against the folded weights. Each function of a
+    rapidity difference (see _factors) stays on its 1-D table, turned to the
+    lower axis minus the higher, and the tables of one pair of axes multiply
+    there; no factor is gathered onto the mesh.
     Returns the value, the tail estimate, the rounding floor and the coarse
     value. The coarse value is the same factors' rule of step 2h on the even
-    points of each axis (`nodes` even), read through strided views. The
-    moduli of the factors, contracted on every axis but one, give the
-    marginal of |integrand| along each axis: the tails come from their ends
-    (see _tail), and the floor is eps * (number of factors + number of
-    axes), plus the rounding of each provider whose F_n here has n >= 2,
-    times the integral of |integrand| on the grid, the sum of a marginal."""
+    points of each axis (`nodes` even), read through strided views (a
+    table's even elements are the coarse grid's table). The moduli of the
+    factors, contracted on every axis but one, give the marginal of
+    |integrand| along each axis: the tails come from their ends (see
+    _tail), and the floor is eps * (number of factors + number of axes),
+    plus the rounding of each provider whose F_n here has n >= 2, times the
+    integral of |integrand| on the grid, the sum of a marginal."""
     # block of each integration variable, in canonical block order
     counts = comp.as_dict()
     block_of = [blk for blk, cnt in counts.items() for _ in range(cnt)]
@@ -352,16 +366,14 @@ def _quad_tensor(request, comp, contours, nodes) -> tuple[complex, float, float,
         gamma[blk].append(grid)
     d = len(block_of)
     factors = _factors(request, gamma)
-    # each factor still on a difference table, turned to the first axis minus the second
-    tables = [f if _open_axis(pair[0]) < _open_axis(pair[1]) else f[::-1]
-              for f, gather, pair in factors if gather and np.ndim(f) == 1]
-    rest = [_along(f, d) for f, gather, _ in factors if not (gather and np.ndim(f) == 1)]
-    if d == 2 and tables and all(len(along) < 2 for _, along in rest):
-        split = rest + [(math.prod(tables), (0, 1))]
-    elif tables:
-        split = [_along(gather(f) if gather else f, d) for f, gather, _ in factors]
-    else:
-        split = rest
+    tables = {}
+    for f, pair in factors:
+        if pair:
+            a, b = map(_open_axis, pair)
+            key = (min(a, b), max(a, b))
+            tables[key] = tables.get(key, 1) * (f if a < b else f[::-1])
+    split = [(t, along) for along, t in tables.items()] + [
+        _along(f, d) for f, pair in factors if not pair]
     scale = math.prod(f for f, along in split if not along)
     folds = [math.prod((f for f, along in split if along == (ax,)), start=np.ones(nodes + 1))
              for ax in range(d)]
@@ -393,23 +405,25 @@ def _along(f, d):
 
 def _contract(multi, weights, keep=None):
     """Sum over the mesh of the product of the factors of several axes (pairs
-    from _along), with weights[ax] along each axis ax; with `keep`, the
-    vector along that axis of the sums over every other axis, its own
-    weights left out. An axis that no factor touches is summed alone. A lone
-    factor, any pair from _along (of zero, one or more axes), is reduced by
-    matrix-vector products, one axis at a time in axis order; a lone
-    difference table t of two axes (a, b) of one length n, a 1-D array whose
-    element t[i - j + n - 1] is the factor at (i, j), by 1-D convolutions of
-    the weights against it, and two or more factors meet in one np.einsum in
-    a greedy order. kernelalg.pair_numeric_with_tail reduces each slab of a
-    pairing's mesh here too."""
+    from _along, or difference tables), with weights[ax] along each axis ax;
+    with `keep`, the vector along that axis of the sums over every other
+    axis, its own weights left out. A difference table t of two axes (a, b)
+    of one length n is a 1-D array whose element t[i - j + n - 1] is the
+    factor at (i, j). An axis that no factor touches is summed alone. A lone
+    table is reduced by 1-D convolutions of the weights against it; a lone
+    factor of any other kind (of zero, one or more axes) by matrix-vector
+    products, one axis at a time in axis order; two or more factors meet in
+    one np.einsum in a greedy order, a table as a contiguous copy of its
+    Toeplitz view (on the strided view itself, einsum's sums round
+    differently from those on the mesh). kernelalg.pair_numeric_with_tail
+    reduces each slab of a pairing's mesh here too."""
     linked = {ax for _, along in multi for ax in along}
     alone = math.prod(np.sum(wa) for ax, wa in enumerate(weights) if ax not in linked | {keep})
     if len(multi) == 1:
         (f, along), = multi
         if f.ndim < len(along):
             a, b = (weights[ax] for ax in along)
-            if keep is None:
+            if keep not in along:
                 return alone * (f @ np.convolve(a, b[::-1]))
             return alone * (np.convolve(f, b, "valid") if keep == along[0]
                             else np.convolve(f[::-1], a, "valid"))
@@ -420,7 +434,9 @@ def _contract(multi, weights, keep=None):
                 f = (weights[ax] @ f.reshape(len(weights[ax]), -1)).reshape(f.shape[1:])
         return alone * f
     if multi:
-        ops = [x for f, along in multi for x in (f, along)]
+        ops = [x for f, along in multi for x in (
+            np.lib.stride_tricks.sliding_window_view(f, len(weights[along[1]]))[:, ::-1].copy()
+            if f.ndim < len(along) else f, along)]
         ops += [x for ax in sorted(linked - {keep}) for x in (weights[ax], [ax])]
         return alone * np.einsum(*ops, [keep] if keep in linked else [], optimize="greedy")
     return alone
@@ -468,7 +484,8 @@ def _sum_compositions(request: CorrelatorRequest, map_=map) -> CorrelatorResult:
     """Sum of phase * I_n / (n! (2 pi)^{|n|}) over the compositions of
     request.r, each I_n from compute_I_n; map_ (an executor's map, say) may
     evaluate the compositions concurrently, while the sum always runs in
-    composition order."""
+    composition order. ValueError (see _check_finite) naming the first
+    composition at which the sum or its error overflows."""
     I_n = functools.partial(compute_I_n, request)
     comps = enumerate_compositions(request.k, tuple(request.r))
     total = 0.0 + 0.0j
@@ -477,8 +494,10 @@ def _sum_compositions(request: CorrelatorRequest, map_=map) -> CorrelatorResult:
     for comp, (val, err) in zip(comps, map_(I_n, comps)):
         ph = _composition_phase(comp, request)
         weight = ph / (comp.factorial_weight() * (2.0 * np.pi) ** comp.total)
-        total += weight * val
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += weight * val
         err_total += abs(weight) * err
+        _check_finite("W", comp, total, err_total)
         breakdown.append((comp, val, err, ph))
     return CorrelatorResult(total, err_total, breakdown, bool(err_total <= request.tol))
 

@@ -193,7 +193,8 @@ def test_correlator_threads_match_serial(runner, tmp_path):
 
 
 def test_correlator_smeared_threads_match_serial(runner, tmp_path, monkeypatch):
-    # --threads runs the compositions on a pool with --smeared too
+    # the compositions run on a pool of --threads workers, one included, with
+    # --smeared too
     path = _write(tmp_path, _variant(SMEARED_CFG, "request", r=[2], nodes=48))
     maps = []
     original = shgff.cli._sum_compositions
@@ -205,7 +206,7 @@ def test_correlator_smeared_threads_match_serial(runner, tmp_path, monkeypatch):
                               "--threads", "4"])
     assert r1.exit_code == EXIT_OK and r2.exit_code == EXIT_OK, (r1.output, r2.output)
     assert Path(out1).read_bytes() == Path(out2).read_bytes()
-    assert len(maps) == 1 and maps[0] is not map
+    assert len(maps) == 2 and map not in maps
 
 
 def test_correlator_threads_reject_bad_mixed(runner, tmp_path):
@@ -313,9 +314,23 @@ NAN_POINT_CFG = _variant(UNIT_CFG, "request", points=[[float("nan"), 1.0], [0.0,
 INFINITE_POINT_CFG = _variant(UNIT_CFG, "request", points=[[0.0, float("inf")], [0.0, 0.0]])
 KT2_CFG = _variant(UNIT_CFG, "request")
 KT2_CFG["operators"] = [KT_CFG["operators"][0]] * 2
+# K-transform operators whose F_1 is near 1e300, so the product of two overflows
+HUGE_T_CFG = _variant(dict(KT2_CFG, operators=[
+    {"provider": {"kind": "k-transform", "t": 1e300}}] * 2), "request", nodes=16)
 DOC_CFG = _variant(UNIT_CFG, "output", doc="missing/report.txt")
 FD_DOC_CFG = _variant(UNIT_CFG, "output", doc=1)
 LIST_OUTPUT_CFG = dict(UNIT_CFG, output=[])
+
+
+def test_correlator_overflow_prints_no_row(runner, tmp_path):
+    # it printed 1,inf,inf,nan and total,nan,nan,nan before exiting 4; the
+    # refusal is the one line of output, on one thread or two
+    path = _write(tmp_path, HUGE_T_CFG)
+    for threads in ("1", "2"):
+        res = runner.invoke(main, ["correlator", "--config", path, "--threads", threads])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.output.startswith("config error: I_n = (inf+infj)")
+        assert len(res.output.splitlines()) == 1
 
 
 def _boom(*args, **kwargs):
@@ -381,9 +396,9 @@ EXIT_TABLE = [
                  None, EXIT_CONFIG, "config error: [Errno 2]", id="correlator-bad-output"),
     pytest.param(["correlator", "--config", "CFG"], DOC_CFG, None, EXIT_CONFIG,
                  "config error: [Errno 2]", id="correlator-bad-doc"),
-    pytest.param(["correlator", "--config", "CFG"], FD_DOC_CFG, "compute_W_r", EXIT_CONFIG,
-                 "config error: bad output section", id="correlator-doc-not-a-path"),
-    pytest.param(["correlator", "--config", "CFG"], LIST_OUTPUT_CFG, "compute_W_r",
+    pytest.param(["correlator", "--config", "CFG"], FD_DOC_CFG, "_sum_compositions",
+                 EXIT_CONFIG, "config error: bad output section", id="correlator-doc-not-a-path"),
+    pytest.param(["correlator", "--config", "CFG"], LIST_OUTPUT_CFG, "_sum_compositions",
                  EXIT_CONFIG, "config error: bad output section", id="correlator-output-list"),
     pytest.param(["correlator", "--config", "CFG"], EL_CFG, None, EXIT_CONFIG,
                  "config error: no coefficient provided for n = 2",
@@ -565,8 +580,20 @@ EXIT_TABLE = [
                  id="correlator-infinite-tol"),
     pytest.param(["correlator", "--config", "CFG"], UNCONVERGED_CFG, None, EXIT_NONCONVERGED,
                  "non-convergence: error estimate", id="correlator-unconverged"),
-    pytest.param(["correlator", "--config", "CFG"], UNIT_CFG, "compute_W_r", EXIT_INTERNAL,
-                 "internal error: boom", id="correlator-internal"),
+    # F_1 near 1e300 per operator: the scale overflowed, with RuntimeWarnings, to the rows
+    # 1,inf,inf,nan and total,nan,nan,nan and exit 4
+    pytest.param(["correlator", "--config", "CFG"], HUGE_T_CFG, None, EXIT_CONFIG,
+                 "config error: I_n = (inf+infj) with error nan at composition (1,): "
+                 "the result overflows the double range", id="correlator-t-1e300-r1"),
+    # a finite I_n whose |integrand| rises toward +L: an infinite tail is non-convergence
+    pytest.param(["correlator", "--config", "CFG"],
+                 _variant(dict(UNIT_CFG, operators=[{"provider": {
+                     "kind": "exponential-like", "coefficients": [1, 1], "slope": 10}}] * 2),
+                     "request", L=3.0),
+                 None, EXIT_NONCONVERGED, "non-convergence: error estimate inf",
+                 id="correlator-infinite-tail"),
+    pytest.param(["correlator", "--config", "CFG"], UNIT_CFG, "_sum_compositions",
+                 EXIT_INTERNAL, "internal error: boom", id="correlator-internal"),
 ]
 
 

@@ -22,7 +22,8 @@ from shgff.correlator import (
     default_ladder, eta_max, integrand, smeared_correlator,
 )
 from shgff.formfactor import (
-    ExponentialPn, KTransformProvider, OperatorSpec, load_operator,
+    ExponentialPn, KTransformProvider, OperatorSpec, _difference_lattice, _open_axis,
+    load_operator,
 )
 from shgff.ladder import _clearances, _occupied, _spread_ladder
 from shgff.specfun import ModelParams
@@ -610,8 +611,8 @@ def _el_ops(slope, k):
     return [load_operator(op, P) for _ in range(k)]
 
 
-@pytest.mark.parametrize("case", ["kt_101", "kt_r2", "kt_unit_r3", "k4", "k4_t2", "smeared_r2",
-                                  "el_slope2", "el_slope10"])
+@pytest.mark.parametrize("case", ["kt_101", "kt_r2", "kt_unit_r3", "k4", "k4_t2", "k4_t2_lone",
+                                  "smeared_r2", "el_slope2", "el_slope10"])
 def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
     # every kind of factor: a 2-axis F_2 with 1-axis plane waves, two
     # variables of one block, 2-axis S-factors (plain and t = 2), and a
@@ -621,7 +622,8 @@ def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
     # factors growing like exp(slope * gamma) against the plane waves' decay
     # give a finite tail (1.2094609694182727 at slope 2 and 96 intervals)
     # and, at slope 10, an |integrand| that rises toward +L, whose tail is
-    # infinite
+    # infinite. In the t = 2 form, k = 4's (0,1,1,0,0,1) has one S-factor
+    # table, of axes 0 and 1, beside a third axis that no factor links
     if case.startswith("el_"):
         ops = _el_ops(float(case.removeprefix("el_slope")), 2)
         req, counts = _req(X3[:2], (1,), ops=ops, L=3.0), (1,)
@@ -631,6 +633,8 @@ def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
         req, counts = _req(X3[:2], (2,), ops=[KT] * 2, L=3.0), (2,)
     elif case == "kt_unit_r3":
         req, counts = _req(X3[:2], (3,), ops=[KT] + _unit_ops(1), L=3.0), (3,)
+    elif case == "k4_t2_lone":
+        req, counts = _req(X4, (1, 2, 1), L=3.0, mixed_t=2), (0, 1, 1, 0, 0, 1)
     elif case.startswith("k4"):
         mixed_t = 2 if case == "k4_t2" else None
         req, counts = _req(X4, (1, 2, 1), L=3.0, mixed_t=mixed_t), (0, 1, 0, 0, 1, 0)
@@ -641,15 +645,16 @@ def test_factor_contraction_matches_the_dense_mesh(case, monkeypatch):
                                   infinite_tail=case == "el_slope10")
 
 
-def _check_against_the_dense_mesh(req, comp, monkeypatch, rel, infinite_tail=False):
+def _check_against_the_dense_mesh(req, comp, monkeypatch, rel, infinite_tail=False,
+                                  grids=(48, 96)):
     """_quad_tensor's value and coarse value within `rel`, and its tail (finite
     unless `infinite_tail`) and floor within 1e-13, of those of _dense_quad,
-    at 48 and 96 intervals."""
+    at each number of intervals in `grids`."""
     seen = []
     factors = shgff.correlator._factors
     monkeypatch.setattr(shgff.correlator, "_factors",
                         lambda r, gamma: seen.append(gamma) or factors(r, gamma))
-    for nodes in (48, 96):
+    for nodes in grids:
         seen.clear()
         got = _quad_tensor(req, comp, _contours(req, comp), nodes)
         want = _dense_quad(req, comp, nodes, seen[0])
@@ -682,43 +687,48 @@ def _boosted(xy, theta):
     return [(x0 * ch + x1 * sh, x0 * sh + x1 * ch) for x0, x1 in xy]
 
 
-TWO_VARIABLE_CASES = [
+MESH_CASES = [
     *(pytest.param("kt_101", b, theta, mixed_t, id=f"kt_101-b{b}-theta{theta}-t{mixed_t}")
       for b in (0.05, 0.25, 0.45) for theta in (0.0, 0.17) for mixed_t in (None, 2)),
     *(pytest.param("kt_r2", b, 0.0, None, id=f"kt_r2-b{b}") for b in (0.05, 0.25, 0.45)),
     pytest.param("el_slope2", 0.25, 0.0, None, id="el_slope2"),
+    *(pytest.param(case, 0.25, 0.0, mixed_t, id=f"{case}-t{mixed_t}")
+      for case in ("kt3_201", "kt4_101001", "kt3_202") for mixed_t in (None, 2)),
 ]
 
 
-@pytest.mark.parametrize("case, b, theta, mixed_t", TWO_VARIABLE_CASES)
-def test_two_variable_grids_match_the_integrand_summed_on_the_mesh(case, b, theta, mixed_t,
-                                                                    monkeypatch):
+@pytest.mark.parametrize("case, b, theta, mixed_t", MESH_CASES)
+def test_grids_match_the_integrand_summed_on_the_mesh(case, b, theta, mixed_t, monkeypatch):
     # an oracle that shares no contraction code with _quad_tensor: the public
-    # integrand on the full (nodes + 1)^2 mesh, summed with trapezoid weights.
+    # integrand on the full (nodes + 1)^d mesh, summed with trapezoid weights.
     # kt3pt's (1,0,1) carries one F_2 table (reversed in the t = 2 form), the
     # two-point r = (2) two F_2 tables on one block's offset axes, one of them
     # reversed; both contract on the table. The exponential-like F_2 with a
-    # slope depends on the sum of its rapidities, and is gathered
+    # slope depends on the sum of its rapidities: a mesh factor of both axes,
+    # which the tables meet in one einsum. From three variables on, tables
+    # meet each other and the K-transform F_n of n >= 3 there: K-transform
+    # k = 3, r = (2, 1)'s (2,0,1) and k = 4, r = (1, 1, 1)'s (1,0,1,0,0,1) on
+    # 97^3 meshes, and k = 3, r = (2, 2)'s four-variable (2,0,2) on 17^4
     params, kt = _kt_op(b)
-    if case == "kt_101":
-        ops, xy, counts = [kt] * 3, X3, (1, 0, 1)
-    elif case == "kt_r2":
-        ops, xy, counts = [kt] * 2, X3[:2], (2,)
-    else:
-        ops, xy, counts = _el_ops(2.0, 2), X3[:2], (2,)
-    req = CorrelatorRequest(params=params, operators=ops, r=(max(counts),) * (len(xy) - 1),
+    ops, xy, r, counts = {
+        "kt_101": ([kt] * 3, X3, (1, 1), (1, 0, 1)),
+        "kt_r2": ([kt] * 2, X3[:2], (2,), (2,)),
+        "el_slope2": (_el_ops(2.0, 2), X3[:2], (2,), (2,)),
+        "kt3_201": ([kt] * 3, X3, (2, 1), (2, 0, 1)),
+        "kt4_101001": ([kt] * 4, X4, (1, 1, 1), (1, 0, 1, 0, 0, 1)),
+        "kt3_202": ([kt] * 3, X3, (2, 2), (2, 0, 2)),
+    }[case]
+    req = CorrelatorRequest(params=params, operators=ops, r=r,
                             points=[SpacetimePoint(*p) for p in _boosted(xy, theta)],
                             L=3.0, mixed_t=mixed_t)
-    _check_against_the_dense_mesh(req, CompositionVector(req.k, counts), monkeypatch, 1e-14)
+    _check_against_the_dense_mesh(req, CompositionVector(req.k, counts), monkeypatch, 1e-14,
+                                  grids=(8, 16) if sum(counts) == 4 else (48, 96))
 
 
-def test_only_two_variable_grids_contract_on_the_difference_table(monkeypatch):
+def test_every_difference_factor_contracts_on_its_table(monkeypatch):
     # a 2049^2 mesh is 64 MiB per complex array: kt3pt's (1,0,1) gathered its
     # F_2 onto it and took |F_2| there (a tracemalloc peak near 100 MB); on the
-    # table nothing of the mesh's size is built. The three-variable
-    # composition (2,0,1) of K-transform k = 3, r = (2,1) still gathers each
-    # factor of several axes, and gives the same bits as factors that come
-    # gathered; the two-variable one agrees with them to about 1e-16
+    # table nothing of the mesh's size is built
     req = _req(X3, (1, 1), ops=[KT] * 3, nodes=1024, max_nodes=2048, tol=1e-7)
     comp = CompositionVector(3, (1, 0, 1))
     compute_I_n(req, comp)
@@ -729,23 +739,42 @@ def test_only_two_variable_grids_contract_on_the_difference_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+    # on grids of 2, 3 and 4 variables, every S-factor and K-transform F_2
+    # reaches _contract as one 1-D table per pair of axes; the one other kind
+    # of factor of several axes, a K-transform F_n with n >= 3, spans n axes
+    pairs, reduced = [], []
+    factors, contract = shgff.correlator._factors, shgff.correlator._contract
+    monkeypatch.setattr(shgff.correlator, "_factors", lambda r, gamma: pairs.extend(
+        tuple(sorted(map(_open_axis, pair))) for _, pair in factors(r, gamma) if pair)
+        or factors(r, gamma))
+    monkeypatch.setattr(shgff.correlator, "_contract", lambda multi, *args, **kw: reduced.append(
+        [(np.ndim(f), along) for f, along in multi]) or contract(multi, *args, **kw))
+    sizes = set()
+    for (xy, r), mixed_t in itertools.product(((X3, (2, 1)), (X3, (2, 2)), (X4, (1, 1, 1))),
+                                              (None, 2)):
+        req = _req(xy, r, ops=[KT] * len(xy), L=5.0, nodes=8, max_nodes=16, mixed_t=mixed_t)
+        for comp in enumerate_compositions(req.k, r):
+            pairs.clear()
+            reduced.clear()
+            _quad_tensor(req, comp, _contours(req, comp), 16)
+            if pairs:
+                sizes.add(comp.total)
+            assert len(reduced) == 2 + comp.total
+            for ndims in reduced:
+                assert sorted(along for ndim, along in ndims if ndim == 1) == sorted(set(pairs))
+                assert all(ndim == 1 if len(along) == 2 else ndim == len(along) >= 3
+                           for ndim, along in ndims), ndims
+    assert sizes == {2, 3, 4}
+    # the three-variable composition (2,0,1) of K-transform k = 3, r = (2, 1)
+    # gives the same bits as its factors gathered onto the mesh, and the
+    # two-variable one agrees with them to about 1e-16
+    monkeypatch.undo()
     req = _req(X3, (2, 1), ops=[KT] * 3, L=5.0, nodes=16, max_nodes=32)
     comps = enumerate_compositions(3, (2, 1))
     assert [c.counts for c in comps] == [(1, 1, 0), (2, 0, 1)]
-    reduced = []
-    contract = shgff.correlator._contract
-    monkeypatch.setattr(shgff.correlator, "_contract", lambda multi, *args, **kw: reduced.append(
-        [(np.ndim(f), along) for f, along in multi]) or contract(multi, *args, **kw))
-    got = []
-    for comp in comps:
-        reduced.clear()
-        got.append(_quad_tensor(req, comp, _contours(req, comp), 32))
-        assert all(ndims == ([(1, (0, 1))] if comp.total == 2 else
-                             [(len(along), along) for _, along in ndims])
-                   for ndims in reduced), reduced
-    factors = shgff.correlator._factors
+    got = [_quad_tensor(req, comp, _contours(req, comp), 32) for comp in comps]
     monkeypatch.setattr(shgff.correlator, "_factors", lambda r, gamma: [
-        (gather(f) if gather else f, None, None) for f, gather, _ in factors(r, gamma)])
+        (_difference_lattice(*pair)[1](f) if pair else f, None) for f, pair in factors(r, gamma)])
     want = [_quad_tensor(req, comp, _contours(req, comp), 32) for comp in comps]
     assert got[1] == want[1]
     assert all(abs(g - w) <= 1e-15 * abs(w) for g, w in zip(got[0], want[0]))
@@ -833,6 +862,29 @@ def test_request_refuses_an_L_whose_contours_overflow_exp():
         res = compute_W_r(_req(points, (2,), L=L))
         assert np.isfinite(res.value) and np.isfinite(res.error)
         assert res.converged is False
+
+
+def test_an_overflowing_integral_is_refused_by_its_composition(monkeypatch):
+    # t = 1e300: each operator's F_1 is near 1e300, so their product, the
+    # grid's scalar, overflowed with RuntimeWarnings (pytest turns them into
+    # errors here) to I_n = inf + inf j, error and W nan
+    huge = OperatorSpec("kt", 0.0, 0.0, 0.0, KTransformProvider(ExponentialPn(P, t=1e300), P))
+    req = _req(X3[:2], (1,), ops=[huge] * 2, nodes=16)
+    message = r"I_n = \(inf\+infj\) with error nan at composition \(1,\)"
+    with pytest.raises(ValueError, match=message):
+        compute_I_n(req, CompositionVector(2, (1,)))
+    with pytest.raises(ValueError, match=message):
+        compute_W_r(req)
+    # finite values whose weighted sum overflows name the composition it reaches
+    monkeypatch.setattr(shgff.correlator, "compute_I_n", lambda request, comp: (1e308, 0.0))
+    monkeypatch.setattr(shgff.correlator, "_composition_phase",
+                        lambda comp, request: np.complex128(1e10 ** (comp.total - 1)))
+    with pytest.raises(ValueError, match=r"W = \(inf.* at composition \(1, 0, 1\)"):
+        compute_W_r(_req(X3, (1, 1)))
+    # a finite integral with an infinite tail is an unconverged result
+    monkeypatch.undo()
+    res = compute_W_r(_req(X3[:2], (1,), ops=_el_ops(10.0, 2), L=3.0))
+    assert np.isfinite(res.value) and res.error == np.inf and not res.converged
 
 
 def test_max_nodes_below_the_second_level_is_rejected():
