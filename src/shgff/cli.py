@@ -135,6 +135,9 @@ def main():
 def specfun_cmd(b, mass, betas):
     """Evaluate the two-body S-matrix and minimal form factor."""
     params = ModelParams(b=b, mass=mass)
+    # an infinite rapidity ended in internal error and a NaN printed a nan row
+    if not all(map(_is_finite, betas)):
+        raise ValueError(f"rapidities must be finite real numbers, got {list(betas)!r}")
     click.echo("beta,re(S),im(S),re(F),im(F)")
     for be in betas:
         s = s_matrix(be, params)

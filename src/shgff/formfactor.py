@@ -271,9 +271,9 @@ class KTransformProvider(FormFactorProvider):
 
     pole_free = False
     # the largest relative change of min_form_factor under a one-ulp change
-    # of Re beta in [-12, 12] at b = 1/4: 8.0e-15 on Im beta = 2 pi / 3,
-    # kt3pt's F_2 contour, and 1.04e-14 on Im beta = pi (480001 points each)
-    rounding = 1.1e-14
+    # of Re beta in [-12, 12] at b = 1/4: 9.7e-16 on Im beta = 2 pi / 3,
+    # kt3pt's F_2 contour, and 7.1e-16 on Im beta = pi (480001 points each)
+    rounding = 1e-15
 
     def __init__(self, pn: ExponentialPn, params: ModelParams):
         self.pn = pn

@@ -14,6 +14,7 @@ A kernel term is fully determined by
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -247,7 +248,8 @@ def pair_numeric_with_tail(kernel, alphas, test, op, params,
     term's coefficient then carries each slab sum into the totals. The
     reduction runs slab by slab because F and the test function each span
     every free axis, so no contraction order keeps a whole term's mesh from
-    being materialised."""
+    being materialised. Terms share their rules: each distinct (pole set,
+    axis) rule is built once per call."""
     _check_grid(nodes, L)
     n, m = kernel.n, kernel.m
     if len(alphas) != n:
@@ -258,6 +260,13 @@ def pair_numeric_with_tail(kernel, alphas, test, op, params,
     aval = {A[i]: complex(alphas[i]) for i in range(n)}
     phase = np.exp(-2j * np.pi * op.omega)
     sfun = lambda d: s_matrix(d, params)
+
+    @functools.cache
+    def rule(poles: tuple, k: int):
+        """The rule of free axis k, with its own node offset and probe radius,
+        so that no two axes share a point; built once per (poles, k)."""
+        return _rule_1d(poles, L, nodes, _PROBE_DELTA * (1.0 + 0.618 * k),
+                        (k + 1) * _GOLDEN % 1.0)
 
     totals = [0.0 + 0.0j] * (2 - nodes % 2)
     for term in kernel.terms:
@@ -277,13 +286,10 @@ def pair_numeric_with_tail(kernel, alphas, test, op, params,
         # at v = u, approached from below, for every +i pi-shifted slot value
         # u, and F(v - d + i pi) at v = d, from above, for every -i pi-shifted
         # value d (the shifted values are Dirac-fixed alpha's)
-        poles = [] if op.provider.pole_free else (
+        poles = () if op.provider.pole_free else tuple(
             [(fixed[s.base()].real, -1) for s in term.ff_word if s.shift > 0]
             + [(fixed[s.base()].real, +1) for s in term.ff_word if s.shift < 0])
-        # one step on every axis, with staggered node offsets and probe radii
-        # so that no two axes share a point
-        rules = [_rule_1d(poles, L, nodes, _PROBE_DELTA * (1.0 + 0.618 * k),
-                          (k + 1) * _GOLDEN % 1.0) for k in range(len(free))]
+        rules = [rule(poles, k) for k in range(len(free))]
         coef = term.sign * phase ** term.phase_power / (2.0 * np.pi) ** len(free)
         step = max(1, _PAIR_CHUNK // math.prod(len(x) for x, _, _ in rules[1:]))
         for lo in range(0, len(rules[0][0]) if rules else 1, step):

@@ -2,10 +2,20 @@
 
 Everything here is vectorized over numpy arrays of complex rapidities; scalars
 come back as python complex.
+
+The minimal form factor takes no Barnes G value. Kinkelin's reflection
+formula, log G(1-x) - log G(1+x) = int_0^x pi t cot(pi t) dt - x log 2 pi
+(Adamchik, Contributions to the theory of the Barnes function, 2003), turns
+each quotient w_e(z) of four G's into (2 pi)^(1-2e) times the exponential of
+-int_{e+z}^{1-e+z} pi x cot(pi x) dx, which is elementary plus two
+dilogarithms of q = exp(2 pi i x). Its branches are principal where every
+|q| <= 1 (Im z >= 0), and Im z < 0 is the conjugate at conj z (see varpi and
+_quotients). log_barnes_g is the public Barnes G.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -17,7 +27,7 @@ ZETA_PRIME_MINUS_ONE = -0.16542114370045092921
 LOG_SQRT_TWO_PI = 0.5 * np.log(2.0 * np.pi)
 
 # Bernoulli numbers B_2, B_4, ..., B_22 for the asymptotic tails of log Gamma
-# and log G (DLMF 5.11.1, 5.17.5)
+# and log G (DLMF 5.11.1, 5.17.5) and the series of the dilogarithm
 _BERNOULLI_2K = [
     1.0 / 6.0,          # B_2
     -1.0 / 30.0,        # B_4
@@ -96,8 +106,16 @@ def _horner(coeffs, u):
 _SHIFT_RADIUS = 8.0
 # Elements evaluated together, so that their temporaries stay in cache
 _CHUNK = 8192
-# Elements times steps of one block of _log_ratio's rising sums
-_RISING_BLOCK = 16384
+
+
+def _by_chunk(f, arr):
+    """f on the flattened array, _CHUNK elements a call, reshaped back; a
+    scalar comes back as python complex."""
+    flat = arr.ravel()
+    out = np.empty_like(flat)
+    for s in range(0, flat.size, _CHUNK):
+        out[s:s + _CHUNK] = f(flat[s:s + _CHUNK])
+    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _shift(z):
@@ -147,15 +165,11 @@ def log_barnes_g(z):
     of the array, and the elements are evaluated _CHUNK at a time. Raises
     SpecialFunctionError within POLE_TOL of a zero z = 0, -1, -2, ...
     """
-    arr, scalar = _as_array(z)
+    arr = np.asarray(z, dtype=complex)
     k = np.round(arr.real)
     if np.any((np.abs(arr - k) < POLE_TOL) & (k <= 0)):
         raise SpecialFunctionError("log_barnes_g evaluated at a zero of G (z <= 0 integer)")
-    flat = arr.ravel()
-    out = np.empty_like(flat)
-    for s in range(0, flat.size, _CHUNK):
-        out[s:s + _CHUNK] = _log_barnes_flat(flat[s:s + _CHUNK])
-    return complex(out[0]) if scalar else out.reshape(arr.shape)
+    return _by_chunk(_log_barnes_flat, arr)
 
 
 def s_matrix(beta, params: ModelParams):
@@ -175,128 +189,125 @@ def s_matrix(beta, params: ModelParams):
     return complex(out) if scalar else out
 
 
-def _complex(re, im):
-    """The complex array re + i im, without arithmetic on either part."""
-    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    out.real, out.imag = re, im
+# B_2k / (2k+1)!, k = 1..9: Li_2(q) = -v Q(v), Q(v) = 1 + v/4 + sum_k B_2k v^2k / (2k+1)!
+# at v = log(1 - q); |v| <= pi/3 wherever _quotients sums it, so the first
+# omitted term is below 3e-17, an eighth of an ulp of Li_2 there
+_LI2_TAIL = [b / math.factorial(2 * k + 1) for k, b in enumerate(_BERNOULLI_2K[:9], start=1)]
+
+
+def _cmul(a, b):
+    """(a_re + i a_im)(b_re + i b_im) for (re, im) pairs of real arrays.
+    Real arithmetic, because numpy's complex product takes a fused or an
+    unfused loop depending on the operands' memory, so an element's bits
+    would depend on the rest of the array."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _li2_q(v):
+    """Q(v) of _LI2_TAIL for a (re, im) pair v. Its polynomial P in w = v^2
+    (real coefficients at a complex point) runs by the second-order
+    recurrence b_j = c_j + 2 Re w b_j+1 - |w|^2 b_j+2, four real operations
+    a step, and P = c_1 + w b_2 - |w|^2 b_3."""
+    wr, wi = _cmul(v, v)
+    t, r = 2.0 * wr, wr * wr + wi * wi
+    b1, b2 = _LI2_TAIL[-1], 0.0
+    for c in reversed(_LI2_TAIL[1:-1]):
+        b1, b2 = c + t * b1 - r * b2, b1
+    pr, pi = _cmul((wr, wi), (wr * b1 + (_LI2_TAIL[0] - r * b2), wi * b1))
+    return pr + 0.25 * v[0] + 1.0, pi + 0.25 * v[1]
+
+
+def _quotients(beta, exponents, prefactor: bool):
+    """The product of w_e(z) over `exponents` (a repeated exponent is
+    evaluated once), times -i sinh(beta/2)/pi if `prefactor`, at
+    z = i beta/(2 pi), on a 1-D array of beta; see varpi for the formula.
+
+    With sigma = |Re beta|, tau = Im beta and z = i (sigma + i tau)/(2 pi),
+    each x = e + z and 1 - e + z is one row of q = exp(2 pi i x) =
+    exp(-sigma + i phi), phi = 2 pi Re x. A row's T = 2 pi i x log(1 - q) + Li_2(q) is
+        Re q <= 1/2:  (-sigma + i phi) v - v Q(v),         v = log(1 - q),
+        Re q > 1/2:   2 pi i k log(1 - q) + pi^2/6 + v Q(v),   v = log q,
+    the second by Li_2(q) + Li_2(1 - q) = pi^2/6 - log q log(1 - q), with
+    log q = -sigma + i (phi - 2 pi k), k = round(phi / 2 pi), and Li_2 = -v Q
+    (_LI2_TAIL), one series for every row, |v| <= pi/3. At q = 1 and k = 0
+    (x = 0, the removable point of pi x cot pi x) T is pi^2/6; q = 1 with
+    k != 0 is a zero of one of the four G's and raises SpecialFunctionError
+    within POLE_TOL. 1 - q and (1 - e^-beta) e^(i tau/2) come from cos and
+    sin of tau/2, e^-sigma and expm1(-sigma) with no cancellation, each log
+    from a real log and arctan2, and the e^(sigma/2) of the prefactor
+    cancels the quotients' e^(-sigma/2) before any exponential is taken.
+    Re beta < 0 is evaluated at -conj(beta) and conjugated."""
+    flip = beta.real < 0.0
+    sigma, tau = np.abs(beta.real), beta.imag
+    distinct = list(dict.fromkeys(exponents))
+    weight = np.array([[exponents.count(e)] for e in distinct], dtype=float)
+    # each row's Re x at z = 0: e, then 1 - e, so that w_1/2 has two equal rows
+    rows = np.array([[r] for e in distinct for r in (e, 1.0 - e)])
+    phi = 2.0 * np.pi * rows - tau
+    k = np.round(phi / (2.0 * np.pi))
+    wrapped = phi - 2.0 * np.pi * k
+    near = sigma < 2.0 * np.pi * POLE_TOL
+    if near.any() and np.any((np.hypot(wrapped[:, near], sigma[near]) < 2.0 * np.pi * POLE_TOL)
+                             & (k[:, near] != 0.0)):
+        raise SpecialFunctionError("min_form_factor: a Barnes G argument of "
+                                   "w_b(z) is at a zero of G (0, -1, -2, ...)")
+    half = 0.5 * tau
+    ch, sh = np.cos(half), np.sin(half)
+    ca, sa = np.cos(np.pi * rows), np.sin(np.pi * rows)
+    # sin and cos of phi / 2
+    s, c = sa * ch - ca * sh, ca * ch + sa * sh
+    log_abs_q = -sigma
+    em, m = np.exp(log_abs_q), np.expm1(log_abs_q)
+    es = 2.0 * em * s
+    ess = es * s
+    re, im = ess - m, -es * c       # 1 - q
+    d = re * re + im * im
+    g = 0.5 * np.log(d, out=np.zeros_like(d), where=d > 0.0), np.arctan2(im, re)
+    refl = em - ess > 0.5           # Re q > 1/2
+    v = np.where(refl, log_abs_q, g[0]), np.where(refl, wrapped, g[1])
+    vq = _cmul(v, _li2_q(v))
+    tr, ti = _cmul((np.where(refl, 0.0, log_abs_q), phi - np.where(refl, wrapped, 0.0)), g)
+    tr += np.where(refl, vq[0] + np.pi ** 2 / 6.0, -vq[0])
+    ti += np.where(refl, vq[1], -vq[1])
+    # sum_e (1 - 2e) (log 2 pi - sigma/2 + i (pi - tau)/2) + i (T_2 - T_1) / 2 pi,
+    # and sigma/2 - log 2 pi more with the prefactor
+    lead = len(exponents) - 2.0 * sum(exponents)
+    dr = (weight * (tr[1::2] - tr[::2])).sum(axis=0)
+    di = (weight * (ti[1::2] - ti[::2])).sum(axis=0)
+    mag = np.exp((lead - prefactor) * (np.log(2.0 * np.pi) - 0.5 * sigma) - di / (2.0 * np.pi))
+    arg = 0.5 * lead * (np.pi - tau) + dr / (2.0 * np.pi)
+    re, im = mag * np.cos(arg), mag * np.sin(arg)
+    if prefactor:
+        # -i sinh(beta/2)/pi = e^(sigma/2) (1 - e^-beta) e^(i tau/2) / (2 pi i)
+        re, im = _cmul((re, im), ((1.0 + em) * sh, m * ch))
+    out = np.empty(beta.shape, dtype=complex)
+    out.real, out.imag = re, np.where(flip, -im, im)
     return out
-
-
-def _log_ratio(xr, y, a):
-    """R(x) = log G(x + a) - log G(x), up to a multiple of 2 pi i, for
-    x = xr + i y and real a, elementwise (a broadcasts against x).
-
-    Both arguments take one shift n, so that w = x + n - 1 has Re w >= 8 and
-    Re(w + a) >= 8. log_barnes_g's identity at x and at x + a then gives
-        R(x) = D_G(w) - n D_Gamma(w) + sum_{i<n} (i+1) log((x+a+i)/(x+i)),
-    where D_f(w) = log f(1+w+a) - log f(1+w) is taken from the asymptotic
-    series of log G(1+w) and log Gamma(1+w). Their leading terms are
-    differenced exactly, through L = log(w+a) - log w = log((x+a+n-1)/(x+n-1)):
-        D_G = s/2 log w + (w+a)^2/2 L - 3s/4 + a log sqrt(2 pi) - L/12,
-        D_Gamma = a log w + (w+a+1/2) L - a,        s = 2aw + a^2,
-    which with p = x + a/2 - 1 sum to
-        D_G - n D_Gamma = a (p (log w - 3/2) + log sqrt(2 pi) - n/2)
-                          + ((p + a/2)^2/2 - n(n+1)/2 - 1/12) L.
-    The B_2..B_22 tails are evaluated at w and at w + a. Each quotient
-    (x+a+i)/(x+i), L included, costs one real log1p and one arctan2, and
-    log w is built from real functions too. No term of order w^2 log w is
-    subtracted, so R keeps the accuracy of its value; at a = 0 it is 0.
-    """
-    n = np.maximum(0.0, np.ceil(_SHIFT_RADIUS + 1.0 - xr - np.minimum(a, 0.0)))
-    y2, nay, a2 = y * y, -a * y, a + a
-    num = a2 * xr + a * a
-
-    def log_quotient(i, out):
-        """2 Re and Im of log((x+a+i)/(x+i)) into out[0] and out[1];
-        returns Re(x+i) and |x+i|^2."""
-        re = xr + i
-        d = re * re + y2
-        np.log1p((num + a2 * i) / d, out=out[0])
-        np.arctan2(nay, a * re + d, out=out[1])
-        return re, d
-
-    # x or x + a within POLE_TOL of 0, -1, -2, ...? Only where |y| < POLE_TOL
-    tol2 = POLE_TOL * POLE_TOL
-    near = y2 < tol2
-    if near.any():
-        re = xr[near]
-        re = np.stack([re, re + np.broadcast_to(a, xr.shape)[near]])
-        k = np.round(re)
-        if np.any(((re - k) ** 2 + y2[near] < tol2) & (k <= 0.0)):
-            raise SpecialFunctionError("min_form_factor: a Barnes G argument of "
-                                       "w_b(z) is at a zero of G (0, -1, -2, ...)")
-    # the rising sums, weighted i + 1 where i < n, a block of steps at a time;
-    # slot 0 of a block carries the sum so far, so that every element adds its
-    # terms in the order of i, however the steps are blocked
-    rising = np.zeros((2,) + xr.shape)
-    steps = int(n.max())
-    block = max(1, _RISING_BLOCK // xr.size)
-    for start in range(0, steps, block):
-        i = np.arange(start, min(start + block, steps)).reshape((-1,) + (1,) * xr.ndim)
-        q = np.empty((2, len(i) + 1) + xr.shape)
-        q[:, 0] = rising
-        log_quotient(i, q[:, 1:])
-        q[:, 1:] *= np.where(i < n, i + 1.0, 0.0)
-        rising = q.sum(axis=1)
-    L = np.empty(xr.shape, dtype=complex)
-    wr, d = log_quotient(n - 1.0, (L.real, L.imag))
-    L.real *= 0.5
-    log_w = _complex(0.5 * np.log(d) - 1.5, np.arctan2(y, wr))
-    # the tails at w and w + a: the Barnes series in u = 1/v^2, the Gamma series over v
-    v = np.empty((2,) + xr.shape, dtype=complex)
-    v.real[0] = wr
-    np.add(wr, a, out=v.real[1])
-    v.imag[...] = y
-    u = 1.0 / (v * v)
-    tail = u * _horner(_BARNES_TAIL, u) - n * (_horner(_GAMMA_TAIL, u) / v)
-    p = _complex(xr + (0.5 * a - 1.0), y)
-    d = p + 0.5 * a
-    out = a * (p * log_w + (LOG_SQRT_TWO_PI - 0.5 * n))
-    out += (0.5 * d * d - (0.5 * n * (n + 1.0) + 1.0 / 12.0)) * L
-    out += tail[1] - tail[0]
-    out.real += 0.5 * rising[0]
-    out.imag += rising[1]
-    return out
-
-
-def _log_varpi(z, exponents):
-    """The sum over the exponents b of log w_b(z), up to a multiple of 2 pi i,
-    each as two ratios, log w_b(z) = R(b - z) + R(1 + b + z) with
-    R(x) = log G(x + a) - log G(x) and a = 1 - 2b (see _log_ratio): the
-    four Barnes arguments of w_b are x and x + a at x = b - z and 1 + b + z.
-    In chunks of _CHUNK elements of the flattened z, each chunk one
-    _log_ratio call on the rows of every ratio, summed row after row.
-    Raises SpecialFunctionError where one of the four Barnes arguments of a
-    quotient is within POLE_TOL of a zero of G."""
-    flat = np.asarray(z, dtype=complex).ravel()
-    # rows b - z and 1 + b + z for each exponent b
-    start = np.array([[b + k] for b in exponents for k in (0.0, 1.0)])
-    sign = np.array([[-1.0], [1.0]] * len(exponents))
-    a = np.array([[1.0 - 2.0 * b] for b in exponents for _ in (0, 1)])
-    out = np.empty_like(flat)
-    for s in range(0, flat.size, _CHUNK):
-        c = flat[s:s + _CHUNK]
-        ratios = _log_ratio(start + sign * c.real, sign * c.imag, a)
-        acc = ratios[0]
-        for r in ratios[1:]:
-            acc = acc + r
-        out[s:s + _CHUNK] = acc
-    return out.reshape(np.shape(z))
 
 
 def varpi(z, exponent):
-    """Barnes-G quotient w_b(z) = G(1-b-z) G(2-b+z) / [G(1+b+z) G(b-z)].
+    """Barnes-G quotient w_e(z) = G(1-e-z) G(2-e+z) / [G(1+e+z) G(e-z)].
 
     `z` is the scaled rapidity i*beta/(2*pi); `exponent` is the coupling-like
-    exponent b. The minimal form factor is the product of two of these at the
-    dual pair of exponents times an elementary prefactor. Evaluated as
-    exp(R(b - z) + R(1 + b + z)) with R(x) = log G(x + a) - log G(x),
-    a = 1 - 2b (see _log_ratio), so w_{1/2} is exactly 1. Raises
-    SpecialFunctionError at a zero of one of the four G's.
+    exponent e. The minimal form factor is the product of two of these at the
+    dual pair of exponents times an elementary prefactor. Kinkelin's
+    reflection formula, log G(1-x) - log G(1+x) = int_0^x pi t cot(pi t) dt
+    - x log 2 pi, at x_1 = e + z and x_2 = 1 - e + z gives
+        w_e(z) = (2 pi)^(1-2e) exp(-int_{x_1}^{x_2} pi x cot(pi x) dx),
+    and with q_j = exp(2 pi i x_j) the integral is elementary plus two
+    dilogarithms:
+        log w_e = (1-2e) log 2 pi - [x_2 log(1-q_2) - x_1 log(1-q_1)]
+                  - [Li_2(q_2) - Li_2(q_1)] / (2 pi i) + (i pi/2)(1-2e)(1+2z),
+    on principal branches where every |q| <= 1, i.e. Im z >= 0; Im z < 0 is
+    evaluated as conj w_e(conj z). q_2's phase is 2 pi (1 - e) itself, so
+    w_1/2 is exactly 1, and x = 0 (q = 1), where pi x cot pi x is removable,
+    is taken at its limit (see _quotients). Raises SpecialFunctionError at a
+    zero of one of the four G's, x_1 or x_2 a nonzero integer. Evaluated
+    _CHUNK elements at a time, each element's value independent of the rest
+    of the array.
     """
-    arr, scalar = _as_array(z)
-    out = np.exp(_log_varpi(arr.ravel(), (exponent,)))
-    return complex(out[0]) if scalar else out.reshape(arr.shape)
+    arr = np.asarray(z, dtype=complex)
+    return _by_chunk(lambda c: _quotients(-2j * np.pi * c, (exponent,), False), arr)
 
 
 def min_form_factor(beta, params: ModelParams):
@@ -304,36 +315,29 @@ def min_form_factor(beta, params: ModelParams):
 
     F(beta) = -sin(pi z)/pi * w_b(z) * w_bhat(z) with z = i beta/(2 pi); the
     prefactor is 1/(Gamma(1+z) Gamma(-z)) by the reflection formula, and is
-    evaluated as -i sinh(beta/2)/pi. F(0) = 0 for b > 0, F(beta) -> 1 as
+    -i sinh(beta/2)/pi. F(0) = 0 for b > 0, F(beta) -> 1 as
     |Re beta| -> infinity, and F(beta)/F(-beta) = S(beta).
-    The quotients are summed in the log as ratios of Barnes G's with one
-    shared shift each (see _log_varpi and _log_ratio), within about 1e-14
-    relative of mpmath on the rapidities the correlators and pairings use.
-    At b_hat = b (the self-dual point b = 1/4 of the default b_hat) the two
-    quotients coincide, and one is computed and squared. At b = 0 the
-    prefactor times w_0(z) = Gamma(-z) Gamma(1+z) is identically 1, also at
-    z = 0, 1, 2, ..., where it is a removable 0 * infinity, so F is w_bhat(z);
-    likewise F is w_b(z) at b_hat = 0 (b = 1/2 of the default b_hat). With
-    the default b_hat both are w_{1/2}, exactly 1.
+    Each quotient is two dilogarithms by Kinkelin's reflection formula (see
+    varpi), within a few 1e-15 relative of mpmath on the rapidities the
+    correlators and pairings use. Re beta < 0 is evaluated at -conj(beta)
+    and conjugated (F(-conj beta) = conj F(beta)), so that every |q| <= 1,
+    and the e^(sigma/2) of the prefactor cancels the e^(-sigma/2) of the
+    quotients (sigma = |Re beta|) in closed form, so F -> 1 far out with no
+    overflow. At b_hat = b (the self-dual point b = 1/4 of the default
+    b_hat) the two quotients coincide, and one is computed and squared. At
+    b = 0 the prefactor times w_0(z) = Gamma(-z) Gamma(1+z) is identically
+    1, also at z = 0, 1, 2, ..., where it is a removable 0 * infinity, so F
+    is w_bhat(z); likewise F is w_b(z) at b_hat = 0 (b = 1/2 of the default
+    b_hat). With the default b_hat both are w_{1/2}, exactly 1.
     Each element's value is independent of the rest of the array, and a
     scalar gets the value it has as an element. Raises SpecialFunctionError
     at a zero of one of the Barnes G's.
     """
-    arr, scalar = _as_array(beta)
-    # 1-D, so that a scalar takes the arithmetic of an array's elements
-    flat = arr.ravel()
-    z = 1j * flat / (2.0 * np.pi)
+    arr = np.asarray(beta, dtype=complex)
     if params.b == 0.0 or params.b_hat == 0.0:
-        out = varpi(z, params.b + params.b_hat)    # the other exponent
-    else:
-        if params.b_hat == params.b:
-            lg = _log_varpi(z, (params.b,))
-            lg *= 2.0
-        else:
-            lg = _log_varpi(z, (params.b, params.b_hat))
-        # -sin(pi z)/pi = -i sinh(beta/2)/pi
-        out = np.sinh(0.5 * flat) * (-1j / np.pi) * np.exp(lg)
-    return complex(out[0]) if scalar else out.reshape(arr.shape)
+        # the other exponent's quotient alone
+        return _by_chunk(lambda c: _quotients(c, (params.b + params.b_hat,), False), arr)
+    return _by_chunk(lambda c: _quotients(c, (params.b, params.b_hat), True), arr)
 
 
 def momentum(beta, params: ModelParams):

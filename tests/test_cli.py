@@ -353,6 +353,10 @@ EXIT_TABLE = [
     pytest.param(["specfun", "--b", "0.25", "--mass", "nan", "--beta", "1"], None, None,
                  EXIT_CONFIG, "config error: mass must be a finite positive number, got nan",
                  id="specfun-nan-mass"),
+    *(pytest.param(["specfun", "--b", "0.25", "--beta", "1", "--beta", beta], None, None,
+                   EXIT_CONFIG, "config error: rapidities must be finite real numbers",
+                   id=f"specfun-beta-{beta}")
+      for beta in ("nan", "inf", "-inf")),
     pytest.param(["specfun", "--b", "0.25", "--beta", "1"], None, "s_matrix", EXIT_INTERNAL,
                  "internal error: boom", id="specfun-internal"),
     pytest.param(["verify", "--config", "CFG", "--n-max", "2"], KT_CFG, None, EXIT_OK, None,

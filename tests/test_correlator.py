@@ -32,9 +32,10 @@ P = ModelParams(b=0.25)
 UNIT = {"name": "u", "omega": 0.0, "spin": 0.0, "growth": 0.0,
         "provider": {"kind": "unit"}}
 KT = OperatorSpec("kt", 0.0, 0.0, 0.0, KTransformProvider(ExponentialPn(P, t=0.3), P))
-# the K-transform three-point function at (0,1), (0,0), (0,-1), r=(1,1): two
-# trapezoid runs on different ladders and steps agree on it to 1e-14
-KT3PT_W = 0.00284114056964622
+# the K-transform three-point function at (0,1), (0,0), (0,-1), r=(1,1): the W
+# of its default grid with every F_min taken from mpmath at 30 digits; runs at
+# L = 8, 10 and 12 and on two other ladders agree on it to 1.2e-17
+KT3PT_W = 0.0028411405696464696
 
 
 def _unit_ops(k):

@@ -267,8 +267,9 @@ def test_min_form_factor_matches_mpmath(b, size):
 def test_min_form_factor_chunks_and_scalars_are_evaluated_alone():
     # each element's value is independent of the rest of the array: the
     # 3 * 8192 + 5 array equals its chunks evaluated alone, and so do 1175 of
-    # its points, whose rising sums run in two blocks of steps where a full
-    # chunk runs one step a block; a scalar equals its element of the array
+    # its points, whose temporaries are too small for numpy to reuse as the
+    # output of a product (a complex product so reused rounded differently);
+    # a scalar equals its element of the array
     rng = np.random.default_rng(6)
     size = 3 * 8192 + 5
     beta = rng.uniform(-16.0, 16.0, size) + 1j * rng.uniform(-3.5, 3.5, size)
@@ -285,8 +286,8 @@ def test_min_form_factor_chunks_and_scalars_are_evaluated_alone():
 
 @pytest.mark.parametrize("b", [0.0, 0.5])
 def test_min_form_factor_is_exactly_one_at_the_free_and_half_couplings(b):
-    # the remaining quotient has exponent 1/2, where a = 1 - 2b = 0 and each
-    # ratio log G(x + a) - log G(x) is 0
+    # the remaining quotient has exponent 1/2, where x_1 = e + z and
+    # x_2 = 1 - e + z are one number, so their two terms cancel exactly
     rng = np.random.default_rng(7)
     beta = rng.uniform(-16.0, 16.0, 1000) + 1j * rng.uniform(-3.5, 3.5, 1000)
     assert np.all(min_form_factor(beta, ModelParams(b=b)) == 1.0)
@@ -321,14 +322,104 @@ def test_min_form_factor_with_a_dual_exponent_off_the_default(b_hat):
 @pytest.mark.parametrize("eta", [2.0 * np.pi / 3.0, np.pi])
 def test_min_form_factor_one_ulp_noise(eta):
     # a one-ulp change of Re beta moves F by its conditioning alone: at most
-    # 5e-14 relative over [-12, 12] (the four-call sum moved it by up to
-    # 2e-13 on Im beta = 2 pi / 3, kt3pt's F_2 contour, and 3.4e-13 on pi)
+    # 3e-15 relative over [-12, 12] (8.5e-16 on Im beta = 2 pi / 3, kt3pt's
+    # F_2 contour, and 6.0e-16 on pi; the Barnes-G ratios moved it by up to
+    # 1.1e-14, the four-call sum by 3.4e-13)
     p = ModelParams(b=0.25)
     x = np.linspace(-12.0, 12.0, 24001)
     f = min_form_factor(x + 1j * eta, p)
     for side in (np.inf, -np.inf):
         g = min_form_factor(np.nextafter(x, side) + 1j * eta, p)
-        assert np.max(np.abs(g - f) / np.abs(f)) <= 5e-14
+        assert np.max(np.abs(g - f) / np.abs(f)) <= 3e-15
+
+
+# The seams of the dilogarithm form of each quotient (specfun._quotients),
+# against mpmath at 3e-14; RuntimeWarning is an error in every test
+# (pyproject.toml), so none of them may warn either.
+
+SEAM_PARAMS = [ModelParams(b=0.25), ModelParams(b=0.2, b_hat=0.6)]
+
+
+@pytest.mark.parametrize("p", SEAM_PARAMS)
+def test_min_form_factor_across_the_imaginary_axis(p):
+    # Re beta < 0 is evaluated as the conjugate at -conj(beta): approach
+    # Re beta = 0 from both sides, and cross it on a dense band
+    side = np.array([1e-300, -1e-300, 1e-9, -1e-9, 0.0])
+    band = np.linspace(-0.02, 0.02, 17)
+    for eta in (0.0, 1.3, np.pi, 4.5):
+        beta = np.concatenate([side, band]) + 1j * eta
+        got = min_form_factor(beta, p)
+        want = np.array([_mp_min_form_factor(x, p) for x in beta])
+        # F(0) = 0 exactly
+        assert np.all(np.abs(got - want) <= 3e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("p", SEAM_PARAMS)
+def test_min_form_factor_at_the_removable_points(p):
+    # beta = 2 pi i e and 2 pi i (1 - e) put x_1 or x_2 at 0 (q = 1), the
+    # removable point of pi x cot pi x; at b = 1/4, beta = i pi/2 gives 1/sqrt(2)
+    for e in (p.b, p.b_hat):
+        for centre in (2j * np.pi * e, 2j * np.pi * (1.0 - e)):
+            beta = centre + np.array([0.0, 1e-12, -1e-12, 1e-7j, -1e-7j, 1e-3 + 1e-3j, -1e-3])
+            assert _mp_rel_err(min_form_factor(beta, p), beta, p) < 3e-14
+    if p.b_hat == p.b:
+        assert min_form_factor(0.5j * np.pi, p) == pytest.approx(np.sqrt(0.5), rel=1e-15)
+
+
+@pytest.mark.parametrize("b", [0.25, 0.1])
+def test_min_form_factor_far_out(b):
+    # with b + b_hat = 1/2 the prefactor's e^(|Re beta|/2) cancels the
+    # quotients' e^(-|Re beta|/2) in closed form: F -> 1 with no overflow, and
+    # |F - 1| stays at the rounding level (the Barnes-G ratios left 5.2e-14
+    # at 300 and 4.0e-14 at 700)
+    p = ModelParams(b=b)
+    beta = np.array([30.0, 300.0, 700.0]) + np.array([[0.0], [1.0], [np.pi]]) * 1j
+    beta = np.concatenate([beta, -beta]).ravel()
+    got = min_form_factor(beta, p)
+    assert _mp_rel_err(got, beta, p) < 3e-14
+    far = np.abs(beta.real) > 100.0
+    assert np.max(np.abs(got[far] - 1.0)) < 1e-15
+    assert np.max(np.abs(min_form_factor(np.array([1e4, -1e6 + 2.0j]), p) - 1.0)) < 1e-15
+
+
+@pytest.mark.parametrize("e", [0.1, 0.25, 0.3, 0.6, 0.9])
+def test_varpi_matches_mpmath(e):
+    # w_e on the rapidities of test_min_form_factor_matches_mpmath, e > 1/2
+    # included, against mpmath's Barnes G quotient
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(9)
+    z = 1j * (rng.uniform(-16.0, 16.0, 12) + 1j * rng.uniform(-3.5, 3.5, 12)) / (2.0 * np.pi)
+    g, b = mpmath.barnesg, mpmath.mpf(e)
+    want = np.array([complex(g(1 - b - x) * g(2 - b + x) / (g(1 + b + x) * g(b - x)))
+                     for x in map(mpmath.mpc, z)])
+    assert np.max(np.abs(varpi(z, e) - want) / np.abs(want)) < 3e-14
+
+
+def test_varpi_shift_by_one():
+    # G(z + 1) = Gamma(z) G(z) gives w_e(z + 1) / w_e(z) =
+    # Gamma(2 - e + z) Gamma(e - z - 1) / [Gamma(-e - z) Gamma(1 + e + z)];
+    # scipy's loggamma shares no formula with varpi
+    rng = np.random.default_rng(10)
+    z = rng.uniform(-1.5, 1.5, 50) + 1j * rng.uniform(-2.5, 2.5, 50)
+    for e in (0.1, 0.25, 0.6):
+        ratio = varpi(z + 1.0, e) / varpi(z, e)
+        want = np.exp(loggamma(2.0 - e + z) + loggamma(e - z - 1.0)
+                      - loggamma(-e - z) - loggamma(1.0 + e + z))
+        assert np.max(np.abs(ratio / want - 1.0)) < 1e-13
+
+
+def test_min_form_factor_memory_is_chunked():
+    # temporaries live on one 8192-point chunk at a time: on 2^20 points the
+    # traced peak stays within the input plus the output (about 33 MB)
+    import tracemalloc
+    beta = np.linspace(-16.0, 16.0, 1 << 20) + 1.3j
+    tracemalloc.start()
+    try:
+        out = min_form_factor(beta, ModelParams(b=0.1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < beta.nbytes + out.nbytes
 
 
 def test_barnes_vectorized_matches_scalar():
