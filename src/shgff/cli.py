@@ -2,15 +2,18 @@
 
 Exit codes: 0 success, 2 configuration error, 3 kinematic-region violation,
 4 quadrature non-convergence, 5 internal error. `correlator` exits 4 exactly
-when its result is not converged, that is when W's error exceeds tol; tol is
-also each composition's refinement target. Every command fails the same
-way: a RegionError exits 3, any other ValueError or an OSError exits 2 and any
-other exception exits 5 (see Main.invoke); a usage error is click's, exit 2.
+when its result is not converged, that is when W's error exceeds the
+request's tol; tol is also each composition's refinement target. Every
+command fails the same way: a RegionError exits 3, any other ValueError or an
+OSError exits 2 and any other exception exits 5 (see Main.invoke); a usage
+error is click's, exit 2.
 """
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import json
+import numbers
 
 import click
 
@@ -79,38 +82,31 @@ def _operators_from(cfg: dict, params: ModelParams) -> list:
         raise ValueError(f"bad operators section: {exc}") from exc
 
 
-def _request_from(cfg: dict, params: ModelParams, operators, tol, nodes, L,
-                  mixed_t=None, smeared=False) -> CorrelatorRequest:
+def _request_from(cfg: dict, params: ModelParams, operators) -> CorrelatorRequest:
+    """The request that the request section describes: its keys are
+    CorrelatorRequest's fields but params and operators, and a section with
+    `smearings` is a smeared request."""
+    fields = {f.name for f in dataclasses.fields(CorrelatorRequest)} - {"params", "operators"}
     try:
         r = cfg["request"]
-        _check_keys(r, ("r", "points", "ladder", "nodes", "L", "max_nodes", "tol", "smearings"),
-                    "request")
-        ranks = tuple(r["r"])
-        points = [SpacetimePoint(*p) for p in r.get("points", ())]
-        ladder = None
+        _check_keys(r, fields, "request")
+        # every other value passes as given, so that the request refuses one of the wrong type
+        given = dict(r, r=tuple(r["r"]),
+                     points=[SpacetimePoint(*p) for p in r.get("points", ())])
         if "ladder" in r:
             if not isinstance(r["ladder"], dict):
                 raise ValueError(f"ladder must be a mapping, got {r['ladder']!r}")
-            ladder = ContourLadder(len(operators),
-                                   {tuple(map(int, k.split(","))): v
-                                    for k, v in r["ladder"].items()})
-        # a flag overrides the config; what neither gives keeps the request's default.
-        # Every number passes as given, so that the request (or the ladder) refuses one
-        # of the wrong type
-        given = {key: r[key] if flag is None else flag
-                 for key, flag in (("nodes", nodes), ("L", L), ("max_nodes", None), ("tol", tol))
-                 if flag is not None or key in r}
-        smearings = None
-        if smeared:
+            given["ladder"] = ContourLadder(len(operators),
+                                            {tuple(map(int, k.split(","))): v
+                                             for k, v in r["ladder"].items()})
+        if "smearings" in r:
             for s in r["smearings"]:
                 _check_keys(s, ("center", "width"), "a smearing")
-            smearings = [GaussianSmearing(tuple(s["center"]), tuple(s["width"]))
-                         for s in r["smearings"]]
+            given["smearings"] = [GaussianSmearing(tuple(s["center"]), tuple(s["width"]))
+                                  for s in r["smearings"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad request section: {exc}") from exc
-    return CorrelatorRequest(params=params, operators=operators, points=points,
-                             r=ranks, ladder=ladder, mixed_t=mixed_t, smearings=smearings,
-                             **given)
+    return CorrelatorRequest(params=params, operators=operators, **given)
 
 
 def _doc_from(cfg: dict) -> str | None:
@@ -193,6 +189,9 @@ def eval_ff_cmd(config_path, op_name, betas_str):
     params = _model_from(cfg)
     operators = _operators_from(cfg, params)
     betas = [complex(x) for x in betas_str.split(",")] if betas_str else []
+    # the form factors would turn a NaN or infinite rapidity into a nan row
+    if not all(_is_finite(b, numbers.Complex) for b in betas):
+        raise ValueError(f"rapidities must be finite complex numbers, got {betas_str!r}")
     ops = [op for op in operators if op_name is None or op.name == op_name]
     if not ops:
         raise ValueError(f"no operator named {op_name}")
@@ -204,22 +203,13 @@ def eval_ff_cmd(config_path, op_name, betas_str):
 @main.command("correlator")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--output", "output_path", default=None, type=click.Path())
-@click.option("--mixed", "mixed_t", type=int, default=None,
-              help="distinguished operator index for the t-representation")
-@click.option("--smeared", is_flag=True, default=False)
 @click.option("--threads", type=click.IntRange(min=1), default=1)
-@click.option("--tol", type=float, default=None,
-              help="each composition's refinement target; exit 4 if W's error exceeds it")
-@click.option("--nodes", type=int, default=None,
-              help="the first grid has 2 * NODES intervals per axis over [-L, L]")
-@click.option("--l", "--L", "L", type=float, default=None,
-              help="half-width of each contour's integration window")
-def correlator_cmd(config_path, output_path, mixed_t, smeared, threads, tol, nodes, L):
-    """Compute a truncated correlator and write a CSV breakdown."""
+def correlator_cmd(config_path, output_path, threads):
+    """Compute the truncated correlator of the config's request section and
+    write a CSV breakdown."""
     cfg = _load_config(config_path)
     params = _model_from(cfg)
-    request = _request_from(cfg, params, _operators_from(cfg, params), tol, nodes, L,
-                            mixed_t, smeared)
+    request = _request_from(cfg, params, _operators_from(cfg, params))
     doc_path = _doc_from(cfg)
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         result = _sum_compositions(request, pool.map)

@@ -26,7 +26,11 @@ class ExponentialPn:
     rapidities, as KTransformProvider needs.
 
     The residue coupling fixes c_n * t = g * c_{n-2} with
-    g = -1/(sin(2 pi b) F(i pi)); c_0 = 1, c_1 free. Requires t != 1
+    g = -1/(sin(2 pi b) F(i pi)); c_0 = 1, and the axioms of verify_axioms
+    leave c_1 free. The cluster property, F_(n+m)(theta + Lam, theta') ->
+    F_n(theta) F_m(theta') / F_0 as Lam -> infinity, fixes c_1^2 = g / t:
+    when n and m are both odd the ratio tends to g / (t c_1^2) instead (g < 0
+    at b = 0.1, 1/4 and 0.4, so a real c_1 there needs t < 0). Requires t != 1
     (at t = 1 the K-transform of an ell-independent seed vanishes) and
     t != 0 (c_n divides by t); ValueError otherwise. A p_n that overflows,
     as c_n does for a tiny t and t^{sum(ell)} for a huge one, is a
@@ -148,11 +152,15 @@ def _difference_lattice(*axes):
 
 def _k_factors(d, params: ModelParams):
     """The K-transform's pair factors 1 - q and 1 + q, q = i sin(2 pi b)/sinh(d),
-    of a pair with ell_k - ell_s = +1 and -1, at rapidity differences d."""
-    sh = np.sinh(d)
+    of a pair with ell_k - ell_s = +1 and -1, at rapidity differences d.
+    Beyond |Re d| = 700, where |q| < 1e-300 and sinh soon overflows, q is its
+    limit 0, as in s_matrix."""
+    far = np.abs(np.real(d)) > 700.0
+    # such a difference is evaluated at 1, where sinh cannot overflow or meet the pole
+    sh = np.sinh(np.where(far, 1.0, d))
     if np.any(np.abs(sh) < POLE_TOL):
         raise SpecialFunctionError("k_transform: coinciding rapidities with ell_k != ell_s")
-    q = 1j * params.sin2pib / sh
+    q = np.where(far, 0.0, 1j * params.sin2pib / sh)
     return 1.0 - q, 1.0 + q
 
 

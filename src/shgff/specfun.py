@@ -315,8 +315,10 @@ def min_form_factor(beta, params: ModelParams):
 
     F(beta) = -sin(pi z)/pi * w_b(z) * w_bhat(z) with z = i beta/(2 pi); the
     prefactor is 1/(Gamma(1+z) Gamma(-z)) by the reflection formula, and is
-    -i sinh(beta/2)/pi. F(0) = 0 for b > 0, F(beta) -> 1 as
-    |Re beta| -> infinity, and F(beta)/F(-beta) = S(beta).
+    -i sinh(beta/2)/pi. F(0) = 0 for b > 0 and F(beta) -> 1 as
+    |Re beta| -> infinity. At the default b_hat = 1/2 - b, F(beta)/F(-beta)
+    = S(beta) (Watson's equation); at another b_hat it fails (at (b, b_hat)
+    = (0.2, 0.6) the ratio misses S by 0.61 at beta = 0.7 + 0.1i).
     Each quotient is two dilogarithms by Kinkelin's reflection formula (see
     varpi), within a few 1e-15 relative of mpmath on the rapidities the
     correlators and pairings use. Re beta < 0 is evaluated at -conj(beta)

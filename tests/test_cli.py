@@ -1,5 +1,7 @@
 """End-to-end CLI checks: subcommands, exit codes, CSV determinism."""
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from shgff.cli import (
     EXIT_CONFIG, EXIT_INTERNAL, EXIT_NONCONVERGED, EXIT_OK, EXIT_REGION, _model_from,
     _operators_from, _request_from, main,
 )
-from shgff.correlator import CorrelatorRequest
+from shgff.correlator import CorrelatorRequest, GaussianSmearing, SpacetimePoint, compute_W_r
 
 UNIT_CFG = {
     "model": {"b": 0.25, "mass": 1.0},
@@ -126,36 +128,33 @@ def test_correlator_bad_config(runner, tmp_path):
     assert res.exit_code == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("flags", [["--tol", "0"], ["--nodes", "0"], ["--L", "0"],
-                                   ["--L", "-1"]])
-def test_correlator_rejects_nonpositive_settings(runner, tmp_path, flags):
-    path = _write(tmp_path, UNIT_CFG)
-    res = runner.invoke(main, ["correlator", "--config", path] + flags)
+@pytest.mark.parametrize("key, value, message", [
+    ("tol", 0.0, "tol must be a finite positive number, got 0.0"),
+    ("nodes", 0, "nodes must be a positive integer, got 0"),
+    ("L", 0.0, "L must be a finite positive number, got 0.0"),
+    ("L", -1.0, "L must be a finite positive number, got -1.0"),
+    ("L", -2.0, "L must be a finite positive number, got -2.0"),
+])
+def test_correlator_rejects_nonpositive_settings(runner, tmp_path, key, value, message):
+    cfg = _variant(UNIT_CFG, "request", **{key: value})
+    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg)])
     assert res.exit_code == EXIT_CONFIG, res.output
+    assert res.output == f"config error: {message}\n"
 
 
-def test_correlator_rejects_nonpositive_config_values(runner, tmp_path):
-    for key, val in (("tol", 0.0), ("nodes", 0), ("L", -2.0)):
-        cfg = json.loads(json.dumps(UNIT_CFG))
-        cfg["request"][key] = val
-        res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg)])
-        assert res.exit_code == EXIT_CONFIG, (key, res.output)
-
-
-def test_request_keeps_correlator_request_defaults():
-    # sizes that neither the config nor a flag gives are CorrelatorRequest's
+def test_request_section_holds_the_request_fields():
+    # what the config does not give keeps CorrelatorRequest's default
     cfg = json.loads(json.dumps(UNIT_CFG))
     del cfg["request"]["nodes"], cfg["request"]["tol"]
     params = _model_from(cfg)
     ops = _operators_from(cfg, params)
-    got = _request_from(cfg, params, ops, None, None, None)
+    got = _request_from(cfg, params, ops)
     assert got == CorrelatorRequest(params=params, operators=ops, points=got.points,
                                     r=got.r)
-    # a flag wins over the config
-    cfg["request"].update(nodes=96, L=6.0, tol=1e-9)
-    got = _request_from(cfg, params, ops, 1e-6, 48, None)
-    assert (got.nodes, got.L, got.tol, got.max_nodes) == \
-        (48, 6.0, 1e-6, CorrelatorRequest.max_nodes)
+    # every field but params and operators is a key
+    cfg["request"].update(nodes=48, L=6.0, max_nodes=192, tol=1e-6, mixed_t=2)
+    got = _request_from(cfg, params, ops)
+    assert (got.nodes, got.L, got.max_nodes, got.tol, got.mixed_t) == (48, 6.0, 192, 1e-6, 2)
 
 
 def test_correlator_rejects_max_nodes_below_second_level(runner, tmp_path):
@@ -165,9 +164,11 @@ def test_correlator_rejects_max_nodes_below_second_level(runner, tmp_path):
     res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg)])
     assert res.exit_code == EXIT_CONFIG, res.output
     assert "max_nodes" in res.output
-    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, UNIT_CFG),
-                               "--nodes", "2000"])
+    # the request's own refusal, without the "bad request section" label
+    cfg = _variant(UNIT_CFG, "request", nodes=2000)
+    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg)])
     assert res.exit_code == EXIT_CONFIG, res.output
+    assert res.output == "config error: max_nodes must be at least 2 * nodes = 4000, got 3072\n"
 
 
 def test_correlator_rejects_k_transform_at_half_coupling(runner, tmp_path):
@@ -193,16 +194,16 @@ def test_correlator_threads_match_serial(runner, tmp_path):
 
 
 def test_correlator_smeared_threads_match_serial(runner, tmp_path, monkeypatch):
-    # the compositions run on a pool of --threads workers, one included, with
-    # --smeared too
+    # the compositions run on a pool of --threads workers, one included, for
+    # a smeared request too
     path = _write(tmp_path, _variant(SMEARED_CFG, "request", r=[2], nodes=48))
     maps = []
     original = shgff.cli._sum_compositions
     monkeypatch.setattr(shgff.cli, "_sum_compositions",
                         lambda request, map_: maps.append(map_) or original(request, map_))
     out1, out2 = str(tmp_path / "s.csv"), str(tmp_path / "t.csv")
-    r1 = runner.invoke(main, ["correlator", "--config", path, "--output", out1, "--smeared"])
-    r2 = runner.invoke(main, ["correlator", "--config", path, "--output", out2, "--smeared",
+    r1 = runner.invoke(main, ["correlator", "--config", path, "--output", out1])
+    r2 = runner.invoke(main, ["correlator", "--config", path, "--output", out2,
                               "--threads", "4"])
     assert r1.exit_code == EXIT_OK and r2.exit_code == EXIT_OK, (r1.output, r2.output)
     assert Path(out1).read_bytes() == Path(out2).read_bytes()
@@ -210,10 +211,10 @@ def test_correlator_smeared_threads_match_serial(runner, tmp_path, monkeypatch):
 
 
 def test_correlator_threads_reject_bad_mixed(runner, tmp_path):
-    path = _write(tmp_path, UNIT_CFG)
-    res = runner.invoke(main, ["correlator", "--config", path, "--mixed", "5",
-                               "--threads", "2"])
+    path = _write(tmp_path, _variant(UNIT_CFG, "request", mixed_t=5))
+    res = runner.invoke(main, ["correlator", "--config", path, "--threads", "2"])
     assert res.exit_code == EXIT_CONFIG, res.output
+    assert res.output == "config error: mixed_t must be an integer in 1..2, got 5\n"
 
 
 def test_correlator_unit_at_half_coupling_is_config_error(runner, tmp_path):
@@ -231,7 +232,7 @@ def test_correlator_smeared(runner, tmp_path):
         {"center": [0.0, 0.0], "width": [0.05, 0.05]},
     ]
     path = _write(tmp_path, cfg)
-    res = runner.invoke(main, ["correlator", "--config", path, "--smeared"])
+    res = runner.invoke(main, ["correlator", "--config", path])
     assert res.exit_code == EXIT_OK, res.output
     total = float(res.output.strip().splitlines()[-1].split(",")[1])
     w = 0.05
@@ -246,9 +247,46 @@ def test_correlator_smeared_three_point_is_config_error(runner, tmp_path):
     cfg["request"]["r"] = [1, 1]
     cfg["request"]["smearings"] = [
         {"center": [0.0, x1], "width": [0.05, 0.05]} for x1 in (1.0, 0.0, -1.0)]
-    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg),
-                               "--smeared"])
+    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg)])
     assert res.exit_code == EXIT_CONFIG, res.output
+    assert res.output == "config error: smeared correlators are two-point only (k <= 2)\n"
+
+
+def _total_row(result):
+    return ",".join(["total", *(f"{x:.17e}" for x in (result.value.real, result.value.imag,
+                                                       result.error, 1.0, 0.0))])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("mixed_t", 2),
+    ("smearings", [GaussianSmearing((0.0, 1.0), (0.05, 0.05)),
+                   GaussianSmearing((0.0, 0.0), (0.05, 0.05))]),
+])
+def test_correlator_runs_the_whole_request_section(runner, tmp_path, key, value):
+    # "mixed_t" was refused as an unknown key, and "smearings" were ignored
+    # without a word: the point correlator ran unless a flag asked for them
+    doc = [{"center": list(g.center), "width": list(g.width)} for g in value] \
+        if key == "smearings" else value
+    res = runner.invoke(main, ["correlator", "--config",
+                               _write(tmp_path, _variant(UNIT_CFG, "request", **{key: doc}))])
+    assert res.exit_code == EXIT_OK, res.output
+    params = _model_from(UNIT_CFG)
+    plain = CorrelatorRequest(params=params, operators=_operators_from(UNIT_CFG, params),
+                              points=[SpacetimePoint(0.0, 1.0), SpacetimePoint(0.0, 0.0)],
+                              r=(1,), nodes=96, tol=1e-9)
+    want = compute_W_r(dataclasses.replace(plain, **{key: value}))
+    assert res.output.splitlines()[-1] == _total_row(want)
+    if key == "smearings":
+        assert _total_row(want) != _total_row(compute_W_r(plain))
+
+
+def test_correlator_options_are_deployment_settings(runner):
+    # a run's numbers come from the config's request section alone
+    res = runner.invoke(main, ["correlator", "--help"])
+    assert res.exit_code == EXIT_OK
+    options = {word.rstrip(",") for line in res.output.splitlines()
+               for word in line.split() if word.startswith("--")}
+    assert options == {"--config", "--output", "--threads", "--help"}
 
 
 def test_specfun_free_point_at_zero_rapidity(runner):
@@ -258,17 +296,17 @@ def test_specfun_free_point_at_zero_rapidity(runner):
     assert [float(x) for x in res.output.splitlines()[1].split(",")] == [0.0, 1.0, 0.0, 1.0, 0.0]
 
 
-@pytest.mark.parametrize("entries, argv, code", [
-    ({}, [], EXIT_OK),
+@pytest.mark.parametrize("entries, code", [
+    ({}, EXIT_OK),
     # the composition's error, 1.3e-2, exceeds tol; W's, 2.1e-3, does not
-    (dict(nodes=8, max_nodes=16, tol=1e-2), [], EXIT_OK),
-    (dict(nodes=8, max_nodes=16, tol=1e-2), ["--tol", "1e-3"], EXIT_NONCONVERGED),
+    (dict(nodes=8, max_nodes=16, tol=1e-2), EXIT_OK),
+    (dict(nodes=8, max_nodes=16, tol=1e-3), EXIT_NONCONVERGED),
 ])
-def test_correlator_writes_doc(runner, tmp_path, entries, argv, code):
+def test_correlator_writes_doc(runner, tmp_path, entries, code):
     cfg = _variant(UNIT_CFG, "request", **entries)
     doc = tmp_path / "report.txt"
     cfg["output"] = {"doc": str(doc)}
-    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg), *argv])
+    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg)])
     assert res.exit_code == code, res.output
     # the report and the exit code give one verdict: W's error <= tol
     assert doc.read_text().startswith("W =")
@@ -317,6 +355,10 @@ KT2_CFG["operators"] = [KT_CFG["operators"][0]] * 2
 # K-transform operators whose F_1 is near 1e300, so the product of two overflows
 HUGE_T_CFG = _variant(dict(KT2_CFG, operators=[
     {"provider": {"kind": "k-transform", "t": 1e300}}] * 2), "request", nodes=16)
+# kt3pt's three-operator K-transform request on contours 2 L = 800 apart
+KT3_WIDE_CFG = _variant(dict(UNIT_CFG, operators=[KT_CFG["operators"][0]] * 3), "request",
+                        points=[[0.0, 1.0], [0.0, 0.0], [0.0, -1.0]], r=[1, 1], L=400.0,
+                        tol=1e-6)
 DOC_CFG = _variant(UNIT_CFG, "output", doc="missing/report.txt")
 FD_DOC_CFG = _variant(UNIT_CFG, "output", doc=1)
 LIST_OUTPUT_CFG = dict(UNIT_CFG, output=[])
@@ -391,6 +433,14 @@ EXIT_TABLE = [
                  id="eval-ff-missing-coefficient"),
     pytest.param(["eval-ff", "--config", "CFG", "--betas", "0.1,0.1"], KT_CFG, None,
                  EXIT_CONFIG, "config error: ", id="eval-ff-coinciding-rapidities"),
+    # a NaN or infinite rapidity printed "kt F_2 = nan nan" with exit 0, after RuntimeWarnings
+    *(pytest.param(["eval-ff", "--config", "CFG", "--betas", f"0.3,{beta}"], KT_CFG, None,
+                   EXIT_CONFIG, "config error: rapidities must be finite complex numbers",
+                   id=f"eval-ff-beta-{beta}")
+      for beta in ("nan", "inf", "-inf", "nan+1j")),
+    # sinh overflowed in the K-transform's pair factor, with a RuntimeWarning
+    pytest.param(["eval-ff", "--config", "CFG", "--betas", "800,0"], KT_CFG, None, EXIT_OK,
+                 "kt F_2 = -2.", id="eval-ff-far-apart"),
     pytest.param(["eval-ff", "--config", "CFG", "--operator", "nope", "--betas", "0.1"],
                  UNIT_CFG, None, EXIT_CONFIG, "config error: no operator named nope",
                  id="eval-ff-unknown-operator"),
@@ -414,23 +464,23 @@ EXIT_TABLE = [
                  id="correlator-region-threads"),
     pytest.param(["correlator", "--config", "CFG", "--threads", "0"], UNIT_CFG, None,
                  EXIT_CONFIG, "Error: Invalid value for '--threads'", id="correlator-no-threads"),
-    pytest.param(["correlator", "--config", "CFG", "--mixed", "2"], UNIT_CFG, None, EXIT_OK,
-                 None, id="correlator-mixed"),
-    pytest.param(["correlator", "--config", "CFG", "--mixed", "5"], UNIT_CFG, None,
-                 EXIT_CONFIG, "config error: mixed_t must be an integer in 1..2, got 5",
+    pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", mixed_t=2),
+                 None, EXIT_OK, None, id="correlator-mixed"),
+    pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", mixed_t=5),
+                 None, EXIT_CONFIG, "config error: mixed_t must be an integer in 1..2, got 5",
                  id="correlator-bad-mixed"),
-    pytest.param(["correlator", "--config", "CFG", "--smeared", "--mixed", "2"], SMEARED_CFG,
+    pytest.param(["correlator", "--config", "CFG"], _variant(SMEARED_CFG, "request", mixed_t=2),
                  None, EXIT_CONFIG,
                  "config error: smeared correlators have no t-distinguished form",
                  id="correlator-smeared-mixed"),
-    pytest.param(["correlator", "--config", "CFG", "--smeared"], BAD_CENTER_CFG, None,
+    pytest.param(["correlator", "--config", "CFG"], BAD_CENTER_CFG, None,
                  EXIT_CONFIG, "config error: bad request section: center must be two finite",
                  id="correlator-smeared-bad-center"),
-    pytest.param(["correlator", "--config", "CFG", "--smeared"], ZERO_WIDTH_CFG, None,
+    pytest.param(["correlator", "--config", "CFG"], ZERO_WIDTH_CFG, None,
                  EXIT_CONFIG, "config error: bad request section: widths must be positive",
                  id="correlator-smeared-zero-width"),
     # a smeared config had to list points that nothing read
-    pytest.param(["correlator", "--config", "CFG", "--smeared"], SMEARED_NO_POINTS_CFG, None,
+    pytest.param(["correlator", "--config", "CFG"], SMEARED_NO_POINTS_CFG, None,
                  EXIT_OK, None, id="correlator-smeared-no-points"),
     pytest.param(["correlator", "--config", "CFG"], dict(UNIT_CFG, request=[]), None,
                  EXIT_CONFIG, "config error: bad request section", id="correlator-request-list"),
@@ -456,8 +506,8 @@ EXIT_TABLE = [
     pytest.param(["correlator", "--config", "CFG"], TWO_OPS_THREE_POINTS_CFG, None, EXIT_CONFIG,
                  "config error: one point per operator required: 2 operators, 3 points",
                  id="correlator-two-operators-three-points"),
-    pytest.param(["correlator", "--config", "CFG", "--L", "inf"], UNIT_CFG, None, EXIT_CONFIG,
-                 "config error: L must be a finite positive number, got inf",
+    pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", L=math.inf),
+                 None, EXIT_CONFIG, "config error: L must be a finite positive number, got inf",
                  id="correlator-infinite-L"),
     # check_region passed both: "L = 8.0 is too large" for NaN, NaN rows and exit 4 for inf
     pytest.param(["correlator", "--config", "CFG"], NAN_POINT_CFG, None, EXIT_CONFIG,
@@ -467,31 +517,38 @@ EXIT_TABLE = [
                  "config error: point coordinates must be finite real numbers, got (0.0, inf)",
                  id="correlator-infinite-point"),
     # exp(gamma) in the plane waves overflowed (internal error) at 1000; 1e308 gave NaN rows
-    pytest.param(["correlator", "--config", "CFG", "--L", "1000"], UNIT_CFG, None, EXIT_CONFIG,
-                 "config error: L = 1000.0 is too large", id="correlator-overflowing-L"),
-    pytest.param(["correlator", "--config", "CFG", "--L", "1e308"], UNIT_CFG, None, EXIT_CONFIG,
-                 "config error: L = 1e+308 is too large", id="correlator-huge-L"),
-    pytest.param(["correlator", "--config", "CFG", "--L", "700"], UNIT_CFG, None,
-                 EXIT_NONCONVERGED, "non-convergence: error estimate", id="correlator-large-L"),
+    pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", L=1000.0),
+                 None, EXIT_CONFIG, "config error: L = 1000.0 is too large",
+                 id="correlator-overflowing-L"),
+    pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", L=1e308),
+                 None, EXIT_CONFIG, "config error: L = 1e+308 is too large",
+                 id="correlator-huge-L"),
+    pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", L=700.0),
+                 None, EXIT_NONCONVERGED, "non-convergence: error estimate",
+                 id="correlator-large-L"),
     # GaussianSmearing.fourier's q0 * q0 overflowed (internal error) at 354, 360 and 700
-    pytest.param(["correlator", "--config", "CFG", "--smeared", "--L", "360"], SMEARED_R2_CFG,
+    pytest.param(["correlator", "--config", "CFG"], _variant(SMEARED_R2_CFG, "request", L=360.0),
                  None, EXIT_CONFIG,
                  "config error: L = 360.0 is too large for a smeared correlator",
                  id="correlator-smeared-overflowing-L"),
-    pytest.param(["correlator", "--config", "CFG", "--smeared", "--L", "300"], SMEARED_R2_CFG,
+    pytest.param(["correlator", "--config", "CFG"], _variant(SMEARED_R2_CFG, "request", L=300.0),
                  None, EXIT_NONCONVERGED, "non-convergence: error estimate",
                  id="correlator-smeared-large-L"),
+    # the K-transform pair factors of contours 2 L apart were NaN: "I_n = (nan+nanj) with
+    # error nan at composition (1, 0, 1): the result overflows the double range"
+    pytest.param(["correlator", "--config", "CFG"], KT3_WIDE_CFG, None, EXIT_OK,
+                 "total,2.84114056923", id="correlator-k-transform-wide-L"),
     pytest.param(["correlator", "--config", "CFG"], NO_SHIFT_CFG, None, EXIT_CONFIG,
                  "config error: ladder has no shift for occupied block (2, 1)",
                  id="correlator-ladder-missing-shift"),
     pytest.param(["correlator", "--config", "CFG"], OUT_OF_STRIP_CFG, None, EXIT_CONFIG,
                  "config error: ladder violation at block (2, 1): eta=3.3 must be below pi",
                  id="correlator-ladder-outside-strip"),
-    pytest.param(["correlator", "--config", "CFG", "--nodes", "2000"], UNIT_CFG, None,
-                 EXIT_CONFIG, "config error: max_nodes must be at least 2 * nodes = 4000",
-                 id="correlator-nodes-flag-beyond-max-nodes"),
-    pytest.param(["correlator", "--config", "CFG", "--tol", "-1"], UNIT_CFG, None,
-                 EXIT_CONFIG, "config error: tol must be a finite positive number, got -1.0",
+    pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", nodes=2000),
+                 None, EXIT_CONFIG, "config error: max_nodes must be at least 2 * nodes = 4000",
+                 id="correlator-nodes-beyond-max-nodes"),
+    pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", tol=-1.0),
+                 None, EXIT_CONFIG, "config error: tol must be a finite positive number, got -1.0",
                  id="correlator-negative-tol"),
     # "bad operators section: cannot convert float NaN to integer", "can only concatenate
     # str ..." and the like, once ExponentialPn evaluated F(i pi) with the bad b_hat
@@ -579,8 +636,8 @@ EXIT_TABLE = [
            "bad request section: ladder shift of block (2, 1) must be a finite real number, "
            "got '0.3'"))),
     # an error of 4.1e-2 was reported as converged
-    pytest.param(["correlator", "--config", "CFG", "--tol", "inf"], UNIT_CFG, None, EXIT_CONFIG,
-                 "config error: tol must be a finite positive number, got inf",
+    pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", tol=math.inf),
+                 None, EXIT_CONFIG, "config error: tol must be a finite positive number, got inf",
                  id="correlator-infinite-tol"),
     pytest.param(["correlator", "--config", "CFG"], UNCONVERGED_CFG, None, EXIT_NONCONVERGED,
                  "non-convergence: error estimate", id="correlator-unconverged"),
@@ -620,37 +677,37 @@ def _operator_variant(doc):
     return dict(UNIT_CFG, operators=[doc, UNIT_CFG["operators"][1]])
 
 
-# (config with the value v at one number key, extra argv, what the refusal names)
+# (config with the value v at one number key, what the refusal names)
 NUMBER_KEYS = {
-    "b": (lambda v: _variant(UNIT_CFG, "model", b=v), [], "coupling b must be a number"),
-    "mass": (lambda v: _variant(UNIT_CFG, "model", mass=v), [],
+    "b": (lambda v: _variant(UNIT_CFG, "model", b=v), "coupling b must be a number"),
+    "mass": (lambda v: _variant(UNIT_CFG, "model", mass=v),
              "mass must be a finite positive number"),
-    "b_hat": (lambda v: _variant(UNIT_CFG, "model", b_hat=v), [],
+    "b_hat": (lambda v: _variant(UNIT_CFG, "model", b_hat=v),
               "b_hat must be a finite real number"),
     **{key: (lambda v, key=key: _operator_variant(dict(UNIT_CFG["operators"][0], **{key: v})),
-             [], f"{key} must be a finite real number") for key in ("omega", "spin", "growth")},
+             f"{key} must be a finite real number") for key in ("omega", "spin", "growth")},
     **{key: (lambda v, key=key: _operator_variant(
-        {"provider": {"kind": "k-transform", "t": 0.3, key: v}}), [],
+        {"provider": {"kind": "k-transform", "t": 0.3, key: v}}),
         f"{key} must be a finite real number") for key in ("t", "c1")},
     "slope": (lambda v: _operator_variant({"provider": {
-        "kind": "exponential-like", "coefficients": [1.0, 1.0, 1.0], "slope": v}}), [],
+        "kind": "exponential-like", "coefficients": [1.0, 1.0, 1.0], "slope": v}}),
         "slope must be a finite complex number"),
     "coefficient": (lambda v: _operator_variant({"provider": {
-        "kind": "exponential-like", "coefficients": [1.0, v, 1.0]}}), [],
+        "kind": "exponential-like", "coefficients": [1.0, v, 1.0]}}),
         "coefficient must be a finite complex number"),
-    "L": (lambda v: _variant(UNIT_CFG, "request", L=v), [], "L must be a finite positive number"),
-    "tol": (lambda v: _variant(UNIT_CFG, "request", tol=v), [],
+    "L": (lambda v: _variant(UNIT_CFG, "request", L=v), "L must be a finite positive number"),
+    "tol": (lambda v: _variant(UNIT_CFG, "request", tol=v),
             "tol must be a finite positive number"),
-    "point": (lambda v: _variant(UNIT_CFG, "request", points=[[v, 1.0], [0.0, 0.0]]), [],
+    "point": (lambda v: _variant(UNIT_CFG, "request", points=[[v, 1.0], [0.0, 0.0]]),
               "point coordinates must be finite real numbers"),
-    "ladder-shift": (lambda v: _variant(UNIT_CFG, "request", ladder={"2,1": v}), [],
+    "ladder-shift": (lambda v: _variant(UNIT_CFG, "request", ladder={"2,1": v}),
                      "ladder shift of block (2, 1) must be a finite real number"),
     "smearing-center": (lambda v: _variant(SMEARED_CFG, "request", smearings=[
         {"center": [0.0, v], "width": [0.05, 0.05]}, SMEARED_CFG["request"]["smearings"][1]]),
-        ["--smeared"], "center must be two finite numbers"),
+        "center must be two finite numbers"),
     "smearing-width": (lambda v: _variant(SMEARED_CFG, "request", smearings=[
         {"center": [0.0, 1.0], "width": [v, 0.05]}, SMEARED_CFG["request"]["smearings"][1]]),
-        ["--smeared"], "width must be two finite numbers"),
+        "width must be two finite numbers"),
 }
 
 
@@ -661,11 +718,11 @@ NUMBER_KEYS = {
                          ids=["string", "bool", "huge-int", "nan"])
 @pytest.mark.parametrize("key", NUMBER_KEYS)
 def test_every_config_number_is_a_finite_number(runner, tmp_path, key, value):
-    cfg, argv, names = NUMBER_KEYS[key]
+    cfg, names = NUMBER_KEYS[key]
     # the same config with a good number runs
-    good = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg(0.25)), *argv])
+    good = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg(0.25))])
     assert good.exit_code in (EXIT_OK, EXIT_NONCONVERGED), good.output
-    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg(value)), *argv])
+    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg(value))])
     assert res.exit_code == EXIT_CONFIG, res.output
     assert "internal error" not in res.output
     assert any(line.startswith("config error:") and names in line
@@ -674,18 +731,18 @@ def test_every_config_number_is_a_finite_number(runner, tmp_path, key, value):
 
 # each ran with exit 0, as if the key were absent; a smearing of 5 exited 2 with
 # "'int' object is not subscriptable"
-@pytest.mark.parametrize("cfg, argv, section, message", [
-    (_variant(UNIT_CFG, "model", mas=7.0), [], "model", "unexpected keyword argument 'mas'"),
-    (_variant(UNIT_CFG, "request", nodse=8), [], "request", "unknown keys ['nodse']"),
+@pytest.mark.parametrize("cfg, section, message", [
+    (_variant(UNIT_CFG, "model", mas=7.0), "model", "unexpected keyword argument 'mas'"),
+    (_variant(UNIT_CFG, "request", nodse=8), "request", "unknown keys ['nodse']"),
     (_variant(SMEARED_CFG, "request", smearings=[
         {"center": [0.0, 1.0], "widht": [0.05, 0.05]}, SMEARED_CFG["request"]["smearings"][1]]),
-     ["--smeared"], "request", "unknown keys ['widht']"),
+     "request", "unknown keys ['widht']"),
     (_variant(SMEARED_CFG, "request", smearings=[5, SMEARED_CFG["request"]["smearings"][1]]),
-     ["--smeared"], "request", "a smearing must be a mapping, got 5"),
-    (_variant(UNIT_CFG, "output", dco="report.txt"), [], "output", "'dco': 'report.txt'"),
+     "request", "a smearing must be a mapping, got 5"),
+    (_variant(UNIT_CFG, "output", dco="report.txt"), "output", "'dco': 'report.txt'"),
 ], ids=["model", "request", "smearing", "smearing-number", "output"])
-def test_config_sections_refuse_unknown_keys(runner, tmp_path, cfg, argv, section, message):
-    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg), *argv])
+def test_config_sections_refuse_unknown_keys(runner, tmp_path, cfg, section, message):
+    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg)])
     assert res.exit_code == EXIT_CONFIG, res.output
     assert res.output.startswith(f"config error: bad {section} section: "), res.output
     assert message in res.output

@@ -479,6 +479,16 @@ def test_kt3pt_matches_refined_oracle():
         assert abs(res.value - KT3PT_W) <= res.error < 1e-13
 
 
+@pytest.mark.parametrize("L", [400.0, 700.0])
+def test_kt3pt_on_wide_contours_is_finite(L):
+    # the differences of the contours reach about 2 L: past |Re d| = 710 the
+    # K-transform's pair factors were NaN, and the request was refused with
+    # "I_n = (nan+nanj) ... overflows the double range"
+    res = compute_W_r(_req(X3, (1, 1), ops=[KT] * 3, L=L, nodes=96, max_nodes=192))
+    assert np.isfinite(res.value) and np.isfinite(res.error)
+    assert abs(res.value - KT3PT_W) <= res.error
+
+
 def test_min_form_factor_sees_one_line_per_grid(monkeypatch):
     # composition (1,0,1): the middle operator's F_2 pairs the two variables;
     # its min_form_factor runs on the 4N + 1 differences of the one 2N grid,

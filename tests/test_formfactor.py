@@ -368,6 +368,52 @@ def test_k_transform_provider_is_shift_invariant(n):
         assert abs(prov.evaluate([b + c for b in betas]) - want) < 1e-13 * abs(want)
 
 
+@pytest.mark.parametrize("d", [800.0, -800.0, 800.0 + 1j * np.pi / 3, 1e4])
+def test_k_transform_takes_the_far_limit_of_its_pair_factors(d):
+    # beyond |Re d| = 710 sinh(d) overflowed: q = i sin(2 pi b)/sinh(d) was
+    # nan + nan i, and 0 with an overflow warning for real d
+    pn = ExponentialPn(P, t=0.3, c1=0.8)
+    prov = KTransformProvider(pn, P)
+    near = np.copysign(700.0, d.real) + 1j * np.imag(d)
+    for f in (lambda x: k_transform(pn, [x, 0.0], P), lambda x: prov.evaluate([x, 0.0]),
+              lambda x: k_transform(pn, [x, 0.0, 0.5], P),
+              lambda x: prov.evaluate([x, 0.0, 0.5])):
+        got, want = f(d), f(near)
+        assert np.isfinite(got)
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+# rapidities of the two clusters, n and m of them
+_THETA = [0.3, -0.5, 0.9, -1.2, 0.1]
+_THETA_PRIME = [-0.2, 0.7, -0.9, 0.4, 1.1]
+
+
+@pytest.mark.parametrize("b", [0.1, 0.25, 0.4])
+def test_k_transform_form_factors_cluster(b):
+    # F_(n+m)(theta + Lam, theta') F_0 / (F_n(theta) F_m(theta')) tends to 1
+    # when n or m is even and to g / (t c1^2) when both are odd: the family
+    # clusters at every n only on c1^2 = g / t, which needs t < 0 at these b
+    params = ModelParams(b=b)
+    g = -1.0 / (params.sin2pib * min_form_factor(1j * np.pi, params))
+    assert abs(g.imag) < 1e-15 and g.real < 0.0
+    clustering = (-1.0, float(np.sqrt(-g.real)))
+    lam = 30.0
+    for t, c1 in ((0.3, 1.0), (-1.0, 1.0), (2.0, 1.0), (0.3, 0.5), clustering):
+        f = _kt_op(params, t=t, c1=c1).provider.evaluate
+        odd_limit = g.real / (t * c1 ** 2)
+        if (t, c1) == clustering:
+            assert abs(odd_limit - 1.0) < 1e-14
+        else:
+            assert abs(odd_limit - 1.0) > 0.1
+        for n in range(1, 6):
+            for m in range(1, 7 - n):
+                theta, theta_prime = _THETA[:n], _THETA_PRIME[:m]
+                ratio = (f([x + lam for x in theta] + theta_prime) * f([])
+                         / (f(theta) * f(theta_prime)))
+                limit = odd_limit if n % 2 and m % 2 else 1.0
+                assert abs(ratio / limit - 1.0) < 1e-8, (t, c1, n, m)
+
+
 # ---------------------------------------------------------------------------
 # operator documents
 # ---------------------------------------------------------------------------

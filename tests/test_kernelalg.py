@@ -167,6 +167,13 @@ def test_odd_node_count_pairs_interacting_kernel():
     assert abs(odd - even) < 1e-6 * max(1.0, abs(even))
 
 
+def test_interacting_pairing_on_a_wide_window():
+    # rapidity differences up to 2 L = 800: sinh overflowed in the pair factors
+    val, term = pair_numeric_with_tail(expand_direct(1, 2), [0.4], gauss_test, KT_OP, P,
+                                       L=400.0, nodes=48)
+    assert np.isfinite(val) and np.isfinite(term)
+
+
 def _kt_op(params):
     return OperatorSpec("kt", 0.0, 0.0, 0.0,
                         KTransformProvider(ExponentialPn(params, t=0.3), params))
