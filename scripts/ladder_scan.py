@@ -34,8 +34,7 @@ def main():
         vals = []
         for _ in range(args.ladders):
             fr = np.sort(rng.uniform(0.05, 0.95, len(blocks(3))))
-            lad = ContourLadder(3, {blk: em * f
-                                    for blk, f in zip(blocks(3), fr)})
+            lad = ContourLadder({blk: em * f for blk, f in zip(blocks(3), fr)})
             val, err = compute_I_n(dataclasses.replace(req, ladder=lad), comp)
             vals.append(val)
             print(f"  n={comp.counts} eta={[f'{em*f:.4f}' for f in fr]} "

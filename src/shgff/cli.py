@@ -96,8 +96,7 @@ def _request_from(cfg: dict, params: ModelParams, operators) -> CorrelatorReques
         if "ladder" in r:
             if not isinstance(r["ladder"], dict):
                 raise ValueError(f"ladder must be a mapping, got {r['ladder']!r}")
-            given["ladder"] = ContourLadder(len(operators),
-                                            {tuple(map(int, k.split(","))): v
+            given["ladder"] = ContourLadder({tuple(map(int, k.split(","))): v
                                              for k, v in r["ladder"].items()})
         if "smearings" in r:
             for s in r["smearings"]:
@@ -125,12 +124,12 @@ def main():
 
 @main.command("specfun")
 @click.option("--b", type=float, required=True, help="coupling in [0, 1/2]")
-@click.option("--mass", type=float, default=1.0)
 @click.option("--beta", "betas", type=float, multiple=True, required=True,
               help="rapidity (repeatable)")
-def specfun_cmd(b, mass, betas):
-    """Evaluate the two-body S-matrix and minimal form factor."""
-    params = ModelParams(b=b, mass=mass)
+def specfun_cmd(b, betas):
+    """Evaluate the two-body S-matrix and minimal form factor, which do not
+    depend on the mass."""
+    params = ModelParams(b=b)
     # an infinite rapidity ended in internal error and a NaN printed a nan row
     if not all(map(_is_finite, betas)):
         raise ValueError(f"rapidities must be finite real numbers, got {list(betas)!r}")

@@ -182,17 +182,27 @@ def _is_finite(x, kind=numbers.Real) -> bool:
         return False
 
 
+# the largest truncation rank: a composition has at least max(r) integration
+# variables, each a mesh axis, and a numpy array has at most 64 axes
+_MAX_RANK = 64
+
+
 def _check_ranks(k: int, r: Sequence[int]) -> None:
     """ValueError unless r holds k - 1 truncation ranks, each an integer (not
-    a bool) >= 0."""
+    a bool) in 0.._MAX_RANK. The bound holds for enumeration too, whose loops
+    run over every count up to the rank."""
     if len(r) != k - 1:
         raise ValueError(f"r must have length k-1 = {k - 1}, got {tuple(r)}")
     if not all(_is_integer(x) and x >= 0 for x in r):
         raise ValueError(f"truncation ranks must be non-negative integers, got {tuple(r)}")
+    if max(r, default=0) > _MAX_RANK:
+        raise ValueError(f"truncation ranks must be at most {_MAX_RANK}, one mesh axis "
+                         f"per integration variable")
 
 
 def enumerate_compositions(k: int, r: Sequence[int]) -> list[CompositionVector]:
-    """All composition vectors n with crossing ranks equal to r (length k-1).
+    """All composition vectors n with crossing ranks equal to r (length k-1),
+    each rank an integer in 0..64 (ValueError otherwise, see _check_ranks).
 
     Output is sorted lexicographically in the canonical block order.
     """

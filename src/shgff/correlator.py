@@ -32,9 +32,6 @@ from .specfun import ModelParams, minkowski_dot, momentum, s_matrix  # noqa: F40
 
 # log of the largest double: exp and cosh overflow beyond it
 _LOG_MAX = math.log(np.finfo(float).max)
-# the largest truncation rank: a composition has at least max(r) integration
-# variables, each a mesh axis, and a numpy array has at most 64 axes
-_MAX_RANK = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,8 +86,9 @@ class CorrelatorRequest:
     would pass 709.78 / 2, where a Gaussian's squared momentum overflows.
     `tol` is thus each composition's refinement target; the result is
     `converged` when W's error estimate is at most `tol`. Each rank in `r`
-    is at most 64, since a composition has at least max(r) integration
-    variables, one mesh axis each (ValueError otherwise). `L` and `tol` are
+    is an integer in 0..64, since a composition has at least max(r)
+    integration variables, one mesh axis each (combin._check_ranks, which
+    enumerate_compositions shares; ValueError otherwise). `L` and `tol` are
     finite positive numbers (combin._is_finite; ValueError otherwise).
     Without a `ladder`, each composition is integrated on its own equally
     spaced ladder, placed as far from the singularities of its integrand as
@@ -127,9 +125,6 @@ class CorrelatorRequest:
 
     def __post_init__(self):
         _check_ranks(self.k, self.r)
-        if max(self.r, default=0) > _MAX_RANK:
-            raise ValueError(f"truncation ranks must be at most {_MAX_RANK}, one mesh axis "
-                             f"per integration variable")
         _check_grid(self.nodes, self.L)
         if not _is_integer(self.max_nodes):
             raise ValueError(f"max_nodes must be an integer, got {self.max_nodes}")

@@ -36,9 +36,9 @@ class ContourLadder:
     canonical block order (2,1) < (3,1) < (3,2) < (4,1) < ... on the blocks
     that carry variables, and below pi, where the plane waves leave their
     strip of decay. Each shift is a finite real number (combin._is_finite;
-    ValueError otherwise, when the ladder is built)."""
+    ValueError otherwise, when the ladder is built). It holds the shifts
+    alone: validate refuses a composition whose occupied blocks it misses."""
 
-    k: int
     eta: dict
 
     def __post_init__(self):
@@ -79,7 +79,7 @@ def default_ladder(comp: CompositionVector, params: ModelParams) -> ContourLadde
     # unoccupied blocks carry no variables; park them consistently below
     for blk in blocks(comp.k):
         eta.setdefault(blk, 0.0)
-    return ContourLadder(comp.k, eta)
+    return ContourLadder(eta)
 
 
 def _clearances(request: CorrelatorRequest, comp: CompositionVector) -> list:
@@ -143,5 +143,5 @@ def _spread_ladder(request: CorrelatorRequest, comp: CompositionVector) -> Conto
     steps = [cross for si, oi in rows for sj, oj in rows if sj != si
              if 0.0 < (cross := (oi - oj) / (sj - si)) < cell] + [cell]
     step = max(steps, key=lambda s: min(slope * s + offset for slope, offset in rows))
-    return ContourLadder(comp.k, {**ladder.eta, **{blk: i * step for i, blk in
-                                                  enumerate(_occupied(comp), start=1)}})
+    return ContourLadder({**ladder.eta, **{blk: i * step for i, blk in
+                                           enumerate(_occupied(comp), start=1)}})

@@ -60,26 +60,24 @@ class ModelParams:
     """Coupling and mass of the model.
 
     b is the dimensionless coupling in [0, 1/2] and mass a finite positive
-    number (combin._is_finite; ValueError otherwise); b_hat is the dual exponent
-    entering the Barnes-G representation of the minimal form factor and
-    defaults to 1/2 - b (the Watson-compatible choice; 1/2 - b = b at the
-    self-dual point b = 1/4). A given b_hat must be a finite real number
-    (ValueError otherwise); it may lie outside [0, 1/2].
+    number (combin._is_finite; ValueError otherwise). The S-matrix fixes the
+    minimal form factor, so its dual exponent b_hat = 1/2 - b is a property,
+    not a setting (b_hat = b at the self-dual point b = 1/4).
     """
 
     b: float
     mass: float = 1.0
-    b_hat: float | None = None
 
     def __post_init__(self):
         if not (_is_finite(self.b) and 0.0 <= self.b <= 0.5):
             raise ValueError(f"coupling b must be a number in [0, 1/2], got {self.b!r}")
         if not (_is_finite(self.mass) and self.mass > 0.0):
             raise ValueError(f"mass must be a finite positive number, got {self.mass!r}")
-        if self.b_hat is None:
-            object.__setattr__(self, "b_hat", 0.5 - self.b)
-        elif not _is_finite(self.b_hat):
-            raise ValueError(f"b_hat must be a finite real number, got {self.b_hat!r}")
+
+    @property
+    def b_hat(self) -> float:
+        """The dual exponent 1/2 - b of the Barnes-G representation of F_min."""
+        return 0.5 - self.b
 
     @property
     def sin2pib(self) -> float:
@@ -313,32 +311,29 @@ def varpi(z, exponent):
 def min_form_factor(beta, params: ModelParams):
     """Minimal two-particle form factor F(beta).
 
-    F(beta) = -sin(pi z)/pi * w_b(z) * w_bhat(z) with z = i beta/(2 pi); the
-    prefactor is 1/(Gamma(1+z) Gamma(-z)) by the reflection formula, and is
-    -i sinh(beta/2)/pi. F(0) = 0 for b > 0 and F(beta) -> 1 as
-    |Re beta| -> infinity. At the default b_hat = 1/2 - b, F(beta)/F(-beta)
-    = S(beta) (Watson's equation); at another b_hat it fails (at (b, b_hat)
-    = (0.2, 0.6) the ratio misses S by 0.61 at beta = 0.7 + 0.1i).
+    F(beta) = -sin(pi z)/pi * w_b(z) * w_bhat(z) with z = i beta/(2 pi) and
+    b_hat = 1/2 - b; the prefactor is 1/(Gamma(1+z) Gamma(-z)) by the
+    reflection formula, and is -i sinh(beta/2)/pi. F(0) = 0 for 0 < b < 1/2,
+    F(beta) -> 1 as |Re beta| -> infinity, and F(beta)/F(-beta) = S(beta)
+    (Watson's equation).
     Each quotient is two dilogarithms by Kinkelin's reflection formula (see
     varpi), within a few 1e-15 relative of mpmath on the rapidities the
     correlators and pairings use. Re beta < 0 is evaluated at -conj(beta)
     and conjugated (F(-conj beta) = conj F(beta)), so that every |q| <= 1,
     and the e^(sigma/2) of the prefactor cancels the e^(-sigma/2) of the
     quotients (sigma = |Re beta|) in closed form, so F -> 1 far out with no
-    overflow. At b_hat = b (the self-dual point b = 1/4 of the default
-    b_hat) the two quotients coincide, and one is computed and squared. At
-    b = 0 the prefactor times w_0(z) = Gamma(-z) Gamma(1+z) is identically
-    1, also at z = 0, 1, 2, ..., where it is a removable 0 * infinity, so F
-    is w_bhat(z); likewise F is w_b(z) at b_hat = 0 (b = 1/2 of the default
-    b_hat). With the default b_hat both are w_{1/2}, exactly 1.
+    overflow. At the self-dual point b = 1/4 the two quotients coincide, and
+    one is computed and squared. At b = 0 the prefactor times w_0(z) =
+    Gamma(-z) Gamma(1+z) is identically 1 (a removable 0 * infinity at
+    z = 0, 1, 2, ...), and the other quotient is w_{1/2}, identically 1; so
+    F is exactly 1 at b = 0 and, with the exponents swapped, at b = 1/2.
     Each element's value is independent of the rest of the array, and a
     scalar gets the value it has as an element. Raises SpecialFunctionError
     at a zero of one of the Barnes G's.
     """
     arr = np.asarray(beta, dtype=complex)
-    if params.b == 0.0 or params.b_hat == 0.0:
-        # the other exponent's quotient alone
-        return _by_chunk(lambda c: _quotients(c, (params.b + params.b_hat,), False), arr)
+    if params.b in (0.0, 0.5):
+        return _by_chunk(np.ones_like, arr)
     return _by_chunk(lambda c: _quotients(c, (params.b, params.b_hat), True), arr)
 
 

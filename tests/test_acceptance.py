@@ -203,8 +203,7 @@ def test_criterion_10_contour_ladder_invariance():
         vals = []
         for _ in range(5):
             fr = np.sort(rng.uniform(0.05, 0.95, len(blocks(3))))
-            lad = ContourLadder(3, {blk: em * f
-                                    for blk, f in zip(blocks(3), fr)})
+            lad = ContourLadder({blk: em * f for blk, f in zip(blocks(3), fr)})
             val, _ = compute_I_n(dataclasses.replace(req, ladder=lad), comp)
             vals.append(val)
         spread = max(abs(v - vals[0]) for v in vals[1:])

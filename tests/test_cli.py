@@ -62,6 +62,14 @@ def test_specfun_rejects_bad_coupling(runner):
     assert res.exit_code == EXIT_CONFIG
 
 
+def test_specfun_options_are_the_coupling_and_rapidities(runner):
+    # S and F_min do not depend on the mass, so specfun takes none
+    res = runner.invoke(main, ["specfun", "--help"])
+    assert res.exit_code == EXIT_OK
+    assert {w.rstrip(",") for w in res.output.split() if w.startswith("--")} == {
+        "--b", "--beta", "--help"}
+
+
 def test_enumerate(runner):
     res = runner.invoke(main, ["enumerate", "--k", "3", "--r", "1,1"])
     assert res.exit_code == EXIT_OK
@@ -359,6 +367,9 @@ HUGE_T_CFG = _variant(dict(KT2_CFG, operators=[
 KT3_WIDE_CFG = _variant(dict(UNIT_CFG, operators=[KT_CFG["operators"][0]] * 3), "request",
                         points=[[0.0, 1.0], [0.0, 0.0], [0.0, -1.0]], r=[1, 1], L=400.0,
                         tol=1e-6)
+# the two-operator K-transform request at r = (2) with the dual exponent set off 1/2 - b
+B_HAT_CFG = _variant(_variant(KT2_CFG, "request", r=[2], nodes=32, max_nodes=64, L=6.0),
+                     "model", b_hat=0.6)
 DOC_CFG = _variant(UNIT_CFG, "output", doc="missing/report.txt")
 FD_DOC_CFG = _variant(UNIT_CFG, "output", doc=1)
 LIST_OUTPUT_CFG = dict(UNIT_CFG, output=[])
@@ -392,9 +403,9 @@ EXIT_TABLE = [
                  id="specfun-half-point-at-zero"),
     pytest.param(["specfun", "--b", "0.7", "--beta", "1"], None, None, EXIT_CONFIG,
                  "config error: coupling b", id="specfun-bad-coupling"),
-    pytest.param(["specfun", "--b", "0.25", "--mass", "nan", "--beta", "1"], None, None,
-                 EXIT_CONFIG, "config error: mass must be a finite positive number, got nan",
-                 id="specfun-nan-mass"),
+    # S and F_min do not depend on the mass: --mass was validated and changed no digit
+    pytest.param(["specfun", "--b", "0.25", "--mass", "2", "--beta", "1"], None, None,
+                 EXIT_CONFIG, "Error: No such option", id="specfun-mass"),
     *(pytest.param(["specfun", "--b", "0.25", "--beta", "1", "--beta", beta], None, None,
                    EXIT_CONFIG, "config error: rapidities must be finite real numbers",
                    id=f"specfun-beta-{beta}")
@@ -424,6 +435,9 @@ EXIT_TABLE = [
     pytest.param(["enumerate", "--k", "2", "--r", "-1"], None, None, EXIT_CONFIG,
                  "config error: truncation ranks must be non-negative",
                  id="enumerate-negative-rank"),
+    # the counts of block (2, 1) ran up to the rank: no output in 10 s
+    pytest.param(["enumerate", "--k", "3", "--r", f"{10 ** 30},1"], None, None, EXIT_CONFIG,
+                 "config error: truncation ranks must be at most 64", id="enumerate-huge-rank"),
     pytest.param(["enumerate", "--k", "3", "--r", "1,1"], None, "enumerate_compositions",
                  EXIT_INTERNAL, "internal error: boom", id="enumerate-internal"),
     pytest.param(["eval-ff", "--config", "CFG", "--betas", "0.1,0.2"], KT_CFG, None,
@@ -550,12 +564,12 @@ EXIT_TABLE = [
     pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", tol=-1.0),
                  None, EXIT_CONFIG, "config error: tol must be a finite positive number, got -1.0",
                  id="correlator-negative-tol"),
-    # "bad operators section: cannot convert float NaN to integer", "can only concatenate
-    # str ..." and the like, once ExponentialPn evaluated F(i pi) with the bad b_hat
-    *(pytest.param(["correlator", "--config", "CFG"], _variant(KT2_CFG, "model", b_hat=b_hat),
-                   None, EXIT_CONFIG, "config error: bad model section: b_hat must be a finite "
-                   f"real number, got {b_hat!r}", id=f"correlator-b-hat-{b_hat}")
-      for b_hat in (float("nan"), float("inf"), "0.3")),
+    # b_hat = 1/2 - b is no setting: at 0.6 the correlator printed W = 1.41e-2 with
+    # error 2.9e-14 and exit 0, and verify --n-max 2 saw exchange 1.6 and exit 4
+    *(pytest.param([command, "--config", "CFG", *args], B_HAT_CFG, None, EXIT_CONFIG,
+                   "config error: bad model section: ", id=f"{command}-b-hat")
+      for command, args in (("correlator", []), ("verify", ["--n-max", "2"]),
+                            ("eval-ff", ["--betas", "0.3,-0.2"]))),
     # mass <= 0 was False on NaN: total,nan,... and non-convergence (exit 4)
     *(pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "model", mass=mass),
                    None, EXIT_CONFIG, "config error: bad model section: mass must be a finite "
@@ -682,8 +696,6 @@ NUMBER_KEYS = {
     "b": (lambda v: _variant(UNIT_CFG, "model", b=v), "coupling b must be a number"),
     "mass": (lambda v: _variant(UNIT_CFG, "model", mass=v),
              "mass must be a finite positive number"),
-    "b_hat": (lambda v: _variant(UNIT_CFG, "model", b_hat=v),
-              "b_hat must be a finite real number"),
     **{key: (lambda v, key=key: _operator_variant(dict(UNIT_CFG["operators"][0], **{key: v})),
              f"{key} must be a finite real number") for key in ("omega", "spin", "growth")},
     **{key: (lambda v, key=key: _operator_variant(
@@ -733,6 +745,7 @@ def test_every_config_number_is_a_finite_number(runner, tmp_path, key, value):
 # "'int' object is not subscriptable"
 @pytest.mark.parametrize("cfg, section, message", [
     (_variant(UNIT_CFG, "model", mas=7.0), "model", "unexpected keyword argument 'mas'"),
+    (B_HAT_CFG, "model", "unexpected keyword argument 'b_hat'"),
     (_variant(UNIT_CFG, "request", nodse=8), "request", "unknown keys ['nodse']"),
     (_variant(SMEARED_CFG, "request", smearings=[
         {"center": [0.0, 1.0], "widht": [0.05, 0.05]}, SMEARED_CFG["request"]["smearings"][1]]),
@@ -740,7 +753,7 @@ def test_every_config_number_is_a_finite_number(runner, tmp_path, key, value):
     (_variant(SMEARED_CFG, "request", smearings=[5, SMEARED_CFG["request"]["smearings"][1]]),
      "request", "a smearing must be a mapping, got 5"),
     (_variant(UNIT_CFG, "output", dco="report.txt"), "output", "'dco': 'report.txt'"),
-], ids=["model", "request", "smearing", "smearing-number", "output"])
+], ids=["model", "model-b-hat", "request", "smearing", "smearing-number", "output"])
 def test_config_sections_refuse_unknown_keys(runner, tmp_path, cfg, section, message):
     res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg)])
     assert res.exit_code == EXIT_CONFIG, res.output

@@ -219,6 +219,16 @@ def test_enumerate_compositions_rejects_negative_ranks():
     assert [c.counts for c in enumerate_compositions(2, (0,))] == [(0,)]
 
 
+def test_enumerate_compositions_refuses_a_rank_above_64():
+    # the counts of block (2, 1) ran up to the rank, so (10^30, 1), which has two
+    # compositions, never returned; 64 is CorrelatorRequest's bound, one mesh axis
+    # per integration variable
+    for r in ((10 ** 30, 1), (65, 0), (0, 65)):
+        with pytest.raises(ValueError, match="truncation ranks must be at most 64"):
+            enumerate_compositions(3, r)
+    assert len(enumerate_compositions(3, (64, 1))) == 2
+
+
 def test_omega_accumulation():
     om = [0.1, 0.2, 0.4, 0.8]
     assert omega_ba_t(3, 1, None, om) == pytest.approx(0.6)

@@ -68,11 +68,14 @@ def test_eta_max_positive_inside_coupling_range():
 
 def test_ladder_validation():
     comp = CompositionVector(3, (1, 1, 0))
-    good = ContourLadder(3, {(2, 1): 0.1, (3, 1): 0.2, (3, 2): 0.0})
+    good = ContourLadder({(2, 1): 0.1, (3, 1): 0.2, (3, 2): 0.0})
     good.validate(comp)  # (3,2) unoccupied, ordering holds on occupied blocks
-    bad = ContourLadder(3, {(2, 1): 0.2, (3, 1): 0.1, (3, 2): 0.0})
+    bad = ContourLadder({(2, 1): 0.2, (3, 1): 0.1, (3, 2): 0.0})
     with pytest.raises(ValueError):
         bad.validate(comp)
+    # a ladder is its shifts alone; the blocks a composition occupies decide what it needs
+    ContourLadder({(2, 1): 0.1}).validate(CompositionVector(2, (1,)))
+    assert [f.name for f in dataclasses.fields(ContourLadder)] == ["eta"]
 
 
 @pytest.mark.parametrize("eta, message", [
@@ -85,8 +88,8 @@ def test_ladder_validation():
 def test_ladder_refuses_a_missing_shift_or_one_outside_the_strip(eta, message):
     comp = CompositionVector(3, (1, 1, 0))
     with pytest.raises(ValueError, match=message):
-        ContourLadder(3, eta).validate(comp)
-    req = _req(X3, (1, 1), ladder=ContourLadder(3, eta))
+        ContourLadder(eta).validate(comp)
+    req = _req(X3, (1, 1), ladder=ContourLadder(eta))
     with pytest.raises(ValueError, match=message):
         compute_I_n(req, comp)
 
@@ -159,7 +162,7 @@ def test_two_point_truncation_error_is_estimated():
     # on default_ladder's contour, eta = eta_max / 2, at L = 8 the tails
     # beyond +-L are 7.9e-9, above tol
     want = k0(np.sqrt(1.0 - 0.999 ** 2)) / np.pi
-    low = ContourLadder(2, {(2, 1): eta_max(P) / 2})
+    low = ContourLadder({(2, 1): eta_max(P) / 2})
     res = compute_W_r(_req([(0.999, 1.0), (0.0, 0.0)], (1,), ladder=low))
     assert abs(res.value - want) <= res.error
     assert res.converged is False
@@ -221,7 +224,7 @@ def test_ladder_invariance_three_point():
     em = eta_max(P)
     vals = []
     for (e1, e2) in [(0.2, 0.8), (0.4, 0.6), (0.1, 0.95)]:
-        lad = ContourLadder(3, {(2, 1): e1 * em, (3, 1): 0.0, (3, 2): e2 * em})
+        lad = ContourLadder({(2, 1): e1 * em, (3, 1): 0.0, (3, 2): e2 * em})
         val, _ = compute_I_n(dataclasses.replace(req, ladder=lad), comp)
         vals.append(val)
     for v in vals[1:]:
@@ -302,8 +305,8 @@ def _array_spread_ladder(request, comp):
     cross = np.divide(offset[:, None] - offset, run, out=np.zeros_like(run), where=run != 0)
     steps = np.append(cross[(cross > 0) & (cross < cell)], cell)
     step = float(steps[np.argmax(np.min(slope[:, None] * steps + offset[:, None], axis=0))])
-    return ContourLadder(comp.k, {**ladder.eta, **{blk: i * step for i, blk in
-                                                  enumerate(_occupied(comp), start=1)}})
+    return ContourLadder({**ladder.eta, **{blk: i * step for i, blk in
+                                           enumerate(_occupied(comp), start=1)}})
 
 
 @pytest.mark.parametrize("b", [0.0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.45, 0.5])
@@ -451,7 +454,7 @@ def test_two_variables_of_one_block_never_coincide():
         assert res.converged is True
         assert abs(res.value - 0.02573654637525) < 1e-12
         vals = [compute_I_n(dataclasses.replace(
-                    req, ladder=ContourLadder(2, {(2, 1): f * eta_max(P)})),
+                    req, ladder=ContourLadder({(2, 1): f * eta_max(P)})),
                     CompositionVector(2, (2,)))
                 for f in (0.3, 0.9)]
         assert all(err < 1e-10 for _, err in vals)
@@ -800,7 +803,7 @@ def test_error_estimate_covers_the_true_error():
         for _ in range(5):
             fr = np.sort(rng.uniform(0.05, 0.95, len(blocks(3))))
             req_l = dataclasses.replace(req, ladder=ContourLadder(
-                3, {blk: em * f for blk, f in zip(blocks(3), fr)}))
+                {blk: em * f for blk, f in zip(blocks(3), fr)}))
             val, err = compute_I_n(req_l, comp)
             ref = _quad_tensor(req_l, comp, _contours(req_l, comp), 3072)[0]
             assert abs(val - ref) <= err + 1e-14 * max(1.0, abs(ref))
@@ -854,8 +857,8 @@ def test_ladder_refuses_a_shift_that_is_not_real_when_built(eta):
     # True ran as eta = 1, and the CLI's float() turned "0.3" into 0.3
     with pytest.raises(ValueError, match=re.escape(
             f"ladder shift of block (2, 1) must be a finite real number, got {eta!r}")):
-        ContourLadder(2, {(2, 1): eta})
-    ContourLadder(3, {(2, 1): 1, (3, 1): np.float64(1.5), (3, 2): 0.0})
+        ContourLadder({(2, 1): eta})
+    ContourLadder({(2, 1): 1, (3, 1): np.float64(1.5), (3, 2): 0.0})
 
 
 def test_request_refuses_an_L_whose_contours_overflow_exp():

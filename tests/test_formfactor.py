@@ -368,6 +368,14 @@ def test_k_transform_provider_is_shift_invariant(n):
         assert abs(prov.evaluate([b + c for b in betas]) - want) < 1e-13 * abs(want)
 
 
+def test_k_transform_provider_refuses_a_seed_of_another_model():
+    # the seed's model sets the residue coupling g and the provider's sets F_min and
+    # the pair factors: at b = 1/4 and 0.1 the residue axiom missed by 0.62
+    with pytest.raises(ValueError, match="the seed's model"):
+        KTransformProvider(ExponentialPn(ModelParams(b=0.25), t=0.3), ModelParams(b=0.1))
+    KTransformProvider(ExponentialPn(ModelParams(b=0.25), t=0.3), ModelParams(b=0.25))
+
+
 @pytest.mark.parametrize("d", [800.0, -800.0, 800.0 + 1j * np.pi / 3, 1e4])
 def test_k_transform_takes_the_far_limit_of_its_pair_factors(d):
     # beyond |Re d| = 710 sinh(d) overflowed: q = i sin(2 pi b)/sinh(d) was

@@ -1,4 +1,6 @@
 """S-matrix, Barnes G, and minimal form factor: identities and mpmath oracle."""
+import dataclasses
+import types
 import warnings
 
 import mpmath
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import loggamma
 
 from shgff.specfun import (
-    ModelParams, SpecialFunctionError, log_barnes_g,
+    ModelParams, SpecialFunctionError, _quotients, log_barnes_g,
     min_form_factor, minkowski_dot, momentum, s_matrix, varpi,
 )
 
@@ -39,21 +41,32 @@ def test_params_refuse_a_mass_that_is_not_finite(mass):
 
 @pytest.mark.parametrize("value", ["0.25", True, 10 ** 400])
 @pytest.mark.parametrize("key, message", [
-    ("b", "coupling b must be a number in"), ("mass", "mass must be a finite positive number"),
-    ("b_hat", "b_hat must be a finite real number")])
+    ("b", "coupling b must be a number in"), ("mass", "mass must be a finite positive number")])
 def test_params_refuse_a_value_that_is_not_a_finite_number(key, message, value):
     # a string compared with 0.0 raised TypeError and a bool ran as 0 or 1; an integer
     # beyond float range raised OverflowError in math.isfinite
     with pytest.raises(ValueError, match=message):
         ModelParams(**{"b": 0.25, key: value})
     # numpy's numbers and integers keep their value
-    assert ModelParams(b=np.float64(0.25), mass=np.int64(2), b_hat=0).mass == 2
+    assert ModelParams(b=np.float64(0.25), mass=np.int64(2)).mass == 2
 
 
 def test_params_dual_exponent_default():
     assert ModelParams(b=0.3).b_hat == pytest.approx(0.2, abs=1e-15)
     # self-dual point
     assert ModelParams(b=0.25).b_hat == pytest.approx(0.25, abs=1e-15)
+
+
+def test_params_hold_the_coupling_and_mass_only():
+    # the S-matrix fixes the dual exponent: a b_hat other than 1/2 - b gave operators
+    # that fail the axioms, and the correlator ran on them with exit 0
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["b", "mass"]
+    with pytest.raises(TypeError, match="b_hat"):
+        ModelParams(b=0.25, b_hat=0.25)
+    p = ModelParams(b=0.1)
+    assert p.b_hat == 0.5 - 0.1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.b_hat = 0.6
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +113,12 @@ def test_free_point_at_zero_rapidity():
     assert np.all(s_matrix(np.array([0.0, 1e-300, -2.0 + 0.5j]), p0) == 1.0)
     assert min_form_factor(0.0, p0) == 1.0
     assert np.all(min_form_factor(np.array([0.0, 1.3, -0.4 + 2.0j]), p0) == 1.0)
-    # with another dual exponent F is w_bhat, as the general formula gives off
-    # beta = 0
-    p1 = ModelParams(b=0.0, b_hat=0.3)
+    # the prefactor times w_0 is 1, as the general formula gives off beta = 0, so F
+    # is the other quotient, w_{1/2} = 1
     beta = np.array([0.7, -1.1 + 0.5j, 3.0])
     z = 1j * beta / (2.0 * np.pi)
-    general = -np.sin(np.pi * z) / np.pi * varpi(z, 0.0) * varpi(z, 0.3)
-    assert np.max(np.abs(min_form_factor(beta, p1) - general) / np.abs(general)) < 1e-13
-    assert min_form_factor(0.0, p1) == pytest.approx(varpi(0.0, 0.3), rel=1e-15)
+    general = -np.sin(np.pi * z) / np.pi * varpi(z, 0.0) * varpi(z, 0.5)
+    assert np.max(np.abs(min_form_factor(beta, p0) - general) / np.abs(general)) < 1e-13
 
 
 def test_half_point_at_zero_rapidity():
@@ -215,7 +226,7 @@ def test_barnes_vectorized_equals_scalar_bitwise():
 
 def _mp_min_form_factor(beta, params):
     """F(beta) from mpmath's Barnes G at 30 digits, with w_b taken once at
-    b_hat = b."""
+    b_hat = b; `params` is anything with the exponents b and b_hat."""
     mpmath.mp.dps = 30
     z = 1j * mpmath.mpc(complex(beta)) / (2 * mpmath.pi)
     g = mpmath.barnesg
@@ -237,13 +248,14 @@ def _mp_rel_err(got, beta, params):
 
 
 def test_min_form_factor_self_dual_single_quotient():
-    # at b_hat = b the squared quotient stands in for the two quotients; the
-    # reference is mpmath on every fifth rapidity
+    # at b_hat = b the squared quotient stands in for the two quotients, which
+    # _quotients takes at b_hat one ulp above b; the reference is mpmath on
+    # every fifth rapidity
     rng = np.random.default_rng(4)
     beta = rng.uniform(-8.0, 8.0, 200) + 1j * rng.uniform(-0.5, 3.5, 200)
     b = 0.25
     got = min_form_factor(beta, ModelParams(b=b))
-    eight = min_form_factor(beta, ModelParams(b=b, b_hat=np.nextafter(b, 1.0)))
+    eight = _quotients(beta, (b, np.nextafter(b, 1.0)), True)
     assert np.max(np.abs(got - eight) / np.abs(eight)) < 1e-13
     assert _mp_rel_err(got[::5], beta[::5], ModelParams(b=b)) < 3e-14
 
@@ -273,7 +285,7 @@ def test_min_form_factor_chunks_and_scalars_are_evaluated_alone():
     rng = np.random.default_rng(6)
     size = 3 * 8192 + 5
     beta = rng.uniform(-16.0, 16.0, size) + 1j * rng.uniform(-3.5, 3.5, size)
-    for p in (ModelParams(b=0.25), ModelParams(b=0.1), ModelParams(b=0.3, b_hat=0.7)):
+    for p in (ModelParams(b=0.25), ModelParams(b=0.1), ModelParams(b=0.3)):
         got = min_form_factor(beta, p)
         chunks = np.concatenate([min_form_factor(beta[s:s + 8192], p)
                                  for s in range(0, size, 8192)] + [min_form_factor(beta[:1175], p)])
@@ -286,8 +298,8 @@ def test_min_form_factor_chunks_and_scalars_are_evaluated_alone():
 
 @pytest.mark.parametrize("b", [0.0, 0.5])
 def test_min_form_factor_is_exactly_one_at_the_free_and_half_couplings(b):
-    # the remaining quotient has exponent 1/2, where x_1 = e + z and
-    # x_2 = 1 - e + z are one number, so their two terms cancel exactly
+    # F is the quotient of exponent 1/2, identically 1; varpi there has
+    # x_1 = e + z and x_2 = 1 - e + z one number, so its two terms cancel exactly
     rng = np.random.default_rng(7)
     beta = rng.uniform(-16.0, 16.0, 1000) + 1j * rng.uniform(-3.5, 3.5, 1000)
     assert np.all(min_form_factor(beta, ModelParams(b=b)) == 1.0)
@@ -295,28 +307,43 @@ def test_min_form_factor_is_exactly_one_at_the_free_and_half_couplings(b):
     assert np.all(varpi(1j * beta / (2.0 * np.pi), 0.5) == 1.0)
 
 
-@pytest.mark.parametrize("b, b_hat", [(0.3, None), (0.3, 0.7)])
-def test_min_form_factor_refuses_a_zero_of_each_barnes_argument(b, b_hat):
-    # z at a zero of G(1-b-z), G(2-b+z), G(1+b+z) and G(b-z), for each exponent
-    p = ModelParams(b=b, b_hat=b_hat)
-    for e in (p.b, p.b_hat):
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_min_form_factor_is_one_where_w_half_is_a_removable_zero_over_zero(b):
+    # at z = 1/2, 3/2, -3/2 and -5/2 (beta = -2 pi i z) two G's of w_{1/2} vanish
+    # above and below; the quotient refused them, but F = w_{1/2} is identically 1
+    p = ModelParams(b=b)
+    beta = -1j * np.pi * np.array([1.0, 3.0, -3.0, -5.0])
+    assert np.all(min_form_factor(beta, p) == 1.0)
+    assert min_form_factor(-1j * np.pi, p) == 1.0
+
+
+@pytest.mark.parametrize("exponents, f", [
+    ((P.b, P.b_hat), lambda beta: min_form_factor(beta, P)),
+    # the two quotients and the prefactor at exponents that no coupling gives
+    ((0.3, 0.7), lambda beta: _quotients(np.atleast_1d(np.asarray(beta, dtype=complex)),
+                                         (0.3, 0.7), True)),
+], ids=["min-form-factor", "quotients-0.3-0.7"])
+def test_min_form_factor_refuses_a_zero_of_each_barnes_argument(exponents, f):
+    # z at a zero of G(1-e-z), G(2-e+z), G(1+e+z) and G(e-z), for each exponent
+    for e in exponents:
         for z in (1.0 - e, e - 2.0, -1.0 - e, e, 2.0 - e, e - 3.0, -2.0 - e, e + 1.0):
             beta = -2j * np.pi * z
             with pytest.raises(SpecialFunctionError):
-                min_form_factor(beta, p)
+                f(beta)
             with pytest.raises(SpecialFunctionError):
-                min_form_factor(np.array([0.3 + 0.1j, beta, -1.0]), p)
+                f(np.array([0.3 + 0.1j, beta, -1.0]))
             with pytest.raises(SpecialFunctionError):
                 varpi(z, e)
 
 
 @pytest.mark.parametrize("b_hat", [0.35, 0.6, 0.9])
-def test_min_form_factor_with_a_dual_exponent_off_the_default(b_hat):
-    # b_hat != b, and b_hat > 1/2 (a = 1 - 2 b_hat < 0), against mpmath
+def test_quotients_with_a_dual_exponent_off_the_default(b_hat):
+    # the two quotients and the prefactor at exponents (0.2, b_hat) that no
+    # coupling gives (b_hat > 1/2 too, where a = 1 - 2 b_hat < 0), against mpmath
     rng = np.random.default_rng(8)
     beta = rng.uniform(-10.0, 10.0, 6) + 1j * rng.uniform(-3.0, 6.0, 6)
-    p = ModelParams(b=0.2, b_hat=b_hat)
-    assert _mp_rel_err(min_form_factor(beta, p), beta, p) < 3e-14
+    got = _quotients(beta, (0.2, b_hat), True)
+    assert _mp_rel_err(got, beta, types.SimpleNamespace(b=0.2, b_hat=b_hat)) < 3e-14
 
 
 @pytest.mark.parametrize("eta", [2.0 * np.pi / 3.0, np.pi])
@@ -337,7 +364,7 @@ def test_min_form_factor_one_ulp_noise(eta):
 # against mpmath at 3e-14; RuntimeWarning is an error in every test
 # (pyproject.toml), so none of them may warn either.
 
-SEAM_PARAMS = [ModelParams(b=0.25), ModelParams(b=0.2, b_hat=0.6)]
+SEAM_PARAMS = [ModelParams(b=0.25), ModelParams(b=0.2)]
 
 
 @pytest.mark.parametrize("p", SEAM_PARAMS)
