@@ -11,16 +11,14 @@ permutation). Words are plain tuples: concatenation is tuple `+` and the
 reversal <-W is W[::-1]; the reversal of a concatenation is the reversed
 concatenation of reversed parts.
 
-Scalar S-products between two orderings of the same word are products of
-two-body factors over order-inverted pairs, equivalent to accumulating one
-factor per adjacent transposition in a bubble-sort decomposition:
-
-* beta-type words: swapping adjacent (x, y) -> (y, x) contributes S(x - y);
-* alpha-type words: the same swap contributes S(y - x).
-
-With these rules the reversal identity (the exchange factor for W -> W' equals
-the one for <-W' -> <-W) holds identically and composed exchange factors
-collapse into a single source -> target product.
+The scalar S-product from one ordering of a word to another has one rule:
+each adjacent swap (x, y) -> (y, x) of a bubble-sort decomposition
+contributes S(x - y), so the product runs over the order-inverted pairs and
+composed exchange factors collapse into a single source -> target product.
+An alpha-type word, whose swaps contribute S(y - x), takes the same rule on
+the swapped words: its factor from W to W' is s_product(W', W). Either way
+the factor from W to W' equals the one from <-W' to <-W (the reversal
+identity).
 """
 from __future__ import annotations
 
@@ -38,10 +36,11 @@ DISTINCT_TOL = 1e-9
 class Slot:
     """A single rapidity label: which family it belongs to and its index.
 
-    family: 'a' (left/alpha-type) or 'b' (right/beta-type) for kernel words,
-    or a block tag like (3, 1) for correlator blocks. shift counts units of
-    +i*pi added at evaluation time; its sign also fixes the boundary-value
-    side of a kernel's form-factor slot (see kernelalg.FormalKernelSum.describe).
+    family: 'a' (left/alpha-type) or 'b' (right/beta-type) of a kernel word;
+    the correlator's words are not slots but the (block, shift) pairs of
+    _operator_word. shift counts units of +i*pi added at evaluation time; its
+    sign also fixes the boundary-value side of a kernel's form-factor slot
+    (see kernelalg.FormalKernelSum.describe).
     """
 
     family: Hashable
@@ -76,22 +75,17 @@ def signature(parent: Sequence, arrangement: Sequence) -> int:
     return -1 if len(inverted_pairs(parent, arrangement)) % 2 else 1
 
 
-def s_product(word_from: Sequence, word_to: Sequence, values: dict, s_func: Callable,
-              side: str = "beta"):
+def s_product(word_from: Sequence, word_to: Sequence, values: dict, s_func: Callable):
     """Scalar exchange factor relating a kernel evaluated at `word_from` to one
     evaluated at `word_to` (same distinct slots, different order; ValueError
-    otherwise).
+    otherwise): S(u - v) for each inverted pair (u before v in word_from).
 
     values maps slot -> complex rapidity; s_func is the two-body amplitude.
-    The product runs over the inverted pairs (u before v in word_from):
-    side='beta' gives S(u - v) per pair, side='alpha' gives S(v - u).
+    An alpha-type factor, S(v - u) per pair, is s_product(word_to, word_from).
     """
-    if side not in ("alpha", "beta"):
-        raise ValueError(f"unknown side {side!r}")
     out = 1.0 + 0.0j
     for u, v in inverted_pairs(word_from, word_to):
-        dx = values[u] - values[v]
-        out = out * (s_func(dx) if side == "beta" else s_func(-dx))
+        out = out * s_func(values[u] - values[v])
     return out
 
 

@@ -23,10 +23,9 @@ from .combin import (
     blocks, enumerate_compositions, omega_ba_t,
 )
 from .formfactor import (
-    KTransformProvider, OperatorSpec, _difference_lattice, _open_axis, _pair_tables,
+    KTransformProvider, OperatorSpec, _check_model, _difference_lattice, _open_axis, _pair_tables,
 )
-# default_ladder and eta_max stay importable from here
-from .ladder import ContourLadder, _spread_ladder, default_ladder, eta_max  # noqa: F401
+from .ladder import ContourLadder, _spread_ladder
 # perfbench/tracing.py wraps correlator.minkowski_dot by name
 from .specfun import ModelParams, minkowski_dot, momentum, s_matrix  # noqa: F401
 
@@ -108,7 +107,9 @@ class CorrelatorRequest:
     `points` (they may be empty) nor `ladder`, and it refuses `mixed_t`. A
     point request needs one point per operator, with finite real coordinates
     (combin._is_finite; ValueError otherwise), in check_region's region
-    (RegionError otherwise).
+    (RegionError otherwise). An operator whose provider carries a model must
+    have the coupling b of `params` (formfactor._check_model; ValueError
+    otherwise).
     Each refusal is raised when the request is built."""
 
     params: ModelParams
@@ -125,6 +126,7 @@ class CorrelatorRequest:
 
     def __post_init__(self):
         _check_ranks(self.k, self.r)
+        _check_model(self.operators, self.params)
         _check_grid(self.nodes, self.L)
         if not _is_integer(self.max_nodes):
             raise ValueError(f"max_nodes must be an integer, got {self.max_nodes}")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import json
 import numbers
 import operator
 from typing import Sequence
@@ -197,15 +196,16 @@ def _label_sum(p: ExponentialPn, betas, tables):
     return total
 
 
-def k_transform(p: ExponentialPn, betas: Sequence[complex], params: ModelParams) -> complex:
+def k_transform(p: ExponentialPn, betas: Sequence[complex]) -> complex:
     """K_n[p](beta) = sum over ell in {0,1}^n of (-1)^{|ell|} *
-    prod_{k<s} (1 - i (ell_k - ell_s) sin(2 pi b)/sinh(beta_k - beta_s)) * p(beta|ell).
-    The pair factors are evaluated on the pairs' tables of differences (see
-    _pair_tables), as KTransformProvider evaluates them.
+    prod_{k<s} (1 - i (ell_k - ell_s) sin(2 pi b)/sinh(beta_k - beta_s)) * p(beta|ell),
+    at the seed's model b. The pair factors are evaluated on the pairs'
+    tables of differences (see _pair_tables), as KTransformProvider
+    evaluates them.
     """
     betas = [np.asarray(b, dtype=complex) for b in betas]
     return _label_sum(p, betas, _pair_tables(list(itertools.combinations(betas, 2)),
-                                             functools.partial(_k_factors, params=params)))
+                                             functools.partial(_k_factors, params=p.params)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +222,17 @@ class OperatorSpec:
     spin: float
     growth: float
     provider: "FormFactorProvider"
+
+
+def _check_model(operators: Sequence[OperatorSpec], params: ModelParams) -> None:
+    """ValueError unless every operator whose provider carries a model (its
+    `params`) has the coupling b of `params`, the model of the S-factors,
+    ladders and poles it meets. The mass is not compared: no form factor
+    depends on it."""
+    for op in operators:
+        own = getattr(op.provider, "params", None)
+        if own is not None and own.b != params.b:
+            raise ValueError(f"operator {op.name!r} is of the model {own}, not {params}")
 
 
 class FormFactorProvider:
@@ -317,7 +328,7 @@ def _check_keys(section, known, what: str) -> None:
 
 
 def load_operator(doc, params: ModelParams) -> OperatorSpec:
-    """Build an OperatorSpec from a definition document (dict or JSON text).
+    """Build an OperatorSpec from a definition document, a mapping.
 
     Schema: {"name": str, "omega": float, "spin": float, "growth": float,
              "provider": {"kind": "unit" | "exponential-like" | "k-transform",
@@ -325,13 +336,12 @@ def load_operator(doc, params: ModelParams) -> OperatorSpec:
     kind-specific keys:
       exponential-like: "coefficients": [c0, c1, ...], optional "slope"
       k-transform: optional "t" (default -1), "c1" (default 1)
-    A document without a provider is the unit operator. ValueError on any
-    other key, on a provider that has keys but no "kind", and on a number
-    that fails combin._is_finite: omega, spin, growth, t and c1 must be
-    finite real numbers, slope and each coefficient finite complex ones.
+    A document without a provider is the unit operator. ValueError on a
+    document that is not a mapping (JSON text included), on any other key,
+    on a provider that has keys but no "kind", and on a number that fails
+    combin._is_finite: omega, spin, growth, t and c1 must be finite real
+    numbers, slope and each coefficient finite complex ones.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     _check_keys(doc, ("name", "omega", "spin", "growth", "provider"), "an operator")
     pdoc = doc.get("provider", {"kind": "unit"})
     if not isinstance(pdoc, dict):

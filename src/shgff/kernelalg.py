@@ -22,7 +22,7 @@ import numpy as np
 
 from .combin import Slot, _is_finite, iter_partitions, s_product
 from .correlator import _along, _check_grid, _contract
-from .formfactor import OperatorSpec
+from .formfactor import OperatorSpec, _check_model
 from .specfun import ModelParams, s_matrix
 
 
@@ -249,13 +249,21 @@ def pair_numeric_with_tail(kernel, alphas, test, op, params,
     reduction runs slab by slab because F and the test function each span
     every free axis, so no contraction order keeps a whole term's mesh from
     being materialised. Terms share their rules: each distinct (pole set,
-    axis) rule is built once per call."""
+    axis) rule is built once per call.
+
+    The refinement term cannot see a step 2L/`nodes` wider than the test
+    function: direct (1,2) at alpha = 0.4, b = 1/4 and nodes = 48, against
+    the test exp(-sum (beta - 0.3)^2 / 2), gives 0.2382 at L = 8, but 4e-12
+    with a term of 7.8e-12 at L = 700. An operator whose provider carries a
+    model must have the coupling b of `params` (formfactor._check_model;
+    ValueError otherwise)."""
     _check_grid(nodes, L)
     n, m = kernel.n, kernel.m
     if len(alphas) != n:
         raise ValueError("alpha count does not match the kernel")
     if not all(map(_is_finite, alphas)):
         raise ValueError(f"alphas must be finite real numbers, got {list(alphas)!r}")
+    _check_model([op], params)
     A, B = _word("a", n), _word("b", m)
     aval = {A[i]: complex(alphas[i]) for i in range(n)}
     phase = np.exp(-2j * np.pi * op.omega)
@@ -276,8 +284,8 @@ def pair_numeric_with_tail(kernel, alphas, test, op, params,
         free = [s for s in B if s not in fixed]
 
         def integrand(vals: dict):
-            sa = s_product(A, term.alpha_to, vals, sfun, side="alpha") if n > 1 else 1.0
-            sb = s_product(B, term.beta_to, vals, sfun, side="beta") if m > 1 else 1.0
+            sa = s_product(term.alpha_to, A, vals, sfun) if n > 1 else 1.0
+            sb = s_product(B, term.beta_to, vals, sfun) if m > 1 else 1.0
             fv = op.provider.evaluate(
                 [vals[s.base()] + s.shift * 1j * np.pi for s in term.ff_word])
             return sa * sb * fv * test([vals[b] for b in B])
@@ -304,9 +312,7 @@ def pair_numeric_with_tail(kernel, alphas, test, op, params,
     return fine, abs(fine - coarse[0]) if coarse else math.inf
 
 
-def term_count(flavor: str, n: int, m: int) -> int:
+def term_count(n: int, m: int) -> int:
     """Terms in the direct, dual or any mixed expansion: sum_p C(n,p) m!/(m-p)!
     (each mixed split gives this count by Vandermonde's identity)."""
-    if flavor not in ("direct", "dual", "mixed"):
-        raise ValueError(f"no term count for flavor {flavor!r}")
     return sum(math.comb(n, p) * math.perm(m, p) for p in range(min(n, m) + 1))

@@ -247,8 +247,8 @@ def _quotients(beta, exponents, prefactor: bool):
     near = sigma < 2.0 * np.pi * POLE_TOL
     if near.any() and np.any((np.hypot(wrapped[:, near], sigma[near]) < 2.0 * np.pi * POLE_TOL)
                              & (k[:, near] != 0.0)):
-        raise SpecialFunctionError("min_form_factor: a Barnes G argument of "
-                                   "w_b(z) is at a zero of G (0, -1, -2, ...)")
+        raise SpecialFunctionError("Barnes G quotient w_e(z): a G argument is at a "
+                                   "zero of G (0, -1, -2, ...)")
     half = 0.5 * tau
     ch, sh = np.cos(half), np.sin(half)
     ca, sa = np.cos(np.pi * rows), np.sin(np.pi * rows)
@@ -297,14 +297,17 @@ def varpi(z, exponent):
         log w_e = (1-2e) log 2 pi - [x_2 log(1-q_2) - x_1 log(1-q_1)]
                   - [Li_2(q_2) - Li_2(q_1)] / (2 pi i) + (i pi/2)(1-2e)(1+2z),
     on principal branches where every |q| <= 1, i.e. Im z >= 0; Im z < 0 is
-    evaluated as conj w_e(conj z). q_2's phase is 2 pi (1 - e) itself, so
-    w_1/2 is exactly 1, and x = 0 (q = 1), where pi x cot pi x is removable,
-    is taken at its limit (see _quotients). Raises SpecialFunctionError at a
-    zero of one of the four G's, x_1 or x_2 a nonzero integer. Evaluated
-    _CHUNK elements at a time, each element's value independent of the rest
-    of the array.
+    evaluated as conj w_e(conj z). x = 0 (q = 1), where pi x cot pi x is
+    removable, is taken at its limit (see _quotients). Raises
+    SpecialFunctionError at a zero of one of the four G's, x_1 or x_2 a
+    nonzero integer, but for e = 1/2: there x_1 = x_2, each zero of a
+    numerator G meets the same zero of a denominator G, and w_1/2 is exactly
+    1 everywhere. Evaluated _CHUNK elements at a time, each element's value
+    independent of the rest of the array.
     """
     arr = np.asarray(z, dtype=complex)
+    if exponent == 0.5:
+        return _by_chunk(np.ones_like, arr)
     return _by_chunk(lambda c: _quotients(-2j * np.pi * c, (exponent,), False), arr)
 
 

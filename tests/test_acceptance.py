@@ -14,13 +14,14 @@ from shgff.combin import (
 )
 from shgff.correlator import (
     ContourLadder, CorrelatorRequest, SpacetimePoint, compute_I_n,
-    compute_W_r, compute_W_r_mixed, eta_max,
+    compute_W_r, compute_W_r_mixed,
 )
 from shgff.formfactor import (
     ExponentialPn, FixtureUnitProvider, KTransformProvider, OperatorSpec,
     load_operator, verify_axioms,
 )
 from shgff.kernelalg import expand_direct, expand_dual, expand_mixed, pair_numeric
+from shgff.ladder import eta_max
 from shgff.specfun import ModelParams, log_barnes_g, min_form_factor, s_matrix
 
 P = ModelParams(b=0.25)

@@ -592,6 +592,12 @@ EXIT_TABLE = [
                                            dict(UNIT_CFG["operators"][1], omega=float("nan"))]),
                  None, EXIT_CONFIG, "config error: bad operators section: omega must be a finite real number, got nan",
                  id="correlator-nan-omega"),
+    # an operator given as JSON text was parsed, and the correlator ran with exit 0
+    pytest.param(["correlator", "--config", "CFG"],
+                 dict(UNIT_CFG, operators=['{"provider": {"kind": "unit"}}',
+                                           UNIT_CFG["operators"][1]]), None, EXIT_CONFIG,
+                 "config error: bad operators section: an operator must be a mapping",
+                 id="correlator-json-text-operator"),
     # int() ran r = (1,), 24 nodes and r = (1,) with exit 0
     *(pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", **entries),
                    None, EXIT_CONFIG, f"config error: {message}", id=f"correlator-{name}")

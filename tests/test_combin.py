@@ -78,7 +78,7 @@ def test_signature_multiplicative(p1, p2):
 def test_s_product_bubble_equals_pairwise(perm):
     word, vals = _random_word(5)
     target = tuple(word[i] for i in perm)
-    got = s_product(word, target, vals, _s, side="beta")
+    got = s_product(word, target, vals, _s)
     want = 1.0 + 0.0j
     for u, v in inverted_pairs(word, target):
         want *= _s(vals[u] - vals[v])
@@ -88,32 +88,34 @@ def test_s_product_bubble_equals_pairwise(perm):
 @given(st.permutations(list(range(4))), st.permutations(list(range(4))))
 @settings(max_examples=40, deadline=None)
 def test_s_product_composition(p1, p2):
-    # factor(W -> W') * factor(W' -> W'') = factor(W -> W'')
+    # factor(W -> W') * factor(W' -> W'') = factor(W -> W''), for the beta-type
+    # factor and for the alpha-type one, the same rule on the swapped words
     word, vals = _random_word(4)
     w1 = tuple(word[i] for i in p1)
     w2 = tuple(w1[i] for i in p2)
-    for side in ("alpha", "beta"):
-        lhs = s_product(word, w1, vals, _s, side) * s_product(w1, w2, vals, _s, side)
-        rhs = s_product(word, w2, vals, _s, side)
+    for f in (lambda x, y: s_product(x, y, vals, _s), lambda x, y: s_product(y, x, vals, _s)):
+        lhs = f(word, w1) * f(w1, w2)
+        rhs = f(word, w2)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 
 @given(st.permutations(list(range(4))))
 @settings(max_examples=40, deadline=None)
 def test_s_product_reversal_identity(perm):
-    # factor(W -> W') equals factor(<-W' -> <-W)
+    # factor(W -> W') equals factor(<-W' -> <-W), beta-type and alpha-type
     word, vals = _random_word(4)
     target = tuple(word[i] for i in perm)
-    for side in ("alpha", "beta"):
-        assert abs(s_product(word, target, vals, _s, side)
-                   - s_product(target[::-1], word[::-1], vals, _s, side)) < 1e-12
+    for f in (lambda x, y: s_product(x, y, vals, _s), lambda x, y: s_product(y, x, vals, _s)):
+        assert abs(f(word, target) - f(target[::-1], word[::-1])) < 1e-12
 
 
 def test_s_product_sides_are_mirror():
+    # the alpha-type factor S(v - u) per inverted pair is the one rule on the
+    # swapped words
     word, vals = _random_word(4)
     target = tuple(reversed(word))
-    a = s_product(word, target, vals, _s, side="alpha")
-    b = s_product(word, target, vals, lambda d: _s(-d), side="beta")
+    a = s_product(target, word, vals, _s)
+    b = s_product(word, target, vals, lambda d: _s(-d))
     assert abs(a - b) < 1e-13
 
 
@@ -122,8 +124,6 @@ def test_s_product_rejects_bad_input():
     a, b, c = word
     with pytest.raises(ValueError):
         s_product(word, word[:2], vals, _s)
-    with pytest.raises(ValueError):
-        s_product(word, word, vals, _s, side="gamma")
     with pytest.raises(ValueError):  # repeated slot
         s_product((a, a), (a, b), vals, _s)
     with pytest.raises(ValueError):  # different slots

@@ -18,14 +18,14 @@ from shgff.combin import (
 )
 from shgff.correlator import (
     ContourLadder, CorrelatorRequest, GaussianSmearing, RegionError, SpacetimePoint, _contours,
-    _quad_tensor, check_region, compute_I_n, compute_W_r, compute_W_r_mixed,
-    default_ladder, eta_max, integrand, smeared_correlator,
+    _quad_tensor, check_region, compute_I_n, compute_W_r, compute_W_r_mixed, integrand,
+    smeared_correlator,
 )
 from shgff.formfactor import (
-    ExponentialPn, KTransformProvider, OperatorSpec, _difference_lattice, _open_axis,
-    load_operator,
+    ExponentialPn, FormFactorProvider, KTransformProvider, OperatorSpec, _difference_lattice,
+    _open_axis, load_operator,
 )
-from shgff.ladder import _clearances, _occupied, _spread_ladder
+from shgff.ladder import _clearances, _occupied, _spread_ladder, default_ladder, eta_max
 from shgff.specfun import ModelParams
 
 P = ModelParams(b=0.25)
@@ -312,13 +312,15 @@ def _array_spread_ladder(request, comp):
 @pytest.mark.parametrize("b", [0.0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.45, 0.5])
 def test_float_ladder_is_the_array_ladder_bit_for_bit(b):
     # every composition of every r up to (3,), (2, 2) and (1, 2, 1), with
-    # unit and K-transform operators, in every representation; at b = 1/2
-    # both refuse with default_ladder's ValueError. The ladder reads only
-    # whether a provider is pole-free, so KT (built at b = 1/4, since
-    # ExponentialPn is singular at b = 0 and 1/2) stands for every b
+    # pole-free operators and operators with poles, in every representation;
+    # at b = 1/2 both refuse with default_ladder's ValueError. The ladder reads
+    # only whether a provider is pole-free, so a provider with poles and no
+    # model (ExponentialPn is singular at b = 0 and 1/2) stands for every b
     params = ModelParams(b=b)
+    poles = OperatorSpec("poles", 0.0, 0.0, 0.0, FormFactorProvider())
+    assert not poles.provider.pole_free
     for points, top in ((X3[:2], (3,)), (X3, (2, 2)), (X4, (1, 2, 1))):
-        for op in (load_operator(UNIT, params), KT):
+        for op in (load_operator(UNIT, params), poles):
             req = CorrelatorRequest(params=params, operators=[op] * len(points), r=top,
                                     points=[SpacetimePoint(*xy) for xy in points])
             for mixed_t in (None,) + tuple(range(1, req.k + 1)):
@@ -830,6 +832,20 @@ def test_request_refuses_non_finite_points():
             _req([bad, (0.0, 0.0)], (1,))
         with pytest.raises(ValueError, match="point coordinates must be finite real numbers"):
             _req([(0.0, 1.0), bad], (1,))
+
+
+def test_request_refuses_an_operator_of_another_coupling():
+    # a K-transform operator built at b = 1/4 entered a request at b = 0.1
+    # without a word: the S-factors, the ladder and the poles took one coupling
+    # and F the other
+    other = ModelParams(b=0.1)
+    pts = [SpacetimePoint(*xy) for xy in X3]
+    with pytest.raises(ValueError, match=re.escape(f"operator 'kt' is of the model {P}, "
+                                                   f"not {other}")):
+        CorrelatorRequest(params=other, operators=[KT] * 3, points=pts, r=(1, 1))
+    # the mass is not compared: no form factor depends on it
+    CorrelatorRequest(params=ModelParams(b=0.25, mass=2.0), operators=[KT] * 3, points=pts,
+                      r=(1, 1))
 
 
 @pytest.mark.parametrize("kw, message", [

@@ -5,6 +5,7 @@ shgff that it does not follow would only show up when the benchmark runs.
 """
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -19,6 +20,13 @@ def test_all_names_resolve_once():
     assert len(shgff.__all__) == len(set(shgff.__all__))
     for name in shgff.__all__:
         assert hasattr(shgff, name), name
+
+
+def test_each_input_is_said_once():
+    # an alpha-type S-product is the one rule on the swapped words, every
+    # expansion has one term count, and the K-transform takes its seed's model
+    for fn in (shgff.s_product, shgff.term_count, shgff.k_transform):
+        assert not {"side", "flavor", "params"} & set(inspect.signature(fn).parameters), fn
 
 
 def test_tracing_boundaries_resolve():

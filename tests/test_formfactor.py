@@ -47,9 +47,9 @@ def test_exponential_pn_rejects_degenerate():
 def test_k_transform_low_orders():
     pn = ExponentialPn(P, t=0.3, c1=0.8)
     # n=0: single term, p_0 = 1
-    assert k_transform(pn, [], P) == pytest.approx(1.0)
+    assert k_transform(pn, []) == pytest.approx(1.0)
     # n=1: (1 - t) c_1, no pair factors
-    assert k_transform(pn, [0.7], P) == pytest.approx(0.8 * (1 - 0.3))
+    assert k_transform(pn, [0.7]) == pytest.approx(0.8 * (1 - 0.3))
 
 
 def test_k_transform_symmetric_in_ell_pairs():
@@ -61,7 +61,7 @@ def test_k_transform_symmetric_in_ell_pairs():
     c2 = pn.coeff(2)
     t = pn.t
     want = c2 * (1.0 - t * (1.0 - 1j * s2 / sh) - t * (1.0 + 1j * s2 / sh) + t * t)
-    assert k_transform(pn, [b1, b2], P) == pytest.approx(want, rel=1e-13)
+    assert k_transform(pn, [b1, b2]) == pytest.approx(want, rel=1e-13)
 
 
 def _k_transform_loop(p, betas, params):
@@ -87,8 +87,8 @@ def test_k_transform_keeps_the_bits_of_the_written_out_label_sum(n):
     pn = ExponentialPn(P, t=0.3, c1=0.8)
     rng = np.random.default_rng(n)
     betas = [rng.uniform(-2.0, 2.0, 7) + 1j * rng.uniform(0.0, 3.0, 7) for _ in range(n)]
-    for got, want in ((k_transform(pn, betas, P), _k_transform_loop(pn, betas, P)),
-                      (k_transform(pn, np.broadcast_arrays(*betas), P),
+    for got, want in ((k_transform(pn, betas), _k_transform_loop(pn, betas, P)),
+                      (k_transform(pn, np.broadcast_arrays(*betas)),
                        _k_transform_loop(pn, betas, P))):
         assert np.array_equal(np.atleast_1d(got).view(np.uint64), np.atleast_1d(want).view(np.uint64))
 
@@ -107,7 +107,7 @@ def test_k_transform_is_the_providers_k_part(n):
 
     def product(betas):
         fmin = [min_form_factor(x - y, P) for x, y in itertools.combinations(betas, 2)]
-        return functools.reduce(operator.mul, fmin + [k_transform(pn, betas, P)])
+        return functools.reduce(operator.mul, fmin + [k_transform(pn, betas)])
 
     rng = np.random.default_rng(n)
     betas = [rng.uniform(-2.0, 2.0, 7) + 1j * rng.uniform(0.0, 3.0, 7) for _ in range(n)]
@@ -119,20 +119,20 @@ def test_k_transform_is_the_providers_k_part(n):
     assert np.shape(got) == np.shape(want)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
     loop = _k_transform_loop(pn, axes, P)
-    assert np.max(np.abs(k_transform(pn, axes, P) - loop) / np.abs(loop)) <= 1e-14
+    assert np.max(np.abs(k_transform(pn, axes) - loop) / np.abs(loop)) <= 1e-14
 
 
 def test_k_transform_pole_guard():
     pn = ExponentialPn(P, t=0.3)
     with pytest.raises(SpecialFunctionError):
-        k_transform(pn, [0.5, 0.5], P)
+        k_transform(pn, [0.5, 0.5])
 
 
 def test_k_transform_vectorized():
     pn = ExponentialPn(P, t=0.3)
     b2 = np.linspace(-1, 1, 7)
-    vec = k_transform(pn, [0.4, b2], P)
-    sc = np.array([k_transform(pn, [0.4, x], P) for x in b2])
+    vec = k_transform(pn, [0.4, b2])
+    sc = np.array([k_transform(pn, [0.4, x]) for x in b2])
     assert np.max(np.abs(vec - sc)) < 1e-14
 
 
@@ -264,7 +264,7 @@ def test_lattice_gather_copies_the_table_at_the_index_differences(dims):
 
 def test_lattice_falls_back_bitwise_with_extras_on_three_axes():
     pn = ExponentialPn(P, t=0.3)
-    f = lambda *betas: k_transform(pn, betas, P)
+    f = lambda *betas: k_transform(pn, betas)
     x = _run_and_extras(12, 0.62, 0.0, PROBES)
     y = _run_and_extras(12, 0.24, 0.1j, [])
     z = _run_and_extras(12, 0.86, 0.2j, [])
@@ -290,11 +290,11 @@ def test_k_transform_table_path_matches_and_guards_poles():
     a, b, c = _uniform_axes([(0.0, 0.2), (0.5, 0.2), (0.0, 0.2)], nodes=48)
     betas = [a + 0.5j, b, c]
     # the dense mesh has no open-mesh axis, so it is evaluated directly
-    got, want = k_transform(pn, betas, P), k_transform(pn, np.broadcast_arrays(*betas), P)
+    got, want = k_transform(pn, betas), k_transform(pn, np.broadcast_arrays(*betas))
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
     # a and c coincide on the diagonal of their plane
     with pytest.raises(SpecialFunctionError):
-        k_transform(pn, [a, c], P)
+        k_transform(pn, [a, c])
 
 
 def _block_axes(left, right, nodes):
@@ -334,7 +334,7 @@ def test_k_transform_provider_on_the_lattice_matches_the_dense_mesh(
 
 def test_lattice_falls_back_bitwise_off_the_uniform_mesh():
     pn = ExponentialPn(P, t=0.3)
-    f = lambda *betas: k_transform(pn, betas, P)
+    f = lambda *betas: k_transform(pn, betas)
     xg = 8.0 * roots_legendre(24)[0]
     gl = np.meshgrid(xg + 0.1j, xg - 0.4, xg + 0.2j, indexing="ij", sparse=True)
     u, v, w = _uniform_axes([(0.0, 0.1), (0.5, 0.2), (0.0, 0.3)], nodes=24)
@@ -383,8 +383,8 @@ def test_k_transform_takes_the_far_limit_of_its_pair_factors(d):
     pn = ExponentialPn(P, t=0.3, c1=0.8)
     prov = KTransformProvider(pn, P)
     near = np.copysign(700.0, d.real) + 1j * np.imag(d)
-    for f in (lambda x: k_transform(pn, [x, 0.0], P), lambda x: prov.evaluate([x, 0.0]),
-              lambda x: k_transform(pn, [x, 0.0, 0.5], P),
+    for f in (lambda x: k_transform(pn, [x, 0.0]), lambda x: prov.evaluate([x, 0.0]),
+              lambda x: k_transform(pn, [x, 0.0, 0.5]),
               lambda x: prov.evaluate([x, 0.0, 0.5])):
         got, want = f(d), f(near)
         assert np.isfinite(got)
@@ -434,8 +434,7 @@ def test_load_operator_kinds():
          "provider": {"kind": "exponential-like", "coefficients": [1, 2, 3]}}, P)
     assert isinstance(op.provider, FixtureExponentialLikeProvider)
     assert op.omega == 0.25
-    op = load_operator(
-        '{"name": "k", "provider": {"kind": "k-transform", "t": 0.3}}', P)
+    op = load_operator({"name": "k", "provider": {"kind": "k-transform", "t": 0.3}}, P)
     assert isinstance(op.provider, KTransformProvider)
     with pytest.raises(ValueError):
         load_operator({"provider": {"kind": "bogus"}}, P)
@@ -446,6 +445,9 @@ def test_load_operator_kinds():
     kt = {"kind": "k-transform", "t": 0.3}
     nan = float("nan")
     for doc, message in (
+            # a document is a mapping; JSON text is not parsed
+            ('{"name": "k", "provider": {"kind": "k-transform", "t": 0.3}}',
+             "an operator must be a mapping"),
             ({"provider": {"kidn": "k-transform", "t": 0.3}}, "provider has no kind"),
             ({"provider": {"kind": ["unit"]}}, "unknown provider kind"),
             ({"provider": {"provider": kt}}, "provider has no kind"),

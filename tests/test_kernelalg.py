@@ -46,18 +46,16 @@ def _splits(n):
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2),
                                  (0, 0), (0, 3), (3, 0), (1, 3), (3, 3)])
 def test_term_counts(n, m):
-    want = term_count("direct", n, m)
+    # direct, dual and every mixed split have the one count
+    want = term_count(n, m)
     assert len(expand_direct(n, m).terms) == want
-    assert len(expand_dual(n, m).terms) == term_count("dual", n, m) == want
+    assert len(expand_dual(n, m).terms) == want
     for a1 in _splits(n):
-        assert len(expand_mixed(n, m, a1).terms) == term_count("mixed", n, m)
-    for flavor in ("jump", "bogus"):
-        with pytest.raises(ValueError):
-            term_count(flavor, n, m)
+        assert len(expand_mixed(n, m, a1).terms) == want
 
 
 def test_term_count_formula():
-    assert term_count("direct", 2, 3) == \
+    assert term_count(2, 3) == \
         sum(math.comb(2, p) * math.perm(3, p) for p in range(3))
 
 
@@ -172,6 +170,20 @@ def test_interacting_pairing_on_a_wide_window():
     val, term = pair_numeric_with_tail(expand_direct(1, 2), [0.4], gauss_test, KT_OP, P,
                                        L=400.0, nodes=48)
     assert np.isfinite(val) and np.isfinite(term)
+
+
+def test_pairing_refuses_an_operator_of_another_coupling():
+    # a K-transform operator built at b = 1/4 was paired at b = 0.1 without a
+    # word: the S-factors and the poles took one coupling and F the other
+    other = ModelParams(b=0.1)
+    for pair in (pair_numeric, pair_numeric_with_tail):
+        with pytest.raises(ValueError, match=re.escape(f"operator 'kt' is of the model {P}, "
+                                                       f"not {other}")):
+            pair(expand_direct(1, 2), [0.4], gauss_test, KT_OP, other, nodes=16)
+    # the mass is not compared: no form factor depends on it
+    heavy = ModelParams(b=0.25, mass=2.0)
+    assert (pair_numeric_with_tail(expand_direct(1, 2), [0.4], gauss_test, KT_OP, heavy, nodes=16)
+            == pair_numeric_with_tail(expand_direct(1, 2), [0.4], gauss_test, KT_OP, P, nodes=16))
 
 
 def _kt_op(params):

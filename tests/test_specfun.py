@@ -332,8 +332,19 @@ def test_min_form_factor_refuses_a_zero_of_each_barnes_argument(exponents, f):
                 f(beta)
             with pytest.raises(SpecialFunctionError):
                 f(np.array([0.3 + 0.1j, beta, -1.0]))
-            with pytest.raises(SpecialFunctionError):
+            with pytest.raises(SpecialFunctionError, match=r"Barnes G quotient w_e\(z\)"):
                 varpi(z, e)
+
+
+def test_varpi_at_exponent_one_half_is_one_where_its_zeros_meet():
+    # at e = 1/2, x_1 = x_2: each zero of a numerator G meets the same zero of a
+    # denominator G, so w_1/2 is 1 there too; varpi refused z = 1/2, 3/2, 5/2,
+    # -3/2 and -5/2 (and gave 1 at -1/2)
+    z = np.array([0.5, 1.5, 2.5, -1.5, -2.5])
+    for x in z:
+        assert varpi(x, 0.5) == 1.0
+    assert np.all(varpi(z, 0.5) == 1.0)
+    assert np.all(varpi(np.array([0.3 + 0.1j, 1.5, -0.5]), 0.5) == 1.0)
 
 
 @pytest.mark.parametrize("b_hat", [0.35, 0.6, 0.9])
