@@ -1,5 +1,10 @@
 """Command line interface.
 
+A config is a JSON mapping of a `model`, an `operators` and, for
+`correlator`, a `request` section; any other top-level key is refused.
+`correlator` reports once, as a CSV on stdout (copied to --output if given),
+and its exit code is the verdict on the result.
+
 Exit codes: 0 success, 2 configuration error, 3 kinematic-region violation,
 4 quadrature non-convergence, 5 internal error. `correlator` exits 4 exactly
 when its result is not converged, that is when W's error exceeds the
@@ -10,7 +15,6 @@ error is click's, exit 2.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import json
 import numbers
@@ -19,8 +23,7 @@ import click
 
 from .combin import _is_finite, blocks, enumerate_compositions
 from .correlator import (
-    ContourLadder, CorrelatorRequest, GaussianSmearing, RegionError, SpacetimePoint,
-    _sum_compositions,
+    ContourLadder, CorrelatorRequest, GaussianSmearing, RegionError, SpacetimePoint, compute_W_r,
 )
 from .formfactor import _check_keys, load_operator, verify_axioms
 from .specfun import ModelParams, min_form_factor, s_matrix
@@ -63,9 +66,15 @@ def _fmt(x: float) -> str:
     return f"{x:.17e}"
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> tuple[dict, ModelParams, list]:
+    """The config at path, with the model and the operators it describes. Its
+    top level holds the model, operators and request sections (the last read
+    by correlator alone) and no other key."""
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    _check_keys(cfg, ("model", "operators", "request"), "a config")
+    params = _model_from(cfg)
+    return cfg, params, _operators_from(cfg, params)
 
 
 def _model_from(cfg: dict) -> ModelParams:
@@ -108,15 +117,6 @@ def _request_from(cfg: dict, params: ModelParams, operators) -> CorrelatorReques
     return CorrelatorRequest(params=params, operators=operators, **given)
 
 
-def _doc_from(cfg: dict) -> str | None:
-    """The path of the report that the output section asks for, if any."""
-    out = cfg.get("output", {})
-    if not (isinstance(out, dict) and out.keys() <= {"doc"}
-            and isinstance(out.get("doc"), (str, type(None)))):
-        raise ValueError(f"bad output section: expected {{\"doc\": path}}, got {out!r}")
-    return out.get("doc")
-
-
 @click.group(cls=Main)
 def main():
     """Form-factor bootstrap and truncated correlation functions."""
@@ -150,10 +150,9 @@ def verify_cmd(config_path, n_max, tol):
     # worst > nan is never true, so a NaN tol would pass every residual
     if not (_is_finite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
-    cfg = _load_config(config_path)
-    params = _model_from(cfg)
+    _, params, operators = _load_config(config_path)
     worst = 0.0
-    for op in _operators_from(cfg, params):
+    for op in operators:
         for n in range(n_max + 1):
             rep = verify_axioms(op, params, n)
             worst = max(worst, rep.max_residual())
@@ -184,9 +183,7 @@ def enumerate_cmd(k, r_str):
               help="comma-separated rapidities")
 def eval_ff_cmd(config_path, op_name, betas_str):
     """Evaluate an operator's n-particle form factor."""
-    cfg = _load_config(config_path)
-    params = _model_from(cfg)
-    operators = _operators_from(cfg, params)
+    _, _, operators = _load_config(config_path)
     betas = [complex(x) for x in betas_str.split(",")] if betas_str else []
     # the form factors would turn a NaN or infinite rapidity into a nan row
     if not all(_is_finite(b, numbers.Complex) for b in betas):
@@ -202,16 +199,10 @@ def eval_ff_cmd(config_path, op_name, betas_str):
 @main.command("correlator")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--output", "output_path", default=None, type=click.Path())
-@click.option("--threads", type=click.IntRange(min=1), default=1)
-def correlator_cmd(config_path, output_path, threads):
+def correlator_cmd(config_path, output_path):
     """Compute the truncated correlator of the config's request section and
     write a CSV breakdown."""
-    cfg = _load_config(config_path)
-    params = _model_from(cfg)
-    request = _request_from(cfg, params, _operators_from(cfg, params))
-    doc_path = _doc_from(cfg)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        result = _sum_compositions(request, pool.map)
+    result = compute_W_r(_request_from(*_load_config(config_path)))
 
     lines = ["composition,re_I,im_I,err,phase_re,phase_im"]
     for comp, val, err, ph in result.breakdown:
@@ -226,10 +217,6 @@ def correlator_cmd(config_path, output_path, threads):
         with open(output_path, "w") as fh:
             fh.write(text)
     click.echo(text, nl=False)
-
-    if doc_path:
-        with open(doc_path, "w") as fh:
-            fh.write(result.describe() + "\n")
     if not result.converged:
         raise Failure(f"non-convergence: error estimate {result.error:.3e} "
                       f"exceeds tolerance", EXIT_NONCONVERGED)

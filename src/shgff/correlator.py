@@ -469,26 +469,17 @@ class CorrelatorResult:
     breakdown: list   # (CompositionVector, I_n, err, phase) per composition
     converged: bool
 
-    def describe(self) -> str:
-        lines = [f"W = {self.value} (err <= {self.error:.3e}, "
-                 f"converged: {self.converged})"]
-        for comp, val, err, ph in self.breakdown:
-            lines.append(f"  n={comp.counts} I_n={val} err={err:.3e} phase={ph}")
-        return "\n".join(lines)
 
-
-def _sum_compositions(request: CorrelatorRequest, map_=map) -> CorrelatorResult:
-    """Sum of phase * I_n / (n! (2 pi)^{|n|}) over the compositions of
-    request.r, each I_n from compute_I_n; map_ (an executor's map, say) may
-    evaluate the compositions concurrently, while the sum always runs in
-    composition order. ValueError (see _check_finite) naming the first
-    composition at which the sum or its error overflows."""
-    I_n = functools.partial(compute_I_n, request)
-    comps = enumerate_compositions(request.k, tuple(request.r))
+def compute_W_r(request: CorrelatorRequest) -> CorrelatorResult:
+    """Truncated correlator: sum over the compositions of request.r, in
+    composition order, of phase * I_n / (n! (2 pi)^{|n|}), each I_n from
+    compute_I_n. ValueError (see _check_finite) naming the first composition
+    at which the sum or its error overflows."""
     total = 0.0 + 0.0j
     err_total = 0.0
     breakdown = []
-    for comp, (val, err) in zip(comps, map_(I_n, comps)):
+    for comp in enumerate_compositions(request.k, tuple(request.r)):
+        val, err = compute_I_n(request, comp)
         ph = _composition_phase(comp, request)
         weight = ph / (comp.factorial_weight() * (2.0 * np.pi) ** comp.total)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -497,12 +488,6 @@ def _sum_compositions(request: CorrelatorRequest, map_=map) -> CorrelatorResult:
         _check_finite("W", comp, total, err_total)
         breakdown.append((comp, val, err, ph))
     return CorrelatorResult(total, err_total, breakdown, bool(err_total <= request.tol))
-
-
-def compute_W_r(request: CorrelatorRequest) -> CorrelatorResult:
-    """Truncated correlator: sum over compositions of
-    phase * I_n / (n! (2 pi)^{|n|})."""
-    return _sum_compositions(request)
 
 
 def compute_W_r_mixed(request: CorrelatorRequest, t: int) -> CorrelatorResult:

@@ -228,7 +228,8 @@ def _check_model(operators: Sequence[OperatorSpec], params: ModelParams) -> None
     """ValueError unless every operator whose provider carries a model (its
     `params`) has the coupling b of `params`, the model of the S-factors,
     ladders and poles it meets. The mass is not compared: no form factor
-    depends on it."""
+    depends on it. Two models agree by this rule, b alone, wherever shgff
+    compares them."""
     for op in operators:
         own = getattr(op.provider, "params", None)
         if own is not None and own.b != params.b:
@@ -286,9 +287,9 @@ class KTransformProvider(FormFactorProvider):
     axes of one uniform step it is evaluated on the lattice of differences to
     the last rapidity (see _difference_lattice), and any other input
     directly. The seed's model sets its residue coupling g and `params` sets
-    F_min and the pair factors, so the two must be one model (ValueError
-    otherwise: with a seed at b = 1/4 and F_min at b = 0.1 the residue
-    axiom misses by 0.62).
+    F_min and the pair factors, so the two must have one coupling b, as
+    _check_model compares them (ValueError otherwise: with a seed at b = 1/4
+    and F_min at b = 0.1 the residue axiom misses by 0.62).
     """
 
     pole_free = False
@@ -298,7 +299,7 @@ class KTransformProvider(FormFactorProvider):
     rounding = 1e-15
 
     def __init__(self, pn: ExponentialPn, params: ModelParams):
-        if params != pn.params:
+        if pn.params.b != params.b:
             raise ValueError(f"KTransformProvider: the seed's model {pn.params} is not {params}")
         self.pn = pn
         self.params = params
@@ -320,11 +321,12 @@ class KTransformProvider(FormFactorProvider):
 
 def _check_keys(section, known, what: str) -> None:
     """ValueError unless a config section (`what`, for the message) is a
-    mapping whose keys are all in `known`."""
+    mapping whose keys are all in `known`; the message names the unknown keys
+    and not the rest of the section."""
     if not isinstance(section, dict):
         raise ValueError(f"{what} must be a mapping, got {section!r}")
     if section.keys() - set(known):
-        raise ValueError(f"unknown keys {sorted(section.keys() - set(known))} in {section!r}")
+        raise ValueError(f"unknown keys {sorted(section.keys() - set(known))} in {what}")
 
 
 def load_operator(doc, params: ModelParams) -> OperatorSpec:
@@ -413,8 +415,10 @@ def verify_axioms(op: OperatorSpec, params: ModelParams, n: int,
 
     Axiom III compares the contour residue of F_{n+2}(alpha + i pi, beta,
     beta_1..beta_n) at alpha = beta against
-    i (1 - e^{2 i pi omega} prod_a S(beta - beta_a)) F_n.
+    i (1 - e^{2 i pi omega} prod_a S(beta - beta_a)) F_n. ValueError if op's
+    provider carries a model of another coupling b (see _check_model).
     """
+    _check_model([op], params)
     rng = np.random.default_rng(seed)
     prov = op.provider
     ex = per = res = boost = 0.0

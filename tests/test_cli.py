@@ -188,39 +188,9 @@ def test_correlator_rejects_k_transform_at_half_coupling(runner, tmp_path):
     assert res.exit_code == EXIT_CONFIG, res.output
 
 
-def test_correlator_threads_match_serial(runner, tmp_path):
-    cfg = json.loads(json.dumps(UNIT_CFG))
-    cfg["request"]["r"] = [2]
-    cfg["request"]["nodes"] = 48
-    path = _write(tmp_path, cfg)
-    out1, out2 = str(tmp_path / "s.csv"), str(tmp_path / "t.csv")
-    r1 = runner.invoke(main, ["correlator", "--config", path, "--output", out1])
-    r2 = runner.invoke(main, ["correlator", "--config", path, "--output", out2,
-                              "--threads", "4"])
-    assert r1.exit_code == EXIT_OK and r2.exit_code == EXIT_OK
-    assert Path(out1).read_bytes() == Path(out2).read_bytes()
-
-
-def test_correlator_smeared_threads_match_serial(runner, tmp_path, monkeypatch):
-    # the compositions run on a pool of --threads workers, one included, for
-    # a smeared request too
-    path = _write(tmp_path, _variant(SMEARED_CFG, "request", r=[2], nodes=48))
-    maps = []
-    original = shgff.cli._sum_compositions
-    monkeypatch.setattr(shgff.cli, "_sum_compositions",
-                        lambda request, map_: maps.append(map_) or original(request, map_))
-    out1, out2 = str(tmp_path / "s.csv"), str(tmp_path / "t.csv")
-    r1 = runner.invoke(main, ["correlator", "--config", path, "--output", out1])
-    r2 = runner.invoke(main, ["correlator", "--config", path, "--output", out2,
-                              "--threads", "4"])
-    assert r1.exit_code == EXIT_OK and r2.exit_code == EXIT_OK, (r1.output, r2.output)
-    assert Path(out1).read_bytes() == Path(out2).read_bytes()
-    assert len(maps) == 2 and map not in maps
-
-
-def test_correlator_threads_reject_bad_mixed(runner, tmp_path):
+def test_correlator_rejects_bad_mixed(runner, tmp_path):
     path = _write(tmp_path, _variant(UNIT_CFG, "request", mixed_t=5))
-    res = runner.invoke(main, ["correlator", "--config", path, "--threads", "2"])
+    res = runner.invoke(main, ["correlator", "--config", path])
     assert res.exit_code == EXIT_CONFIG, res.output
     assert res.output == "config error: mixed_t must be an integer in 1..2, got 5\n"
 
@@ -294,7 +264,7 @@ def test_correlator_options_are_deployment_settings(runner):
     assert res.exit_code == EXIT_OK
     options = {word.rstrip(",") for line in res.output.splitlines()
                for word in line.split() if word.startswith("--")}
-    assert options == {"--config", "--output", "--threads", "--help"}
+    assert options == {"--config", "--output", "--help"}
 
 
 def test_specfun_free_point_at_zero_rapidity(runner):
@@ -310,15 +280,16 @@ def test_specfun_free_point_at_zero_rapidity(runner):
     (dict(nodes=8, max_nodes=16, tol=1e-2), EXIT_OK),
     (dict(nodes=8, max_nodes=16, tol=1e-3), EXIT_NONCONVERGED),
 ])
-def test_correlator_writes_doc(runner, tmp_path, entries, code):
+def test_correlator_exit_code_is_the_verdict(runner, tmp_path, entries, code):
     cfg = _variant(UNIT_CFG, "request", **entries)
-    doc = tmp_path / "report.txt"
-    cfg["output"] = {"doc": str(doc)}
-    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg)])
+    out = tmp_path / "out.csv"
+    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg),
+                               "--output", str(out)])
     assert res.exit_code == code, res.output
-    # the report and the exit code give one verdict: W's error <= tol
-    assert doc.read_text().startswith("W =")
-    assert f"converged: {code == EXIT_OK}" in doc.read_text()
+    # the CSV is the one report, and the exit code the one verdict: W's error <= tol
+    total = out.read_text().splitlines()[-1].split(",")
+    assert total[0] == "total" and res.output.startswith(out.read_text())
+    assert (float(total[3]) <= cfg["request"]["tol"]) is (code == EXIT_OK)
 
 
 def _variant(cfg, section, **entries):
@@ -373,17 +344,17 @@ B_HAT_CFG = _variant(_variant(KT2_CFG, "request", r=[2], nodes=32, max_nodes=64,
 DOC_CFG = _variant(UNIT_CFG, "output", doc="missing/report.txt")
 FD_DOC_CFG = _variant(UNIT_CFG, "output", doc=1)
 LIST_OUTPUT_CFG = dict(UNIT_CFG, output=[])
+# the unit two-point config with the smeared config's smearings at its top level
+TOP_SMEARINGS_CFG = dict(UNIT_CFG, smearings=SMEARED_CFG["request"]["smearings"])
 
 
 def test_correlator_overflow_prints_no_row(runner, tmp_path):
     # it printed 1,inf,inf,nan and total,nan,nan,nan before exiting 4; the
-    # refusal is the one line of output, on one thread or two
-    path = _write(tmp_path, HUGE_T_CFG)
-    for threads in ("1", "2"):
-        res = runner.invoke(main, ["correlator", "--config", path, "--threads", threads])
-        assert res.exit_code == EXIT_CONFIG, res.output
-        assert res.output.startswith("config error: I_n = (inf+infj)")
-        assert len(res.output.splitlines()) == 1
+    # refusal is the one line of output
+    res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, HUGE_T_CFG)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert res.output.startswith("config error: I_n = (inf+infj)")
+    assert len(res.output.splitlines()) == 1
 
 
 def _boom(*args, **kwargs):
@@ -462,22 +433,26 @@ EXIT_TABLE = [
                  EXIT_OK, None, id="correlator-ok"),
     pytest.param(["correlator", "--config", "CFG", "--output", "missing/out.csv"], UNIT_CFG,
                  None, EXIT_CONFIG, "config error: [Errno 2]", id="correlator-bad-output"),
-    pytest.param(["correlator", "--config", "CFG"], DOC_CFG, None, EXIT_CONFIG,
-                 "config error: [Errno 2]", id="correlator-bad-doc"),
-    pytest.param(["correlator", "--config", "CFG"], FD_DOC_CFG, "_sum_compositions",
-                 EXIT_CONFIG, "config error: bad output section", id="correlator-doc-not-a-path"),
-    pytest.param(["correlator", "--config", "CFG"], LIST_OUTPUT_CFG, "_sum_compositions",
-                 EXIT_CONFIG, "config error: bad output section", id="correlator-output-list"),
+    # the output section and its report went: a config has no top-level key but
+    # model, operators and request
+    *(pytest.param(["correlator", "--config", "CFG"], cfg, "compute_W_r", EXIT_CONFIG,
+                   "config error: unknown keys ['output'] in a config", id=f"correlator-{name}")
+      for name, cfg in (("bad-doc", DOC_CFG), ("doc-not-a-path", FD_DOC_CFG),
+                        ("output-list", LIST_OUTPUT_CFG))),
+    # a misplaced smearings was ignored: the point correlator ran with exit 0
+    pytest.param(["correlator", "--config", "CFG"], TOP_SMEARINGS_CFG, "compute_W_r",
+                 EXIT_CONFIG, "config error: unknown keys ['smearings'] in a config",
+                 id="correlator-top-level-smearings"),
+    *(pytest.param([command, "--config", "CFG", *args], FD_DOC_CFG, None, EXIT_CONFIG,
+                   "config error: unknown keys ['output'] in a config", id=f"{command}-output")
+      for command, args in (("verify", ["--n-max", "2"]), ("eval-ff", ["--betas", "0.3"]))),
+    pytest.param(["correlator", "--config", "CFG", "--threads", "2"], UNIT_CFG, "compute_W_r",
+                 EXIT_CONFIG, "Error: No such option", id="correlator-threads"),
     pytest.param(["correlator", "--config", "CFG"], EL_CFG, None, EXIT_CONFIG,
                  "config error: no coefficient provided for n = 2",
                  id="correlator-missing-coefficient"),
     pytest.param(["correlator", "--config", "CFG"], REGION_CFG, None, EXIT_REGION,
                  "region error: points must be space-like", id="correlator-region"),
-    pytest.param(["correlator", "--config", "CFG", "--threads", "2"], REGION_CFG, None,
-                 EXIT_REGION, "region error: points must be space-like",
-                 id="correlator-region-threads"),
-    pytest.param(["correlator", "--config", "CFG", "--threads", "0"], UNIT_CFG, None,
-                 EXIT_CONFIG, "Error: Invalid value for '--threads'", id="correlator-no-threads"),
     pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", mixed_t=2),
                  None, EXIT_OK, None, id="correlator-mixed"),
     pytest.param(["correlator", "--config", "CFG"], _variant(UNIT_CFG, "request", mixed_t=5),
@@ -673,7 +648,7 @@ EXIT_TABLE = [
                      "request", L=3.0),
                  None, EXIT_NONCONVERGED, "non-convergence: error estimate inf",
                  id="correlator-infinite-tail"),
-    pytest.param(["correlator", "--config", "CFG"], UNIT_CFG, "_sum_compositions",
+    pytest.param(["correlator", "--config", "CFG"], UNIT_CFG, "compute_W_r",
                  EXIT_INTERNAL, "internal error: boom", id="correlator-internal"),
 ]
 
@@ -749,19 +724,21 @@ def test_every_config_number_is_a_finite_number(runner, tmp_path, key, value):
 
 # each ran with exit 0, as if the key were absent; a smearing of 5 exited 2 with
 # "'int' object is not subscriptable"
-@pytest.mark.parametrize("cfg, section, message", [
-    (_variant(UNIT_CFG, "model", mas=7.0), "model", "unexpected keyword argument 'mas'"),
-    (B_HAT_CFG, "model", "unexpected keyword argument 'b_hat'"),
-    (_variant(UNIT_CFG, "request", nodse=8), "request", "unknown keys ['nodse']"),
+@pytest.mark.parametrize("cfg, prefix, message", [
+    (_variant(UNIT_CFG, "model", mas=7.0), "bad model section: ",
+     "unexpected keyword argument 'mas'"),
+    (B_HAT_CFG, "bad model section: ", "unexpected keyword argument 'b_hat'"),
+    (_variant(UNIT_CFG, "request", nodse=8), "bad request section: ", "unknown keys ['nodse']"),
     (_variant(SMEARED_CFG, "request", smearings=[
         {"center": [0.0, 1.0], "widht": [0.05, 0.05]}, SMEARED_CFG["request"]["smearings"][1]]),
-     "request", "unknown keys ['widht']"),
+     "bad request section: ", "unknown keys ['widht']"),
     (_variant(SMEARED_CFG, "request", smearings=[5, SMEARED_CFG["request"]["smearings"][1]]),
-     "request", "a smearing must be a mapping, got 5"),
-    (_variant(UNIT_CFG, "output", dco="report.txt"), "output", "'dco': 'report.txt'"),
-], ids=["model", "model-b-hat", "request", "smearing", "smearing-number", "output"])
-def test_config_sections_refuse_unknown_keys(runner, tmp_path, cfg, section, message):
+     "bad request section: ", "a smearing must be a mapping, got 5"),
+    # the refusal names the unknown key and echoes nothing else of the config
+    (_variant(UNIT_CFG, "outptu", doc="report.txt"), "", "unknown keys ['outptu'] in a config\n"),
+], ids=["model", "model-b-hat", "request", "smearing", "smearing-number", "top-level"])
+def test_config_sections_refuse_unknown_keys(runner, tmp_path, cfg, prefix, message):
     res = runner.invoke(main, ["correlator", "--config", _write(tmp_path, cfg)])
     assert res.exit_code == EXIT_CONFIG, res.output
-    assert res.output.startswith(f"config error: bad {section} section: "), res.output
+    assert res.output.startswith(f"config error: {prefix}"), res.output
     assert message in res.output

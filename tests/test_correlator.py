@@ -1238,7 +1238,6 @@ def test_breakdown_weights_reassemble_total():
     total = sum(ph * val / (comp.factorial_weight() * (2 * np.pi) ** comp.total)
                 for comp, val, err, ph in res.breakdown)
     assert abs(total - res.value) < 1e-14
-    assert isinstance(res.describe(), str)
 
 
 @pytest.mark.parametrize("kw, want", [
@@ -1255,6 +1254,5 @@ def test_converged_flag(kw, want):
     sm = [GaussianSmearing((p.x0, p.x1), (0.3, 0.3)) for p in req.points]
     res = compute_W_r(req)
     assert res.converged is want
-    assert f"converged: {want}" in res.describe()
     for res in (res, compute_W_r_mixed(req, 2), smeared_correlator(req, sm)):
         assert res.converged is bool(res.error <= req.tol)

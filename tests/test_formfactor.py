@@ -376,6 +376,16 @@ def test_k_transform_provider_refuses_a_seed_of_another_model():
     KTransformProvider(ExponentialPn(ModelParams(b=0.25), t=0.3), ModelParams(b=0.25))
 
 
+def test_k_transform_provider_takes_a_seed_of_another_mass():
+    # the provider compared the whole model and _check_model the coupling b alone:
+    # a seed that differs only in the mass was refused, though no F_n reads the mass
+    heavy = KTransformProvider(ExponentialPn(ModelParams(b=0.25, mass=2.0), t=0.3),
+                               ModelParams(b=0.25))
+    same = KTransformProvider(ExponentialPn(ModelParams(b=0.25), t=0.3), ModelParams(b=0.25))
+    for betas in ([0.3, -0.2], [0.3, -0.2, 0.9 + 0.1j]):
+        assert heavy.evaluate(betas) == same.evaluate(betas)
+
+
 @pytest.mark.parametrize("d", [800.0, -800.0, 800.0 + 1j * np.pi / 3, 1e4])
 def test_k_transform_takes_the_far_limit_of_its_pair_factors(d):
     # beyond |Re d| = 710 sinh(d) overflowed: q = i sin(2 pi b)/sinh(d) was
@@ -541,6 +551,16 @@ def test_axioms_free_point_fixture():
     assert rep.exchange < 1e-12
     assert rep.periodicity < 1e-12
     assert rep.boost < 1e-12
+
+
+def test_axioms_refuse_an_operator_of_another_coupling():
+    # exchange 0.486 and residue 0.480 were reported for this operator at b = 0.1,
+    # against 4.8e-16 and 1.2e-15 at its own model
+    op = _kt_op(ModelParams(b=0.25), t=0.3)
+    with pytest.raises(ValueError, match="is of the model"):
+        verify_axioms(op, ModelParams(b=0.1), 2)
+    # the mass is not compared
+    assert verify_axioms(op, ModelParams(b=0.25, mass=3.0), 2).max_residual() < 1e-6
 
 
 def test_axioms_detect_violation():
